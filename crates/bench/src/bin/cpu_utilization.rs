@@ -4,7 +4,8 @@
 //!
 //! `--json` emits one JSON object per row in the shared format.
 
-use zc_bench::{json_flag, report::json_escape};
+use zc_bench::json_flag;
+use zc_json::{Layout, Writer};
 use zc_simnet::{cpu_utilization, predict, LinkSpec, MachineSpec, OrbMode, Scenario, SocketMode};
 
 fn row(machine: MachineSpec, socket: SocketMode, orb: OrbMode, json: bool) {
@@ -18,15 +19,15 @@ fn row(machine: MachineSpec, socket: SocketMode, orb: OrbMode, json: bool) {
     let mbit = predict(&scn);
     let (s, r) = cpu_utilization(&scn);
     if json {
-        println!(
-            "{{\"machine\":\"{}\",\"config\":\"{}\",\"modeled_mbit_s\":{:.1},\
-             \"sender_cpu\":{:.3},\"receiver_cpu\":{:.3}}}",
-            json_escape(machine.name),
-            json_escape(&scn.label()),
-            mbit,
-            s,
-            r
-        );
+        let mut w = Writer::new();
+        w.begin_object(Layout::Compact)
+            .field_str("machine", machine.name)
+            .field_str("config", &scn.label())
+            .field("modeled_mbit_s", format_args!("{mbit:.1}"))
+            .field("sender_cpu", format_args!("{s:.3}"))
+            .field("receiver_cpu", format_args!("{r:.3}"))
+            .end();
+        println!("{}", w.finish());
     } else {
         println!(
             "  {:<22} {:>8.0} Mbit/s   sender {:>5.1} %   receiver {:>5.1} %",

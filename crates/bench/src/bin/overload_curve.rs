@@ -19,8 +19,7 @@
 
 use std::path::PathBuf;
 
-use zc_bench::overload::OverloadMode;
-use zc_bench::trajectory::{OVERLOAD_PLATEAU_GATE, OVERLOAD_PLATEAU_GATE_SMOKE};
+use zc_bench::overload::{OverloadMode, OVERLOAD_PLATEAU_GATE, OVERLOAD_PLATEAU_GATE_SMOKE};
 use zc_bench::{overload_sweep, OverloadCurve, OverloadParams};
 
 fn arg_value(name: &str) -> Option<String> {

@@ -21,11 +21,12 @@
 //! cargo run -p zc-bench --bin sweep_csv --release -- --json          # JSON lines
 //! ```
 
-use zc_bench::trajectory::{goodput_json, GoodputPoint};
+use zc_bench::report::{goodput_json, GoodputPoint};
 use zc_bench::{
     fault_sweep_csv_header, fault_sweep_point, json_flag, measured_block_sizes, measured_point,
 };
 use zc_buffers::CopyLayer;
+use zc_json::{Layout, Writer};
 use zc_simnet::{run_sweep, LinkSpec, MachineSpec, FIGURE_CONFIGS};
 use zc_trace::Stage;
 use zc_ttcp::{run_modeled, TtcpVersion};
@@ -62,18 +63,19 @@ fn main() {
     if json {
         for &p in &[0.0, 0.0005, 0.001, 0.002, 0.005, 0.01] {
             let pt = fault_sweep_point(p, 400, 64 << 10);
-            println!(
-                "{{\"section\":\"fault\",\"drop_prob\":{:.4},\"block_bytes\":{},\"calls\":{},\
-                 \"ok\":{},\"failed\":{},\"retries\":{},\"reconnects\":{},\"goodput_mbit_s\":{:.2}}}",
-                pt.drop_prob,
-                pt.block_bytes,
-                pt.calls,
-                pt.ok,
-                pt.failed,
-                pt.retries,
-                pt.reconnects,
-                pt.goodput_mbit_s
-            );
+            let mut w = Writer::new();
+            w.begin_object(Layout::Compact)
+                .field_str("section", "fault")
+                .field("drop_prob", format_args!("{:.4}", pt.drop_prob))
+                .field("block_bytes", pt.block_bytes)
+                .field("calls", pt.calls)
+                .field("ok", pt.ok)
+                .field("failed", pt.failed)
+                .field("retries", pt.retries)
+                .field("reconnects", pt.reconnects)
+                .field("goodput_mbit_s", format_args!("{:.2}", pt.goodput_mbit_s))
+                .end();
+            println!("{}", w.finish());
         }
     } else {
         println!(

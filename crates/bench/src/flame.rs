@@ -12,11 +12,12 @@
 //!
 //! Output comes in two shapes: a text flamegraph per journey (plus
 //! per-stage and per-cause aggregate percentiles), and a machine summary
-//! under the [`FLAME_SCHEMA`] schema for CI and the bench trajectory.
+//! under the [`FLAME_SCHEMA`] schema for CI.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
+use zc_json::{Layout, Writer};
 use zc_trace::{
     read_spool_segment, span_timelines, spool_segments, unpack_attempt, EventKind, JourneyCause,
     SpanTimeline, SpoolError, Stage, TraceEvent,
@@ -432,89 +433,66 @@ pub fn render_json(analysis: &FlameAnalysis, top: usize) -> String {
         .filter(|j| j.attempts.len() > 1)
         .count();
     let attempts: usize = analysis.journeys.iter().map(|j| j.attempts.len()).sum();
-    let mut out = String::from("{");
-    let _ = write!(out, "\"schema\":\"{FLAME_SCHEMA}\"");
-    let _ = write!(out, ",\"events\":{}", st.events);
-    let _ = write!(out, ",\"segments\":{}", st.segments);
-    let _ = write!(out, ",\"truncated_segments\":{}", st.truncated_segments);
-    let _ = write!(out, ",\"unreadable_segments\":{}", st.unreadable_segments);
-    let _ = write!(out, ",\"skipped_events\":{}", st.skipped_events);
-    let _ = write!(out, ",\"journeys_total\":{}", analysis.journeys.len());
-    let _ = write!(out, ",\"journeys_complete\":{complete}");
-    let _ = write!(out, ",\"journeys_recovered\":{recovered}");
-    let _ = write!(out, ",\"multi_attempt_journeys\":{multi}");
-    let _ = write!(out, ",\"attempts_total\":{attempts}");
+    let mut w = Writer::new();
+    w.begin_object(Layout::Compact)
+        .field_str("schema", FLAME_SCHEMA)
+        .field("events", st.events)
+        .field("segments", st.segments)
+        .field("truncated_segments", st.truncated_segments)
+        .field("unreadable_segments", st.unreadable_segments)
+        .field("skipped_events", st.skipped_events)
+        .field("journeys_total", analysis.journeys.len())
+        .field("journeys_complete", complete)
+        .field("journeys_recovered", recovered)
+        .field("multi_attempt_journeys", multi)
+        .field("attempts_total", attempts);
 
-    let _ = write!(out, ",\"cause_attempts\":{{");
-    let mut first = true;
+    w.key("cause_attempts").begin_object(Layout::Compact);
     for (cause, samples) in cause_samples(&analysis.journeys) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{}\":{}", cause.name(), samples.len());
+        w.field(cause.name(), samples.len());
     }
-    out.push('}');
+    w.end();
 
+    let stages = stage_samples(&analysis.journeys);
     for (key, p) in [("stage_p50_ns", 50.0), ("stage_p99_ns", 99.0)] {
-        let _ = write!(out, ",\"{key}\":{{");
-        let mut first = true;
-        for (stage, samples) in stage_samples(&analysis.journeys) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", stage.name(), percentile(&samples, p));
+        w.key(key).begin_object(Layout::Compact);
+        for (stage, samples) in &stages {
+            w.field(stage.name(), percentile(samples, p));
         }
-        out.push('}');
+        w.end();
     }
 
     let mut by_cost: Vec<&Journey> = analysis.journeys.iter().collect();
     by_cost.sort_by_key(|j| std::cmp::Reverse(j.critical_path_ns()));
     let shown = by_cost.len().min(top);
-    let _ = write!(out, ",\"journeys\":[");
-    for (i, j) in by_cost[..shown].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"journey_id\":{},\"complete\":{},\"recovered\":{},\"critical_path_ns\":{},\"attempts\":[",
-            j.journey_id,
-            j.is_complete(),
-            j.is_recovered(),
-            j.critical_path_ns()
-        );
-        for (k, a) in j.attempts.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"ordinal\":{},\"cause\":\"{}\",\"trace_id\":{},\"critical_path_ns\":{},\"stages\":{{",
-                a.ordinal,
-                a.cause.name(),
-                a.trace_id,
-                a.critical_path_ns()
-            );
+    w.key("journeys").begin_array(Layout::Compact);
+    for j in &by_cost[..shown] {
+        w.begin_object(Layout::Compact)
+            .field("journey_id", j.journey_id)
+            .field("complete", j.is_complete())
+            .field("recovered", j.is_recovered())
+            .field("critical_path_ns", j.critical_path_ns());
+        w.key("attempts").begin_array(Layout::Compact);
+        for a in &j.attempts {
+            w.begin_object(Layout::Compact)
+                .field("ordinal", a.ordinal)
+                .field_str("cause", a.cause.name())
+                .field("trace_id", a.trace_id)
+                .field("critical_path_ns", a.critical_path_ns());
+            w.key("stages").begin_object(Layout::Compact);
             if let Some(tl) = &a.timeline {
-                let mut first = true;
                 for stage in Stage::ALL {
                     if let Some(s) = tl.get(stage) {
-                        if !first {
-                            out.push(',');
-                        }
-                        first = false;
-                        let _ = write!(out, "\"{}\":{}", stage.name(), s.dur_ns);
+                        w.field(stage.name(), s.dur_ns);
                     }
                 }
             }
-            out.push_str("}}");
+            w.end().end();
         }
-        out.push_str("]}");
+        w.end().end();
     }
-    out.push_str("]}");
-    out
+    w.end().end();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -614,7 +592,7 @@ mod tests {
             },
         };
         let json = render_json(&analysis, 10);
-        let parsed = crate::parse_json(&json).expect("flame json parses");
+        let parsed = zc_json::parse(&json).expect("flame json parses");
         assert_eq!(
             parsed.get("schema").and_then(|j| j.as_str()),
             Some(FLAME_SCHEMA)

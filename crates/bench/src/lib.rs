@@ -14,7 +14,6 @@ pub mod flame;
 pub mod overload;
 pub mod report;
 pub mod top;
-pub mod trajectory;
 
 pub use flame::{
     analyze_spool_dir, reconstruct_journeys, Attempt, FlameAnalysis, Journey, FLAME_SCHEMA,
@@ -28,9 +27,6 @@ pub use overload::{
 pub use report::{
     json_flag, print_telemetry, render_breakdown_json, render_breakdown_text, run_breakdown,
     Breakdown, BreakdownColumn, BREAKDOWN_CONFIGS,
-};
-pub use trajectory::{
-    compare, find_baseline, parse_json, Json, TrajectorySnapshot, Verdict, SCHEMA,
 };
 
 use zc_trace::OrbTelemetry;

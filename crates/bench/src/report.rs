@@ -19,6 +19,7 @@
 use std::fmt::Write as _;
 
 use zc_buffers::{CopyLayer, CopySnapshot};
+use zc_json::{Layout, Writer};
 use zc_simnet::{stage_budget, Scenario, StageBudget};
 use zc_trace::{HistogramSnapshot, Stage, StageSnapshots};
 use zc_ttcp::{run_measured, LatencyStats, Series, TtcpParams, TtcpTransport, TtcpVersion};
@@ -218,143 +219,148 @@ pub const MODELED_ROWS: [(&str, BudgetPick); 7] = [
     ("total", |m| m.total()),
 ];
 
-/// Render one breakdown column as a JSON object (used both by
-/// `--json` binaries and the trajectory file).
-pub fn breakdown_column_json(c: &BreakdownColumn, payload_bytes: usize) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"config\":\"{}\",\"version\":\"{}\",\"mbit_s\":{:.3},\
-         \"overhead_copy_factor\":{:.4},\"spec_hit_rate\":{:.4},\"stages\":[",
-        c.config,
-        json_escape(c.version.label()),
-        c.mbit_s,
-        c.overhead_copy_factor,
-        c.spec_hit_rate
-    );
-    let mut first = true;
-    for (stage, h) in c.stages.iter() {
-        if h.count == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"stage\":\"{}\",\"count\":{},\"mean_ns\":{:.0},\"p50_ns\":{},\"p99_ns\":{}}}",
-            stage.name(),
-            h.count,
-            h.mean(),
-            h.quantile(0.5),
-            h.quantile(0.99)
-        );
+/// The `count`/`mean_ns`/`p50_ns`/`p99_ns` summary of one histogram.
+fn histogram_summary(w: &mut Writer, h: &HistogramSnapshot) {
+    w.field("count", h.count)
+        .field("mean_ns", format_args!("{:.0}", h.mean()))
+        .field("p50_ns", h.quantile(0.5))
+        .field("p99_ns", h.quantile(0.99));
+}
+
+/// Write one breakdown column as a JSON object.
+fn breakdown_column(w: &mut Writer, c: &BreakdownColumn, payload_bytes: usize) {
+    w.begin_object(Layout::Compact)
+        .field_str("config", c.config)
+        .field_str("version", c.version.label())
+        .field("mbit_s", format_args!("{:.3}", c.mbit_s))
+        .field(
+            "overhead_copy_factor",
+            format_args!("{:.4}", c.overhead_copy_factor),
+        )
+        .field("spec_hit_rate", format_args!("{:.4}", c.spec_hit_rate));
+    w.key("stages").begin_array(Layout::Compact);
+    for (stage, h) in c.stages.iter().filter(|(_, h)| h.count != 0) {
+        w.begin_object(Layout::Compact)
+            .field_str("stage", stage.name());
+        histogram_summary(w, h);
+        w.end();
     }
-    out.push_str("],\"copy_bytes\":{");
-    let mut first = true;
+    w.end();
+    w.key("copy_bytes").begin_object(Layout::Compact);
     for layer in BREAKDOWN_COPY_LAYERS {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{}\":{}", layer.name(), c.copies.bytes(layer));
+        w.field(layer.name(), c.copies.bytes(layer));
     }
-    let _ = write!(out, "}},\"payload_bytes\":{payload_bytes}");
-    let w = &c.data_wire_ns;
-    if w.count > 0 {
-        let _ = write!(
-            out,
-            ",\"data_wire_ns\":{{\"count\":{},\"mean_ns\":{:.0},\"p50_ns\":{},\"p99_ns\":{}}}",
-            w.count,
-            w.mean(),
-            w.quantile(0.5),
-            w.quantile(0.99)
-        );
+    w.end();
+    w.field("payload_bytes", payload_bytes);
+    let wire = &c.data_wire_ns;
+    if wire.count != 0 {
+        w.key("data_wire_ns").begin_object(Layout::Compact);
+        histogram_summary(w, wire);
+        w.end();
+        w.field("data_wire_p50_ns", wire.quantile(0.5))
+            .field("data_wire_p99_ns", wire.quantile(0.99));
     }
-    if c.data_wire_ns.count != 0 {
-        let _ = write!(
-            out,
-            ",\"data_wire_p50_ns\":{},\"data_wire_p99_ns\":{}",
-            c.data_wire_ns.quantile(0.5),
-            c.data_wire_ns.quantile(0.99)
-        );
-    }
-    out.push_str(",\"modeled_ms\":{");
-    let mut first = true;
+    w.key("modeled_ms").begin_object(Layout::Compact);
     for (name, pick) in MODELED_ROWS {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{}\":{:.6}", name, pick(&c.modeled) * 1e3);
+        w.field(name, format_args!("{:.6}", pick(&c.modeled) * 1e3));
     }
-    out.push_str("}}");
-    out
+    w.end().end();
 }
 
 /// Render the whole breakdown as one JSON object.
 pub fn render_breakdown_json(b: &Breakdown) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"block_bytes\":{},\"total_bytes\":{},\"transport\":\"{}\",\"columns\":[",
-        b.block_bytes,
-        b.total_bytes,
-        transport_name(b.transport)
-    );
-    for (i, c) in b.columns.iter().enumerate() {
-        if i != 0 {
-            out.push(',');
-        }
-        out.push_str(&breakdown_column_json(c, b.total_bytes));
+    let mut w = Writer::new();
+    w.begin_object(Layout::Compact)
+        .field("block_bytes", b.block_bytes)
+        .field("total_bytes", b.total_bytes)
+        .field_str("transport", transport_name(b.transport));
+    w.key("columns").begin_array(Layout::Compact);
+    for c in &b.columns {
+        breakdown_column(&mut w, c, b.total_bytes);
     }
-    out.push_str("]}");
-    out
+    w.end().end();
+    w.finish()
 }
 
 /// Render a figure series set as one JSON object (the `--json` view of
 /// [`zc_ttcp::format_series_table`]).
 pub fn series_json(title: &str, sizes: &[usize], series: &[Series]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"title\":\"{}\",\"block_bytes\":{:?},\"series\":[",
-        json_escape(title),
-        sizes
-    );
-    for (i, s) in series.iter().enumerate() {
-        if i != 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"name\":\"{}\",\"mbit_s\":[", json_escape(&s.name));
-        for (j, v) in s.values.iter().enumerate() {
-            if j != 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{v:.3}");
-        }
-        out.push_str("]}");
+    let mut w = Writer::new();
+    w.begin_object(Layout::Compact).field_str("title", title);
+    w.key("block_bytes").begin_array(Layout::Spaced);
+    for size in sizes {
+        w.value(size);
     }
-    out.push_str("]}");
-    out
+    w.end();
+    w.key("series").begin_array(Layout::Compact);
+    for s in series {
+        w.begin_object(Layout::Compact).field_str("name", &s.name);
+        w.key("mbit_s").begin_array(Layout::Compact);
+        for v in &s.values {
+            w.value(format_args!("{v:.3}"));
+        }
+        w.end().end();
+    }
+    w.end().end();
+    w.finish()
 }
 
 /// Render one latency measurement as a JSON object.
 pub fn latency_json(version: TtcpVersion, msg_bytes: usize, s: &LatencyStats) -> String {
-    format!(
-        "{{\"version\":\"{}\",\"msg_bytes\":{},\"rounds\":{},\"min_us\":{:.2},\
-         \"p50_us\":{:.2},\"p90_us\":{:.2},\"p99_us\":{:.2},\"max_us\":{:.2},\"mean_us\":{:.2}}}",
-        json_escape(version.label()),
-        msg_bytes,
-        s.rounds,
-        s.min_us,
-        s.p50_us,
-        s.p90_us,
-        s.p99_us,
-        s.max_us,
-        s.mean_us
-    )
+    let mut w = Writer::new();
+    w.begin_object(Layout::Compact)
+        .field_str("version", version.label())
+        .field("msg_bytes", msg_bytes)
+        .field("rounds", s.rounds);
+    for (key, us) in [
+        ("min_us", s.min_us),
+        ("p50_us", s.p50_us),
+        ("p90_us", s.p90_us),
+        ("p99_us", s.p99_us),
+        ("max_us", s.max_us),
+        ("mean_us", s.mean_us),
+    ] {
+        w.field(key, format_args!("{us:.2}"));
+    }
+    w.end();
+    w.finish()
+}
+
+/// One goodput point of a measured sweep.
+#[derive(Debug, Clone)]
+pub struct GoodputPoint {
+    /// TTCP version label.
+    pub version: TtcpVersion,
+    /// Substrate name (`sim` / `tcp`).
+    pub transport: &'static str,
+    /// Payload bytes per block.
+    pub block_bytes: usize,
+    /// Calibrated-testbed prediction, Mbit/s.
+    pub modeled_mbit_s: f64,
+    /// Measured on this host, Mbit/s.
+    pub measured_mbit_s: f64,
+    /// Overhead bytes copied per payload byte.
+    pub overhead_copy_factor: f64,
+    /// Receive-speculation hit rate.
+    pub spec_hit_rate: f64,
+}
+
+/// Render one goodput point as a JSON object (the `--json` sweep view).
+pub fn goodput_json(g: &GoodputPoint) -> String {
+    let mut w = Writer::new();
+    w.begin_object(Layout::Spaced)
+        .field_str("version", g.version.label())
+        .field_str("transport", g.transport)
+        .field("block_bytes", g.block_bytes)
+        .field("modeled_mbit_s", format_args!("{:.3}", g.modeled_mbit_s))
+        .field("measured_mbit_s", format_args!("{:.3}", g.measured_mbit_s))
+        .field(
+            "overhead_copy_factor",
+            format_args!("{:.4}", g.overhead_copy_factor),
+        )
+        .field("spec_hit_rate", format_args!("{:.4}", g.spec_hit_rate))
+        .end();
+    w.finish()
 }
 
 /// Print a telemetry snapshot in the shared format: JSON lines under
@@ -373,25 +379,6 @@ pub fn print_telemetry(label: &str, t: &zc_trace::OrbTelemetry, json: bool) {
 /// format with it.
 pub fn json_flag() -> bool {
     std::env::args().any(|a| a == "--json")
-}
-
-/// Escape a string for embedding in JSON output.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -424,11 +411,6 @@ mod tests {
         assert!(json.contains("\"config\":\"all-zc\""));
         assert!(json.contains("\"stage\":\"marshal\""));
         assert!(json.contains("\"modeled_ms\""));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

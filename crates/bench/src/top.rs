@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use crate::trajectory::{parse_json, Json};
+use zc_json::{Layout, Value, Writer};
 
 /// One parsed `_ZcTelemetry` snapshot, flattened to `section.key` (and
 /// `section.name.key` for named families) → numeric value.
@@ -33,8 +33,8 @@ impl TopSample {
             if line.is_empty() {
                 continue;
             }
-            let v = parse_json(line).map_err(|e| format!("bad snapshot line: {e}: {line}"))?;
-            let Some(section) = v.get("section").and_then(Json::as_str) else {
+            let v = zc_json::parse(line).map_err(|e| format!("bad snapshot line: {e}: {line}"))?;
+            let Some(section) = v.get("section").and_then(Value::as_str) else {
                 continue;
             };
             saw_section = true;
@@ -43,33 +43,31 @@ impl TopSample {
             let discriminator = v
                 .get("name")
                 .or_else(|| v.get("layer"))
-                .and_then(Json::as_str);
+                .and_then(Value::as_str);
             let prefix = match discriminator {
                 Some(d) => format!("{section}.{d}"),
                 None => section.to_string(),
             };
-            if let Json::Obj(members) = &v {
-                for (k, val) in members {
-                    if k == "section" || k == "name" || k == "layer" {
-                        continue;
-                    }
-                    // Counter lines carry a single `value` member; collapse
-                    // it onto the prefix so lookups read `counter.retries`.
-                    let key = if k == "value" {
-                        prefix.clone()
-                    } else {
-                        format!("{prefix}.{k}")
-                    };
-                    match val {
-                        Json::Num(n) => fields.push((key, *n)),
-                        Json::Bool(b) => {
-                            if section == "recorder" && k == "enabled" {
-                                enabled = *b;
-                            }
-                            fields.push((key, if *b { 1.0 } else { 0.0 }));
+            for (k, val) in v.members().unwrap_or_default() {
+                if k == "section" || k == "name" || k == "layer" {
+                    continue;
+                }
+                // Counter lines carry a single `value` member; collapse it
+                // onto the prefix so lookups read `counter.retries`.
+                let key = if k == "value" {
+                    prefix.clone()
+                } else {
+                    format!("{prefix}.{k}")
+                };
+                match val {
+                    Value::Num(n) => fields.push((key, *n)),
+                    Value::Bool(b) => {
+                        if section == "recorder" && k == "enabled" {
+                            enabled = *b;
                         }
-                        _ => {}
+                        fields.push((key, if *b { 1.0 } else { 0.0 }));
                     }
+                    _ => {}
                 }
             }
         }
@@ -342,29 +340,24 @@ fn summary_numbers(s: &TopSample, d: &TopDelta) -> [f64; 36] {
 }
 
 /// Render the `--once --json` machine summary: one flat object carrying
-/// exactly [`REQUIRED_JSON_KEYS`]. Hand-rolled like every other JSON
-/// emitter here; the key names come straight from the required list so the
-/// contract and the emitter cannot drift apart.
+/// exactly [`REQUIRED_JSON_KEYS`]. The key names come straight from the
+/// required list so the contract and the emitter cannot drift apart.
 pub fn render_once_json(s: &TopSample, d: &TopDelta, endpoint: &str) -> String {
-    let mut out = String::from("{");
-    let _ = write!(out, "\"schema\":\"zcorba-top/v1\"");
-    let _ = write!(out, ",\"endpoint\":\"{endpoint}\"");
-    let _ = write!(out, ",\"enabled\":{}", s.enabled);
+    let mut w = Writer::new();
+    w.begin_object(Layout::Compact)
+        .field_str("schema", "zcorba-top/v1")
+        .field_str("endpoint", endpoint)
+        .field("enabled", s.enabled);
     let numeric_keys = &REQUIRED_JSON_KEYS[3..REQUIRED_JSON_KEYS.len() - 1];
     for (key, v) in numeric_keys.iter().zip(summary_numbers(s, d)) {
-        let _ = write!(out, ",\"{key}\":{v:.6}");
+        w.field(key, format_args!("{v:.6}"));
     }
-    let _ = write!(out, ",\"stage_p99_ns\":{{");
-    let mut first = true;
+    w.key("stage_p99_ns").begin_object(Layout::Compact);
     for (name, p99) in s.stage_p99s() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{name}\":{p99:.0}");
+        w.field(name, format_args!("{p99:.0}"));
     }
-    out.push_str("}}");
-    out
+    w.end().end();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -450,7 +443,7 @@ mod tests {
         assert!(frame.contains("failover"), "{frame}");
 
         let json = render_once_json(&s, &d, "127.0.0.1:47117");
-        let v = parse_json(&json).expect("valid json");
+        let v = zc_json::parse(&json).expect("valid json");
         for key in [
             "goodput_mbit_s",
             "req_per_s",
@@ -470,7 +463,10 @@ mod tests {
             "brownout_per_s",
             "failover_per_s",
         ] {
-            assert!(v.get(key).and_then(Json::as_f64).is_some(), "missing {key}");
+            assert!(
+                v.get(key).and_then(Value::as_f64).is_some(),
+                "missing {key}"
+            );
         }
         assert!(
             v.get("stage_p99_ns")
@@ -487,13 +483,11 @@ mod tests {
     fn json_summary_carries_exactly_the_required_keys() {
         let s = live_sample();
         let json = render_once_json(&s, &TopDelta::default(), "127.0.0.1:1");
-        let v = parse_json(&json).expect("valid json");
+        let v = zc_json::parse(&json).expect("valid json");
         for key in REQUIRED_JSON_KEYS {
             assert!(v.get(key).is_some(), "summary missing required key {key}");
         }
-        let Json::Obj(members) = &v else {
-            panic!("summary is not an object")
-        };
+        let members = v.members().expect("summary is an object");
         for (key, _) in members {
             assert!(
                 REQUIRED_JSON_KEYS.contains(&key.as_str()),

@@ -134,57 +134,21 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Adversarial replay of the wire-taint pass's flagged sites: a lying length
 // prefix must land as an error — never a panic — and must never drive an
-// allocation anywhere near the announced size. A counting global allocator
-// measures the peak live-byte delta across each hostile decode.
+// allocation anywhere near the announced size. The per-thread counting
+// allocator (`zc-test-alloc`) measures the peak live-byte delta across each
+// hostile decode.
 // ---------------------------------------------------------------------------
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use zc_test_alloc::measure_peak as measured_peak;
 
 #[global_allocator]
-static COUNTING: CountingAlloc = CountingAlloc;
+static COUNTING: zc_test_alloc::CountingAlloc = zc_test_alloc::CountingAlloc;
 
 /// Mirrors `zc_giop::MAX_GIOP_MESSAGE` (this crate cannot depend on giop
 /// without a cycle): no decode of a lying length may allocate past it.
 /// Hostile announced lengths reach into the gigabytes, so the margin
-/// between "bug" and "pass" is wide even with other tests running.
+/// between "bug" and "pass" is wide.
 const PEAK_CAP: usize = 64 << 20;
-
-/// Run `f` with the peak counter rebased to the current live total and
-/// return `(result, peak delta in bytes)`. A gate serializes measuring
-/// sections against each other; concurrently running non-measuring tests
-/// can only add kilobyte-scale noise, far under [`PEAK_CAP`].
-fn measured_peak<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    static GATE: Mutex<()> = Mutex::new(());
-    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let r = f();
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
-    (r, peak)
-}
 
 fn length_prefix(announced: u32, order: ByteOrder) -> Vec<u8> {
     match order {

@@ -208,15 +208,6 @@ impl AdmissionControl {
         bulk: bool,
     ) -> Result<AdmissionTicket, ShedReason> {
         let cfg = &self.state.config;
-        // Optimistically reserve, then validate; the undo on the shed path
-        // makes transient over-count harmless (it only sheds *earlier*).
-        let prior_reqs = self.state.inflight_requests.fetch_add(1, Ordering::AcqRel);
-        let prior_bytes = self
-            .state
-            .inflight_bytes
-            .fetch_add(announced_bytes, Ordering::AcqRel);
-        let total_bytes = prior_bytes.saturating_add(announced_bytes);
-
         // Reserved lane: data-plane requests stop `control_reserve` slots
         // below the hard cap; control-plane requests may use them all.
         let slot_cap = if control_plane {
@@ -224,29 +215,55 @@ impl AdmissionControl {
         } else {
             cfg.max_requests.saturating_sub(cfg.control_reserve)
         };
-        let reason = if prior_reqs >= slot_cap || total_bytes > cfg.max_bytes {
-            Some(ShedReason::QueueFull)
-        } else if !control_plane
-            && bulk
-            && (prior_reqs >= cfg.brownout_requests || total_bytes > cfg.brownout_bytes)
-        {
-            Some(ShedReason::Brownout)
+        // The brownout watermarks bind bulk data-plane requests only.
+        let (slot_limit, byte_limit) = if bulk && !control_plane {
+            (
+                slot_cap.min(cfg.brownout_requests),
+                cfg.max_bytes.min(cfg.brownout_bytes),
+            )
         } else {
-            None
+            (slot_cap, cfg.max_bytes)
         };
-        match reason {
-            None => Ok(AdmissionTicket {
-                state: Arc::clone(&self.state),
-                bytes: announced_bytes,
-            }),
-            Some(r) => {
-                self.state.inflight_requests.fetch_sub(1, Ordering::AcqRel);
-                self.state
-                    .inflight_bytes
-                    .fetch_sub(announced_bytes, Ordering::AcqRel);
-                Err(r)
-            }
+
+        // Reserve only what fits, one dimension at a time. A request that
+        // is about to be shed must never hold capacity it is not entitled
+        // to, even for an instant: with add-then-undo, concurrent
+        // data-plane sheds push the counters past the caps, and a
+        // `_ZcTelemetry` poll arriving in that window is shed from its own
+        // reserved lane.
+        let state = &*self.state;
+        if let Err(held) =
+            state
+                .inflight_requests
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |held| {
+                    (held < slot_limit).then_some(held + 1)
+                })
+        {
+            return Err(if held >= slot_cap {
+                ShedReason::QueueFull
+            } else {
+                ShedReason::Brownout
+            });
         }
+        if let Err(held) =
+            state
+                .inflight_bytes
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |held| {
+                    held.checked_add(announced_bytes)
+                        .filter(|total| *total <= byte_limit)
+                })
+        {
+            state.inflight_requests.fetch_sub(1, Ordering::AcqRel);
+            return Err(if held.saturating_add(announced_bytes) > cfg.max_bytes {
+                ShedReason::QueueFull
+            } else {
+                ShedReason::Brownout
+            });
+        }
+        Ok(AdmissionTicket {
+            state: Arc::clone(&self.state),
+            bytes: announced_bytes,
+        })
     }
 }
 
@@ -346,6 +363,35 @@ mod tests {
             gate.admit(true, 0, false),
             Err(ShedReason::QueueFull)
         ));
+    }
+
+    /// Data-plane requests being shed concurrently must never eat into the
+    /// reserved lane, not even transiently.
+    #[test]
+    fn concurrent_sheds_never_starve_the_reserved_lane() {
+        use std::sync::atomic::AtomicBool;
+        const BLOCK: u64 = 16 << 10;
+        // Two data slots plus one reserved; both data slots are held.
+        let gate = AdmissionControl::new(AdmissionConfig::bounded(3, 3 * BLOCK));
+        let _d1 = gate.admit(false, BLOCK, true).unwrap();
+        let _d2 = gate.admit(false, BLOCK, true).unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        assert!(gate.admit(false, BLOCK, true).is_err());
+                    }
+                });
+            }
+            let polled = (0..200_000).all(|_| gate.admit(true, 0, false).is_ok());
+            stop.store(true, Ordering::Relaxed);
+            assert!(
+                polled,
+                "a control-plane poll was shed from its reserved lane"
+            );
+        });
+        assert_eq!(gate.inflight(), (2, 2 * BLOCK));
     }
 
     #[test]

@@ -415,9 +415,8 @@ impl Orb {
             // (completed = NO) reply. Control-plane objects (reserved
             // `_`-prefix keys, e.g. `_ZcTelemetry`) ride the reserved lane
             // so operators can still poll a saturated server. The ticket
-            // holds the queue slot until the reply is sent (end of this
-            // loop iteration).
-            let (incoming, _ticket) = match gc.recv_request_admitted(|header, announced, bulk| {
+            // holds the queue slot until dispatch completes.
+            let (incoming, ticket) = match gc.recv_request_admitted(|header, announced, bulk| {
                 let control = crate::admission::is_control_plane_key(&header.object_key);
                 admission.admit(control, announced, bulk).map_err(|reason| {
                     if tele.is_enabled() {
@@ -512,6 +511,11 @@ impl Orb {
                 served_span.commit(&tele, gc.trace_conn_id(), trace_id);
             }
             tele.note_dispatch_end();
+            // The slot bounds the dispatch queue, not reply delivery: give
+            // it back before the reply write, or a peer that already has
+            // its reply can find the slot still taken by a writer thread
+            // that was preempted on its way out of the send.
+            drop(ticket);
 
             if !response_expected {
                 continue;

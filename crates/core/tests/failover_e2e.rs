@@ -345,3 +345,31 @@ fn admission_sheds_bulk_while_reserved_lane_answers() {
     assert!(telemetry.metrics().sheds.get() >= 1);
     server.shutdown();
 }
+
+/// Back-to-back `_ZcTelemetry` pings against a one-slot control reserve:
+/// each ping's slot must be free again by the time its reply is on the
+/// wire, so a poller that never sleeps is never shed by its own previous
+/// request.
+#[test]
+fn back_to_back_pings_never_shed_on_a_one_slot_reserve() {
+    let net = SimNetwork::new(SimConfig::zero_copy());
+    let telemetry = Telemetry::with_capacity(1024);
+    let config = AdmissionConfig::bounded(2, 256 << 10);
+    assert_eq!(config.control_reserve, 1);
+    let server_orb = Orb::builder()
+        .sim(net.clone())
+        .telemetry(Arc::clone(&telemetry))
+        .admission(config)
+        .build();
+    let server = server_orb.serve(0).unwrap();
+    let client = Orb::builder()
+        .sim(net.clone())
+        .retry(RetryPolicy::none())
+        .build();
+    let tc = TelemetryClient::connect(&client, server.host(), server.port()).unwrap();
+    for i in 0..10_000 {
+        assert_eq!(tc.ping().unwrap(), 1, "ping {i} failed");
+    }
+    assert_eq!(telemetry.metrics().sheds.get(), 0);
+    server.shutdown();
+}

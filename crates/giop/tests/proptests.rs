@@ -186,53 +186,16 @@ proptest! {
 // Adversarial replay of the wire-taint pass's flagged sites: lying
 // `msg_size` fields, hostile fragment trains, and hostile count fields in
 // service contexts must land as errors — never panics — and must never
-// allocate past MAX_GIOP_MESSAGE. A counting global allocator measures the
-// peak live-byte delta across each hostile decode.
+// allocate past MAX_GIOP_MESSAGE. The per-thread counting allocator
+// (`zc-test-alloc`) measures the peak live-byte delta across each hostile
+// decode.
 // ---------------------------------------------------------------------------
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use zc_giop::{DepositManifest as Manifest, ServiceContext, MAX_GIOP_MESSAGE, SVC_CTX_DEPOSIT};
-
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use zc_test_alloc::measure_peak as measured_peak;
 
 #[global_allocator]
-static COUNTING: CountingAlloc = CountingAlloc;
-
-/// Run `f` with the peak counter rebased to the current live total and
-/// return `(result, peak delta in bytes)`. A gate serializes measuring
-/// sections; concurrent non-measuring tests only add kilobyte-scale noise,
-/// far under the `MAX_GIOP_MESSAGE` assertion bound.
-fn measured_peak<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    static GATE: Mutex<()> = Mutex::new(());
-    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let r = f();
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
-    (r, peak)
-}
+static COUNTING: zc_test_alloc::CountingAlloc = zc_test_alloc::CountingAlloc;
 
 fn u32_wire(v: u32, order: ByteOrder) -> [u8; 4] {
     match order {

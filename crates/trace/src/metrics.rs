@@ -280,71 +280,72 @@ impl StageSnapshots {
     }
 }
 
-/// The per-connection transport counters, as field indices. One enum shared
-/// by `ConnStats` cells and the ORB-wide mirror keeps both accountings in
-/// lockstep by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum TransportField {
-    /// Control messages sent.
-    ControlSent = 0,
-    /// Control messages received.
-    ControlRecv = 1,
-    /// Data blocks sent.
-    DataBlocksSent = 2,
-    /// Data blocks received.
-    DataBlocksRecv = 3,
-    /// Payload bytes sent (control + data).
-    BytesSent = 4,
-    /// Payload bytes received (control + data).
-    BytesRecv = 5,
-    /// Frames put on the wire.
-    FramesSent = 6,
-    /// Wire bytes (headers + payload) sent.
-    WireBytesSent = 7,
-    /// Wire bytes (headers + payload) received.
-    WireBytesRecv = 8,
-    /// Zero-copy receive speculations that held.
-    SpecHits = 9,
-    /// Speculations that missed (fallback copy).
-    SpecMisses = 10,
+/// Declares the per-connection transport counters exactly once: the
+/// [`TransportField`] index enum shared by `ConnStats` cells and the
+/// ORB-wide mirror (which keeps both accountings in lockstep by
+/// construction), its snake-case report names, and the named-field
+/// [`TransportTotals`] snapshot all derive from one list.
+macro_rules! transport_fields {
+    ($($variant:ident => $field:ident: $help:literal,)*) => {
+        /// The per-connection transport counters, as field indices.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum TransportField {
+            $(#[doc = $help] $variant,)*
+        }
+
+        impl TransportField {
+            /// All fields, in index order.
+            pub const ALL: [TransportField; TransportField::COUNT] =
+                [$(TransportField::$variant,)*];
+
+            /// Number of fields.
+            pub const COUNT: usize = [$(stringify!($field),)*].len();
+
+            /// Snake-case name used in reports and CSV columns.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(TransportField::$variant => stringify!($field),)*
+                }
+            }
+        }
+
+        /// Point-in-time transport totals (the merged view of all
+        /// `ConnStats`).
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct TransportTotals {
+            $(#[doc = $help] pub $field: u64,)*
+        }
+
+        impl TransportTotals {
+            /// Value of `field`.
+            pub fn get(&self, field: TransportField) -> u64 {
+                match field {
+                    $(TransportField::$variant => self.$field,)*
+                }
+            }
+
+            fn set(&mut self, field: TransportField, v: u64) {
+                match field {
+                    $(TransportField::$variant => self.$field = v,)*
+                }
+            }
+        }
+    };
 }
 
-impl TransportField {
-    /// Number of fields.
-    pub const COUNT: usize = 11;
-
-    /// All fields, in index order.
-    pub const ALL: [TransportField; TransportField::COUNT] = [
-        TransportField::ControlSent,
-        TransportField::ControlRecv,
-        TransportField::DataBlocksSent,
-        TransportField::DataBlocksRecv,
-        TransportField::BytesSent,
-        TransportField::BytesRecv,
-        TransportField::FramesSent,
-        TransportField::WireBytesSent,
-        TransportField::WireBytesRecv,
-        TransportField::SpecHits,
-        TransportField::SpecMisses,
-    ];
-
-    /// Snake-case name used in reports and CSV columns.
-    pub fn name(self) -> &'static str {
-        match self {
-            TransportField::ControlSent => "control_sent",
-            TransportField::ControlRecv => "control_recv",
-            TransportField::DataBlocksSent => "data_blocks_sent",
-            TransportField::DataBlocksRecv => "data_blocks_recv",
-            TransportField::BytesSent => "bytes_sent",
-            TransportField::BytesRecv => "bytes_recv",
-            TransportField::FramesSent => "frames_sent",
-            TransportField::WireBytesSent => "wire_bytes_sent",
-            TransportField::WireBytesRecv => "wire_bytes_recv",
-            TransportField::SpecHits => "spec_hits",
-            TransportField::SpecMisses => "spec_misses",
-        }
-    }
+transport_fields! {
+    ControlSent => control_sent: "Control messages sent.",
+    ControlRecv => control_recv: "Control messages received.",
+    DataBlocksSent => data_blocks_sent: "Data blocks sent.",
+    DataBlocksRecv => data_blocks_recv: "Data blocks received.",
+    BytesSent => bytes_sent: "Payload bytes sent (control + data).",
+    BytesRecv => bytes_recv: "Payload bytes received (control + data).",
+    FramesSent => frames_sent: "Frames put on the wire.",
+    WireBytesSent => wire_bytes_sent: "Wire bytes (headers + payload) sent.",
+    WireBytesRecv => wire_bytes_recv: "Wire bytes (headers + payload) received.",
+    SpecHits => spec_hits: "Zero-copy receive speculations that held.",
+    SpecMisses => spec_misses: "Speculations that missed (fallback copy).",
 }
 
 /// ORB-wide transport totals: every connection's stats cell mirrors its
@@ -378,67 +379,7 @@ impl TransportCounters {
     }
 }
 
-/// Point-in-time transport totals (the merged view of all `ConnStats`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TransportTotals {
-    /// Control messages sent.
-    pub control_sent: u64,
-    /// Control messages received.
-    pub control_recv: u64,
-    /// Data blocks sent.
-    pub data_blocks_sent: u64,
-    /// Data blocks received.
-    pub data_blocks_recv: u64,
-    /// Payload bytes sent.
-    pub bytes_sent: u64,
-    /// Payload bytes received.
-    pub bytes_recv: u64,
-    /// Frames put on the wire.
-    pub frames_sent: u64,
-    /// Wire bytes sent.
-    pub wire_bytes_sent: u64,
-    /// Wire bytes received.
-    pub wire_bytes_recv: u64,
-    /// Speculations that held.
-    pub spec_hits: u64,
-    /// Speculations that missed.
-    pub spec_misses: u64,
-}
-
 impl TransportTotals {
-    /// Value of `field`.
-    pub fn get(&self, field: TransportField) -> u64 {
-        match field {
-            TransportField::ControlSent => self.control_sent,
-            TransportField::ControlRecv => self.control_recv,
-            TransportField::DataBlocksSent => self.data_blocks_sent,
-            TransportField::DataBlocksRecv => self.data_blocks_recv,
-            TransportField::BytesSent => self.bytes_sent,
-            TransportField::BytesRecv => self.bytes_recv,
-            TransportField::FramesSent => self.frames_sent,
-            TransportField::WireBytesSent => self.wire_bytes_sent,
-            TransportField::WireBytesRecv => self.wire_bytes_recv,
-            TransportField::SpecHits => self.spec_hits,
-            TransportField::SpecMisses => self.spec_misses,
-        }
-    }
-
-    fn set(&mut self, field: TransportField, v: u64) {
-        match field {
-            TransportField::ControlSent => self.control_sent = v,
-            TransportField::ControlRecv => self.control_recv = v,
-            TransportField::DataBlocksSent => self.data_blocks_sent = v,
-            TransportField::DataBlocksRecv => self.data_blocks_recv = v,
-            TransportField::BytesSent => self.bytes_sent = v,
-            TransportField::BytesRecv => self.bytes_recv = v,
-            TransportField::FramesSent => self.frames_sent = v,
-            TransportField::WireBytesSent => self.wire_bytes_sent = v,
-            TransportField::WireBytesRecv => self.wire_bytes_recv = v,
-            TransportField::SpecHits => self.spec_hits = v,
-            TransportField::SpecMisses => self.spec_misses = v,
-        }
-    }
-
     /// Fraction of receive speculations that held, in `[0, 1]`; `1.0` when
     /// no speculation ran (nothing missed).
     pub fn spec_hit_rate(&self) -> f64 {
@@ -451,121 +392,94 @@ impl TransportTotals {
     }
 }
 
-/// The fixed set of ORB metrics. Fields are public: call sites update the
-/// counter or histogram they own directly.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    /// Requests sent by this endpoint's client side.
-    pub requests_sent: Counter,
-    /// Requests received by this endpoint's server side.
-    pub requests_received: Counter,
-    /// Successful replies received by the client side.
-    pub replies_ok: Counter,
-    /// Exception replies received by the client side.
-    pub replies_exception: Counter,
-    /// Received requests that carried a `ZC_TRACE` service context.
-    pub trace_contexts_seen: Counter,
-    /// Invocation attempts re-sent after a transport failure.
-    pub retries: Counter,
-    /// Dead connections transparently replaced by fresh ones.
-    pub reconnects: Counter,
-    /// Per-endpoint circuit breakers opened.
-    pub breaker_opens: Counter,
-    /// Connections that degraded from zero-copy to the copying path.
-    pub degradations: Counter,
-    /// Degraded connections that re-upgraded to zero-copy.
-    pub upgrades: Counter,
-    /// Requests shed by server-side admission control before dispatch.
-    pub sheds: Counter,
-    /// Bulk requests shed specifically by brownout-mode admission (a
-    /// subset of `sheds`).
-    pub brownout_sheds: Counter,
-    /// Client-side profile rotations to a replica endpoint.
-    pub failovers: Counter,
-    /// Client-observed request→reply latency, in nanoseconds.
-    pub request_latency_ns: Histogram,
-    /// Server-side servant dispatch duration, in nanoseconds.
-    pub dispatch_ns: Histogram,
-    /// Size of each deposit block sent, in bytes.
-    pub deposit_block_bytes: Histogram,
-    /// Wire fragments per received data block.
-    pub frames_per_block: Histogram,
-    /// Per-stage request-span durations, in nanoseconds.
-    pub stage_ns: StageHistograms,
-    /// Data-block wire flight time (frame stamped at send → block
-    /// reassembled at receive), in nanoseconds. Kept separate from
-    /// `stage_ns[Wire]`, which times the request control path.
-    pub data_wire_ns: Histogram,
-}
-
-impl MetricsRegistry {
-    /// Capture the current state of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests_sent: self.requests_sent.get(),
-            requests_received: self.requests_received.get(),
-            replies_ok: self.replies_ok.get(),
-            replies_exception: self.replies_exception.get(),
-            trace_contexts_seen: self.trace_contexts_seen.get(),
-            retries: self.retries.get(),
-            reconnects: self.reconnects.get(),
-            breaker_opens: self.breaker_opens.get(),
-            degradations: self.degradations.get(),
-            upgrades: self.upgrades.get(),
-            sheds: self.sheds.get(),
-            brownout_sheds: self.brownout_sheds.get(),
-            failovers: self.failovers.get(),
-            request_latency_ns: self.request_latency_ns.snapshot(),
-            dispatch_ns: self.dispatch_ns.snapshot(),
-            deposit_block_bytes: self.deposit_block_bytes.snapshot(),
-            frames_per_block: self.frames_per_block.snapshot(),
-            stage_ns: self.stage_ns.snapshot(),
-            data_wire_ns: self.data_wire_ns.snapshot(),
+/// Declares the registry exactly once. Each line is a field name plus its
+/// help text; the [`MetricsRegistry`] cells, the [`MetricsSnapshot`] copy
+/// and the `(name, help, value)` lists the text / JSON-lines / Prometheus
+/// renderers walk all derive from it, so adding a counter or histogram is
+/// this one line plus its `incr()`/`record()` call site.
+macro_rules! registry {
+    (
+        counters { $($(#[$cnote:meta])* $c:ident: $chelp:literal,)* }
+        histograms { $($(#[$hnote:meta])* $h:ident: $hhelp:literal,)* }
+    ) => {
+        /// The fixed set of ORB metrics. Fields are public: call sites
+        /// update the counter or histogram they own directly.
+        #[derive(Debug, Default)]
+        pub struct MetricsRegistry {
+            $(#[doc = $chelp] $(#[$cnote])* pub $c: Counter,)*
+            $(#[doc = $hhelp] $(#[$hnote])* pub $h: Histogram,)*
+            /// Per-stage request-span durations, in nanoseconds.
+            pub stage_ns: StageHistograms,
         }
-    }
+
+        impl MetricsRegistry {
+            /// Capture the current state of every metric.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($c: self.$c.get(),)*
+                    $($h: self.$h.snapshot(),)*
+                    stage_ns: self.stage_ns.snapshot(),
+                }
+            }
+        }
+
+        /// Point-in-time copy of the [`MetricsRegistry`].
+        #[derive(Debug, Default, Clone, Copy)]
+        pub struct MetricsSnapshot {
+            $(#[doc = $chelp] pub $c: u64,)*
+            $(#[doc = $hhelp] pub $h: HistogramSnapshot,)*
+            /// Per-stage request-span duration histograms.
+            pub stage_ns: StageSnapshots,
+        }
+
+        impl MetricsSnapshot {
+            /// `(name, help, value)` of every counter, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+                [$((stringify!($c), $chelp, self.$c),)*].into_iter()
+            }
+
+            /// `(name, help, snapshot)` of every named histogram, in
+            /// declaration order (the per-stage family is `stage_ns`).
+            pub fn histograms(
+                &self,
+            ) -> impl Iterator<Item = (&'static str, &'static str, &HistogramSnapshot)> {
+                [$((stringify!($h), $hhelp, &self.$h),)*].into_iter()
+            }
+        }
+    };
 }
 
-/// Point-in-time copy of the [`MetricsRegistry`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MetricsSnapshot {
-    /// Requests sent (client side).
-    pub requests_sent: u64,
-    /// Requests received (server side).
-    pub requests_received: u64,
-    /// Successful replies received.
-    pub replies_ok: u64,
-    /// Exception replies received.
-    pub replies_exception: u64,
-    /// Received requests carrying a `ZC_TRACE` context.
-    pub trace_contexts_seen: u64,
-    /// Invocation attempts re-sent after a transport failure.
-    pub retries: u64,
-    /// Dead connections transparently replaced.
-    pub reconnects: u64,
-    /// Circuit breakers opened.
-    pub breaker_opens: u64,
-    /// ZC→copy degradations.
-    pub degradations: u64,
-    /// Copy→ZC re-upgrades.
-    pub upgrades: u64,
-    /// Requests shed by admission control.
-    pub sheds: u64,
-    /// Bulk requests shed by brownout mode.
-    pub brownout_sheds: u64,
-    /// Client-side profile rotations.
-    pub failovers: u64,
-    /// Request→reply latency histogram.
-    pub request_latency_ns: HistogramSnapshot,
-    /// Dispatch duration histogram.
-    pub dispatch_ns: HistogramSnapshot,
-    /// Deposit block size histogram.
-    pub deposit_block_bytes: HistogramSnapshot,
-    /// Fragments-per-block histogram.
-    pub frames_per_block: HistogramSnapshot,
-    /// Per-stage request-span duration histograms.
-    pub stage_ns: StageSnapshots,
-    /// Data-block wire flight time histogram.
-    pub data_wire_ns: HistogramSnapshot,
+registry! {
+    counters {
+        requests_sent: "Requests sent (client side).",
+        requests_received: "Requests received (server side).",
+        replies_ok: "Successful replies received.",
+        replies_exception: "Exception replies received.",
+        trace_contexts_seen: "Received requests carrying a ZC_TRACE context.",
+        retries: "Invocation attempts re-sent after a transport failure.",
+        reconnects: "Dead connections transparently replaced.",
+        breaker_opens: "Circuit breakers opened.",
+        degradations: "ZC-to-copy degradations.",
+        upgrades: "Copy-to-ZC re-upgrades.",
+        sheds: "Requests shed by admission control.",
+        /// A subset of `sheds`.
+        brownout_sheds: "Bulk requests shed by brownout-mode admission.",
+        failovers: "Client-side profile rotations to a replica.",
+    }
+    histograms {
+        /// Client-observed, in nanoseconds.
+        request_latency_ns: "Request-to-reply latency.",
+        /// Server side, in nanoseconds.
+        dispatch_ns: "Servant dispatch duration.",
+        /// One sample per deposit block sent, in bytes.
+        deposit_block_bytes: "Deposit block sizes.",
+        /// Wire fragments per received data block.
+        frames_per_block: "Fragments per deposited block.",
+        /// Frame stamped at send → block reassembled at receive, in
+        /// nanoseconds. Kept separate from `stage_ns[Wire]`, which times
+        /// the request control path.
+        data_wire_ns: "Data-block wire flight time.",
+    }
 }
 
 #[cfg(test)]

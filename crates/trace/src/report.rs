@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 
 use zc_buffers::{CopyLayer, CopySnapshot, PoolStats};
+use zc_json::{Layout, Writer};
 
 use crate::event::TraceEvent;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot, TransportField, TransportTotals};
@@ -91,59 +92,18 @@ impl OrbTelemetry {
             self.pool_recycle_rate()
         );
         let _ = writeln!(out, "-- metrics --");
-        for (name, v) in [
-            ("requests_sent", self.metrics.requests_sent),
-            ("requests_received", self.metrics.requests_received),
-            ("replies_ok", self.metrics.replies_ok),
-            ("replies_exception", self.metrics.replies_exception),
-            ("trace_contexts_seen", self.metrics.trace_contexts_seen),
-            ("retries", self.metrics.retries),
-            ("reconnects", self.metrics.reconnects),
-            ("breaker_opens", self.metrics.breaker_opens),
-            ("degradations", self.metrics.degradations),
-            ("upgrades", self.metrics.upgrades),
-            ("sheds", self.metrics.sheds),
-            ("brownout_sheds", self.metrics.brownout_sheds),
-            ("failovers", self.metrics.failovers),
-        ] {
+        for (name, _, v) in self.metrics.counters() {
             if v != 0 {
                 let _ = writeln!(out, "{name:<20}{v:>14}");
             }
         }
-        for (name, h) in [
-            ("request_latency_ns", &self.metrics.request_latency_ns),
-            ("dispatch_ns", &self.metrics.dispatch_ns),
-            ("deposit_block_bytes", &self.metrics.deposit_block_bytes),
-            ("frames_per_block", &self.metrics.frames_per_block),
-            ("data_wire_ns", &self.metrics.data_wire_ns),
-        ] {
-            if h.count != 0 {
-                let _ = writeln!(
-                    out,
-                    "{name:<20}{:>10} samples  mean {:>12.0}  p50 {:>12}  p99 {:>12}  max {:>12}",
-                    h.count,
-                    h.mean(),
-                    h.quantile(0.5),
-                    h.quantile(0.99),
-                    h.max
-                );
-            }
+        for (name, _, h) in self.metrics.histograms() {
+            histogram_row(&mut out, name, h);
         }
         if self.metrics.stage_ns.total_count() != 0 {
             let _ = writeln!(out, "-- request-span stages (ns) --");
             for (stage, h) in self.metrics.stage_ns.iter() {
-                if h.count != 0 {
-                    let _ = writeln!(
-                        out,
-                        "{:<20}{:>10} samples  mean {:>12.0}  p50 {:>12}  p99 {:>12}  max {:>12}",
-                        stage.name(),
-                        h.count,
-                        h.mean(),
-                        h.quantile(0.5),
-                        h.quantile(0.99),
-                        h.max
-                    );
-                }
+                histogram_row(&mut out, stage.name(), h);
             }
         }
         let _ = writeln!(
@@ -151,25 +111,10 @@ impl OrbTelemetry {
             "-- load ({}ms window) --",
             self.load.window_ns / 1_000_000
         );
-        for (name, v) in [
-            ("req/s", self.load.req_per_s),
-            ("wire tx B/s", self.load.wire_tx_bytes_per_s),
-            ("wire rx B/s", self.load.wire_rx_bytes_per_s),
-            ("retries/s", self.load.retries_per_s),
-            ("shed/s", self.load.shed_per_s),
-            ("brownout/s", self.load.brownout_per_s),
-            ("failover/s", self.load.failover_per_s),
-        ] {
-            let _ = writeln!(out, "{name:<20}{v:>14.1}");
+        for (_, label, _, v) in self.load.rates() {
+            let _ = writeln!(out, "{label:<20}{v:>14.1}");
         }
-        for (name, g) in [
-            ("inflight", self.load.inflight),
-            ("conns", self.load.conns),
-            ("degraded_conns", self.load.degraded_conns),
-            ("breakers_open", self.load.breakers_open),
-            ("reassembly_bytes", self.load.reassembly_bytes),
-            ("pool_retained", self.load.pool_retained),
-        ] {
+        for (name, _, _, g) in self.load.gauges() {
             let _ = writeln!(
                 out,
                 "{name:<20}{:>14} current {:>10} peak",
@@ -180,135 +125,107 @@ impl OrbTelemetry {
     }
 
     /// Render as JSON lines: one self-describing object per line, keyed by
-    /// a `"section"` field. Hand-rolled (no serde in the workspace); every
-    /// value is numeric or a fixed identifier, so no escaping is needed.
+    /// a `"section"` field.
     pub fn json_lines(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"section\":\"recorder\",\"enabled\":{},\"recorded\":{},\"dropped\":{}}}",
-            self.enabled, self.events_recorded, self.events_dropped
-        );
+        section(&mut out, "recorder", |w| {
+            w.field("enabled", self.enabled)
+                .field("recorded", self.events_recorded)
+                .field("dropped", self.events_dropped);
+        });
         for layer in CopyLayer::ALL {
             let b = self.copies.bytes(layer);
             let e = self.copies.events(layer);
             if b != 0 || e != 0 {
-                let _ = writeln!(
-                    out,
-                    "{{\"section\":\"copies\",\"layer\":\"{}\",\"bytes\":{b},\"events\":{e}}}",
-                    layer.name()
-                );
+                section(&mut out, "copies", |w| {
+                    w.field_str("layer", layer.name())
+                        .field("bytes", b)
+                        .field("events", e);
+                });
             }
         }
-        let mut t = String::new();
-        for f in TransportField::ALL {
-            let _ = write!(t, ",\"{}\":{}", f.name(), self.transport.get(f));
+        section(&mut out, "transport", |w| {
+            let rate = self.transport.spec_hit_rate();
+            w.field("spec_hit_rate", format_args!("{rate:.6}"));
+            for f in TransportField::ALL {
+                w.field(f.name(), self.transport.get(f));
+            }
+        });
+        section(&mut out, "pool", |w| {
+            w.field("fresh_allocations", self.pool.fresh_allocations)
+                .field("reuses", self.pool.reuses)
+                .field("returns", self.pool.returns)
+                .field("discards", self.pool.discards)
+                .field("retained_bytes", self.pool.retained_bytes)
+                .field(
+                    "recycle_rate",
+                    format_args!("{:.6}", self.pool_recycle_rate()),
+                );
+        });
+        for (name, _, v) in self.metrics.counters() {
+            section(&mut out, "counter", |w| {
+                w.field_str("name", name).field("value", v);
+            });
         }
-        let _ = writeln!(
-            out,
-            "{{\"section\":\"transport\",\"spec_hit_rate\":{:.6}{t}}}",
-            self.transport.spec_hit_rate()
-        );
-        let _ = writeln!(
-            out,
-            "{{\"section\":\"pool\",\"fresh_allocations\":{},\"reuses\":{},\"returns\":{},\"discards\":{},\"retained_bytes\":{},\"recycle_rate\":{:.6}}}",
-            self.pool.fresh_allocations,
-            self.pool.reuses,
-            self.pool.returns,
-            self.pool.discards,
-            self.pool.retained_bytes,
-            self.pool_recycle_rate()
-        );
-        for (name, v) in [
-            ("requests_sent", self.metrics.requests_sent),
-            ("requests_received", self.metrics.requests_received),
-            ("replies_ok", self.metrics.replies_ok),
-            ("replies_exception", self.metrics.replies_exception),
-            ("trace_contexts_seen", self.metrics.trace_contexts_seen),
-            ("retries", self.metrics.retries),
-            ("reconnects", self.metrics.reconnects),
-            ("breaker_opens", self.metrics.breaker_opens),
-            ("degradations", self.metrics.degradations),
-            ("upgrades", self.metrics.upgrades),
-            ("sheds", self.metrics.sheds),
-            ("brownout_sheds", self.metrics.brownout_sheds),
-            ("failovers", self.metrics.failovers),
-        ] {
-            let _ = writeln!(
-                out,
-                "{{\"section\":\"counter\",\"name\":\"{name}\",\"value\":{v}}}"
-            );
-        }
-        for (name, h) in [
-            ("request_latency_ns", &self.metrics.request_latency_ns),
-            ("dispatch_ns", &self.metrics.dispatch_ns),
-            ("deposit_block_bytes", &self.metrics.deposit_block_bytes),
-            ("frames_per_block", &self.metrics.frames_per_block),
-            ("data_wire_ns", &self.metrics.data_wire_ns),
-        ] {
-            out.push_str(&histogram_json_line(name, h));
+        for (name, _, h) in self.metrics.histograms() {
+            section(&mut out, "histogram", |w| histogram_fields(w, name, h));
         }
         for (stage, h) in self.metrics.stage_ns.iter() {
             if h.count != 0 {
-                out.push_str(&stage_json_line(stage, h));
+                section(&mut out, "stage", |w| histogram_fields(w, stage.name(), h));
             }
         }
-        let l = &self.load;
-        let mut g = String::new();
-        for (name, gs) in [
-            ("inflight", l.inflight),
-            ("conns", l.conns),
-            ("degraded_conns", l.degraded_conns),
-            ("breakers_open", l.breakers_open),
-            ("reassembly_bytes", l.reassembly_bytes),
-            ("pool_retained", l.pool_retained),
-        ] {
-            let _ = write!(g, ",\"{name}\":{},\"{name}_peak\":{}", gs.current, gs.peak);
-        }
-        let _ = writeln!(
-            out,
-            "{{\"section\":\"load\",\"window_ns\":{},\"req_per_s\":{:.3},\"wire_tx_bytes_per_s\":{:.3},\"wire_rx_bytes_per_s\":{:.3},\"retries_per_s\":{:.3},\"shed_per_s\":{:.3},\"brownout_per_s\":{:.3},\"failover_per_s\":{:.3},\"req_rx_total\":{}{g}}}",
-            l.window_ns,
-            l.req_per_s,
-            l.wire_tx_bytes_per_s,
-            l.wire_rx_bytes_per_s,
-            l.retries_per_s,
-            l.shed_per_s,
-            l.brownout_per_s,
-            l.failover_per_s,
-            l.req_rx_total
-        );
+        section(&mut out, "load", |w| {
+            w.field("window_ns", self.load.window_ns);
+            for (name, _, _, v) in self.load.rates() {
+                w.field(name, format_args!("{v:.3}"));
+            }
+            w.field("req_rx_total", self.load.req_rx_total);
+            for (name, _, _, g) in self.load.gauges() {
+                w.field(name, g.current)
+                    .field(&format!("{name}_peak"), g.peak);
+            }
+        });
         out
     }
 }
 
-fn stage_json_line(stage: crate::Stage, h: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"section\":\"stage\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{}}}\n",
-        stage.name(),
-        h.count,
-        h.sum,
-        h.min,
-        h.max,
-        h.mean(),
-        h.quantile(0.5),
-        h.quantile(0.9),
-        h.quantile(0.99)
-    )
+/// One text-table histogram row; empty histograms are left out.
+fn histogram_row(out: &mut String, name: &str, h: &HistogramSnapshot) {
+    if h.count != 0 {
+        let _ = writeln!(
+            out,
+            "{name:<20}{:>10} samples  mean {:>12.0}  p50 {:>12}  p99 {:>12}  max {:>12}",
+            h.count,
+            h.mean(),
+            h.quantile(0.5),
+            h.quantile(0.99),
+            h.max
+        );
+    }
 }
 
-fn histogram_json_line(name: &str, h: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"section\":\"histogram\",\"name\":\"{name}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{}}}\n",
-        h.count,
-        h.sum,
-        h.min,
-        h.max,
-        h.mean(),
-        h.quantile(0.5),
-        h.quantile(0.9),
-        h.quantile(0.99)
-    )
+/// Append one JSON-lines record: a compact object opened with its
+/// `"section"` tag and filled by `fill`.
+fn section(out: &mut String, name: &str, fill: impl FnOnce(&mut Writer)) {
+    let mut w = Writer::new();
+    w.begin_object(Layout::Compact).field_str("section", name);
+    fill(&mut w);
+    w.end();
+    out.push_str(&w.finish());
+    out.push('\n');
+}
+
+fn histogram_fields(w: &mut Writer, name: &str, h: &HistogramSnapshot) {
+    w.field_str("name", name)
+        .field("count", h.count)
+        .field("sum", h.sum)
+        .field("min", h.min)
+        .field("max", h.max)
+        .field("mean", format_args!("{:.3}", h.mean()))
+        .field("p50", h.quantile(0.5))
+        .field("p90", h.quantile(0.9))
+        .field("p99", h.quantile(0.99));
 }
 
 /// Render a connection post-mortem: the last events of one connection, one

@@ -210,124 +210,118 @@ pub struct GaugeSnapshot {
     pub peak: u64,
 }
 
-/// The ORB-wide bundle of windowed load signals.
-///
-/// Lives inside [`crate::Telemetry`]; all updates flow through the gated
-/// `note_*` helpers there so the disabled instance pays nothing.
-#[derive(Debug)]
-pub struct LoadWindows {
-    /// Server-side request arrival rate (requests received per second).
-    pub req_rx: RateWindow,
-    /// Wire bytes put on the wire per second (all connections).
-    pub wire_tx: RateWindow,
-    /// Wire bytes taken off the wire per second (all connections).
-    pub wire_rx: RateWindow,
-    /// Client retry attempts per second.
-    pub retries: RateWindow,
-    /// Requests shed by admission control per second.
-    pub shed: RateWindow,
-    /// Bulk requests shed by brownout-mode admission per second.
-    pub brownout: RateWindow,
-    /// Client-side profile failovers per second.
-    pub failover: RateWindow,
-    /// Requests currently being dispatched (per-ORB in-flight) + peak.
-    pub inflight: Gauge,
-    /// Open GIOP connections + peak.
-    pub conns: Gauge,
-    /// Connections currently degraded to inline marshalling + peak.
-    pub degraded_conns: Gauge,
-    /// Endpoint circuit breakers currently open + peak.
-    pub breakers_open: Gauge,
-    /// Watermark of in-progress fragment-reassembly bytes (sampled as each
-    /// continuation fragment lands; current is not tracked).
-    pub reassembly_bytes: Gauge,
-    /// Watermark of pool retained (free-list) bytes, sampled at deposit
-    /// acquire and snapshot time.
-    pub pool_retained: Gauge,
+/// Declares the windowed load signals exactly once. A rate line is
+/// `window field => snapshot field, "text-table label": "help"`; a gauge
+/// line is `field => "exported family": "help"`. [`LoadWindows`], its
+/// [`LoadSnapshot`] and the lists the renderers walk derive from it.
+macro_rules! load_signals {
+    (
+        rates { $($r:ident => $rate:ident, $label:literal: $rhelp:literal,)* }
+        gauges { $($(#[$gnote:meta])* $g:ident => $family:literal: $ghelp:literal,)* }
+    ) => {
+        /// The ORB-wide bundle of windowed load signals.
+        ///
+        /// Lives inside [`crate::Telemetry`]; all updates flow through the
+        /// gated `note_*` helpers there so the disabled instance pays
+        /// nothing.
+        #[derive(Debug)]
+        pub struct LoadWindows {
+            $(#[doc = $rhelp] pub $r: RateWindow,)*
+            $(#[doc = $ghelp] $(#[$gnote])* pub $g: Gauge,)*
+        }
+
+        impl LoadWindows {
+            /// Fresh signals over `window_ns`-long tumbling windows.
+            pub const fn new(window_ns: u64) -> LoadWindows {
+                LoadWindows {
+                    $($r: RateWindow::new(window_ns),)*
+                    $($g: Gauge::new(),)*
+                }
+            }
+
+            /// Snapshot every signal at `now_ns`.
+            pub fn snapshot(&self, now_ns: u64) -> LoadSnapshot {
+                LoadSnapshot {
+                    window_ns: self.req_rx.window_ns(),
+                    $($rate: self.$r.rate_per_s(now_ns),)*
+                    req_rx_total: self.req_rx.total(),
+                    $($g: self.$g.snapshot(),)*
+                }
+            }
+        }
+
+        /// Point-in-time view of all windowed load signals.
+        #[derive(Debug, Default, Clone, Copy)]
+        pub struct LoadSnapshot {
+            /// Tumbling-window length the rates are computed over.
+            pub window_ns: u64,
+            $(#[doc = $rhelp] pub $rate: f64,)*
+            /// Exact lifetime count of received requests seen by the window
+            /// (for monotonicity checks against the registry counter).
+            pub req_rx_total: u64,
+            $(#[doc = $ghelp] pub $g: GaugeSnapshot,)*
+        }
+
+        impl LoadSnapshot {
+            /// `(name, text-table label, help, events per second)` of every
+            /// rate, in declaration order.
+            pub fn rates(
+                &self,
+            ) -> impl Iterator<Item = (&'static str, &'static str, &'static str, f64)> {
+                [$((stringify!($rate), $label, $rhelp, self.$rate),)*].into_iter()
+            }
+
+            /// `(name, exported family, help, snapshot)` of every gauge, in
+            /// declaration order.
+            pub fn gauges(
+                &self,
+            ) -> impl Iterator<Item = (&'static str, &'static str, &'static str, GaugeSnapshot)> {
+                [$((stringify!($g), $family, $ghelp, self.$g),)*].into_iter()
+            }
+        }
+    };
+}
+
+load_signals! {
+    rates {
+        req_rx => req_per_s, "req/s":
+            "Request arrival rate over the last tumbling window.",
+        wire_tx => wire_tx_bytes_per_s, "wire tx B/s":
+            "Wire bytes sent per second over the last tumbling window.",
+        wire_rx => wire_rx_bytes_per_s, "wire rx B/s":
+            "Wire bytes received per second over the last tumbling window.",
+        retries => retries_per_s, "retries/s":
+            "Retry attempts per second over the last tumbling window.",
+        shed => shed_per_s, "shed/s":
+            "Requests shed by admission control per second.",
+        brownout => brownout_per_s, "brownout/s":
+            "Bulk requests shed by brownout mode per second.",
+        failover => failover_per_s, "failover/s":
+            "Client-side profile failovers per second.",
+    }
+    gauges {
+        inflight => "inflight_requests":
+            "Requests currently being dispatched.",
+        conns => "open_connections":
+            "Open GIOP connections.",
+        degraded_conns => "degraded_connections":
+            "Connections currently degraded to inline marshalling.",
+        breakers_open => "breakers_open":
+            "Endpoint circuit breakers currently open.",
+        /// Sampled as each continuation fragment lands; current is not
+        /// tracked.
+        reassembly_bytes => "reassembly_bytes":
+            "In-progress fragment-reassembly bytes (watermark).",
+        /// Sampled at deposit acquire and snapshot time.
+        pool_retained => "pool_retained_watermark_bytes":
+            "Pool retained bytes (sampled watermark).",
+    }
 }
 
 impl Default for LoadWindows {
     fn default() -> LoadWindows {
         LoadWindows::new(DEFAULT_WINDOW_NS)
     }
-}
-
-impl LoadWindows {
-    /// Fresh signals over `window_ns`-long tumbling windows.
-    pub const fn new(window_ns: u64) -> LoadWindows {
-        LoadWindows {
-            req_rx: RateWindow::new(window_ns),
-            wire_tx: RateWindow::new(window_ns),
-            wire_rx: RateWindow::new(window_ns),
-            retries: RateWindow::new(window_ns),
-            shed: RateWindow::new(window_ns),
-            brownout: RateWindow::new(window_ns),
-            failover: RateWindow::new(window_ns),
-            inflight: Gauge::new(),
-            conns: Gauge::new(),
-            degraded_conns: Gauge::new(),
-            breakers_open: Gauge::new(),
-            reassembly_bytes: Gauge::new(),
-            pool_retained: Gauge::new(),
-        }
-    }
-
-    /// Snapshot every signal at `now_ns`.
-    pub fn snapshot(&self, now_ns: u64) -> LoadSnapshot {
-        LoadSnapshot {
-            window_ns: self.req_rx.window_ns(),
-            req_per_s: self.req_rx.rate_per_s(now_ns),
-            wire_tx_bytes_per_s: self.wire_tx.rate_per_s(now_ns),
-            wire_rx_bytes_per_s: self.wire_rx.rate_per_s(now_ns),
-            retries_per_s: self.retries.rate_per_s(now_ns),
-            shed_per_s: self.shed.rate_per_s(now_ns),
-            brownout_per_s: self.brownout.rate_per_s(now_ns),
-            failover_per_s: self.failover.rate_per_s(now_ns),
-            req_rx_total: self.req_rx.total(),
-            inflight: self.inflight.snapshot(),
-            conns: self.conns.snapshot(),
-            degraded_conns: self.degraded_conns.snapshot(),
-            breakers_open: self.breakers_open.snapshot(),
-            reassembly_bytes: self.reassembly_bytes.snapshot(),
-            pool_retained: self.pool_retained.snapshot(),
-        }
-    }
-}
-
-/// Point-in-time view of all windowed load signals.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LoadSnapshot {
-    /// Tumbling-window length the rates are computed over.
-    pub window_ns: u64,
-    /// Request arrival rate (received requests per second).
-    pub req_per_s: f64,
-    /// Wire bytes sent per second.
-    pub wire_tx_bytes_per_s: f64,
-    /// Wire bytes received per second.
-    pub wire_rx_bytes_per_s: f64,
-    /// Retry attempts per second.
-    pub retries_per_s: f64,
-    /// Requests shed by admission control per second.
-    pub shed_per_s: f64,
-    /// Bulk requests shed by brownout mode per second.
-    pub brownout_per_s: f64,
-    /// Client-side profile failovers per second.
-    pub failover_per_s: f64,
-    /// Exact lifetime count of received requests seen by the window (for
-    /// monotonicity checks against the registry counter).
-    pub req_rx_total: u64,
-    /// In-flight dispatches.
-    pub inflight: GaugeSnapshot,
-    /// Open connections.
-    pub conns: GaugeSnapshot,
-    /// Degraded connections.
-    pub degraded_conns: GaugeSnapshot,
-    /// Open circuit breakers.
-    pub breakers_open: GaugeSnapshot,
-    /// Fragment-reassembly bytes (watermark only).
-    pub reassembly_bytes: GaugeSnapshot,
-    /// Pool retained bytes (watermark + last sample).
-    pub pool_retained: GaugeSnapshot,
 }
 
 #[cfg(test)]

@@ -1,0 +1,138 @@
+//! Golden-format test: the three renderings of one fixed synthetic
+//! [`OrbTelemetry`] — every counter, histogram, stage, rate and gauge
+//! non-zero — are pinned byte for byte. Operators scrape these formats
+//! and `zc-top` parses the JSON lines, so a refactor of the renderers (or
+//! of how the registry is declared) must leave them identical.
+//!
+//! After a *deliberate* format change, copy the files the failing test
+//! wrote under `$CARGO_TARGET_TMPDIR` over `tests/golden/`.
+
+use zc_buffers::{CopyLayer, CopyMeter, PoolStats};
+use zc_trace::{
+    prometheus_text, GaugeSnapshot, LoadSnapshot, MetricsRegistry, OrbTelemetry, Stage,
+    StageHistograms, TransportCounters, TransportField,
+};
+
+fn synthetic() -> OrbTelemetry {
+    let meter = CopyMeter::new_shared();
+    for (i, layer) in CopyLayer::ALL.into_iter().enumerate() {
+        meter.record(layer, 4096 * (i + 1));
+        meter.record(layer, 100 + i);
+    }
+    let transport = TransportCounters::default();
+    for (i, f) in TransportField::ALL.into_iter().enumerate() {
+        transport.add(f, 1000 + 7 * i as u64);
+    }
+    let m = MetricsRegistry::default();
+    for (i, c) in [
+        &m.requests_sent,
+        &m.requests_received,
+        &m.replies_ok,
+        &m.replies_exception,
+        &m.trace_contexts_seen,
+        &m.retries,
+        &m.reconnects,
+        &m.breaker_opens,
+        &m.degradations,
+        &m.upgrades,
+        &m.sheds,
+        &m.brownout_sheds,
+        &m.failovers,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        c.add(101 + 3 * i as u64);
+    }
+    for (i, h) in [
+        &m.request_latency_ns,
+        &m.dispatch_ns,
+        &m.deposit_block_bytes,
+        &m.frames_per_block,
+        &m.data_wire_ns,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for s in [0u64, 1, 150, 4097, 1 << 20] {
+            h.record(s * (i as u64 + 1) + i as u64);
+        }
+    }
+    let stages: &StageHistograms = &m.stage_ns;
+    for (i, stage) in Stage::ALL.into_iter().enumerate() {
+        for s in [3u64, 700, 12_000] {
+            stages.record(stage, s * (i as u64 + 2));
+        }
+    }
+    let g = |current, peak| GaugeSnapshot { current, peak };
+    OrbTelemetry {
+        enabled: true,
+        copies: meter.snapshot(),
+        pool: PoolStats {
+            fresh_allocations: 12,
+            reuses: 345,
+            returns: 350,
+            discards: 2,
+            retained_bytes: 786_432,
+        },
+        transport: transport.snapshot(),
+        metrics: m.snapshot(),
+        load: LoadSnapshot {
+            window_ns: 250_000_000,
+            req_per_s: 1234.5,
+            wire_tx_bytes_per_s: 9_876_543.25,
+            wire_rx_bytes_per_s: 1_048_576.0,
+            retries_per_s: 2.125,
+            shed_per_s: 17.0,
+            brownout_per_s: 0.5,
+            failover_per_s: 0.0625,
+            req_rx_total: 424_242,
+            inflight: g(3, 9),
+            conns: g(4, 5),
+            degraded_conns: g(1, 2),
+            breakers_open: g(1, 1),
+            reassembly_bytes: g(0, 1 << 20),
+            pool_retained: g(786_432, 1 << 21),
+        },
+        events_recorded: 65_536,
+        events_dropped: 7,
+    }
+}
+
+fn check(name: &str, expected: &str, actual: &str) {
+    if expected != actual {
+        let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&out, actual).expect("write actual rendering");
+        panic!(
+            "{name} drifted from tests/golden/{name}; actual written to {}",
+            out.display()
+        );
+    }
+}
+
+#[test]
+fn text_table_matches_golden() {
+    check(
+        "snapshot.txt",
+        include_str!("golden/snapshot.txt"),
+        &synthetic().text_table(),
+    );
+}
+
+#[test]
+fn json_lines_match_golden() {
+    check(
+        "snapshot.jsonl",
+        include_str!("golden/snapshot.jsonl"),
+        &synthetic().json_lines(),
+    );
+}
+
+#[test]
+fn prometheus_text_matches_golden() {
+    check(
+        "snapshot.prom",
+        include_str!("golden/snapshot.prom"),
+        &prometheus_text(&synthetic()),
+    );
+}

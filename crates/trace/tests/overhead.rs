@@ -3,54 +3,30 @@
 //! With telemetry disabled the data path must pay exactly one boolean
 //! check per would-be event: no heap allocation, and no atomic
 //! read-modify-write (observable as the recorder cursor and metrics
-//! counters never moving). A counting global allocator proves the
-//! allocation half; the counters prove the RMW half.
+//! counters never moving). A per-thread counting allocator
+//! (`zc-test-alloc`) proves the allocation half for exactly the measured
+//! code, whatever sibling tests are doing; the counters prove the RMW
+//! half.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
+use zc_test_alloc::allocations;
 use zc_trace::{EventKind, Stage, Telemetry, TraceLayer};
 
-/// The allocation counter is process-global, so tests that assert on its
-/// deltas must not overlap with another test's setup allocations. Each
-/// counting test holds this lock for its measured region.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+#[global_allocator]
+static GLOBAL: zc_test_alloc::CountingAlloc = zc_test_alloc::CountingAlloc;
 
 #[test]
 fn disabled_record_allocates_nothing_and_moves_no_counter() {
-    let _guard = serial();
     let tele = Telemetry::disabled();
     assert!(!tele.is_enabled());
 
     // Warm up any lazy state (the clock epoch, test-harness buffers).
     tele.record(TraceLayer::Orb, EventKind::Invoke, 1, 1, 0);
 
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocs_before = allocations();
     for i in 0..100_000u64 {
         tele.record(TraceLayer::Transport, EventKind::DepositSent, 1, i, 4096);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocs_after = allocations();
     assert_eq!(
         allocs_after - allocs_before,
         0,
@@ -67,7 +43,6 @@ fn disabled_record_allocates_nothing_and_moves_no_counter() {
 
 #[test]
 fn disabled_span_allocates_nothing_and_moves_no_counter() {
-    let _guard = serial();
     let tele = Telemetry::disabled();
 
     // Warm up lazy state before counting.
@@ -75,7 +50,7 @@ fn disabled_span_allocates_nothing_and_moves_no_counter() {
     let mut warm = tele.request_span();
     warm.commit(&tele, 1, 1);
 
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocs_before = allocations();
     for i in 0..100_000u64 {
         let mut span = tele.request_span();
         // begin() must not even read the clock when disabled
@@ -86,7 +61,7 @@ fn disabled_span_allocates_nothing_and_moves_no_counter() {
         span.commit(&tele, 1, i);
         tele.record_stage(Stage::Wire, 1, i, 100);
     }
-    let allocs_after = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocs_after = allocations();
     assert_eq!(
         allocs_after - allocs_before,
         0,
@@ -103,10 +78,9 @@ fn disabled_span_allocates_nothing_and_moves_no_counter() {
 
 #[test]
 fn enabled_span_recording_does_not_allocate() {
-    let _guard = serial();
     let tele = Telemetry::with_capacity(1024);
     tele.record_stage(Stage::ClientMarshal, 1, 1, 0);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         let mut span = tele.request_span();
         let t0 = span.begin();
@@ -114,7 +88,7 @@ fn enabled_span_recording_does_not_allocate() {
         span.add(Stage::Wire, 42);
         span.commit(&tele, 1, i);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(after - before, 0, "enabled span recording allocated");
     assert_eq!(
         tele.metrics().snapshot().stage_ns.get(Stage::Wire).count,
@@ -124,7 +98,6 @@ fn enabled_span_recording_does_not_allocate() {
 
 #[test]
 fn disabled_telemetry_offers_no_mirror() {
-    let _guard = serial();
     let tele = Telemetry::disabled();
     assert!(
         tele.transport_mirror().is_none(),
@@ -135,41 +108,30 @@ fn disabled_telemetry_offers_no_mirror() {
 
 #[test]
 fn disabled_load_notes_allocate_nothing_and_move_no_window() {
-    let _guard = serial();
     let tele = Telemetry::disabled();
 
     // Warm up lazy state (the trace clock epoch) before counting.
     tele.note_request_received();
 
-    // Retry the measured region: sibling test threads the harness is still
-    // spawning allocate into the process-global counter (transient, a
-    // handful once), whereas a real regression allocates on every one of
-    // the 100 000 iterations and fails every attempt.
-    let mut delta = u64::MAX;
-    for _ in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..100_000u64 {
-            // Every load-signal helper the request path touches: all must
-            // cost exactly the one enabled-flag load when telemetry is off.
-            tele.note_request_received();
-            tele.note_retry();
-            tele.note_dispatch_begin();
-            tele.note_dispatch_end();
-            tele.note_conn_open();
-            tele.note_conn_closed();
-            tele.note_degraded(true);
-            tele.note_breaker(true);
-            tele.note_reassembly_bytes(4096);
-            tele.note_pool_retained(4096);
-            tele.note_wire_tx(4096);
-            tele.note_wire_rx(4096);
-            tele.mirror_transport(zc_trace::TransportField::WireBytesRecv, 4096);
-        }
-        delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-        if delta == 0 {
-            break;
-        }
+    let before = allocations();
+    for _ in 0..100_000u64 {
+        // Every load-signal helper the request path touches: all must
+        // cost exactly the one enabled-flag load when telemetry is off.
+        tele.note_request_received();
+        tele.note_retry();
+        tele.note_dispatch_begin();
+        tele.note_dispatch_end();
+        tele.note_conn_open();
+        tele.note_conn_closed();
+        tele.note_degraded(true);
+        tele.note_breaker(true);
+        tele.note_reassembly_bytes(4096);
+        tele.note_pool_retained(4096);
+        tele.note_wire_tx(4096);
+        tele.note_wire_rx(4096);
+        tele.mirror_transport(zc_trace::TransportField::WireBytesRecv, 4096);
     }
+    let delta = allocations() - before;
     assert_eq!(delta, 0, "disabled load notes allocated");
 
     // No atomics traffic: every window and gauge is exactly at zero.
@@ -191,12 +153,11 @@ fn disabled_load_notes_allocate_nothing_and_move_no_window() {
 
 #[test]
 fn enabled_load_notes_do_not_allocate() {
-    let _guard = serial();
     // Windows and gauges are fixed-size atomics inside Telemetry: ticking
     // them never heap-allocates, only rendering does.
     let tele = Telemetry::with_capacity(64);
     tele.note_request_received();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..10_000u64 {
         tele.note_request_received();
         tele.note_dispatch_begin();
@@ -206,7 +167,7 @@ fn enabled_load_notes_do_not_allocate() {
         tele.note_wire_rx(512);
         tele.mirror_transport(zc_trace::TransportField::WireBytesSent, 4096);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(after - before, 0, "enabled load notes allocated");
     let load = tele.windows().snapshot(zc_trace::now_ns());
     assert_eq!(load.req_rx_total, 10_001);
@@ -218,34 +179,21 @@ fn enabled_load_notes_do_not_allocate() {
 
 #[test]
 fn disabled_attempt_path_allocates_nothing_and_moves_no_counter() {
-    let _guard = serial();
     let tele = Telemetry::disabled();
 
     // Warm up lazy state before counting.
     let _ = zc_trace::next_journey_id();
     tele.record_attempt(1, 1, zc_trace::JourneyCause::Initial, 0, 1);
 
-    // This test sorts first, so it holds SERIAL while libtest is still
-    // spawning the sibling test threads — spawns allocate, and those land
-    // in the process-global counter. Retry the measured region: harness
-    // noise is transient (a handful of allocations once), whereas a real
-    // regression allocates on every one of the 100 000 iterations and
-    // fails every attempt.
-    let mut delta = u64::MAX;
-    for _ in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for i in 0..100_000u64 {
-            // The full per-invocation journey cost with telemetry off: one
-            // relaxed fetch_add for the id (no clock read, no allocation)
-            // and one enabled-flag load in record_attempt.
-            let journey = zc_trace::next_journey_id();
-            tele.record_attempt(1, i, zc_trace::JourneyCause::Retry, 1, journey);
-        }
-        delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-        if delta == 0 {
-            break;
-        }
+    let before = allocations();
+    for i in 0..100_000u64 {
+        // The full per-invocation journey cost with telemetry off: one
+        // relaxed fetch_add for the id (no clock read, no allocation)
+        // and one enabled-flag load in record_attempt.
+        let journey = zc_trace::next_journey_id();
+        tele.record_attempt(1, i, zc_trace::JourneyCause::Retry, 1, journey);
     }
+    let delta = allocations() - before;
     assert_eq!(delta, 0, "disabled journey path allocated");
     assert_eq!(tele.recorder().recorded(), 0);
     assert_eq!(tele.recorder().dropped(), 0);
@@ -253,32 +201,30 @@ fn disabled_attempt_path_allocates_nothing_and_moves_no_counter() {
 
 #[test]
 fn enabled_attempt_recording_does_not_allocate() {
-    let _guard = serial();
     let tele = Telemetry::with_capacity(1024);
     tele.record_attempt(1, 1, zc_trace::JourneyCause::Initial, 0, 1);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         let journey = zc_trace::next_journey_id();
         tele.record_attempt(1, i, zc_trace::JourneyCause::Failover, 2, journey);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(after - before, 0, "enabled attempt recording allocated");
     assert_eq!(tele.recorder().recorded(), 10_001);
 }
 
 #[test]
 fn enabled_record_does_not_allocate_either() {
-    let _guard = serial();
     // The ring is pre-allocated at construction: steady-state recording is
     // allocation-free even when enabled (allocation happens only on
     // snapshot/export).
     let tele = Telemetry::with_capacity(1024);
     tele.record(TraceLayer::Giop, EventKind::RequestSent, 1, 1, 0);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         tele.record(TraceLayer::Giop, EventKind::RequestSent, 1, i, 64);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(after - before, 0, "steady-state recording allocated");
     assert_eq!(tele.recorder().recorded(), 10_001);
 }

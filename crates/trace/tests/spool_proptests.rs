@@ -14,10 +14,9 @@
 //!    record, the intact records before it still decode, and
 //!    `repair_segment` truncates to exactly that prefix.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use zc_trace::{
@@ -25,34 +24,10 @@ use zc_trace::{
     Telemetry, TraceLayer, SEGMENT_MAGIC, SPOOL_EVENT_LEN,
 };
 
-/// Tracks live heap bytes and their high watermark, so tests can assert
-/// the reader's peak allocation is bounded regardless of lying lengths.
-struct WatermarkAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for WatermarkAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Ordering::SeqCst) + layout.size();
-        PEAK.fetch_max(live, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
-        System.dealloc(ptr, layout)
-    }
-}
-
+/// Per-thread live-byte accounting, so tests can assert the reader's peak
+/// allocation is bounded regardless of lying lengths.
 #[global_allocator]
-static GLOBAL: WatermarkAlloc = WatermarkAlloc;
-
-/// The watermark is process-global; allocation-bounding tests serialize.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+static GLOBAL: zc_test_alloc::CountingAlloc = zc_test_alloc::CountingAlloc;
 
 /// Mirrors the reader's internal record cap (`spool::MAX_RECORD_BYTES`).
 const RECORD_CAP: usize = 1 << 20;
@@ -108,16 +83,13 @@ fn write_case(tag: &str, bytes: &[u8]) -> (PathBuf, PathBuf) {
     (dir, path)
 }
 
-/// Read under the watermark allocator; returns (result, peak live delta).
+/// Read under the counting allocator; returns (result, peak live delta).
 fn read_bounded(path: &Path) -> (Result<usize, String>, usize) {
-    let _guard = serial();
-    let live_before = LIVE.load(Ordering::SeqCst);
-    PEAK.store(live_before, Ordering::SeqCst);
-    let result = read_spool_segment(path)
-        .map(|r| r.events.len())
-        .map_err(|e| e.to_string());
-    let peak = PEAK.load(Ordering::SeqCst).saturating_sub(live_before);
-    (result, peak)
+    zc_test_alloc::measure_peak(|| {
+        read_spool_segment(path)
+            .map(|r| r.events.len())
+            .map_err(|e| e.to_string())
+    })
 }
 
 proptest! {

@@ -252,7 +252,20 @@ fn pooled_payload_roundtrip_and_return() {
             .result()
             .unwrap();
         assert!(back.ptr_eq(&payload));
-    } // all views dropped → pages must return
+    }
+    // Every client view is dropped, but the server's connection thread
+    // keeps its own reference to the page (the request it is still
+    // holding) until it loops back to receive. Requests on one connection
+    // are served in order, so once a second call has been answered that
+    // reference is provably gone.
+    let _: OctetSeq = obj
+        .request("echo_std")
+        .arg(&OctetSeq(vec![1]))
+        .unwrap()
+        .invoke()
+        .unwrap()
+        .result()
+        .unwrap();
     let stats = pool.stats();
     assert!(stats.returns >= 1, "{stats:?}");
 }

@@ -29,8 +29,9 @@ pub use config::Config;
 pub use rules::{audit_file, Violation, WaiverKind};
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use zc_json::{Layout, Writer};
 
 /// One scanned + item-parsed workspace file, shared by the
 /// inter-procedural passes.
@@ -174,122 +175,81 @@ impl Report {
     /// Machine-readable findings including the ratchet outcome when a
     /// `--ratchet` comparison ran.
     pub fn to_json_with(&self, ratchet: Option<&ratchet::RatchetOutcome>) -> String {
-        let mut s = String::from("{\n  \"schema\": \"zc-audit/v4\",\n  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"msg\": {}}}",
-                if i > 0 { "," } else { "" },
-                json_str(v.rule),
-                json_str(&v.file),
-                v.line,
-                json_str(&v.msg)
-            );
+        let mut w = Writer::new();
+        w.begin_object(Layout::Pretty)
+            .field_str("schema", "zc-audit/v4");
+        w.key("violations").begin_array(Layout::Pretty);
+        for v in &self.violations {
+            w.begin_object(Layout::Spaced)
+                .field_str("rule", v.rule)
+                .field_str("file", &v.file)
+                .field("line", v.line)
+                .field_str("msg", &v.msg)
+                .end();
         }
-        if !self.violations.is_empty() {
-            s.push_str("\n  ");
+        w.end();
+        w.key("waivers").begin_array(Layout::Pretty);
+        for r in &self.waivers {
+            w.begin_object(Layout::Spaced)
+                .field_str("file", &r.file)
+                .field("line", r.line)
+                .field_str("kind", r.kind.name())
+                .field("used", r.used)
+                .end();
         }
-        s.push_str("],\n  \"waivers\": [");
-        for (i, w) in self.waivers.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n    {{\"file\": {}, \"line\": {}, \"kind\": {}, \"used\": {}}}",
-                if i > 0 { "," } else { "" },
-                json_str(&w.file),
-                w.line,
-                json_str(w.kind.name()),
-                w.used
-            );
+        w.end();
+        w.key("atomics").begin_object(Layout::Pretty);
+        w.key("protocols").begin_array(Layout::Pretty);
+        for p in &self.atomics.protocols {
+            w.begin_object(Layout::Spaced)
+                .field_str("module", &p.module)
+                .field_str("kind", p.kind)
+                .field("sites", p.sites)
+                .end();
         }
-        if !self.waivers.is_empty() {
-            s.push_str("\n  ");
+        w.end();
+        w.field("undeclared_sites", self.atomics.undeclared_sites)
+            .end();
+        w.key("reactor").begin_object(Layout::Pretty);
+        w.key("entrypoints").begin_array(Layout::Spaced);
+        for ep in &self.reactor_entrypoints {
+            w.string(ep);
         }
-        s.push_str("],\n  \"atomics\": {\n    \"protocols\": [");
-        for (i, p) in self.atomics.protocols.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n      {{\"module\": {}, \"kind\": {}, \"sites\": {}}}",
-                if i > 0 { "," } else { "" },
-                json_str(&p.module),
-                json_str(p.kind),
-                p.sites
-            );
+        w.end();
+        w.key("blocking").begin_array(Layout::Pretty);
+        for r in &self.reactor {
+            w.begin_object(Layout::Spaced)
+                .field_str("file", &r.file)
+                .field("line", r.line)
+                .field_str("leaf", &r.leaf)
+                .field_str("entrypoint", &r.entrypoint)
+                .field_str("chain", &r.chain.join(" -> "))
+                .end();
         }
-        if !self.atomics.protocols.is_empty() {
-            s.push_str("\n    ");
-        }
-        let _ = write!(
-            s,
-            "],\n    \"undeclared_sites\": {}\n  }},\n  \"reactor\": {{\n    \"entrypoints\": [",
-            self.atomics.undeclared_sites
-        );
-        for (i, ep) in self.reactor_entrypoints.iter().enumerate() {
-            let _ = write!(s, "{}{}", if i > 0 { ", " } else { "" }, json_str(ep));
-        }
-        s.push_str("],\n    \"blocking\": [");
-        for (i, r) in self.reactor.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n      {{\"file\": {}, \"line\": {}, \"leaf\": {}, \"entrypoint\": {}, \
-                 \"chain\": {}}}",
-                if i > 0 { "," } else { "" },
-                json_str(&r.file),
-                r.line,
-                json_str(&r.leaf),
-                json_str(&r.entrypoint),
-                json_str(&r.chain.join(" -> "))
-            );
-        }
-        if !self.reactor.is_empty() {
-            s.push_str("\n    ");
-        }
-        s.push_str("]\n  },\n  \"ratchet\": ");
+        w.end().end();
+        w.key("ratchet");
         match ratchet {
-            None => s.push_str("null"),
+            None => {
+                w.value("null");
+            }
             Some(o) => {
-                s.push_str("{\n    \"ok\": ");
-                s.push_str(if o.ok() { "true" } else { "false" });
-                s.push_str(",\n    \"rules\": [");
+                w.begin_object(Layout::Pretty).field("ok", o.ok());
+                w.key("rules").begin_array(Layout::Pretty);
                 let kinds: std::collections::BTreeSet<&String> =
                     o.baseline.keys().chain(o.current.keys()).collect();
-                for (i, kind) in kinds.iter().enumerate() {
-                    let _ = write!(
-                        s,
-                        "{}\n      {{\"kind\": {}, \"baseline\": {}, \"current\": {}}}",
-                        if i > 0 { "," } else { "" },
-                        json_str(kind),
-                        o.baseline.get(kind.as_str()).copied().unwrap_or(0),
-                        o.current.get(kind.as_str()).copied().unwrap_or(0)
-                    );
+                for kind in kinds {
+                    w.begin_object(Layout::Spaced)
+                        .field_str("kind", kind)
+                        .field("baseline", o.baseline.get(kind).copied().unwrap_or(0))
+                        .field("current", o.current.get(kind).copied().unwrap_or(0))
+                        .end();
                 }
-                if !kinds.is_empty() {
-                    s.push_str("\n    ");
-                }
-                s.push_str("]\n  }");
+                w.end().end();
             }
         }
-        s.push_str("\n}\n");
-        s
+        w.end();
+        w.finish() + "\n"
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Audit the whole workspace rooted at `root` with `cfg`: the per-file

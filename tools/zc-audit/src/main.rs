@@ -118,7 +118,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let baseline = match ratchet::parse_baseline(&src) {
+            let baseline = match ratchet::baseline_from_json(&src) {
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!("zc-audit: {}: {e}", path.display());

@@ -19,7 +19,8 @@
 
 use crate::Report;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+use zc_json::{Layout, Value, Writer};
 
 pub const BASELINE_SCHEMA: &str = "zc-audit-baseline/v1";
 
@@ -51,56 +52,39 @@ pub fn waiver_counts(report: &Report) -> BTreeMap<String, u32> {
 
 /// Serialize counts as a baseline document.
 pub fn baseline_json(counts: &BTreeMap<String, u32>) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{{\n  \"schema\": \"{BASELINE_SCHEMA}\",\n  \"waivers\": {{"
-    );
-    for (i, (kind, n)) in counts.iter().enumerate() {
-        let _ = write!(s, "    \"{kind}\": {n}");
-        s.push_str(if i + 1 < counts.len() { ",\n" } else { "\n" });
+    let mut w = Writer::new();
+    w.begin_object(Layout::Pretty)
+        .field_str("schema", BASELINE_SCHEMA);
+    w.key("waivers").begin_object(Layout::Pretty);
+    for (kind, n) in counts {
+        w.field(kind, n);
     }
-    s.push_str("  }\n}\n");
-    s
+    w.end().end();
+    w.finish() + "\n"
 }
 
-/// Parse a baseline document. Deliberately a tiny hand-rolled reader for
-/// exactly the shape [`baseline_json`] writes (flat string→integer map).
-pub fn parse_baseline(src: &str) -> Result<BTreeMap<String, u32>, String> {
-    if !src.contains(BASELINE_SCHEMA) {
+/// Parse a baseline document: the schema tag plus a flat kind → count map.
+pub fn baseline_from_json(src: &str) -> Result<BTreeMap<String, u32>, String> {
+    let doc = zc_json::parse(src).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+    if doc.get("schema").and_then(Value::as_str) != Some(BASELINE_SCHEMA) {
         return Err(format!("baseline schema must be `{BASELINE_SCHEMA}`"));
     }
-    let wpos = src
-        .find("\"waivers\"")
-        .ok_or_else(|| "baseline missing `\"waivers\"` object".to_string())?;
-    let open = src[wpos..]
-        .find('{')
-        .ok_or_else(|| "baseline `waivers` must be an object".to_string())?
-        + wpos;
-    let close = src[open..]
-        .find('}')
-        .ok_or_else(|| "unterminated `waivers` object".to_string())?
-        + open;
-    let mut map = BTreeMap::new();
-    for part in src[open + 1..close].split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (k, v) = part
-            .split_once(':')
-            .ok_or_else(|| format!("bad waivers entry `{part}`"))?;
-        let k = k.trim().trim_matches('"');
-        let n: u32 = v
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad waiver count in `{part}`"))?;
-        if k.is_empty() {
-            return Err(format!("empty waiver kind in `{part}`"));
-        }
-        map.insert(k.to_string(), n);
-    }
-    Ok(map)
+    let waivers = doc
+        .get("waivers")
+        .and_then(Value::members)
+        .ok_or_else(|| "baseline `waivers` must be an object".to_string())?;
+    waivers
+        .iter()
+        .map(|(kind, n)| {
+            let count = n
+                .as_f64()
+                .filter(|n| n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(n));
+            match count {
+                Some(n) if !kind.is_empty() => Ok((kind.clone(), n as u32)),
+                _ => Err(format!("bad waiver count for `{kind}`")),
+            }
+        })
+        .collect()
 }
 
 /// Compare current counts against a baseline. A kind absent from the
@@ -145,14 +129,14 @@ mod tests {
         let c = counts(&[("cheap-clone", 12), ("copy", 9), ("atomics-protocol", 1)]);
         let json = baseline_json(&c);
         assert!(json.contains(BASELINE_SCHEMA));
-        let parsed = parse_baseline(&json).unwrap();
+        let parsed = baseline_from_json(&json).unwrap();
         assert_eq!(parsed, c);
     }
 
     #[test]
     fn empty_baseline_round_trips() {
         let c = BTreeMap::new();
-        let parsed = parse_baseline(&baseline_json(&c)).unwrap();
+        let parsed = baseline_from_json(&baseline_json(&c)).unwrap();
         assert!(parsed.is_empty());
     }
 
@@ -175,6 +159,6 @@ mod tests {
 
     #[test]
     fn wrong_schema_rejected() {
-        assert!(parse_baseline("{\"schema\": \"other/v9\", \"waivers\": {}}").is_err());
+        assert!(baseline_from_json("{\"schema\": \"other/v9\", \"waivers\": {}}").is_err());
     }
 }
