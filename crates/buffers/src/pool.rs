@@ -33,7 +33,11 @@ pub struct PoolStats {
 }
 
 pub(crate) struct PoolInner {
-    /// Free lists keyed by capacity (each a multiple of the page size).
+    /// Free lists keyed by capacity (each a multiple of the page size). A
+    /// class stays in the map once seen, empty or not: there are only as
+    /// many classes as powers of two, and dropping an emptied one made
+    /// every acquire/release cycle on a one-deep class re-allocate its
+    /// `Vec` (and sometimes a tree node).
     free: Mutex<BTreeMap<usize, Vec<AlignedBuf>>>,
     /// Maximum bytes kept on free lists before returns are discarded.
     max_retained_bytes: usize,
@@ -63,16 +67,7 @@ impl PoolInner {
         {
             let mut free = self.free.lock();
             // Exact class first, then any class that fits (BTreeMap range).
-            let key = free
-                .range(want..)
-                .find(|(_, v)| !v.is_empty())
-                .map(|(&k, _)| k);
-            if let Some(k) = key {
-                let list = free.get_mut(&k).expect("key just observed");
-                let buf = list.pop().expect("non-empty just observed");
-                if list.is_empty() {
-                    free.remove(&k);
-                }
+            if let Some(buf) = free.range_mut(want..).find_map(|(_, list)| list.pop()) {
                 self.retained
                     .fetch_sub(buf.capacity() as u64, Ordering::Relaxed);
                 self.reuses.fetch_add(1, Ordering::Relaxed);

@@ -186,8 +186,9 @@ impl ZcBytes {
     /// defragmentation: when every fragment of a block landed in place
     /// (same pages, right offsets), the reassembled block *is* the original
     /// memory and no byte needs to move.
-    pub fn join_contiguous(parts: &[ZcBytes]) -> Option<ZcBytes> {
-        let first = parts.first()?;
+    pub fn join_contiguous<'a>(parts: impl IntoIterator<Item = &'a ZcBytes>) -> Option<ZcBytes> {
+        let mut parts = parts.into_iter().peekable();
+        let first = *parts.peek()?;
         let mut expected_off = first.off;
         let mut total = 0usize;
         for p in parts {

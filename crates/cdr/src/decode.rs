@@ -229,19 +229,32 @@ impl<'a> CdrDecoder<'a> {
             .map_err(|_| CdrError::InvalidString)
     }
 
-    /// Bulk octet read: ulong count then the raw bytes, copied out (and
+    /// Bulk octet read: ulong count then the raw bytes, copied out once (and
     /// metered at [`CopyLayer::Demarshal`]) — the conventional
-    /// `sequence<octet>` path.
+    /// `sequence<octet>` path. The allocation is sized by bytes in hand and
+    /// filled by the copy itself; nothing zero-fills it first.
     pub fn read_octet_seq(&mut self) -> CdrResult<Vec<u8>> {
-        let len = self.read_u32()?;
-        let len = self.checked_len(len, 1)?;
-        let src = self.take(len)?;
-        let mut out = vec![0u8; len];
-        match &self.meter {
-            Some(m) => m.copy(CopyLayer::Demarshal, &mut out, src),
-            None => out.copy_from_slice(src),
+        let src = self.read_octet_seq_borrowed()?;
+        self.meter_demarshal(src.len());
+        Ok(src.to_vec())
+    }
+
+    /// [`CdrDecoder::read_octet_seq`] into page-aligned storage: the inline
+    /// fallback of `sequence<ZC_Octet>` for peers without the deposit path.
+    /// One copy out of the receive buffer, metered at
+    /// [`CopyLayer::Demarshal`].
+    pub fn read_octet_seq_aligned(&mut self) -> CdrResult<ZcBytes> {
+        let src = self.read_octet_seq_borrowed()?;
+        self.meter_demarshal(src.len());
+        Ok(ZcBytes::from_aligned(zc_buffers::AlignedBuf::from_slice(
+            src,
+        )))
+    }
+
+    fn meter_demarshal(&self, bytes: usize) {
+        if let Some(m) = &self.meter {
+            m.record(CopyLayer::Demarshal, bytes);
         }
-        Ok(out)
     }
 
     /// Borrow a bulk octet region without copying (used where the caller can

@@ -52,6 +52,15 @@ impl CdrEncoder {
         self
     }
 
+    /// Encode into `buf` (cleared first) instead of a fresh vector, so a
+    /// connection can lend the buffer its previous message finished with
+    /// and a steady stream of messages stops allocating marshal space.
+    pub fn with_buffer(mut self, mut buf: Vec<u8>) -> CdrEncoder {
+        buf.clear();
+        self.buf = buf;
+        self
+    }
+
     /// Enable the direct-deposit path for zero-copy sequence types.
     pub fn with_zc(mut self, enabled: bool) -> CdrEncoder {
         self.zc_enabled = enabled;
@@ -181,17 +190,13 @@ impl CdrEncoder {
     /// Bulk octet write: ulong count followed by the raw bytes. This is the
     /// copying path of `sequence<octet>` — the copy is metered at
     /// [`CopyLayer::Marshal`] because it is precisely the overhead the
-    /// paper's `TCSeqOctet::marshal` loop incurs.
+    /// paper's `TCSeqOctet::marshal` loop incurs. The bytes are appended
+    /// once; nothing zero-fills the space first.
     pub fn write_octet_seq(&mut self, bytes: &[u8]) {
         self.write_u32(bytes.len() as u32);
-        let start = self.buf.len();
-        // zc-audit: allow(taint-arith) — inline sequence length is checked against MAX_CDR_LENGTH at every marshal call site before reaching here
-        self.buf.resize(start + bytes.len(), 0);
-        match &self.meter {
-            // zc-audit: allow(taint-panic) — slice produced by the resize above; length bounded by MAX_CDR_LENGTH at marshal call sites
-            Some(m) => m.copy(CopyLayer::Marshal, &mut self.buf[start..], bytes),
-            // zc-audit: allow(taint-panic) — slice produced by the resize above; length bounded by MAX_CDR_LENGTH at marshal call sites
-            None => self.buf[start..].copy_from_slice(bytes),
+        self.buf.extend_from_slice(bytes);
+        if let Some(m) = &self.meter {
+            m.record(CopyLayer::Marshal, bytes.len());
         }
     }
 

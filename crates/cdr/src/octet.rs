@@ -192,14 +192,9 @@ impl CdrMarshal for ZcOctetSeq {
             Ok(ZcOctetSeq { data: block })
         } else {
             // Inline representation: one copy out of the receive buffer into
-            // aligned storage (metered as demarshal by read_octet_seq).
-            let bytes = dec.read_octet_seq()?;
-            // zc-audit: allow(taint-alloc) — sized by bytes already decoded and held; read_octet_seq bounds them through checked_len
-            let mut buf = zc_buffers::AlignedBuf::with_capacity(bytes.len());
-            // zc-audit: allow(copy) — ZC-incapable peer fallback: inline bytes move into aligned storage, metered upstream as Demarshal
-            buf.extend_from_slice(&bytes);
+            // aligned storage, metered as demarshal.
             Ok(ZcOctetSeq {
-                data: ZcBytes::from_aligned(buf),
+                data: dec.read_octet_seq_aligned()?,
             })
         }
     }

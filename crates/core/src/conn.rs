@@ -20,13 +20,20 @@
 //! `separate_data = false` keeps descriptors but embeds the blocks in the
 //! control message — coupling synchronization and data again, which
 //! re-introduces buffering copies at both ends.
+//!
+//! The connection itself copies no payload. A message goes out as a gather
+//! list (GIOP header, request/reply header, marshaled arguments) that the
+//! stack's send copy puts together, and comes in as a view of the pooled
+//! buffer the stack's receive copy landed it in: stripping the GIOP header
+//! is a slice, and the decoders read that view. The one copy made here —
+//! putting a fragmented message back together — is metered.
 
 use zc_buffers::ZcBytes;
 use zc_cdr::{ByteOrder, CdrDecoder, CdrEncoder};
 use zc_giop::{
-    fragment_frames, DepositManifest, GiopHeader, GiopVersion, Handshake, MessageType, Negotiated,
-    ReplyHeader, ReplyStatus, RequestHeader, SystemException, TraceContext, ZcHealthContext,
-    GIOP_HEADER_LEN,
+    fragment_plan, DepositManifest, GiopError, GiopHeader, GiopVersion, Handshake, MessageType,
+    Negotiated, ReplyHeader, ReplyStatus, RequestHeader, SystemException, TraceContext,
+    ZcHealthContext, GIOP_HEADER_LEN, MAX_GIOP_MESSAGE,
 };
 use zc_trace::{EventKind, TraceLayer};
 use zc_transport::{Connection, TransportCtx, TransportError};
@@ -110,8 +117,9 @@ struct DegradeState {
 pub struct IncomingRequest {
     /// Parsed request header.
     pub header: RequestHeader,
-    /// The full GIOP body (header + padding + arguments).
-    pub body: Vec<u8>,
+    /// The full GIOP body (header + padding + arguments): a view of the
+    /// pooled buffer the transport received it into.
+    pub body: ZcBytes,
     /// Offset of the first argument within `body`.
     pub args_offset: usize,
     /// Deposited blocks, in descriptor-index order.
@@ -128,8 +136,9 @@ pub struct IncomingRequest {
 /// An incoming successful reply as surfaced to the client.
 #[derive(Debug)]
 pub struct IncomingReply {
-    /// The full GIOP body (header + padding + results).
-    pub body: Vec<u8>,
+    /// The full GIOP body (header + padding + results): a view of the
+    /// pooled buffer the transport received it into.
+    pub body: ZcBytes,
     /// Offset of the first result value within `body`.
     pub results_offset: usize,
     /// Deposited blocks, in descriptor-index order.
@@ -165,6 +174,10 @@ pub struct GiopConn {
     pending_journey: Option<(u64, u32, u8)>,
     /// Zero-copy send-path health (graceful degradation).
     degrade: DegradeState,
+    /// The marshal buffer of the last message sent, lent to the next
+    /// [`GiopConn::body_encoder`] so a steady stream of messages marshals
+    /// into the same allocation.
+    spare_body: Vec<u8>,
 }
 
 impl GiopConn {
@@ -193,6 +206,7 @@ impl GiopConn {
             last_trace_id: 0,
             pending_journey: None,
             degrade: DegradeState::default(),
+            spare_body: Vec::new(),
         })
     }
 
@@ -222,6 +236,7 @@ impl GiopConn {
             last_trace_id: 0,
             pending_journey: None,
             degrade: DegradeState::default(),
+            spare_body: Vec::new(),
         })
     }
 
@@ -421,6 +436,18 @@ impl GiopConn {
         CdrEncoder::new(self.wire_order())
             .with_meter(std::sync::Arc::clone(&self.ctx.meter))
             .with_zc(zc)
+            .with_buffer(std::mem::take(&mut self.spare_body))
+    }
+
+    /// Hand back the marshal buffer of a message that is on the wire, for
+    /// the next [`GiopConn::body_encoder`] to reuse. The connection keeps
+    /// the roomier of this one and the spare it holds, and nothing above
+    /// [`FRAGMENT_THRESHOLD`]: one oversized message must not pin its
+    /// buffer for the connection's lifetime.
+    pub fn recycle_body(&mut self, body: Vec<u8>) {
+        if (self.spare_body.capacity()..=FRAGMENT_THRESHOLD).contains(&body.capacity()) {
+            self.spare_body = body;
+        }
     }
 
     fn alloc_request_id(&mut self) -> u32 {
@@ -430,7 +457,7 @@ impl GiopConn {
     }
 
     /// Assemble and send a GIOP message whose body is `header_enc` followed
-    /// by 8-aligned `payload_bytes`, with `deposits` travelling per tuning.
+    /// by 8-aligned `payload` bytes, with `deposits` travelling per tuning.
     fn send_message(
         &mut self,
         msg_type: MessageType,
@@ -438,24 +465,30 @@ impl GiopConn {
         payload: &[u8],
         deposits: Vec<ZcBytes>,
     ) -> OrbResult<()> {
-        if self.tuning.separate_data || deposits.is_empty() {
-            header_enc.align(8);
-            header_enc.write_raw(payload);
-            let body = header_enc.finish_stream();
-            self.send_framed(msg_type, &body)?;
-            let mut sent = body.len() as u64;
+        let coupled = !self.tuning.separate_data && !deposits.is_empty();
+        if coupled {
+            // Ablation A1: couple data back into the control message.
+            // Each block is *copied* inline, 8-aligned with a ulong length
+            // prefix, before the argument bytes — one copy, metered as
+            // marshal: this is the buffering the separation avoids.
+            header_enc = header_enc.with_meter(std::sync::Arc::clone(&self.ctx.meter));
+            for block in &deposits {
+                self.note_deposit_block(block);
+                header_enc.align(8);
+                header_enc.write_octet_seq(block.as_slice());
+            }
+        }
+        header_enc.align(8);
+        let head = header_enc.finish_stream();
+        self.send_framed(msg_type, &head, payload)?;
+        let mut sent = (head.len() + payload.len()) as u64;
+        if !coupled {
             // Data transfer, decoupled: blocks follow on the data path,
             // already announced by the manifest in the control message.
             for block in &deposits {
                 self.conn.send_data(block)?;
                 sent += block.len() as u64;
-                if self.ctx.telemetry.is_enabled() {
-                    self.ctx
-                        .telemetry
-                        .metrics()
-                        .deposit_block_bytes
-                        .record(block.len() as u64);
-                }
+                self.note_deposit_block(block);
                 self.ctx.telemetry.record(
                     TraceLayer::Giop,
                     EventKind::DepositSent,
@@ -464,96 +497,114 @@ impl GiopConn {
                     block.len() as u64,
                 );
             }
-            // One window tick per message (not per frame): the tx rate
-            // signal costs a clock read, which is too hot for the MTU loop.
-            self.ctx.telemetry.note_wire_tx(sent);
-        } else {
-            // Ablation A1: couple data back into the control message.
-            // Blocks are *copied* inline (metered as marshal: this is the
-            // buffering the separation avoids), before the argument bytes.
-            for block in &deposits {
-                if self.ctx.telemetry.is_enabled() {
-                    self.ctx
-                        .telemetry
-                        .metrics()
-                        .deposit_block_bytes
-                        .record(block.len() as u64);
-                }
-                header_enc.align(8);
-                let bytes = block.as_slice();
-                header_enc.write_u32(bytes.len() as u32);
-                // metered bulk copy into the control buffer
-                let mut tmp = vec![0u8; bytes.len()];
-                self.ctx
-                    .meter
-                    .copy(zc_buffers::CopyLayer::Marshal, &mut tmp, bytes);
-                header_enc.write_raw(&tmp);
-            }
-            header_enc.align(8);
-            header_enc.write_raw(payload);
-            let body = header_enc.finish_stream();
-            self.send_framed(msg_type, &body)?;
-            self.ctx.telemetry.note_wire_tx(body.len() as u64);
         }
+        // One window tick per message (not per frame): the tx rate
+        // signal costs a clock read, which is too hot for the MTU loop.
+        self.ctx.telemetry.note_wire_tx(sent);
         Ok(())
     }
 
-    /// Frame (and if necessary fragment) a GIOP body onto the control path.
-    fn send_framed(&mut self, msg_type: MessageType, body: &[u8]) -> OrbResult<()> {
-        for frame in fragment_frames(
+    fn note_deposit_block(&self, block: &ZcBytes) {
+        let tele = &self.ctx.telemetry;
+        if tele.is_enabled() {
+            tele.metrics()
+                .deposit_block_bytes
+                .record(block.len() as u64);
+        }
+    }
+
+    /// Frame (and if necessary fragment) the GIOP body `head ++ args` onto
+    /// the control path. Nothing is concatenated here: each frame goes out
+    /// as a gather list of its GIOP header and its window of the two
+    /// parts, and the stack's own send copy puts them together.
+    fn send_framed(&mut self, msg_type: MessageType, head: &[u8], args: &[u8]) -> OrbResult<()> {
+        let plan = fragment_plan(
             self.version,
             self.wire_order(),
             msg_type,
-            body,
+            head.len() + args.len(),
             FRAGMENT_THRESHOLD,
-        ) {
-            self.conn.send_control(&frame)?;
+        );
+        for (header, window) in plan {
+            self.conn.send_control_vectored(&[
+                &header.encode(),
+                part_window(head, 0, &window),
+                part_window(args, head.len(), &window),
+            ])?;
         }
         Ok(())
     }
 
     /// Receive one GIOP message, reassembling `Fragment` continuations;
-    /// returns `(type, body, order)`.
-    fn recv_message(&mut self) -> OrbResult<(MessageType, Vec<u8>, ByteOrder)> {
-        let (hdr, mut body) = self.recv_one_frame()?;
-        let msg_type = hdr.msg_type;
-        let order = hdr.flags.order;
-        let mut more = hdr.flags.more_fragments;
-        while more {
-            let (cont_hdr, cont_body) = self.recv_one_frame()?;
-            if cont_hdr.msg_type != MessageType::Fragment {
-                // zc-audit: allow(control-plane) — protocol error diagnostic
-                return Err(OrbError::Protocol(format!(
-                    "expected Fragment continuation, got {:?}",
-                    cont_hdr.msg_type
-                )));
-            }
-            // zc-audit: allow(copy) — control-path fragment reassembly; models the KernelDefrag layer
-            body.extend_from_slice(&cont_body);
-            more = cont_hdr.flags.more_fragments;
-        }
-        // Watermark: peak bytes a fragment train held in reassembly. The
-        // body only grows, so one post-loop sample sees the same peak as a
-        // per-fragment sample would — at message, not MTU, granularity.
+    /// returns `(type, body, order)`. The body of an unfragmented message
+    /// is a view of the buffer the transport delivered.
+    fn recv_message(&mut self) -> OrbResult<(MessageType, ZcBytes, ByteOrder)> {
+        let (hdr, first) = self.recv_one_frame()?;
+        let body = if hdr.flags.more_fragments {
+            self.recv_fragments(first)?
+        } else {
+            first
+        };
+        // Watermark: peak bytes a fragment train held in reassembly, at
+        // message, not MTU, granularity.
         self.ctx.telemetry.note_reassembly_bytes(body.len() as u64);
         // One rx window tick per reassembled message; deposit blocks tick
         // separately in `collect_deposits` when they arrive on the data path.
         self.ctx.telemetry.note_wire_rx(body.len() as u64);
-        Ok((msg_type, body, order))
+        Ok((hdr.msg_type, body, hdr.flags.order))
     }
 
-    /// Receive exactly one GIOP frame from the control path.
-    fn recv_one_frame(&mut self) -> OrbResult<(GiopHeader, Vec<u8>)> {
+    /// Receive the `Fragment` continuations of a message whose first frame
+    /// carried `first`, and put the body together: one copy into a pooled
+    /// buffer, metered as defragmentation. The running total is held under
+    /// [`MAX_GIOP_MESSAGE`], so a fragment train can never pin or allocate
+    /// more than one legal message.
+    fn recv_fragments(&mut self, first: ZcBytes) -> OrbResult<ZcBytes> {
+        let mut total = first.len();
+        let mut fragments = vec![first];
+        let mut more = true;
+        while more {
+            let (hdr, fragment) = self.recv_one_frame()?;
+            if hdr.msg_type != MessageType::Fragment {
+                // zc-audit: allow(control-plane) — protocol error diagnostic
+                return Err(OrbError::Protocol(format!(
+                    "expected Fragment continuation, got {:?}",
+                    hdr.msg_type
+                )));
+            }
+            total += fragment.len();
+            if total as u64 > MAX_GIOP_MESSAGE {
+                return Err(GiopError::MessageTooLarge(total as u64).into());
+            }
+            more = hdr.flags.more_fragments;
+            fragments.push(fragment);
+        }
+        let mut body = self.ctx.pool.acquire(total.max(1));
+        body.set_len(total);
+        let mut at = 0;
+        for fragment in &fragments {
+            self.ctx.meter.copy(
+                zc_buffers::CopyLayer::KernelDefrag,
+                &mut body.as_mut_slice()[at..at + fragment.len()],
+                fragment,
+            );
+            at += fragment.len();
+        }
+        Ok(body.freeze())
+    }
+
+    /// Receive exactly one GIOP frame from the control path: its header,
+    /// and its body as a view of what the transport delivered.
+    fn recv_one_frame(&mut self) -> OrbResult<(GiopHeader, ZcBytes)> {
         let raw = self.conn.recv_control()?;
-        if raw.len() < GIOP_HEADER_LEN {
+        let Some(hdr_bytes) = raw.first_chunk::<GIOP_HEADER_LEN>() else {
             // zc-audit: allow(control-plane) — protocol error diagnostic
             return Err(OrbError::Protocol(format!(
                 "short GIOP frame ({} bytes)",
                 raw.len()
             )));
-        }
-        let hdr_bytes: [u8; GIOP_HEADER_LEN] = raw[..GIOP_HEADER_LEN].try_into().expect("checked");
-        let hdr = GiopHeader::decode(&hdr_bytes)?;
+        };
+        let hdr = GiopHeader::decode(hdr_bytes)?;
         if raw.len() != GIOP_HEADER_LEN + hdr.msg_size as usize {
             // zc-audit: allow(control-plane) — protocol error diagnostic
             return Err(OrbError::Protocol(format!(
@@ -562,8 +613,7 @@ impl GiopConn {
                 raw.len() - GIOP_HEADER_LEN
             )));
         }
-        // zc-audit: allow(control-plane) — GIOP control frames carry headers only; payload travels as deposits
-        Ok((hdr, raw[GIOP_HEADER_LEN..].to_vec()))
+        Ok((hdr, raw.slice(GIOP_HEADER_LEN..)))
     }
 
     /// Pull announced deposits (separated path) or extract inline blocks
@@ -669,7 +719,10 @@ impl GiopConn {
         args_enc: CdrEncoder,
     ) -> OrbResult<u32> {
         let (args, deposits) = args_enc.finish();
-        self.send_request_raw(object_key, operation, response_expected, &args, deposits)
+        let id =
+            self.send_request_raw(object_key, operation, response_expected, &args, deposits)?;
+        self.recycle_body(args);
+        Ok(id)
     }
 
     /// Client: send a request from already-finished argument bytes and
@@ -1048,7 +1101,7 @@ impl GiopConn {
                     enc.write_u32(request_id);
                     enc.write_u32(1); // OBJECT_HERE
                     let body = enc.finish_stream();
-                    self.send_framed(MessageType::LocateReply, &body)?;
+                    self.send_framed(MessageType::LocateReply, &body, &[])?;
                     continue;
                 }
                 other => {
@@ -1091,6 +1144,7 @@ impl GiopConn {
         let mut enc = CdrEncoder::new(self.wire_order());
         header.marshal(&mut enc)?;
         self.send_message(MessageType::Reply, enc, &results, deposits)?;
+        self.recycle_body(results);
         self.ctx.telemetry.record(
             TraceLayer::Giop,
             EventKind::ReplySent,
@@ -1148,13 +1202,13 @@ impl GiopConn {
 
     /// Either side: orderly shutdown notification (best effort).
     pub fn send_close(&mut self) {
-        let _ = self.send_framed(MessageType::CloseConnection, &[]);
+        let _ = self.send_framed(MessageType::CloseConnection, &[], &[]);
     }
 
     /// Either side: report an unparseable/oversized message (best effort).
     /// GIOP's answer when there is no request id to attach an exception to.
     pub fn send_message_error(&mut self) {
-        let _ = self.send_framed(MessageType::MessageError, &[]);
+        let _ = self.send_framed(MessageType::MessageError, &[], &[]);
     }
 
     /// Client: ask whether the peer hosts `object_key` (GIOP
@@ -1169,7 +1223,7 @@ impl GiopConn {
         enc.write_u32(request_id);
         enc.write_octet_seq(object_key);
         let body = enc.finish_stream();
-        self.send_framed(MessageType::LocateRequest, &body)?;
+        self.send_framed(MessageType::LocateRequest, &body, &[])?;
         let (msg_type, body, order) = self.recv_message()?;
         if msg_type != MessageType::LocateReply {
             // zc-audit: allow(control-plane) — protocol error diagnostic
@@ -1194,7 +1248,7 @@ impl GiopConn {
         let mut enc = CdrEncoder::new(self.wire_order());
         enc.write_u32(request_id);
         let body = enc.finish_stream();
-        self.send_framed(MessageType::CancelRequest, &body)
+        self.send_framed(MessageType::CancelRequest, &body, &[])
     }
 }
 
@@ -1213,4 +1267,11 @@ impl Drop for GiopConn {
 #[inline]
 fn align_up(n: usize, a: usize) -> usize {
     n.div_ceil(a) * a
+}
+
+/// The bytes of `part`, which starts `at` bytes into a GIOP body, that lie
+/// inside `window` of that body.
+fn part_window<'a>(part: &'a [u8], at: usize, window: &std::ops::Range<usize>) -> &'a [u8] {
+    let clamp = |pos: usize| pos.clamp(at, at + part.len()) - at;
+    &part[clamp(window.start)..clamp(window.end)]
 }

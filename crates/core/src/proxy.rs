@@ -459,6 +459,9 @@ impl StaticRequest {
                         );
                     }
                     let meter = conn.meter();
+                    // The request is answered: its marshal buffer serves
+                    // the connection's next message.
+                    conn.recycle_body(args);
                     drop(conn);
                     if let Some(r) = &target.recovery {
                         r.note_success_and_maybe_reprobe(&target.conn, &policy, &tele);
@@ -686,7 +689,7 @@ impl Reply {
 
 /// Sequential access to a reply's out-values.
 pub struct ReplyResults {
-    body: Vec<u8>,
+    body: ZcBytes,
     offset: usize,
     slots: Vec<Option<ZcBytes>>,
     order: zc_cdr::ByteOrder,

@@ -1,0 +1,305 @@
+//! The copy ledger is true and the heap is quiet.
+//!
+//! The standard configuration's six payload copies are all the copies
+//! there are — nothing between the transport and the decoder, or between
+//! the encoder and the transport, touches the payload unmetered — and in
+//! steady state neither side of an invocation holds more heap than the
+//! values it hands the application. Heap use is measured per thread by the
+//! counting allocator, so the assertions hold at any `--test-threads`.
+
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+
+use zc_buffers::{AlignedBuf, CopyLayer, CopyMeter, ZcBytes};
+use zc_cdr::{CdrDecoder, CdrMarshal, OctetSeq, ZcOctetSeq};
+use zc_giop::Handshake;
+use zc_orb::{ConnTuning, GiopConn, ObjectAdapterExt, Orb, OrbResult, Servant, ServerRequest};
+use zc_test_alloc::{allocations, measure_peak};
+use zc_transport::{Acceptor, ConnStats, Connection, SimConfig, SimNetwork, TResult, TransportCtx};
+
+#[global_allocator]
+static GLOBAL: zc_test_alloc::CountingAlloc = zc_test_alloc::CountingAlloc;
+
+const MIB: usize = 1 << 20;
+/// Everything an invocation may hold besides the values themselves:
+/// headers, service contexts, one burst's frame list.
+const SLACK: usize = 64 << 10;
+
+/// A transport connection that remembers where the last control message it
+/// delivered lies in memory.
+struct Spy {
+    inner: Box<dyn Connection>,
+    delivered: Arc<Mutex<Range<usize>>>,
+}
+
+impl Connection for Spy {
+    fn send_control_vectored(&mut self, parts: &[&[u8]]) -> TResult<()> {
+        self.inner.send_control_vectored(parts)
+    }
+    fn recv_control(&mut self) -> TResult<ZcBytes> {
+        let msg = self.inner.recv_control()?;
+        *self.delivered.lock().unwrap() = msg.start_addr()..msg.start_addr() + msg.len();
+        Ok(msg)
+    }
+    fn send_data(&mut self, block: &ZcBytes) -> TResult<()> {
+        self.inner.send_data(block)
+    }
+    fn recv_data(&mut self, expected_len: usize) -> TResult<ZcBytes> {
+        self.inner.recv_data(expected_len)
+    }
+    fn is_zero_copy(&self) -> bool {
+        self.inner.is_zero_copy()
+    }
+    fn stats(&self) -> ConnStats {
+        self.inner.stats()
+    }
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+    fn set_recv_timeout(&mut self, timeout: Option<std::time::Duration>) -> TResult<()> {
+        self.inner.set_recv_timeout(timeout)
+    }
+}
+
+/// What the serving thread saw of one request.
+struct Served {
+    /// Peak heap above entry, from `recv_request` to the demarshaled value.
+    peak: usize,
+    /// The request body lies inside the buffer the transport delivered.
+    body_in_delivered_buffer: bool,
+}
+
+#[test]
+fn standard_push_makes_six_metered_copies_and_holds_no_extra_heap() {
+    const ROUNDS: u64 = 6;
+    let net = SimNetwork::new(SimConfig::copying());
+    let meter = CopyMeter::new_shared();
+    let ctx = || TransportCtx::with_meter(Arc::clone(&meter));
+    let (server_ctx, client_ctx) = (ctx(), ctx());
+    let listener = net.listen(0, server_ctx.clone()).unwrap();
+    let raw_client = net
+        .connect(listener.endpoint().1, client_ctx.clone())
+        .unwrap();
+    let delivered = Arc::new(Mutex::new(0..0));
+    let raw_server = Box::new(Spy {
+        inner: listener.accept().unwrap(),
+        delivered: Arc::clone(&delivered),
+    });
+
+    let (report, served) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let mut gc = GiopConn::server(
+            raw_server,
+            Handshake::local(false),
+            server_ctx,
+            ConnTuning::default(),
+        )
+        .unwrap();
+        for _ in 0..ROUNDS {
+            let ((req, seq), peak) = measure_peak(|| {
+                let req = gc.recv_request().unwrap();
+                let mut dec = CdrDecoder::new(&req.body, req.order).with_meter(gc.meter());
+                dec.skip(req.args_offset).unwrap();
+                u64::demarshal(&mut dec).unwrap();
+                let seq = OctetSeq::demarshal(&mut dec).unwrap();
+                (req, seq)
+            });
+            let buffer = delivered.lock().unwrap().clone();
+            let body = req.body.start_addr()..req.body.start_addr() + req.body.len();
+            let mut enc = gc.body_encoder();
+            (seq.len() as u64).marshal(&mut enc).unwrap();
+            gc.send_reply_ok(req.header.request_id, enc).unwrap();
+            report
+                .send(Served {
+                    peak,
+                    body_in_delivered_buffer: buffer.start <= body.start && body.end <= buffer.end,
+                })
+                .unwrap();
+        }
+    });
+
+    let mut gc = GiopConn::client(
+        raw_client,
+        Handshake::local(false),
+        client_ctx,
+        ConnTuning::default(),
+    )
+    .unwrap();
+    let staged = OctetSeq((0..MIB).map(|i| (i % 251) as u8).collect());
+    for round in 0..ROUNDS {
+        let before = meter.snapshot();
+        let (ack, client_peak) = measure_peak(|| {
+            let mut enc = gc.body_encoder();
+            round.marshal(&mut enc).unwrap();
+            staged.marshal(&mut enc).unwrap();
+            let id = gc.send_request(b"sink", "push_std", true, enc).unwrap();
+            let reply = gc.recv_reply(id).unwrap();
+            let mut dec = CdrDecoder::new(&reply.body, reply.order);
+            dec.skip(reply.results_offset).unwrap();
+            u64::demarshal(&mut dec).unwrap()
+        });
+        assert_eq!(ack, MIB as u64);
+        let seen = served.recv().unwrap();
+        assert!(
+            seen.body_in_delivered_buffer,
+            "a copy was made between the transport and the decoder"
+        );
+        // The ledger: one payload at each of the six layers and nothing
+        // else but the two messages' header bytes on the stack's layers.
+        let copied = meter.snapshot().since(&before);
+        assert_eq!(copied.bytes(CopyLayer::Marshal), MIB as u64);
+        assert_eq!(copied.bytes(CopyLayer::Demarshal), MIB as u64);
+        let through_stack = copied.bytes(CopyLayer::SocketSend);
+        assert!((MIB as u64..MIB as u64 + 1024).contains(&through_stack));
+        for layer in [
+            CopyLayer::KernelFrag,
+            CopyLayer::KernelDefrag,
+            CopyLayer::SocketRecv,
+        ] {
+            assert_eq!(copied.bytes(layer), through_stack, "{layer:?}");
+        }
+        assert_eq!(copied.overhead_bytes(), 2 * MIB as u64 + 4 * through_stack);
+        // The heap, once the pools and the marshal buffer are warm: the
+        // client holds nothing beyond the sequence it staged beforehand,
+        // the server nothing beyond the sequence it hands the servant.
+        if round >= 2 {
+            assert!(client_peak < SLACK, "client peak {client_peak}");
+            assert!(seen.peak <= MIB + SLACK, "server peak {}", seen.peak);
+        }
+    }
+    drop(gc);
+    server.join().unwrap();
+}
+
+/// Counts the serving thread's allocations per request: the gap between
+/// the thread's allocation count at two consecutive dispatches covers one
+/// whole server cycle (reply, receive, demarshal).
+#[derive(Default)]
+struct Sink {
+    pull_block: Option<ZcBytes>,
+    last_entry: AtomicU64,
+    last_cycle: AtomicU64,
+}
+
+impl Servant for Sink {
+    fn repo_id(&self) -> &'static str {
+        "IDL:zcorba/LedgerSink:1.0"
+    }
+    fn dispatch(&self, op: &str, req: &mut ServerRequest<'_>) -> OrbResult<()> {
+        let now = allocations();
+        let before = self.last_entry.swap(now, Ordering::Relaxed);
+        self.last_cycle.store(now - before, Ordering::Relaxed);
+        let i: u64 = req.arg()?;
+        match op {
+            "push_std" => {
+                let d: OctetSeq = req.arg()?;
+                req.result(&(i + d.len() as u64))
+            }
+            "push_zc" => {
+                let d: ZcOctetSeq = req.arg()?;
+                req.result(&(i + d.len() as u64))
+            }
+            "pull_zc" => {
+                let block = self.pull_block.clone().expect("pull block configured");
+                req.result(&ZcOctetSeq::from_zc(block))
+            }
+            "echo_small" => {
+                let text: String = req.arg()?;
+                let octets: OctetSeq = req.arg()?;
+                req.result(&(i + (text.len() + octets.len()) as u64))
+            }
+            _ => req.bad_operation(op),
+        }
+    }
+}
+
+/// Client- and server-thread allocations of one steady-state invocation.
+fn allocations_per_invoke(
+    cfg: SimConfig,
+    zc: bool,
+    invoke: impl Fn(&zc_orb::ObjectRef, u64) -> OrbResult<u64>,
+) -> (u64, u64) {
+    let net = SimNetwork::new(cfg);
+    let sink = Arc::new(Sink {
+        pull_block: Some(ZcBytes::from_aligned(AlignedBuf::zeroed(MIB))),
+        ..Sink::default()
+    });
+    let server_orb = Orb::builder().sim(net.clone()).zc(zc).build();
+    server_orb.adapter().register("sink", sink.clone());
+    let server = server_orb.serve(0).unwrap();
+    let client = Orb::builder().sim(net).zc(zc).build();
+    let obj = client
+        .resolve(&server.ior_for("sink", "IDL:zcorba/LedgerSink:1.0").unwrap())
+        .unwrap();
+    for i in 0..8 {
+        invoke(&obj, i).unwrap();
+    }
+    let before = allocations();
+    let rounds = 16;
+    for i in 0..rounds {
+        invoke(&obj, 100 + i).unwrap();
+    }
+    let client_allocs = (allocations() - before).div_ceil(rounds);
+    let server_allocs = sink.last_cycle.load(Ordering::Relaxed);
+    drop(obj);
+    server.shutdown();
+    (client_allocs, server_allocs)
+}
+
+/// Per-invoke allocation budgets of the four shapes the benchmark drives
+/// (the counts repeat exactly; the budgets leave a couple of allocations
+/// of slack). Each is below what the per-frame, `Vec`-per-layer control
+/// lane cost — 752/34, 38/43, 49/29 and 35/27 client/server allocations —
+/// so a change that breaks one has put a transient back on the hot path.
+#[test]
+fn steady_state_invocations_stay_within_their_allocation_budgets() {
+    let block = ZcBytes::from_aligned(AlignedBuf::zeroed(MIB));
+    let staged = vec![7u8; MIB];
+
+    let push_std = allocations_per_invoke(SimConfig::copying(), false, |obj, i| {
+        // The standard client stages an owned sequence per call.
+        obj.request("push_std")
+            .arg(&i)?
+            .arg(&OctetSeq(staged.clone()))?
+            .invoke()?
+            .result()
+    });
+    let push_zc = allocations_per_invoke(SimConfig::zero_copy(), true, |obj, i| {
+        obj.request("push_zc")
+            .arg(&i)?
+            .arg(&ZcOctetSeq::from_zc(block.clone()))?
+            .invoke()?
+            .result()
+    });
+    let pull_zc = allocations_per_invoke(SimConfig::zero_copy(), true, |obj, i| {
+        let got: ZcOctetSeq = obj.request("pull_zc").arg(&i)?.invoke()?.result()?;
+        Ok(got.len() as u64)
+    });
+    let echo_small = allocations_per_invoke(SimConfig::zero_copy(), true, |obj, i| {
+        obj.request("echo_small")
+            .arg(&i)?
+            .arg(&"a short string".to_string())?
+            .arg(&OctetSeq(vec![3u8; 64]))?
+            .invoke()?
+            .result()
+    });
+    let measured = [push_std, push_zc, pull_zc, echo_small];
+    let budgets = [(30, 25), (36, 26), (32, 28), (31, 25)];
+    for ((name, (client, server)), (client_max, server_max)) in
+        ["push_std", "push_zc", "pull_zc", "echo_small"]
+            .into_iter()
+            .zip(measured)
+            .zip(budgets)
+    {
+        assert!(
+            client <= client_max,
+            "{name}: client {client} > {client_max}"
+        );
+        assert!(
+            server <= server_max,
+            "{name}: server {server} > {server_max}"
+        );
+    }
+}

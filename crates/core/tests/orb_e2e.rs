@@ -609,6 +609,7 @@ fn oversized_inline_payload_is_fragmented_transparently() {
     let obj = f.obj();
     let n = 6 << 20;
     let pattern = patterned(n);
+    let before = f.meter.snapshot();
     let reply = obj
         .request("echo_std")
         .arg(&OctetSeq(pattern.clone()))
@@ -617,6 +618,13 @@ fn oversized_inline_payload_is_fragmented_transparently() {
         .unwrap();
     let back: OctetSeq = reply.result().unwrap();
     assert_eq!(back.0, pattern);
+    // Putting the fragments of a message back together is a copy, and it
+    // is on the ledger: in each direction one more defragmentation pass
+    // than the stack's own.
+    let copied = f.meter.snapshot().since(&before);
+    assert!(
+        copied.bytes(CopyLayer::KernelDefrag) >= copied.bytes(CopyLayer::SocketRecv) + 2 * n as u64
+    );
     // and again over the coupled-data ablation, where a ZC payload rides
     // inline in the control message
     let net = SimNetwork::new(SimConfig::zero_copy());

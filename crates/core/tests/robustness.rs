@@ -233,6 +233,58 @@ fn truncated_giop_request_is_survivable() {
 }
 
 #[test]
+fn endless_fragment_train_is_cut_off_at_one_legal_message() {
+    use zc_giop::{GiopHeader, GiopVersion, MessageType, GIOP_HEADER_LEN, MAX_GIOP_MESSAGE};
+    let meter = CopyMeter::new_shared();
+    let (obj, server, _client, net) = fixture(Arc::clone(&meter));
+    {
+        let mut conn = net.connect(server.port(), TransportCtx::new()).unwrap();
+        conn.send_control(&Handshake::local(true).encode()).unwrap();
+        let _hello = conn.recv_control().unwrap();
+        // Every fragment is legal on its own and promises another one; the
+        // server must stop holding them once their sum passes the cap,
+        // answer MessageError and hang up — not reassemble without bound.
+        let chunk = vec![0u8; 16 << 20];
+        let fragments = MAX_GIOP_MESSAGE as usize / chunk.len() + 1;
+        for i in 0..fragments {
+            let kind = if i == 0 {
+                MessageType::Request
+            } else {
+                MessageType::Fragment
+            };
+            let mut hdr = GiopHeader::new(
+                GiopVersion::V1_2,
+                zc_cdr::ByteOrder::native(),
+                kind,
+                chunk.len() as u32,
+            );
+            hdr.flags.more_fragments = true;
+            conn.send_control_vectored(&[&hdr.encode(), &chunk])
+                .unwrap();
+        }
+        let answer = conn.recv_control().unwrap();
+        let hdr = GiopHeader::decode(answer.first_chunk::<GIOP_HEADER_LEN>().unwrap()).unwrap();
+        assert_eq!(hdr.msg_type, MessageType::MessageError);
+    }
+    // healthy client unaffected
+    let frame = TaggedFrame {
+        stream_id: 3,
+        pts: 3,
+        pixels: ZcOctetSeq::with_length(16),
+        label: "bounded".into(),
+    };
+    let back: TaggedFrame = obj
+        .request("swap")
+        .arg(&frame)
+        .unwrap()
+        .invoke()
+        .unwrap()
+        .result()
+        .unwrap();
+    assert_eq!(back.label, "BOUNDED");
+}
+
+#[test]
 fn rapid_connect_disconnect_churn() {
     let meter = CopyMeter::new_shared();
     let (obj, server, client, net) = fixture(Arc::clone(&meter));

@@ -35,8 +35,8 @@ pub use ior::{
     IiopProfile, Ior, TaggedComponent, TaggedProfile, MAX_IOR_PROFILES, MAX_PROFILE_COMPONENTS,
 };
 pub use msg::{
-    fragment_frames, frame as frame_msg, reassemble, GiopFlags, GiopHeader, GiopVersion,
-    MessageType, GIOP_HEADER_LEN, GIOP_MAGIC,
+    fragment_frames, fragment_plan, frame as frame_msg, reassemble, GiopFlags, GiopHeader,
+    GiopVersion, MessageType, GIOP_HEADER_LEN, GIOP_MAGIC,
 };
 pub use reply::{ReplyHeader, ReplyStatus, SystemException, SystemExceptionKind};
 pub use request::RequestHeader;

@@ -190,6 +190,38 @@ impl GiopHeader {
     }
 }
 
+/// The fragment train of a `body_len`-byte GIOP body: for each frame, its
+/// header and the range of body bytes it carries. Bodies of at most
+/// `max_body` bytes travel as one complete message; larger ones as a first
+/// message plus `Fragment` continuations of at most `max_body` bytes each,
+/// with the more-fragments bit set on all but the last (GIOP 1.2).
+///
+/// This is the one fragmentation routine: [`fragment_frames`] materializes
+/// its frames, the ORB's connection sends each frame's header and window
+/// as parts of one vectored control send without building them.
+pub fn fragment_plan(
+    version: GiopVersion,
+    order: ByteOrder,
+    msg_type: MessageType,
+    body_len: usize,
+    max_body: usize,
+) -> impl Iterator<Item = (GiopHeader, std::ops::Range<usize>)> {
+    assert!(max_body > 0, "fragment body size must be positive");
+    // An empty body is still one (header-only) frame.
+    let count = body_len.div_ceil(max_body).max(1);
+    (0..count).map(move |i| {
+        let window = i * max_body..body_len.min((i + 1) * max_body);
+        let mt = if i == 0 {
+            msg_type
+        } else {
+            MessageType::Fragment
+        };
+        let mut header = GiopHeader::new(version, order, mt, window.len() as u32);
+        header.flags.more_fragments = i + 1 != count;
+        (header, window)
+    })
+}
+
 /// Frame a complete GIOP message: header followed by body.
 pub fn frame(
     version: GiopVersion,
@@ -198,18 +230,21 @@ pub fn frame(
     body: &[u8],
 ) -> Vec<u8> {
     let header = GiopHeader::new(version, order, msg_type, body.len() as u32);
+    materialize(&header, body)
+}
+
+/// One frame as owned bytes: the encoded `header`, then `body`.
+fn materialize(header: &GiopHeader, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(GIOP_HEADER_LEN + body.len());
     // zc-audit: allow(control-plane) — 12-byte header prefix
     out.extend_from_slice(&header.encode());
-    // zc-audit: allow(copy) — control frames aggregate header+body into one send buffer; accounted as SocketSend
+    // zc-audit: allow(copy) — owned frames for tests, goldens and the benchmark ladder; the connection sends header and body as parts of one vectored send, gathered by the stack's SocketSend copy
     out.extend_from_slice(body);
     out
 }
 
-/// Split a large body into a first message plus `Fragment` continuations of
-/// at most `max_body` bytes each, setting the more-fragments bit on all but
-/// the last. GIOP 1.2 semantics (fragments carry the request id as their
-/// first ulong; callers include it in each chunk).
+/// [`fragment_plan`] as owned frames (the request id GIOP 1.2 wants at the
+/// head of each fragment is the caller's to include in `body`).
 pub fn fragment_frames(
     version: GiopVersion,
     order: ByteOrder,
@@ -217,29 +252,9 @@ pub fn fragment_frames(
     body: &[u8],
     max_body: usize,
 ) -> Vec<Vec<u8>> {
-    assert!(max_body > 0, "fragment body size must be positive");
-    if body.len() <= max_body {
-        return vec![frame(version, order, msg_type, body)];
-    }
-    let mut frames = Vec::new();
-    let chunks: Vec<&[u8]> = body.chunks(max_body).collect();
-    let last = chunks.len() - 1;
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        let mt = if i == 0 {
-            msg_type
-        } else {
-            MessageType::Fragment
-        };
-        let mut header = GiopHeader::new(version, order, mt, chunk.len() as u32);
-        header.flags.more_fragments = i != last;
-        let mut f = Vec::with_capacity(GIOP_HEADER_LEN + chunk.len());
-        // zc-audit: allow(control-plane) — per-fragment 12-byte header
-        f.extend_from_slice(&header.encode());
-        // zc-audit: allow(copy) — software fragmentation copies each chunk; this models the KernelFrag layer
-        f.extend_from_slice(chunk);
-        frames.push(f);
-    }
-    frames
+    fragment_plan(version, order, msg_type, body.len(), max_body)
+        .map(|(header, window)| materialize(&header, &body[window]))
+        .collect()
 }
 
 /// Reassemble frames produced by [`fragment_frames`] back into

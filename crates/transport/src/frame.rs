@@ -2,9 +2,11 @@
 //!
 //! The simulated NIC moves [`Frame`]s. A frame is an MTU-bounded unit with a
 //! small header (the Ethernet/IP/TCP headers of the real stack, abstracted
-//! to the fields the receiver needs) and a payload that is either *copied*
-//! bytes (conventional driver: fragmentation forced a copy) or a *reference*
-//! to pages of the original user buffer (zero-copy driver).
+//! to the fields the receiver needs) and a payload that is a *reference* —
+//! to the frame's window of the slab the conventional driver's
+//! fragmentation copy laid the fragments out in, or to pages of the
+//! original user buffer (zero-copy driver) — or, where the fault injector
+//! damaged a frame, privately *copied* bytes.
 
 use zc_buffers::ZcBytes;
 
@@ -28,9 +30,11 @@ pub enum Lane {
 /// Frame payload representation.
 #[derive(Debug, Clone)]
 pub enum FramePayload {
-    /// Bytes that were copied into the frame by the (simulated) driver.
+    /// Bytes the frame owns: a fragment the fault injector detached from
+    /// the sender's pages before damaging it (or an empty block's nothing).
     Copied(Vec<u8>),
-    /// A zero-copy reference to a slice of the sender's buffer.
+    /// A reference to a slice of a sender-side buffer: the driver's
+    /// fragment slab (copying stack) or the user's pages (zero-copy stack).
     Referenced(ZcBytes),
 }
 

@@ -5,8 +5,12 @@
 //! transfer all buffering can be omitted". Every transport here exposes
 //! that separation in its interface:
 //!
-//! * **control messages** — small, framed byte strings (GIOP headers,
-//!   handshakes). They synchronize; they never carry bulk payload.
+//! * **control messages** — framed byte strings (GIOP messages,
+//!   handshakes). They synchronize; under the all-zero-copy configuration
+//!   they never carry bulk payload, under the standard one the marshaled
+//!   payload rides inline. Either way they are sent as a gather list and
+//!   received as a view of pooled pages, so the only copies a control
+//!   message meets are the stack's own, metered ones.
 //! * **data blocks** — page-aligned [`ZcBytes`] payloads announced in
 //!   advance by a control message, so the receiver can direct them to
 //!   their final destination.
@@ -102,11 +106,20 @@ pub type TResult<T> = Result<T, TransportError>;
 /// time (the ORB serializes request/reply exchanges per connection and
 /// opens additional connections for concurrency).
 pub trait Connection: Send {
-    /// Send one framed control message (small: headers, handshakes).
-    fn send_control(&mut self, msg: &[u8]) -> TResult<()>;
+    /// Send one framed control message.
+    fn send_control(&mut self, msg: &[u8]) -> TResult<()> {
+        self.send_control_vectored(&[msg])
+    }
 
-    /// Receive one framed control message, blocking.
-    fn recv_control(&mut self) -> TResult<Vec<u8>>;
+    /// Send one framed control message given as consecutive `parts` (GIOP
+    /// header, request header, arguments): the stack gathers them with the
+    /// copy it makes anyway, so the caller never concatenates.
+    fn send_control_vectored(&mut self, parts: &[&[u8]]) -> TResult<()>;
+
+    /// Receive one framed control message, blocking. The bytes lie in a
+    /// pooled buffer the stack's last copy landed them in; slicing the view
+    /// (to strip a header, say) copies nothing.
+    fn recv_control(&mut self) -> TResult<ZcBytes>;
 
     /// Send one bulk data block on the data path. On a zero-copy transport
     /// no payload byte is touched.

@@ -1,11 +1,11 @@
 //! The in-process simulated network stack.
 //!
 //! [`SimNetwork`] is a process-local "cluster interconnect": listeners bind
-//! ports, connectors dial them, and each connection is a pair of
-//! frame-carrying channels (the wire). What makes it a *simulation of the
-//! paper's kernel stacks* — rather than a mere message queue — is that the
-//! per-layer work of the two stack configurations is **actually performed**
-//! on real memory, through the copy meter:
+//! ports, connectors dial them, and each connection is a pair of channels
+//! (the wire) carrying frames a block's burst at a time. What makes it a
+//! *simulation of the paper's kernel stacks* — rather than a mere message
+//! queue — is that the per-layer work of the two stack configurations is
+//! **actually performed** on real memory, through the copy meter:
 //!
 //! * [`StackMode::Copying`] — the conventional path of Figure 1. Sending a
 //!   block really copies it user→kernel ([`CopyLayer::SocketSend`]), really
@@ -13,7 +13,9 @@
 //!   ([`CopyLayer::KernelFrag`]); receiving really reassembles fragments
 //!   into a kernel buffer ([`CopyLayer::KernelDefrag`]) and really copies
 //!   kernel→user ([`CopyLayer::SocketRecv`]). Four full traversals of the
-//!   payload, exactly the per-byte overhead the paper attacks.
+//!   payload, exactly the per-byte overhead the paper attacks — and no
+//!   fifth: every one of those buffers is a pooled page run, so the stack
+//!   touches the heap for nothing but a burst's frame list.
 //!
 //! * [`StackMode::ZeroCopy`] — the speculative-defragmentation path \[10\].
 //!   Payload pages cross the wire *by reference* (page-granular fragments
@@ -33,7 +35,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use zc_buffers::{CopyLayer, ZcBytes, PAGE_SIZE};
+use zc_buffers::{CopyLayer, PooledBuf, ZcBytes, PAGE_SIZE};
 
 use zc_trace::{EventKind, TraceLayer};
 
@@ -335,9 +337,9 @@ impl SimNetwork {
 
         let conn_id = self.inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let cfg = self.inner.config;
-        // Two unidirectional frame channels form the full-duplex wire.
-        let (c2s_tx, c2s_rx) = unbounded::<Frame>();
-        let (s2c_tx, s2c_rx) = unbounded::<Frame>();
+        // Two unidirectional burst channels form the full-duplex wire.
+        let (c2s_tx, c2s_rx) = unbounded::<Burst>();
+        let (s2c_tx, s2c_rx) = unbounded::<Burst>();
 
         let client = SimConn::new(
             // zc-audit: allow(control-plane) — peer name, built once per connection
@@ -393,8 +395,8 @@ impl std::fmt::Debug for SimNetwork {
 struct PendingHalf {
     peer: String,
     cfg: SimConfig,
-    tx: Sender<Frame>,
-    rx: Receiver<Frame>,
+    tx: Sender<Burst>,
+    rx: Receiver<Burst>,
     seed_salt: u64,
     faults: Arc<FaultState>,
 }
@@ -437,11 +439,12 @@ impl Drop for SimListener {
 /// total must error out, never size an allocation.
 pub const MAX_SIM_BLOCK_BYTES: u64 = 1 << 30;
 
-/// Re-validate a wire-announced block length at the allocation site.
+/// Re-validate a block's wire-announced length at the allocation site.
 /// `recv_block_frames` checks the first fragment's total too, but every
 /// allocation clamps locally so no refactor of the call path can let an
 /// unchecked announcement size a buffer (wire-taint invariant).
-fn checked_block_len(total: u64) -> TResult<usize> {
+fn checked_block_len(frames: &[Frame]) -> TResult<usize> {
+    let total = frames.first().map_or(0, |f| f.total_len);
     if total > MAX_SIM_BLOCK_BYTES {
         // zc-audit: allow(control-plane) — protocol error diagnostic
         return Err(TransportError::Protocol(format!(
@@ -467,15 +470,24 @@ fn checked_span(offset: u64, len: usize, total: usize) -> TResult<std::ops::Rang
         })
 }
 
+/// What one `send_control`/`send_data` call puts on the wire: the frames
+/// of its block, handed to the peer in one channel operation with at most
+/// one wake-up — the driver taking a block's fragments per interrupt, not
+/// per frame. A burst is a *delivery* unit only: faults, frame indices,
+/// stamps and counters stay per frame, and a fault can split a block over
+/// bursts (a cut delivers the prefix; a delayed frame rides the next one).
+type Burst = Vec<Frame>;
+
 /// One endpoint of a simulated connection.
 pub struct SimConn {
     peer: String,
     cfg: SimConfig,
     ctx: TransportCtx,
     /// `None` once the outgoing wire was severed by a fault.
-    tx: Option<Sender<Frame>>,
-    rx: Receiver<Frame>,
-    /// Frames received for the other lane while waiting on one lane.
+    tx: Option<Sender<Burst>>,
+    rx: Receiver<Burst>,
+    /// Frames that left the wire but that no block has claimed yet: the
+    /// other lane's while waiting on one lane, or bursts a fault split.
     pending_control: VecDeque<Frame>,
     pending_data: VecDeque<Frame>,
     next_block_id: u64,
@@ -504,8 +516,8 @@ impl SimConn {
         peer: String,
         cfg: SimConfig,
         ctx: TransportCtx,
-        tx: Sender<Frame>,
-        rx: Receiver<Frame>,
+        tx: Sender<Burst>,
+        rx: Receiver<Burst>,
         seed_salt: u64,
         is_client: bool,
         faults: Arc<FaultState>,
@@ -573,19 +585,48 @@ impl SimConn {
         self.stats = StatsCell::with_telemetry(self.ctx.conn_mirror());
     }
 
-    fn alloc_block_id(&mut self) -> u64 {
-        let id = self.next_block_id;
-        self.next_block_id += 1;
-        id
-    }
-
-    /// Put one frame on the wire, running it through the live fault plan
-    /// first.
-    fn send_frame(&mut self, frame: Frame) -> TResult<()> {
+    /// Send one block: its fragments, each `(offset, payload)`, every one
+    /// run through the live fault plan, all handed over as one burst.
+    fn send_block(
+        &mut self,
+        lane: Lane,
+        total_len: usize,
+        fragments: impl Iterator<Item = (usize, FramePayload)>,
+    ) -> TResult<()> {
         if self.wire_cut {
             return Err(TransportError::Closed);
         }
         self.refresh_fault_plan();
+        let block_id = self.next_block_id;
+        self.next_block_id += 1;
+        // Trace-clock stamp for the whole block; `0` (untraced) when
+        // telemetry is disabled so the hot path never reads the clock.
+        let sent_ns = if self.ctx.telemetry.is_enabled() {
+            zc_trace::now_ns()
+        } else {
+            0
+        };
+        // Pre-sized (every caller's iterator knows its length): growing the
+        // burst frame by frame costs more allocations than the per-frame
+        // hand-off it replaces.
+        let mut burst =
+            Vec::with_capacity(fragments.size_hint().0 + usize::from(self.delayed.is_some()));
+        for (offset, payload) in fragments {
+            let frame = Frame {
+                lane,
+                block_id,
+                offset: offset as u64,
+                total_len: total_len as u64,
+                sent_ns,
+                payload,
+            };
+            self.stage_frame(frame, &mut burst)?;
+        }
+        self.put_on_wire(burst)
+    }
+
+    /// Run one frame through the live fault plan and stage it in `burst`.
+    fn stage_frame(&mut self, mut frame: Frame, burst: &mut Burst) -> TResult<()> {
         let plan = self.active_plan;
         if plan.applies_to(self.is_client) {
             let n = self.frames_since_fault;
@@ -593,10 +634,11 @@ impl SimConn {
             if (plan.cut_after_frames.is_some_and(|k| n >= k) && self.take_trip())
                 || (plan.drop_prob > 0.0 && self.fault_rng.gen::<f64>() < plan.drop_prob)
             {
+                // The frames before the cut made it onto the wire.
+                let _ = self.put_on_wire(std::mem::take(burst));
                 self.cut();
                 return Err(TransportError::Closed);
             }
-            let mut frame = frame;
             if plan.corrupt_frame == Some(n) && self.take_trip() {
                 Self::corrupt_payload(&mut frame);
             }
@@ -607,22 +649,28 @@ impl SimConn {
                 self.delayed = Some(frame);
                 return Ok(());
             }
-            self.put_on_wire(frame)?;
-        } else {
-            self.put_on_wire(frame)?;
         }
+        burst.push(frame);
         if let Some(held) = self.delayed.take() {
-            self.put_on_wire(held)?;
+            burst.push(held);
         }
         Ok(())
     }
 
-    fn put_on_wire(&mut self, frame: Frame) -> TResult<()> {
-        self.stats.add(TransportField::FramesSent, 1);
+    /// Hand a burst to the peer: one channel operation, one wake-up.
+    fn put_on_wire(&mut self, burst: Burst) -> TResult<()> {
+        if burst.is_empty() {
+            // Its only frame is being held back by `delay_frame`.
+            return Ok(());
+        }
         self.stats
-            .add(TransportField::WireBytesSent, frame.wire_bytes() as u64);
+            .add(TransportField::FramesSent, burst.len() as u64);
+        self.stats.add(
+            TransportField::WireBytesSent,
+            burst.iter().map(|f| f.wire_bytes() as u64).sum(),
+        );
         match &self.tx {
-            Some(tx) => tx.send(frame).map_err(|_| TransportError::Closed),
+            Some(tx) => tx.send(burst).map_err(|_| TransportError::Closed),
             None => Err(TransportError::Closed),
         }
     }
@@ -658,129 +706,124 @@ impl SimConn {
         };
     }
 
-    /// Trace-clock stamp for frames about to go on the wire; `0` (untraced)
-    /// when telemetry is disabled so the hot path never reads the clock.
-    fn wire_stamp(&self) -> u64 {
-        if self.ctx.telemetry.is_enabled() {
-            zc_trace::now_ns()
-        } else {
-            0
+    /// `write()`: gather `parts` across the user/kernel boundary into one
+    /// buffer of the socket page pool.
+    fn socket_send(&self, parts: &[&[u8]], total: usize) -> PooledBuf {
+        let mut kernel_buf = self.ctx.pool.acquire(total.max(1));
+        kernel_buf.set_len(total);
+        let mut at = 0;
+        for part in parts.iter().filter(|p| !p.is_empty()) {
+            self.ctx.meter.copy(
+                CopyLayer::SocketSend,
+                &mut kernel_buf.as_mut_slice()[at..at + part.len()],
+                part,
+            );
+            at += part.len();
         }
+        kernel_buf
     }
 
     /// The conventional send path: user→kernel copy, then fragmentation
     /// with per-frame copies.
-    fn send_bytes_copying(&mut self, lane: Lane, bytes: &[u8]) -> TResult<()> {
-        let meter = Arc::clone(&self.ctx.meter);
-        // write(): cross the user/kernel boundary into the socket page pool.
-        let mut kernel_buf = self.ctx.pool.acquire(bytes.len().max(1));
-        kernel_buf.set_len(bytes.len());
-        meter.copy(CopyLayer::SocketSend, kernel_buf.as_mut_slice(), bytes);
-
-        let block_id = self.alloc_block_id();
-        let total_len = bytes.len() as u64;
+    fn send_bytes_copying(&mut self, lane: Lane, parts: &[&[u8]]) -> TResult<()> {
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        let kernel_buf = self.socket_send(parts, total);
+        if total == 0 {
+            let empty = std::iter::once((0, FramePayload::Copied(Vec::new())));
+            return self.send_block(lane, 0, empty);
+        }
+        // Driver fragmentation: header insertion forces a copy of every
+        // fragment. One pass lays them out in a second pooled slab, and
+        // each frame references its window of it.
         let mtu = self.cfg.mtu_payload;
-        let sent_ns = self.wire_stamp();
-        if bytes.is_empty() {
-            return self.send_frame(Frame {
-                lane,
-                block_id,
-                offset: 0,
-                total_len: 0,
-                sent_ns,
-                payload: FramePayload::Copied(Vec::new()),
-            });
+        let mut slab = self.ctx.pool.acquire(total);
+        slab.set_len(total);
+        for (frag, src) in slab
+            .as_mut_slice()
+            .chunks_mut(mtu)
+            .zip(kernel_buf.as_slice().chunks(mtu))
+        {
+            self.ctx.meter.copy(CopyLayer::KernelFrag, frag, src);
         }
-        let mut offset = 0usize;
-        while offset < bytes.len() {
-            let end = (offset + mtu).min(bytes.len());
-            // Driver fragmentation: header insertion forces a copy of the
-            // fragment into the frame.
-            let mut frag = vec![0u8; end - offset];
-            meter.copy(
-                CopyLayer::KernelFrag,
-                &mut frag,
-                &kernel_buf.as_slice()[offset..end],
-            );
-            self.send_frame(Frame {
-                lane,
-                block_id,
-                offset: offset as u64,
-                total_len,
-                sent_ns,
-                payload: FramePayload::Copied(frag),
-            })?;
-            offset = end;
-        }
-        Ok(())
+        drop(kernel_buf);
+        let slab = slab.freeze();
+        let windows = (0..total).step_by(mtu).map(|at| {
+            (
+                at,
+                FramePayload::Referenced(slab.slice(at..total.min(at + mtu))),
+            )
+        });
+        self.send_block(lane, total, windows)
     }
 
     /// The zero-copy send path for data blocks: page-granular referenced
     /// fragments, no byte touched.
     fn send_block_zero_copy(&mut self, block: &ZcBytes) -> TResult<()> {
-        let block_id = self.alloc_block_id();
-        let total_len = block.len() as u64;
-        let sent_ns = self.wire_stamp();
         if block.is_empty() {
-            return self.send_frame(Frame {
-                lane: Lane::Data,
-                block_id,
-                offset: 0,
-                total_len: 0,
-                sent_ns,
-                payload: FramePayload::Copied(Vec::new()),
-            });
+            let empty = std::iter::once((0, FramePayload::Copied(Vec::new())));
+            return self.send_block(Lane::Data, 0, empty);
         }
-        let mut offset = 0u64;
-        for chunk in block.chunks(PAGE_SIZE) {
-            let len = chunk.len() as u64;
-            self.send_frame(Frame {
-                lane: Lane::Data,
-                block_id,
-                offset,
-                total_len,
-                sent_ns,
-                payload: FramePayload::Referenced(chunk),
-            })?;
-            offset += len;
-        }
-        Ok(())
+        let pages = block
+            .chunks(PAGE_SIZE)
+            .enumerate()
+            .map(|(i, page)| (i * PAGE_SIZE, FramePayload::Referenced(page)));
+        self.send_block(Lane::Data, block.len(), pages)
     }
 
-    /// Pull the next frame belonging to `lane`, buffering frames of the
-    /// other lane (control and data may interleave on the wire).
-    fn next_frame(&mut self, lane: Lane) -> TResult<Frame> {
-        let pending = match lane {
+    /// Take the next burst off the wire, blocking up to the receive
+    /// timeout. Wire bytes are accounted as they leave the wire, whichever
+    /// lane they belong to.
+    fn recv_burst(&mut self) -> TResult<Burst> {
+        let burst = match self.recv_timeout {
+            None => self.rx.recv().map_err(|_| TransportError::Closed)?,
+            Some(d) => self.rx.recv_timeout(d).map_err(|e| match e {
+                crossbeam::channel::RecvTimeoutError::Timeout => TransportError::Timeout,
+                crossbeam::channel::RecvTimeoutError::Disconnected => TransportError::Closed,
+            })?,
+        };
+        self.stats.add(
+            TransportField::WireBytesRecv,
+            burst.iter().map(|f| f.wire_bytes() as u64).sum(),
+        );
+        Ok(burst)
+    }
+
+    fn pending(&mut self, lane: Lane) -> &mut VecDeque<Frame> {
+        match lane {
             Lane::Control => &mut self.pending_control,
             Lane::Data => &mut self.pending_data,
-        };
-        if let Some(f) = pending.pop_front() {
-            return Ok(f);
         }
+    }
+
+    /// Pull the next frame belonging to `lane`, parking frames of the
+    /// other lane (control and data may interleave on the wire).
+    fn next_frame(&mut self, lane: Lane) -> TResult<Frame> {
         loop {
-            let f = match self.recv_timeout {
-                None => self.rx.recv().map_err(|_| TransportError::Closed)?,
-                Some(d) => self.rx.recv_timeout(d).map_err(|e| match e {
-                    crossbeam::channel::RecvTimeoutError::Timeout => TransportError::Timeout,
-                    crossbeam::channel::RecvTimeoutError::Disconnected => TransportError::Closed,
-                })?,
-            };
-            // Wire bytes are accounted as they leave the wire, whichever
-            // lane they belong to.
-            self.stats
-                .add(TransportField::WireBytesRecv, f.wire_bytes() as u64);
-            if f.lane == lane {
+            if let Some(f) = self.pending(lane).pop_front() {
                 return Ok(f);
             }
-            match f.lane {
-                Lane::Control => self.pending_control.push_back(f),
-                Lane::Data => self.pending_data.push_back(f),
+            for f in self.recv_burst()? {
+                self.pending(f.lane).push_back(f);
             }
         }
     }
 
     /// Collect all fragments of the next block on `lane`.
     fn recv_block_frames(&mut self, lane: Lane) -> TResult<Vec<Frame>> {
+        // The common case: nothing parked for the lane and the next burst
+        // is exactly one sound block of it. Its vector becomes the block's
+        // frame list as it is.
+        while self.pending(lane).is_empty() {
+            let burst = self.recv_burst()?;
+            if is_whole_block(&burst, lane) {
+                return Ok(burst);
+            }
+            for f in burst {
+                self.pending(f.lane).push_back(f);
+            }
+        }
+        // Otherwise (the other lane's block came first, a fault split or
+        // damaged a burst) assemble, and judge, frame by frame.
         let first = self.next_frame(lane)?;
         let block_id = first.block_id;
         let total = first.total_len;
@@ -822,29 +865,43 @@ impl SimConn {
         Ok(frames)
     }
 
-    /// The conventional receive path: defragment into a kernel buffer, then
-    /// copy kernel→user.
-    fn reassemble_copying(&mut self, frames: &[Frame]) -> TResult<ZcBytes> {
-        let meter = Arc::clone(&self.ctx.meter);
-        let total = checked_block_len(frames.first().map_or(0, |f| f.total_len))?;
-        // Defragmentation: fragments are copied off the receive ring into a
-        // contiguous kernel buffer.
-        let mut kernel_buf = vec![0u8; total];
+    /// Copy a block's fragments, each to its offset, into one pooled
+    /// buffer, metered at `layer`.
+    fn copy_out(&self, frames: &[Frame], layer: CopyLayer) -> TResult<PooledBuf> {
+        let total = checked_block_len(frames)?;
+        let mut buf = self.ctx.pool.acquire(total.max(1));
+        buf.set_len(total);
         for f in frames {
             let payload = f.payload.as_slice();
             let span = checked_span(f.offset, payload.len(), total)?;
-            meter.copy(CopyLayer::KernelDefrag, &mut kernel_buf[span], payload);
+            self.ctx
+                .meter
+                .copy(layer, &mut buf.as_mut_slice()[span], payload);
         }
+        Ok(buf)
+    }
+
+    /// The conventional receive path: defragment into a kernel buffer, then
+    /// copy kernel→user.
+    fn reassemble_copying(&mut self, frames: &[Frame]) -> TResult<ZcBytes> {
+        let total = checked_block_len(frames)?;
+        // Defragmentation: fragments are copied off the receive ring into a
+        // contiguous kernel buffer.
+        let kernel_buf = self.copy_out(frames, CopyLayer::KernelDefrag)?;
         // read(): kernel→user copy into an aligned application buffer.
         let mut user_buf = self.ctx.pool.acquire(total.max(1));
         user_buf.set_len(total);
-        meter.copy(CopyLayer::SocketRecv, user_buf.as_mut_slice(), &kernel_buf);
+        self.ctx.meter.copy(
+            CopyLayer::SocketRecv,
+            user_buf.as_mut_slice(),
+            kernel_buf.as_slice(),
+        );
         Ok(user_buf.freeze())
     }
 
     /// The zero-copy receive path: speculate that fragments landed in place.
     fn reassemble_zero_copy(&mut self, frames: Vec<Frame>) -> TResult<ZcBytes> {
-        let total = checked_block_len(frames.first().map_or(0, |f| f.total_len))?;
+        let total = checked_block_len(&frames)?;
         if total == 0 {
             return Ok(ZcBytes::empty());
         }
@@ -862,32 +919,30 @@ impl SimConn {
             speculation_ok = false;
         }
         if speculation_ok {
-            let parts: Option<Vec<ZcBytes>> = frames
-                .iter()
-                .map(|f| match &f.payload {
-                    // zc-audit: allow(cheap-clone) — ZcBytes view into the frame, no payload bytes move
-                    FramePayload::Referenced(z) => Some(z.clone()),
+            let pages = || {
+                frames.iter().filter_map(|f| match &f.payload {
+                    FramePayload::Referenced(z) => Some(z),
                     FramePayload::Copied(_) => None,
                 })
-                .collect();
-            if let Some(parts) = parts {
-                // The speculative-defragmentation hardware places payload at
-                // page granularity: a block that does not start on a page
-                // boundary can never land in place (paper [10]; ablation A2
-                // exercises exactly this constraint).
-                let aligned = parts.first().is_some_and(|p| p.is_page_aligned());
-                if aligned {
-                    if let Some(joined) = ZcBytes::join_contiguous(&parts) {
-                        self.stats.add(TransportField::SpecHits, 1);
-                        self.ctx.telemetry.record(
-                            TraceLayer::Transport,
-                            EventKind::SpecHit,
-                            self.trace_conn,
-                            0,
-                            total as u64,
-                        );
-                        return Ok(joined);
-                    }
+            };
+            // A fragment the wire damaged was detached from the sender's
+            // pages and cannot land in place. Nor can a block that does not
+            // start on a page boundary: the speculative-defragmentation
+            // hardware places payload at page granularity (paper [10];
+            // ablation A2 exercises exactly this constraint).
+            let referenced = pages().count() == frames.len();
+            let aligned = pages().next().is_some_and(|p| p.is_page_aligned());
+            if referenced && aligned {
+                if let Some(joined) = ZcBytes::join_contiguous(pages()) {
+                    self.stats.add(TransportField::SpecHits, 1);
+                    self.ctx.telemetry.record(
+                        TraceLayer::Transport,
+                        EventKind::SpecHit,
+                        self.trace_conn,
+                        0,
+                        total as u64,
+                    );
+                    return Ok(joined);
                 }
             }
         }
@@ -901,72 +956,58 @@ impl SimConn {
             0,
             total as u64,
         );
-        let meter = Arc::clone(&self.ctx.meter);
-        let mut buf = self.ctx.pool.acquire(total);
-        buf.set_len(total);
-        for f in &frames {
-            let payload = f.payload.as_slice();
-            let span = checked_span(f.offset, payload.len(), total)?;
-            meter.copy(
-                CopyLayer::DepositFallback,
-                &mut buf.as_mut_slice()[span],
-                payload,
-            );
-        }
-        Ok(buf.freeze())
+        Ok(self.copy_out(&frames, CopyLayer::DepositFallback)?.freeze())
     }
 }
 
+/// Whether `burst` is exactly one sound block of `lane`: every frame of
+/// that lane and of one block, no empty continuation, and payloads that
+/// reach the announced (and capped) total with the last frame, not before.
+/// Anything else goes through the frame-by-frame path, which names what is
+/// wrong with it.
+fn is_whole_block(burst: &[Frame], lane: Lane) -> bool {
+    let Some(first) = burst.first() else {
+        return false;
+    };
+    let total = first.total_len;
+    let mut got = 0u64;
+    for (i, f) in burst.iter().enumerate() {
+        let continues = i == 0 || (got < total && !f.payload.is_empty());
+        if f.lane != lane || f.block_id != first.block_id || !continues {
+            return false;
+        }
+        got = got.saturating_add(f.payload.len() as u64);
+    }
+    got == total && total <= MAX_SIM_BLOCK_BYTES
+}
+
 impl Connection for SimConn {
-    fn send_control(&mut self, msg: &[u8]) -> TResult<()> {
+    fn send_control_vectored(&mut self, parts: &[&[u8]]) -> TResult<()> {
+        let total: usize = parts.iter().map(|p| p.len()).sum();
         self.stats.add(TransportField::ControlSent, 1);
-        self.stats.add(TransportField::BytesSent, msg.len() as u64);
+        self.stats.add(TransportField::BytesSent, total as u64);
         match self.cfg.mode {
-            StackMode::Copying => self.send_bytes_copying(Lane::Control, msg),
+            StackMode::Copying => self.send_bytes_copying(Lane::Control, parts),
             StackMode::ZeroCopy => {
-                // Control messages are small; the zero-copy stack still
-                // moves them through the socket (one metered copy), but
-                // skips the pagepool and fragmentation machinery.
-                let mut framed = vec![0u8; msg.len()];
-                self.ctx.meter.copy(CopyLayer::SocketSend, &mut framed, msg);
-                let block_id = self.alloc_block_id();
-                let sent_ns = self.wire_stamp();
-                self.send_frame(Frame {
-                    lane: Lane::Control,
-                    block_id,
-                    offset: 0,
-                    total_len: msg.len() as u64,
-                    sent_ns,
-                    payload: FramePayload::Copied(framed),
-                })
+                // The zero-copy stack still moves control messages through
+                // the socket (one metered copy into a pooled page), but
+                // skips the fragmentation machinery: one frame.
+                let framed = self.socket_send(parts, total).freeze();
+                let frame = std::iter::once((0, FramePayload::Referenced(framed)));
+                self.send_block(Lane::Control, total, frame)
             }
         }
     }
 
-    fn recv_control(&mut self) -> TResult<Vec<u8>> {
+    fn recv_control(&mut self) -> TResult<ZcBytes> {
         let frames = self.recv_block_frames(Lane::Control)?;
         self.stats.add(TransportField::ControlRecv, 1);
-        let out = match self.cfg.mode {
-            StackMode::Copying => {
-                let z = self.reassemble_copying(&frames)?;
-                // zc-audit: allow(copy) — copying stack hands the control path an owned buffer; accounted as SocketRecv
-                z.as_slice().to_vec()
-            }
-            StackMode::ZeroCopy => {
-                let total = checked_block_len(frames.first().map_or(0, |f| f.total_len))?;
-                let mut out = vec![0u8; total];
-                for f in &frames {
-                    let p = f.payload.as_slice();
-                    let span = checked_span(f.offset, p.len(), total)?;
-                    self.ctx
-                        .meter
-                        .copy(CopyLayer::SocketRecv, &mut out[span], p);
-                }
-                out
-            }
+        let msg = match self.cfg.mode {
+            StackMode::Copying => self.reassemble_copying(&frames)?,
+            StackMode::ZeroCopy => self.copy_out(&frames, CopyLayer::SocketRecv)?.freeze(),
         };
-        self.stats.add(TransportField::BytesRecv, out.len() as u64);
-        Ok(out)
+        self.stats.add(TransportField::BytesRecv, msg.len() as u64);
+        Ok(msg)
     }
 
     fn send_data(&mut self, block: &ZcBytes) -> TResult<()> {
@@ -974,7 +1015,7 @@ impl Connection for SimConn {
         self.stats
             .add(TransportField::BytesSent, block.len() as u64);
         match self.cfg.mode {
-            StackMode::Copying => self.send_bytes_copying(Lane::Data, block.as_slice()),
+            StackMode::Copying => self.send_bytes_copying(Lane::Data, &[block.as_slice()]),
             StackMode::ZeroCopy => self.send_block_zero_copy(block),
         }
     }
@@ -1059,23 +1100,23 @@ mod tests {
     fn control_roundtrip_copying() {
         let (mut c, mut s, _ctx) = pair(SimConfig::copying());
         c.send_control(b"hello").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"hello");
+        assert_eq!(s.recv_control().unwrap(), &b"hello"[..]);
         s.send_control(b"world").unwrap();
-        assert_eq!(c.recv_control().unwrap(), b"world");
+        assert_eq!(c.recv_control().unwrap(), &b"world"[..]);
     }
 
     #[test]
     fn control_roundtrip_zero_copy() {
         let (mut c, mut s, _ctx) = pair(SimConfig::zero_copy());
         c.send_control(b"ping").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"ping");
+        assert_eq!(s.recv_control().unwrap(), &b"ping"[..]);
     }
 
     #[test]
     fn empty_control_message() {
         let (mut c, mut s, _ctx) = pair(SimConfig::copying());
         c.send_control(b"").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"");
+        assert_eq!(s.recv_control().unwrap(), &b""[..]);
     }
 
     #[test]
@@ -1190,7 +1231,7 @@ mod tests {
         // Send data first, then control; receive control first.
         c.send_data(&ZcBytes::zeroed(PAGE_SIZE * 2)).unwrap();
         c.send_control(b"after-data").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"after-data");
+        assert_eq!(s.recv_control().unwrap(), &b"after-data"[..]);
         assert_eq!(s.recv_data(PAGE_SIZE * 2).unwrap().len(), PAGE_SIZE * 2);
     }
 
@@ -1234,8 +1275,8 @@ mod tests {
         let mut s2 = l.accept().unwrap();
         c1.send_control(b"one").unwrap();
         c2.send_control(b"two").unwrap();
-        assert_eq!(s1.recv_control().unwrap(), b"one");
-        assert_eq!(s2.recv_control().unwrap(), b"two");
+        assert_eq!(s1.recv_control().unwrap(), &b"one"[..]);
+        assert_eq!(s2.recv_control().unwrap(), &b"two"[..]);
     }
 
     fn faulty_pair(
@@ -1264,7 +1305,7 @@ mod tests {
         let mut c = net.connect(port, ctx.clone()).unwrap();
         let mut s = l.accept().unwrap();
         c.send_control(b"ok").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"ok");
+        assert_eq!(s.recv_control().unwrap(), &b"ok"[..]);
 
         net.inject_faults(FaultPlan::cut_after(0).on(FaultSide::Client));
         assert_eq!(c.send_control(b"dead").unwrap_err(), TransportError::Closed);
@@ -1280,7 +1321,7 @@ mod tests {
         let mut c2 = net.connect(port, ctx.clone()).unwrap();
         let mut s2 = l.accept().unwrap();
         c2.send_control(b"again").unwrap();
-        assert_eq!(s2.recv_control().unwrap(), b"again");
+        assert_eq!(s2.recv_control().unwrap(), &b"again"[..]);
     }
 
     #[test]
@@ -1301,7 +1342,7 @@ mod tests {
         c.send_control(&original).unwrap();
         let got = s.recv_control().unwrap();
         assert_eq!(got.len(), original.len());
-        assert_ne!(got, original, "payload must arrive damaged");
+        assert_ne!(got.as_slice(), original, "payload must arrive damaged");
     }
 
     #[test]
@@ -1401,7 +1442,7 @@ mod tests {
         net.inject_faults(FaultPlan::cut_after(0).on(FaultSide::Server));
         // Client sending is unaffected…
         c.send_control(b"client fine").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"client fine");
+        assert_eq!(s.recv_control().unwrap(), &b"client fine"[..]);
         // …but the server's first send dies.
         assert_eq!(s.send_control(b"x").unwrap_err(), TransportError::Closed);
     }
@@ -1422,20 +1463,169 @@ mod tests {
             faults,
         );
         wire_tx
-            .send(Frame {
+            .send(vec![Frame {
                 lane: Lane::Control,
                 block_id: 0,
                 offset: 0,
                 total_len: MAX_SIM_BLOCK_BYTES + 1,
                 sent_ns: 0,
                 payload: FramePayload::Copied(vec![0u8; 16]),
-            })
+            }])
             .unwrap();
         match conn.recv_control() {
             Err(TransportError::Protocol(msg)) => {
                 assert!(msg.contains("cap"), "{msg}");
             }
             other => panic!("expected protocol error, got {other:?}"),
+        }
+    }
+
+    /// A block of `frames` frames in `cfg`'s data-lane unit, filled with a
+    /// position-dependent pattern.
+    fn patterned_block(cfg: SimConfig, frames: usize) -> (ZcBytes, Vec<u8>, usize) {
+        let unit = match cfg.mode {
+            StackMode::Copying => cfg.mtu_payload,
+            StackMode::ZeroCopy => PAGE_SIZE,
+        };
+        let pattern: Vec<u8> = (0..unit * frames).map(|i| (i * 13 % 251) as u8).collect();
+        let mut buf = zc_buffers::AlignedBuf::with_capacity(pattern.len());
+        buf.extend_from_slice(&pattern);
+        (ZcBytes::from_aligned(buf), pattern, unit)
+    }
+
+    /// A burst is a delivery unit, never a fault unit: a fault addressed to
+    /// the third of a block's five frames does to the receiver exactly
+    /// what it did when frames crossed the wire one by one.
+    #[test]
+    fn faults_in_the_middle_of_a_burst_stay_per_frame() {
+        for cfg in [SimConfig::copying(), SimConfig::zero_copy()] {
+            let zero_copy = cfg.mode == StackMode::ZeroCopy;
+            let (block, pattern, unit) = patterned_block(cfg, 5);
+            let n = pattern.len();
+
+            // Cut: the two frames before it are delivered, then the wire
+            // is gone for both ends.
+            let (net, mut c, mut s, _ctx) = faulty_pair(cfg);
+            net.inject_faults(FaultPlan::cut_after(2).on(FaultSide::Client));
+            assert_eq!(c.send_data(&block).unwrap_err(), TransportError::Closed);
+            assert_eq!(c.stats().frames_sent, 2, "{cfg:?}");
+            assert_eq!(s.recv_data(n).unwrap_err(), TransportError::Closed);
+            assert_eq!(s.stats().wire_bytes_recv, c.stats().wire_bytes_sent);
+            assert_eq!(
+                s.stats().wire_bytes_recv,
+                2 * (unit + crate::frame::FRAME_HEADER_BYTES) as u64
+            );
+            assert_eq!(net.faults_tripped(), 1);
+
+            // Corrupt: damage inside the third frame only, the sender's
+            // pages untouched, and no in-place deposit of a detached frame.
+            let (net, mut c, mut s, _ctx) = faulty_pair(cfg);
+            net.inject_faults(FaultPlan {
+                corrupt_frame: Some(2),
+                ..FaultPlan::default()
+            });
+            c.send_data(&block).unwrap();
+            let got = s.recv_data(n).unwrap();
+            assert_eq!(block.as_slice(), &pattern[..], "sender pages intact");
+            let third = 2 * unit..3 * unit;
+            assert_ne!(got[third.clone()], pattern[third.clone()], "{cfg:?}");
+            assert_eq!(got[..third.start], pattern[..third.start]);
+            assert_eq!(got[third.end..], pattern[third.end..]);
+            assert_eq!(s.stats().spec_misses, u64::from(zero_copy));
+            assert_eq!(net.faults_tripped(), 1);
+
+            // Delay: the third frame arrives after the fourth; reassembly
+            // is by offset, so the bytes survive, but not in place.
+            let (net, mut c, mut s, _ctx) = faulty_pair(cfg);
+            net.inject_faults(FaultPlan {
+                delay_frame: Some(2),
+                ..FaultPlan::default()
+            });
+            c.send_data(&block).unwrap();
+            assert_eq!(c.stats().frames_sent, 5);
+            let got = s.recv_data(n).unwrap();
+            assert_eq!(got.as_slice(), &pattern[..], "{cfg:?}");
+            assert_eq!(s.stats().spec_misses, u64::from(zero_copy));
+            assert_eq!(s.stats().spec_hits, 0);
+            assert_eq!(net.faults_tripped(), 1);
+
+            // Truncate: the block can never complete; the next block's
+            // first frame exposes it.
+            let (net, mut c, mut s, _ctx) = faulty_pair(cfg);
+            net.inject_faults(FaultPlan {
+                truncate_frame: Some(2),
+                ..FaultPlan::default()
+            });
+            c.send_data(&block).unwrap();
+            c.send_data(&block).unwrap();
+            assert!(
+                matches!(s.recv_data(n), Err(TransportError::Protocol(_))),
+                "{cfg:?}"
+            );
+            assert_eq!(s.stats().wire_bytes_recv, c.stats().wire_bytes_sent);
+            assert_eq!(net.faults_tripped(), 1);
+        }
+    }
+
+    /// A frame delayed past the end of its block rides the next send's
+    /// burst: that burst mixes two blocks (and here two lanes), and both
+    /// still come out whole.
+    #[test]
+    fn delayed_last_frame_rides_the_next_burst() {
+        let cfg = SimConfig::copying();
+        let (net, mut c, mut s, _ctx) = faulty_pair(cfg);
+        let (block, pattern, _) = patterned_block(cfg, 3);
+        net.inject_faults(FaultPlan {
+            delay_frame: Some(2),
+            ..FaultPlan::default()
+        });
+        c.send_data(&block).unwrap();
+        assert_eq!(c.stats().frames_sent, 2, "the last frame is held back");
+        c.send_control(b"after").unwrap();
+        assert_eq!(c.stats().frames_sent, 4);
+        assert_eq!(s.recv_data(pattern.len()).unwrap().as_slice(), &pattern[..]);
+        assert_eq!(s.recv_control().unwrap(), &b"after"[..]);
+    }
+
+    #[test]
+    fn recv_timeout_fires_while_the_other_lane_has_a_burst_queued() {
+        for cfg in [SimConfig::copying(), SimConfig::zero_copy()] {
+            let (mut c, mut s, _ctx) = pair(cfg);
+            let (block, pattern, _) = patterned_block(cfg, 4);
+            c.send_data(&block).unwrap();
+            s.set_recv_timeout(Some(std::time::Duration::from_millis(20)))
+                .unwrap();
+            // The queued data burst must neither satisfy nor wedge a
+            // control receive: it is parked, and the wait times out.
+            assert_eq!(s.recv_control().unwrap_err(), TransportError::Timeout);
+            assert_eq!(s.recv_data(pattern.len()).unwrap().as_slice(), &pattern[..]);
+            assert_eq!(
+                s.recv_data(pattern.len()).unwrap_err(),
+                TransportError::Timeout
+            );
+            // And the lane it waited for still works afterwards.
+            c.send_control(b"late").unwrap();
+            assert_eq!(s.recv_control().unwrap(), &b"late"[..]);
+        }
+    }
+
+    #[test]
+    fn control_message_is_gathered_from_its_parts_by_the_send_copy() {
+        for cfg in [SimConfig::copying(), SimConfig::zero_copy()] {
+            let (mut c, mut s, ctx) = pair(cfg);
+            let body = vec![7u8; 3 * MTU_PAYLOAD];
+            let before = ctx.meter.snapshot();
+            c.send_control_vectored(&[b"head", &[], &body, b"tail"])
+                .unwrap();
+            let got = s.recv_control().unwrap();
+            let n = 8 + body.len();
+            assert_eq!(got.len(), n);
+            assert_eq!(got[..4], *b"head");
+            assert_eq!(got[4..n - 4], body[..]);
+            assert_eq!(got[n - 4..], *b"tail");
+            let d = ctx.meter.snapshot().since(&before);
+            assert_eq!(d.bytes(CopyLayer::SocketSend), n as u64, "{cfg:?}");
+            assert_eq!(d.bytes(CopyLayer::SocketRecv), n as u64, "{cfg:?}");
         }
     }
 

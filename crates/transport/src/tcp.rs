@@ -8,7 +8,7 @@
 //! kept at the framing level (a lane tag per frame), preserving the ORB's
 //! "announce, then deposit" protocol shape on a real socket.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ pub struct TcpConn {
     stream: TcpStream,
     ctx: TransportCtx,
     peer: String,
-    pending_control: std::collections::VecDeque<Vec<u8>>,
+    pending_control: std::collections::VecDeque<ZcBytes>,
     pending_data: std::collections::VecDeque<ZcBytes>,
     stats: Arc<StatsCell>,
     trace_conn: u64,
@@ -71,18 +71,33 @@ impl TcpConn {
         })
     }
 
-    fn write_frame(&mut self, lane: u8, payload: &[u8]) -> TResult<()> {
+    /// Write one frame whose payload is the concatenation of `parts`: the
+    /// 9-byte header and every part leave in one gathered `writev`, so
+    /// neither the caller nor this layer concatenates them.
+    fn write_frame(&mut self, lane: u8, parts: &[&[u8]]) -> TResult<()> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         let mut header = [0u8; 9];
         header[0] = lane;
         // zc-audit: allow(control-plane) — 9-byte frame header, no payload bytes
-        header[1..9].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        self.stream.write_all(&header)?;
+        header[1..9].copy_from_slice(&(len as u64).to_le_bytes());
+        self.stats.add(TransportField::BytesSent, len as u64);
         // The kernel copies the payload out of user space here.
-        self.ctx.meter.record(CopyLayer::SocketSend, payload.len());
-        self.stream.write_all(payload)?;
+        self.ctx.meter.record(CopyLayer::SocketSend, len);
+        let mut iov = [IoSlice::new(&[]); MAX_IOV];
+        iov[0] = IoSlice::new(&header);
+        let mut used = 1;
+        for part in parts {
+            if used == MAX_IOV {
+                write_all_vectored(&mut self.stream, &mut iov)?;
+                used = 0;
+            }
+            iov[used] = IoSlice::new(part);
+            used += 1;
+        }
+        write_all_vectored(&mut self.stream, &mut iov[..used])?;
         self.stats.add(TransportField::FramesSent, 1);
         self.stats
-            .add(TransportField::WireBytesSent, (payload.len() + 9) as u64);
+            .add(TransportField::WireBytesSent, (len + 9) as u64);
         Ok(())
     }
 
@@ -114,20 +129,15 @@ impl TcpConn {
         Ok((lane, buf.freeze()))
     }
 
-    /// Read frames until one on `want` appears, buffering others.
+    /// Read frames until one on `want` appears, parking others as the
+    /// pooled views they were read into.
     fn next_on_lane(&mut self, want: u8) -> TResult<ZcBytes> {
         loop {
-            if want == LANE_CONTROL {
-                if let Some(m) = self.pending_control.pop_front() {
-                    return Ok({
-                        // zc-audit: allow(taint-alloc) — sized by control bytes already received and held; read_frame bounds every frame to MAX_TCP_FRAME
-                        let mut b = zc_buffers::AlignedBuf::with_capacity(m.len());
-                        // zc-audit: allow(copy) — queued control bytes rewrapped into aligned storage; accounted as SocketRecv
-                        b.extend_from_slice(&m);
-                        ZcBytes::from_aligned(b)
-                    });
-                }
-            } else if let Some(z) = self.pending_data.pop_front() {
+            let parked = match want {
+                LANE_CONTROL => self.pending_control.pop_front(),
+                _ => self.pending_data.pop_front(),
+            };
+            if let Some(z) = parked {
                 return Ok(z);
             }
             let (lane, payload) = self.read_frame()?;
@@ -135,8 +145,7 @@ impl TcpConn {
                 return Ok(payload);
             }
             match lane {
-                // zc-audit: allow(copy) — out-of-order control frame parked as owned bytes; accounted as SocketRecv
-                LANE_CONTROL => self.pending_control.push_back(payload.as_slice().to_vec()),
+                LANE_CONTROL => self.pending_control.push_back(payload),
                 LANE_DATA => self.pending_data.push_back(payload),
                 other => {
                     // zc-audit: allow(control-plane) — protocol error diagnostic
@@ -149,26 +158,40 @@ impl TcpConn {
     }
 }
 
+/// Slices one gathered write carries; a frame of more parts than this
+/// (none exists: the ORB sends three) takes a further write per group.
+const MAX_IOV: usize = 8;
+
+/// `write_all` for a gather list: `writev` until every slice is out.
+fn write_all_vectored(stream: &mut TcpStream, mut bufs: &mut [IoSlice<'_>]) -> TResult<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(TransportError::Closed),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
+}
+
 impl Connection for TcpConn {
-    fn send_control(&mut self, msg: &[u8]) -> TResult<()> {
+    fn send_control_vectored(&mut self, parts: &[&[u8]]) -> TResult<()> {
         self.stats.add(TransportField::ControlSent, 1);
-        self.stats.add(TransportField::BytesSent, msg.len() as u64);
-        self.write_frame(LANE_CONTROL, msg)
+        self.write_frame(LANE_CONTROL, parts)
     }
 
-    fn recv_control(&mut self) -> TResult<Vec<u8>> {
+    fn recv_control(&mut self) -> TResult<ZcBytes> {
         let z = self.next_on_lane(LANE_CONTROL)?;
         self.stats.add(TransportField::ControlRecv, 1);
         self.stats.add(TransportField::BytesRecv, z.len() as u64);
-        // zc-audit: allow(copy) — control path hands out owned bytes; accounted as SocketRecv
-        Ok(z.as_slice().to_vec())
+        Ok(z)
     }
 
     fn send_data(&mut self, block: &ZcBytes) -> TResult<()> {
         self.stats.add(TransportField::DataBlocksSent, 1);
-        self.stats
-            .add(TransportField::BytesSent, block.len() as u64);
-        self.write_frame(LANE_DATA, block.as_slice())
+        self.write_frame(LANE_DATA, &[block.as_slice()])
     }
 
     fn recv_data(&mut self, expected_len: usize) -> TResult<ZcBytes> {
@@ -278,9 +301,25 @@ mod tests {
     fn control_roundtrip() {
         let (mut c, mut s, _ctx) = pair();
         c.send_control(b"over real tcp").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"over real tcp");
+        assert_eq!(s.recv_control().unwrap(), &b"over real tcp"[..]);
         s.send_control(b"reply").unwrap();
-        assert_eq!(c.recv_control().unwrap(), b"reply");
+        assert_eq!(c.recv_control().unwrap(), &b"reply"[..]);
+    }
+
+    #[test]
+    fn control_message_is_gathered_from_its_parts() {
+        let (mut c, mut s, ctx) = pair();
+        // More parts than one gathered write carries, some of them empty.
+        let parts: Vec<Vec<u8>> = (0..2 * MAX_IOV + 1)
+            .map(|i| vec![i as u8; if i % 3 == 0 { 0 } else { 100 * i }])
+            .collect();
+        let views: Vec<&[u8]> = parts.iter().map(|p| &p[..]).collect();
+        let before = ctx.meter.snapshot();
+        c.send_control_vectored(&views).unwrap();
+        assert_eq!(s.recv_control().unwrap().as_slice(), &parts.concat()[..]);
+        let d = ctx.meter.snapshot().since(&before);
+        assert_eq!(d.bytes(CopyLayer::SocketSend), parts.concat().len() as u64);
+        assert_eq!(c.stats().frames_sent, 1);
     }
 
     #[test]
@@ -308,7 +347,7 @@ mod tests {
         let (mut c, mut s, _ctx) = pair();
         c.send_data(&ZcBytes::zeroed(5000)).unwrap();
         c.send_control(b"ctrl").unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"ctrl");
+        assert_eq!(s.recv_control().unwrap(), &b"ctrl"[..]);
         assert_eq!(s.recv_data(5000).unwrap().len(), 5000);
     }
 
@@ -345,7 +384,7 @@ mod tests {
         let (mut c, mut s, _ctx) = pair();
         c.send_control(b"").unwrap();
         c.send_data(&ZcBytes::empty()).unwrap();
-        assert_eq!(s.recv_control().unwrap(), b"");
+        assert_eq!(s.recv_control().unwrap(), &b""[..]);
         assert_eq!(s.recv_data(0).unwrap().len(), 0);
     }
 }

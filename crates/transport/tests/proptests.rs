@@ -3,8 +3,11 @@
 
 use proptest::prelude::*;
 
-use zc_buffers::{AlignedBuf, ZcBytes};
-use zc_transport::{Acceptor, Connection, SimConfig, SimNetwork, TransportCtx};
+use zc_buffers::{AlignedBuf, ZcBytes, PAGE_SIZE};
+use zc_transport::{
+    Acceptor, Connection, SimConfig, SimNetwork, StackMode, TransportCtx, FRAME_HEADER_BYTES,
+    MTU_PAYLOAD,
+};
 
 fn pair(cfg: SimConfig) -> (Box<dyn Connection>, Box<dyn Connection>) {
     let net = SimNetwork::new(cfg);
@@ -20,6 +23,31 @@ fn block_of(data: &[u8]) -> ZcBytes {
     let mut b = AlignedBuf::with_capacity(data.len());
     b.extend_from_slice(data);
     ZcBytes::from_aligned(b)
+}
+
+/// Message sizes: the fragmentation edges of both stacks (nothing, one
+/// byte, either side of an MTU and of a page, a 1 MiB burst) and anything
+/// in between.
+fn sizes() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0),
+        Just(1),
+        MTU_PAYLOAD - 1..=MTU_PAYLOAD + 1,
+        PAGE_SIZE - 1..=PAGE_SIZE + 1,
+        Just(1 << 20),
+        1usize..5000,
+    ]
+}
+
+/// Frames the stack cuts a `len`-byte message of the given lane into.
+fn frames_of(cfg: SimConfig, is_control: bool, len: usize) -> u64 {
+    let unit = match (cfg.mode, is_control) {
+        (StackMode::Copying, _) => cfg.mtu_payload,
+        (StackMode::ZeroCopy, false) => PAGE_SIZE,
+        // The zero-copy stack does not fragment control messages.
+        (StackMode::ZeroCopy, true) => usize::MAX,
+    };
+    len.div_ceil(unit).max(1) as u64
 }
 
 fn configs() -> impl Strategy<Value = SimConfig> {
@@ -57,23 +85,31 @@ proptest! {
             c.send_control(m).unwrap();
         }
         for m in &msgs {
-            prop_assert_eq!(&s.recv_control().unwrap(), m);
+            let got = s.recv_control().unwrap();
+            prop_assert_eq!(got.as_slice(), &m[..]);
         }
     }
 
     /// Arbitrary interleavings of control and data on the sender resolve
-    /// correctly on the receiver regardless of the order it asks in.
+    /// correctly on the receiver regardless of the order it asks in (data
+    /// asked for before the control message sent ahead of it parks that
+    /// message), and the per-frame ledger survives the per-block hand-off:
+    /// every wire byte sent is received, and every message counts the
+    /// frames its size cuts it into.
     #[test]
     fn prop_interleaving(
         cfg in configs(),
-        script in proptest::collection::vec((any::<bool>(), 1usize..5000), 1..8),
+        script in proptest::collection::vec((any::<bool>(), sizes()), 1..8),
         recv_control_first: bool,
     ) {
         let (mut c, mut s) = pair(cfg);
         let mut controls = Vec::new();
         let mut datas = Vec::new();
+        let (mut frames, mut bytes) = (0u64, 0u64);
         for (i, &(is_control, size)) in script.iter().enumerate() {
             let payload: Vec<u8> = (0..size).map(|j| ((i * 31 + j) % 251) as u8).collect();
+            frames += frames_of(cfg, is_control, size);
+            bytes += size as u64;
             if is_control {
                 c.send_control(&payload).unwrap();
                 controls.push(payload);
@@ -84,7 +120,7 @@ proptest! {
         }
         let check_controls = |s: &mut Box<dyn Connection>| {
             for m in &controls {
-                assert_eq!(&s.recv_control().unwrap(), m);
+                assert_eq!(s.recv_control().unwrap().as_slice(), &m[..]);
             }
         };
         let check_datas = |s: &mut Box<dyn Connection>| {
@@ -99,6 +135,10 @@ proptest! {
             check_datas(&mut s);
             check_controls(&mut s);
         }
+        let (sent, received) = (c.stats(), s.stats());
+        prop_assert_eq!(sent.frames_sent, frames);
+        prop_assert_eq!(sent.wire_bytes_sent, bytes + frames * FRAME_HEADER_BYTES as u64);
+        prop_assert_eq!(received.wire_bytes_recv, sent.wire_bytes_sent);
     }
 
     /// Bidirectional traffic does not cross-contaminate.
