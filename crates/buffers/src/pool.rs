@@ -15,7 +15,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::aligned::{AlignedBuf, PAGE_SIZE};
-use crate::zbytes::{Storage, ZcBytes};
+use crate::zbytes::{Block, ZcBytes};
 
 /// Pool statistics (monotonic counters plus a point-in-time gauge).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +37,11 @@ pub(crate) struct PoolInner {
     /// class stays in the map once seen, empty or not: there are only as
     /// many classes as powers of two, and dropping an emptied one made
     /// every acquire/release cycle on a one-deep class re-allocate its
-    /// `Vec` (and sometimes a tree node).
-    free: Mutex<BTreeMap<usize, Vec<AlignedBuf>>>,
+    /// `Vec` (and sometimes a tree node). The lists hold whole [`Block`]s:
+    /// the refcount block a frozen view needs is recycled with its pages —
+    /// boxed, because it is that heap block's address the views share.
+    #[allow(clippy::vec_box)]
+    free: Mutex<BTreeMap<usize, Vec<Box<Block>>>>,
     /// Maximum bytes kept on free lists before returns are discarded.
     max_retained_bytes: usize,
     fresh: AtomicU64,
@@ -49,33 +52,36 @@ pub(crate) struct PoolInner {
 }
 
 impl PoolInner {
-    pub(crate) fn release(&self, mut buf: AlignedBuf) {
-        buf.clear();
-        let cap = buf.capacity();
+    /// Take back a block nobody references any more (its `pool` handle
+    /// already taken, so the free list never keeps the pool alive).
+    pub(crate) fn release(&self, mut block: Box<Block>) {
+        debug_assert!(block.pool.is_none());
+        block.buf.clear();
+        let cap = block.buf.capacity();
         let retained = self.retained.load(Ordering::Relaxed) as usize;
         if retained + cap > self.max_retained_bytes {
             self.discards.fetch_add(1, Ordering::Relaxed);
-            return; // drop the buffer, freeing its pages
+            return; // drop the block, freeing its pages
         }
         self.retained.fetch_add(cap as u64, Ordering::Relaxed);
         self.returns.fetch_add(1, Ordering::Relaxed);
-        self.free.lock().entry(cap).or_default().push(buf);
+        self.free.lock().entry(cap).or_default().push(block);
     }
 
-    fn acquire(&self, min_capacity: usize) -> AlignedBuf {
+    fn acquire(&self, min_capacity: usize) -> Box<Block> {
         let want = size_class(min_capacity);
         {
             let mut free = self.free.lock();
             // Exact class first, then any class that fits (BTreeMap range).
-            if let Some(buf) = free.range_mut(want..).find_map(|(_, list)| list.pop()) {
+            if let Some(block) = free.range_mut(want..).find_map(|(_, list)| list.pop()) {
                 self.retained
-                    .fetch_sub(buf.capacity() as u64, Ordering::Relaxed);
+                    .fetch_sub(block.buf.capacity() as u64, Ordering::Relaxed);
                 self.reuses.fetch_add(1, Ordering::Relaxed);
-                return buf;
+                return block;
             }
         }
         self.fresh.fetch_add(1, Ordering::Relaxed);
-        AlignedBuf::with_capacity(want)
+        Block::new(AlignedBuf::with_capacity(want))
     }
 }
 
@@ -118,11 +124,9 @@ impl PagePool {
     /// Returns to the pool automatically on drop (or on the last drop of a
     /// [`ZcBytes`] frozen from it).
     pub fn acquire(&self, min_capacity: usize) -> PooledBuf {
-        let buf = self.inner.acquire(min_capacity);
-        PooledBuf {
-            buf: Some(buf),
-            pool: Arc::clone(&self.inner),
-        }
+        let mut block = self.inner.acquire(min_capacity);
+        block.pool = Some(Arc::clone(&self.inner));
+        PooledBuf { block: Some(block) }
     }
 
     /// Current statistics.
@@ -153,31 +157,24 @@ impl std::fmt::Debug for PagePool {
 /// to the pool on drop. Freeze into [`ZcBytes`] with [`PooledBuf::freeze`]
 /// to share it immutably while preserving pool return on the final drop.
 pub struct PooledBuf {
-    buf: Option<AlignedBuf>,
-    pool: Arc<PoolInner>,
+    /// `None` only between `freeze` and the drop that follows it.
+    block: Option<Box<Block>>,
 }
 
 impl PooledBuf {
-    /// Convert into an immutable shared view. O(1); the pages return to the
-    /// pool when the last `ZcBytes` clone is dropped.
+    /// Convert into an immutable shared view. O(1) and allocation-free: the
+    /// lease's block becomes the views' refcount block, and the last
+    /// `ZcBytes` clone to drop sends it back to the pool with its pages.
     pub fn freeze(mut self) -> ZcBytes {
-        let buf = self.buf.take().expect("buffer present until freeze/drop");
-        let len = buf.len();
-        ZcBytes::from_storage(
-            Storage {
-                buf: Some(buf),
-                pool: Some(Arc::clone(&self.pool)),
-            },
-            len,
-        )
+        ZcBytes::from_block(self.block.take().expect("block present until freeze/drop"))
     }
 
     fn buf(&self) -> &AlignedBuf {
-        self.buf.as_ref().expect("buffer present")
+        &self.block.as_ref().expect("block present").buf
     }
 
     fn buf_mut(&mut self) -> &mut AlignedBuf {
-        self.buf.as_mut().expect("buffer present")
+        &mut self.block.as_mut().expect("block present").buf
     }
 }
 
@@ -196,8 +193,8 @@ impl std::ops::DerefMut for PooledBuf {
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            self.pool.release(buf);
+        if let Some(block) = self.block.take() {
+            block.retire();
         }
     }
 }
@@ -298,7 +295,7 @@ mod tests {
     #[test]
     fn frozen_view_survives_pool_drop() {
         // The pool handle may be dropped while views are alive; pages must
-        // stay valid because PoolInner is kept alive by the Storage Arc.
+        // stay valid because the block keeps PoolInner alive.
         let z;
         {
             let pool = PagePool::new(1 << 20);

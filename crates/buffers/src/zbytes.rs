@@ -3,69 +3,112 @@
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::aligned::{AlignedBuf, PAGE_SIZE};
 use crate::meter::{CopyLayer, CopyMeter};
 use crate::pool::PoolInner;
 
-/// Shared storage behind one or more `ZcBytes` views.
+/// The control block behind one or more `ZcBytes` views: the reference
+/// count, the pages, and the pool they go back to.
 ///
-/// When the storage originated in a [`crate::PagePool`], the final drop
-/// returns the underlying pages to the pool instead of freeing them — the
-/// "buffers under user/ORB control" principle of §3.2.
-pub(crate) struct Storage {
-    pub(crate) buf: Option<AlignedBuf>,
+/// A pooled block is allocated once and then travels *with* its pages:
+/// lease → frozen views → free list → lease. Freezing a lease and dropping
+/// the last view therefore make no allocator call, which is what keeps a
+/// steady stream of control messages off the heap — the "buffers under
+/// user/ORB control" principle of §3.2, applied to the bookkeeping too.
+pub(crate) struct Block {
+    /// Outstanding views. Meaningful only while the block is shared
+    /// (between [`ZcBytes::from_block`] and the last view's drop); protocol
+    /// `buffers-refcount` in `zc-audit.toml`: Relaxed increment, Release
+    /// decrement, Acquire fence before the block is retired.
+    refs: AtomicUsize,
+    pub(crate) buf: AlignedBuf,
+    /// Where the pages came from. `Some` from lease to retirement, `None`
+    /// on the pool's free list (so the list holds no handle to itself) and
+    /// for storage that never belonged to a pool.
     pub(crate) pool: Option<Arc<PoolInner>>,
 }
 
-impl Storage {
-    fn buf(&self) -> &AlignedBuf {
-        self.buf
-            .as_ref()
-            .expect("storage buffer present until drop")
+impl Block {
+    pub(crate) fn new(buf: AlignedBuf) -> Box<Block> {
+        Box::new(Block {
+            refs: AtomicUsize::new(0),
+            buf,
+            pool: None,
+        })
     }
-}
 
-impl Drop for Storage {
-    fn drop(&mut self) {
-        if let (Some(pool), Some(buf)) = (self.pool.take(), self.buf.take()) {
-            pool.release(buf);
+    /// Give the pages up: back to their pool, block and all, or — for
+    /// unpooled storage — to the allocator.
+    pub(crate) fn retire(mut self: Box<Block>) {
+        if let Some(pool) = self.pool.take() {
+            pool.release(self);
         }
     }
 }
 
 /// An immutable, cheaply clonable view over page-aligned payload bytes.
 ///
-/// Cloning and slicing are O(1) and never touch the payload: this is what
-/// the ORB layers pass around instead of copying. Equality compares
-/// *contents* (for tests); use [`ZcBytes::ptr_eq`] to check whether two views
-/// share storage (the zero-copy property itself).
-#[derive(Clone)]
+/// Cloning and slicing are O(1) — one relaxed atomic increment — and never
+/// touch the payload: this is what the ORB layers pass around instead of
+/// copying. Equality compares *contents* (for tests); use
+/// [`ZcBytes::ptr_eq`] to check whether two views share storage (the
+/// zero-copy property itself).
 pub struct ZcBytes {
-    storage: Arc<Storage>,
+    /// Shared, refcounted; freed or recycled by the view that drops the
+    /// count to zero.
+    block: NonNull<Block>,
     off: usize,
     len: usize,
 }
 
+// A view only ever reads the block (`refs` atomically, `buf` and `pool`
+// immutably) until it is the last one, and the Release decrement / Acquire
+// fence pair in `Drop` orders every other view's reads before the last
+// view retires the block.
+// SAFETY: that is `Arc<T>`'s contract, which asks `T: Send + Sync` —
+// true of both `AlignedBuf` and `Arc<PoolInner>`.
+unsafe impl Send for ZcBytes {}
+// SAFETY: as for `Send`; `&ZcBytes` exposes nothing a `ZcBytes` does not.
+unsafe impl Sync for ZcBytes {}
+
 impl ZcBytes {
     /// Wrap an owned aligned buffer (no copy).
     pub fn from_aligned(buf: AlignedBuf) -> ZcBytes {
-        let len = buf.len();
+        ZcBytes::from_block(Block::new(buf))
+    }
+
+    /// Share a uniquely owned block: the first view over its whole buffer.
+    pub(crate) fn from_block(mut block: Box<Block>) -> ZcBytes {
+        *block.refs.get_mut() = 1;
+        let len = block.buf.len();
         ZcBytes {
-            storage: Arc::new(Storage {
-                buf: Some(buf),
-                pool: None,
-            }),
+            block: NonNull::from(Box::leak(block)),
             off: 0,
             len,
         }
     }
 
-    pub(crate) fn from_storage(storage: Storage, len: usize) -> ZcBytes {
+    fn block(&self) -> &Block {
+        // SAFETY: this view holds one count, so the block is alive and
+        // nobody holds it mutably until the last view's `drop`.
+        unsafe { self.block.as_ref() }
+    }
+
+    /// Another view of the same block (one more count).
+    fn share(&self, off: usize, len: usize) -> ZcBytes {
+        let before = self.block().refs.fetch_add(1, Ordering::Relaxed);
+        // Like `Arc`: a count this large can only come from leaking views
+        // in a loop, and letting it wrap would free live pages.
+        if before > isize::MAX as usize {
+            std::process::abort();
+        }
         ZcBytes {
-            storage: Arc::new(storage),
-            off: 0,
+            block: self.block,
+            off,
             len,
         }
     }
@@ -106,10 +149,9 @@ impl ZcBytes {
     /// The bytes of this view.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        let buf = self.storage.buf();
         // `off + len` was validated at construction against the then-current
         // buffer length, and storage is immutable afterwards.
-        &buf.as_slice()[self.off..self.off + self.len]
+        &self.block().buf.as_slice()[self.off..self.off + self.len]
     }
 
     /// O(1) sub-view. Accepts any range form (`a..b`, `..b`, `a..`, `..`).
@@ -134,11 +176,7 @@ impl ZcBytes {
             end,
             self.len
         );
-        ZcBytes {
-            storage: Arc::clone(&self.storage),
-            off: self.off + start,
-            len: end - start,
-        }
+        self.share(self.off + start, end - start)
     }
 
     /// O(1) split into `[0, mid)` and `[mid, len)`.
@@ -159,23 +197,23 @@ impl ZcBytes {
     /// Whether the view *starts* on a page boundary. Deposit receivers
     /// require this; the ablation A2 deliberately violates it.
     pub fn is_page_aligned(&self) -> bool {
-        (self.storage.buf().as_ptr() as usize + self.off).is_multiple_of(PAGE_SIZE)
+        self.start_addr().is_multiple_of(PAGE_SIZE)
     }
 
     /// Whether two views share the same underlying storage — i.e. whether a
     /// transfer really was zero-copy.
     pub fn ptr_eq(&self, other: &ZcBytes) -> bool {
-        Arc::ptr_eq(&self.storage, &other.storage)
+        self.block == other.block
     }
 
     /// Address of the first byte (for diagnostics / alignment assertions).
     pub fn start_addr(&self) -> usize {
-        self.storage.buf().as_ptr() as usize + self.off
+        self.block().buf.as_ptr() as usize + self.off
     }
 
     /// Number of outstanding views sharing this storage.
     pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.storage)
+        self.block().refs.load(Ordering::Relaxed)
     }
 
     /// Rejoin consecutive sub-views into one spanning view **without
@@ -192,17 +230,37 @@ impl ZcBytes {
         let mut expected_off = first.off;
         let mut total = 0usize;
         for p in parts {
-            if !Arc::ptr_eq(&p.storage, &first.storage) || p.off != expected_off {
+            if !p.ptr_eq(first) || p.off != expected_off {
                 return None;
             }
             expected_off += p.len;
             total += p.len;
         }
-        Some(ZcBytes {
-            storage: Arc::clone(&first.storage),
-            off: first.off,
-            len: total,
-        })
+        Some(first.share(first.off, total))
+    }
+}
+
+impl Clone for ZcBytes {
+    fn clone(&self) -> ZcBytes {
+        self.share(self.off, self.len)
+    }
+}
+
+impl Drop for ZcBytes {
+    fn drop(&mut self) {
+        // Release: this view's reads of the pages happen-before whichever
+        // view sees the count reach zero.
+        if self.block().refs.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        // Acquire: pairs with every other view's Release decrement, so the
+        // pages are quiescent before they are recycled or freed.
+        fence(Ordering::Acquire);
+        // SAFETY: the count reached zero, so this was the last view: the
+        // pointer came from `Box::leak` in `from_block` and nothing else
+        // can reach the block any more.
+        let block = unsafe { Box::from_raw(self.block.as_ptr()) };
+        block.retire();
     }
 }
 

@@ -14,6 +14,11 @@
 //! * **ZcBytes refcount/Drop** — clones and slices on racing threads keep
 //!   the payload readable, and exactly the last drop returns the pages to
 //!   the pool, exactly once.
+//! * **The recycled refcount block** (protocol `buffers-refcount`) — the
+//!   block a frozen lease shares goes back to the pool *with* its pages and
+//!   comes out again under the next lease: a last drop racing a clone on
+//!   another thread releases once, never early, and a new lease never gets
+//!   pages a live view still reads.
 #![cfg(loom)]
 
 use loom::{explore, thread};
@@ -133,5 +138,96 @@ fn zbytes_clone_storm() {
             h.join().unwrap();
         }
         assert_eq!(pool.stats().returns, 1);
+    });
+}
+
+/// The refcount block is recycled with its pages: round after round the
+/// same block is leased, frozen, shared across threads and retired. One
+/// thread's *last-looking* drop races the other's clone-then-drop; the
+/// block must go back exactly once per round (a double release would hand
+/// the same pages to two leases; an early one would let the re-lease below
+/// overwrite bytes a view is still reading).
+#[test]
+fn recycled_block_last_drop_races_clone() {
+    loom::model(|| {
+        let pool = PagePool::new(1 << 20);
+        for round in 0..3u8 {
+            let mut lease = pool.acquire(4096);
+            lease.extend_from_slice(&[round; 128]);
+            let z = lease.freeze();
+            assert_eq!(z.ref_count(), 1, "a recycled block starts at one");
+
+            let cloner = {
+                let z = z.clone();
+                thread::spawn(move || {
+                    explore();
+                    let c = z.clone();
+                    drop(z);
+                    explore();
+                    assert_eq!(c.as_slice(), &[round; 128]);
+                })
+            };
+            let dropper = {
+                let tail = z.slice(64..);
+                thread::spawn(move || {
+                    explore();
+                    assert_eq!(tail.as_slice(), &[round; 64]);
+                })
+            };
+            explore();
+            drop(z);
+            cloner.join().unwrap();
+            dropper.join().unwrap();
+            let s = pool.stats();
+            assert_eq!(s.returns, round as u64 + 1, "one release per round: {s:?}");
+            assert_eq!(s.fresh_allocations, 1, "the block is recycled: {s:?}");
+        }
+    });
+}
+
+/// No use after the pages went back: while any view of a block lives, the
+/// pool must not lease its pages again — a thread that leases and scribbles
+/// as fast as it can never lands on the pages the reader is checking.
+#[test]
+fn pages_are_not_re_leased_under_a_live_view() {
+    loom::model(|| {
+        let pool = PagePool::new(1 << 20);
+        let z = {
+            let mut lease = pool.acquire(4096);
+            lease.extend_from_slice(&[0x5A; 512]);
+            lease.freeze()
+        };
+        let reader = {
+            let view = z.slice(..256);
+            thread::spawn(move || {
+                for _ in 0..4 {
+                    explore();
+                    assert!(view.as_slice().iter().all(|&b| b == 0x5A));
+                }
+            })
+        };
+        let scribbler = {
+            let pool = pool.clone();
+            let live = z.start_addr();
+            thread::spawn(move || {
+                for _ in 0..4 {
+                    explore();
+                    let mut lease = pool.acquire(4096);
+                    assert_ne!(lease.as_ptr() as usize, live, "live pages re-leased");
+                    lease.extend_from_slice(&[0xFF; 512]);
+                }
+            })
+        };
+        // The reader's view may go at any point; this one outlives the
+        // scribbler, so the pages are live for every lease it takes.
+        explore();
+        scribbler.join().unwrap();
+        let live = z.start_addr();
+        drop(z);
+        reader.join().unwrap();
+        // With every view gone the pages are back, and leasable again.
+        assert_eq!(pool.stats().discards, 0);
+        let leased: Vec<_> = (0..2).map(|_| pool.acquire(4096)).collect();
+        assert!(leased.iter().any(|l| l.as_ptr() as usize == live));
     });
 }

@@ -26,3 +26,25 @@ fn acquire_release_cycles_do_not_allocate_after_warm_up() {
     assert_eq!(s.fresh_allocations, sizes.len() as u64);
     assert_eq!(s.reuses, 1000);
 }
+
+/// Freezing a lease and dropping its last view touch the allocator no more
+/// than the lease did: the refcount block rides the free list with its
+/// pages, and clones and slices only count.
+#[test]
+fn freeze_share_and_last_drop_do_not_allocate() {
+    let pool = PagePool::new(8 << 20);
+    drop(pool.acquire(PAGE_SIZE).freeze());
+    let before = allocations();
+    for i in 0..1000usize {
+        let mut lease = pool.acquire(PAGE_SIZE);
+        lease.extend_from_slice(&i.to_le_bytes());
+        let view = lease.freeze();
+        let tail = view.slice(4..);
+        drop(view.clone());
+        drop(view);
+        assert_eq!(tail.as_slice(), &i.to_le_bytes()[4..]);
+    }
+    assert_eq!(allocations() - before, 0, "freeze/drop cycles allocated");
+    let s = pool.stats();
+    assert_eq!((s.fresh_allocations, s.reuses, s.returns), (1, 1000, 1001));
+}

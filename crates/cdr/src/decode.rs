@@ -89,6 +89,11 @@ impl<'a> CdrDecoder<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The stream from its first byte up to the cursor.
+    pub fn consumed(&self) -> &'a [u8] {
+        self.buf.get(..self.pos).unwrap_or(self.buf)
+    }
+
     fn take(&mut self, n: usize) -> CdrResult<&'a [u8]> {
         // Overflow-proof and panic-free: `checked_add` guards the cursor
         // arithmetic and `get` turns any out-of-window read into an error,
@@ -214,19 +219,18 @@ impl<'a> CdrDecoder<'a> {
 
     /// `string`: ulong length including NUL, UTF-8 bytes, NUL.
     pub fn read_string(&mut self) -> CdrResult<String> {
+        self.read_str().map(str::to_owned)
+    }
+
+    /// A `string` read in place: the characters stay in the stream.
+    pub fn read_str(&mut self) -> CdrResult<&'a str> {
         let len = self.read_u32()?;
         let len = self.checked_len(len, 1)?;
-        if len == 0 {
-            // A zero length is malformed (even "" encodes as length 1).
-            return Err(CdrError::InvalidString);
+        // A zero length is malformed (even "" encodes as length 1).
+        match self.take(len)?.split_last() {
+            Some((0, chars)) => std::str::from_utf8(chars).map_err(|_| CdrError::InvalidString),
+            _ => Err(CdrError::InvalidString),
         }
-        let bytes = self.take(len)?;
-        if bytes[len - 1] != 0 {
-            return Err(CdrError::InvalidString);
-        }
-        std::str::from_utf8(&bytes[..len - 1])
-            .map(str::to_owned)
-            .map_err(|_| CdrError::InvalidString)
     }
 
     /// Bulk octet read: ulong count then the raw bytes, copied out once (and

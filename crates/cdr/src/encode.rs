@@ -10,7 +10,8 @@ use crate::endian::{self, ByteOrder};
 ///
 /// Alignment is computed relative to the start of the encoder's buffer,
 /// which in GIOP corresponds to the first byte after the 12-byte message
-/// header (the header itself is laid out so that the body starts 8-aligned).
+/// header (the header itself is laid out so that the body starts 8-aligned)
+/// — or, while an encapsulation is being written, to its first byte.
 ///
 /// The encoder carries the two pieces of per-connection context the paper's
 /// optimization needs:
@@ -23,6 +24,9 @@ use crate::endian::{self, ByteOrder};
 ///   pushes its payload here instead of copying it into the stream.
 pub struct CdrEncoder {
     buf: Vec<u8>,
+    /// Offset in `buf` that alignment counts from: 0, or the start of the
+    /// encapsulation being written.
+    origin: usize,
     order: ByteOrder,
     meter: Option<Arc<CopyMeter>>,
     zc_enabled: bool,
@@ -34,6 +38,7 @@ impl CdrEncoder {
     pub fn new(order: ByteOrder) -> CdrEncoder {
         CdrEncoder {
             buf: Vec::new(),
+            origin: 0,
             order,
             meter: None,
             zc_enabled: false,
@@ -95,7 +100,7 @@ impl CdrEncoder {
     /// Insert padding so the next write lands on an `n`-byte boundary.
     pub fn align(&mut self, n: usize) {
         debug_assert!(n.is_power_of_two() && n <= 8);
-        let misalign = self.buf.len() % n;
+        let misalign = (self.buf.len() - self.origin) % n;
         if misalign != 0 {
             // CDR padding octets have unspecified value; we use zero.
             self.buf.resize(self.buf.len() + (n - misalign), 0);
@@ -217,15 +222,46 @@ impl CdrEncoder {
     /// aligned CDR stream starting with its own endianness octet. Used for
     /// IOR profile bodies and service-context data.
     pub fn write_encapsulation(&mut self, f: impl FnOnce(&mut CdrEncoder)) {
-        let mut inner = CdrEncoder::new(self.order);
-        inner.write_octet(self.order.flag() as u8);
-        f(&mut inner);
+        self.write_encapsulation_in(self.order, f)
+    }
+
+    /// [`CdrEncoder::write_encapsulation`] in a byte order of its own
+    /// choosing (an encapsulation announces its order, so it need not be
+    /// the stream's). Written in place: for the duration of `f` this
+    /// encoder *is* the nested stream — alignment counts from the
+    /// encapsulation's first byte, bulk writes are not metered, ZC types
+    /// marshal inline — and the length prefix is filled in afterwards.
+    ///
+    /// # Panics
+    /// If `f` pushes a deposit.
+    pub fn write_encapsulation_in(&mut self, order: ByteOrder, f: impl FnOnce(&mut CdrEncoder)) {
+        self.write_u32(0); // the length, once it is known
+        let start = self.buf.len();
+        let outer = (self.origin, self.order, self.zc_enabled, self.meter.take());
+        (self.origin, self.order, self.zc_enabled) = (start, order, false);
+        self.write_octet(order.flag() as u8);
+        let deposits = self.deposits.len();
+        f(self);
         assert!(
-            inner.deposits.is_empty(),
+            self.deposits.len() == deposits,
             "deposits are not allowed inside encapsulations"
         );
-        self.write_u32(inner.buf.len() as u32);
-        self.buf.extend_from_slice(&inner.buf);
+        (self.origin, self.order, self.zc_enabled, self.meter) = outer;
+        self.patch_u32(start - 4, (self.buf.len() - start) as u32);
+    }
+
+    /// Overwrite the `unsigned long` at byte offset `at` (which a
+    /// `write_u32` put there): for counts known only once the elements
+    /// that follow them are written.
+    ///
+    /// # Panics
+    /// If no four bytes were written at `at`.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        let slot = self.buf.iter_mut().skip(at).take(4);
+        assert!(slot.len() == 4, "patch_u32 outside the encoded stream");
+        for (byte, new) in slot.zip(endian::write_u32(self.order, v)) {
+            *byte = new;
+        }
     }
 
     /// Finish encoding: the CDR stream plus the deposit list.

@@ -27,13 +27,20 @@
 //! buffer the stack's receive copy landed it in: stripping the GIOP header
 //! is a slice, and the decoders read that view. The one copy made here —
 //! putting a fragmented message back together — is metered.
+//!
+//! Nor does it allocate in steady state. A request or reply header is
+//! written, service contexts and all, straight into an encoder that borrows
+//! the connection's spare header buffer, and read in place as a
+//! [`RequestView`]/[`ReplyView`] of the received body: the key, the
+//! operation name and the manifest's block lengths stay where they arrived.
 
 use zc_buffers::ZcBytes;
 use zc_cdr::{ByteOrder, CdrDecoder, CdrEncoder};
 use zc_giop::{
-    fragment_plan, DepositManifest, GiopError, GiopHeader, GiopVersion, Handshake, MessageType,
-    Negotiated, ReplyHeader, ReplyStatus, RequestHeader, SystemException, TraceContext,
-    ZcHealthContext, GIOP_HEADER_LEN, MAX_GIOP_MESSAGE,
+    fragment_plan, write_reply_header, write_request_header, GiopError, GiopHeader, GiopVersion,
+    Handshake, ManifestView, MessageType, Negotiated, ReplyStatus, ReplyView, RequestView,
+    SystemException, TraceContext, ZcHealthContext, GIOP_HEADER_LEN, MAX_GIOP_MESSAGE,
+    MAX_MANIFEST_BLOCKS,
 };
 use zc_trace::{EventKind, TraceLayer};
 use zc_transport::{Connection, TransportCtx, TransportError};
@@ -112,14 +119,26 @@ struct DegradeState {
     last_was_probe: bool,
 }
 
-/// An incoming request as surfaced to the server loop.
+/// A Request message as it arrived: what an [`IncomingRequest`] is a view
+/// of. The server loop owns one per request, so the request can borrow its
+/// header fields from it while the connection stays free to answer.
 #[derive(Debug)]
-pub struct IncomingRequest {
-    /// Parsed request header.
-    pub header: RequestHeader,
+pub struct RequestMessage {
     /// The full GIOP body (header + padding + arguments): a view of the
     /// pooled buffer the transport received it into.
-    pub body: ZcBytes,
+    body: ZcBytes,
+    order: ByteOrder,
+}
+
+/// An incoming request as surfaced to the server loop.
+#[derive(Debug)]
+pub struct IncomingRequest<'m> {
+    /// The request header, read in place: key, operation name and service
+    /// contexts are windows of `body`.
+    pub header: RequestView<'m>,
+    /// The full GIOP body (header + padding + arguments): a view of the
+    /// pooled buffer the transport received it into.
+    pub body: &'m ZcBytes,
     /// Offset of the first argument within `body`.
     pub args_offset: usize,
     /// Deposited blocks, in descriptor-index order.
@@ -178,6 +197,8 @@ pub struct GiopConn {
     /// [`GiopConn::body_encoder`] so a steady stream of messages marshals
     /// into the same allocation.
     spare_body: Vec<u8>,
+    /// Likewise the request/reply header buffer of the last message sent.
+    spare_head: Vec<u8>,
 }
 
 impl GiopConn {
@@ -207,6 +228,7 @@ impl GiopConn {
             pending_journey: None,
             degrade: DegradeState::default(),
             spare_body: Vec::new(),
+            spare_head: Vec::new(),
         })
     }
 
@@ -237,6 +259,7 @@ impl GiopConn {
             pending_journey: None,
             degrade: DegradeState::default(),
             spare_body: Vec::new(),
+            spare_head: Vec::new(),
         })
     }
 
@@ -288,18 +311,14 @@ impl GiopConn {
 
     /// Our receive-side speculation counters, piggybacked for the peer's
     /// degradation decision (only meaningful on zero-copy connections).
-    fn zc_health_context(&self) -> Option<zc_giop::ServiceContext> {
-        if !self.negotiated.zero_copy {
-            return None;
-        }
-        let st = self.conn.stats();
-        Some(
+    fn zc_health(&self) -> Option<ZcHealthContext> {
+        self.negotiated.zero_copy.then(|| {
+            let st = self.conn.stats();
             ZcHealthContext {
                 spec_hits: st.spec_hits,
                 spec_misses: st.spec_misses,
             }
-            .to_context(),
-        )
+        })
     }
 
     /// Digest a peer health report: compute the delta since the last one
@@ -363,16 +382,6 @@ impl GiopConn {
             }
             self.degrade.window_hits = 0;
             self.degrade.window_misses = 0;
-        }
-    }
-
-    /// Scan a service-context list for a peer health report and feed it to
-    /// the degradation state machine. Malformed reports are ignored, like
-    /// malformed trace contexts: health is advisory and must never fail a
-    /// message.
-    fn note_peer_health_in(&mut self, contexts: &[zc_giop::ServiceContext]) {
-        if let Ok(Some(h)) = ZcHealthContext::find_in(contexts) {
-            self.note_peer_health(h);
         }
     }
 
@@ -440,14 +449,16 @@ impl GiopConn {
     }
 
     /// Hand back the marshal buffer of a message that is on the wire, for
-    /// the next [`GiopConn::body_encoder`] to reuse. The connection keeps
-    /// the roomier of this one and the spare it holds, and nothing above
-    /// [`FRAGMENT_THRESHOLD`]: one oversized message must not pin its
-    /// buffer for the connection's lifetime.
+    /// the next [`GiopConn::body_encoder`] to reuse (the connection keeps
+    /// the roomier of this one and the spare it holds).
     pub fn recycle_body(&mut self, body: Vec<u8>) {
-        if (self.spare_body.capacity()..=FRAGMENT_THRESHOLD).contains(&body.capacity()) {
-            self.spare_body = body;
-        }
+        keep_roomier(&mut self.spare_body, body);
+    }
+
+    /// A request/reply header encoder that borrows the spare header buffer;
+    /// [`GiopConn::send_message`] takes the buffer back.
+    fn head_encoder(&mut self) -> CdrEncoder {
+        CdrEncoder::new(self.wire_order()).with_buffer(std::mem::take(&mut self.spare_head))
     }
 
     fn alloc_request_id(&mut self) -> u32 {
@@ -456,15 +467,20 @@ impl GiopConn {
         id
     }
 
-    /// Assemble and send a GIOP message whose body is `header_enc` followed
-    /// by 8-aligned `payload` bytes, with `deposits` travelling per tuning.
+    /// Assemble and send a GIOP message whose body is `header_enc` (from
+    /// [`GiopConn::head_encoder`]) followed by 8-aligned `payload` bytes,
+    /// with `deposits` travelling per tuning.
     fn send_message(
         &mut self,
         msg_type: MessageType,
         mut header_enc: CdrEncoder,
         payload: &[u8],
-        deposits: Vec<ZcBytes>,
+        deposits: &[ZcBytes],
     ) -> OrbResult<()> {
+        if deposits.len() > MAX_MANIFEST_BLOCKS as usize {
+            // The receiver would refuse the manifest; fail before the wire.
+            return Err(zc_cdr::CdrError::LengthOverflow(deposits.len() as u64).into());
+        }
         let coupled = !self.tuning.separate_data && !deposits.is_empty();
         if coupled {
             // Ablation A1: couple data back into the control message.
@@ -472,7 +488,7 @@ impl GiopConn {
             // prefix, before the argument bytes — one copy, metered as
             // marshal: this is the buffering the separation avoids.
             header_enc = header_enc.with_meter(std::sync::Arc::clone(&self.ctx.meter));
-            for block in &deposits {
+            for block in deposits {
                 self.note_deposit_block(block);
                 header_enc.align(8);
                 header_enc.write_octet_seq(block.as_slice());
@@ -482,10 +498,11 @@ impl GiopConn {
         let head = header_enc.finish_stream();
         self.send_framed(msg_type, &head, payload)?;
         let mut sent = (head.len() + payload.len()) as u64;
+        keep_roomier(&mut self.spare_head, head);
         if !coupled {
             // Data transfer, decoupled: blocks follow on the data path,
             // already announced by the manifest in the control message.
-            for block in &deposits {
+            for block in deposits {
                 self.conn.send_data(block)?;
                 sent += block.len() as u64;
                 self.note_deposit_block(block);
@@ -566,11 +583,7 @@ impl GiopConn {
         while more {
             let (hdr, fragment) = self.recv_one_frame()?;
             if hdr.msg_type != MessageType::Fragment {
-                // zc-audit: allow(control-plane) — protocol error diagnostic
-                return Err(OrbError::Protocol(format!(
-                    "expected Fragment continuation, got {:?}",
-                    hdr.msg_type
-                )));
+                return Err(unexpected(hdr.msg_type, MessageType::Fragment));
             }
             total += fragment.len();
             if total as u64 > MAX_GIOP_MESSAGE {
@@ -621,7 +634,7 @@ impl GiopConn {
     /// offset in `body` where argument decoding should resume.
     fn collect_deposits(
         &mut self,
-        manifest: Option<DepositManifest>,
+        manifest: Option<ManifestView<'_>>,
         body: &[u8],
         after_header: usize,
         order: ByteOrder,
@@ -632,7 +645,7 @@ impl GiopConn {
         };
         if self.tuning.separate_data {
             let mut blocks = Vec::with_capacity(manifest.block_count());
-            for &len in &manifest.block_lengths {
+            for len in manifest.block_lengths() {
                 blocks.push(self.conn.recv_data(len as usize)?);
                 self.ctx.telemetry.note_wire_rx(len);
                 self.ctx.telemetry.record(
@@ -651,7 +664,7 @@ impl GiopConn {
                 CdrDecoder::new(body, order).with_meter(std::sync::Arc::clone(&self.ctx.meter));
             dec.skip(after_header)?;
             let mut blocks = Vec::with_capacity(manifest.block_count());
-            for &len in &manifest.block_lengths {
+            for len in manifest.block_lengths() {
                 dec.align(8)?;
                 let announced = dec.read_u32()? as u64;
                 if announced != len {
@@ -720,23 +733,22 @@ impl GiopConn {
     ) -> OrbResult<u32> {
         let (args, deposits) = args_enc.finish();
         let id =
-            self.send_request_raw(object_key, operation, response_expected, &args, deposits)?;
+            self.send_request_raw(object_key, operation, response_expected, &args, &deposits)?;
         self.recycle_body(args);
         Ok(id)
     }
 
     /// Client: send a request from already-finished argument bytes and
     /// deposit blocks. This is the retry-friendly entry point: the proxy
-    /// finishes its encoder once and can resend the same bytes (deposits
-    /// are reference-counted, so cloning them is cheap) on a replacement
-    /// connection. Returns the request id.
+    /// finishes its encoder once and can resend the same bytes and blocks
+    /// on a replacement connection. Returns the request id.
     pub fn send_request_raw(
         &mut self,
         object_key: &[u8],
         operation: &str,
         response_expected: bool,
         args: &[u8],
-        deposits: Vec<ZcBytes>,
+        deposits: &[ZcBytes],
     ) -> OrbResult<u32> {
         self.check_poisoned()?;
         let enabled = self.ctx.telemetry.is_enabled();
@@ -746,37 +758,38 @@ impl GiopConn {
         let request_id = self.alloc_request_id();
         let trace_id = zc_trace::next_trace_id();
         self.last_trace_id = trace_id;
-        // zc-audit: allow(control-plane) — object keys are small identifiers, not payload
-        let mut header = RequestHeader::new(request_id, object_key.to_vec(), operation);
-        header.response_expected = response_expected;
-        if !deposits.is_empty() {
-            header.service_contexts.push(
-                DepositManifest {
-                    block_lengths: deposits.iter().map(|b| b.len() as u64).collect(),
-                }
-                .to_context(),
-            );
-        }
         // Always stamped: the id and send timestamp are cheap to carry, and
         // a receiver with telemetry enabled can then correlate (and derive
         // the wire stage) even when ours is off.
         let sent_at_ns = zc_trace::now_ns();
         let (journey_id, attempt, cause) = self.pending_journey.take().unwrap_or_default();
-        header.service_contexts.push(
-            TraceContext {
-                trace_id,
-                sent_at_ns,
-                journey_id,
-                attempt,
-                cause,
-            }
-            .to_context(),
-        );
+        let trace = TraceContext {
+            trace_id,
+            sent_at_ns,
+            journey_id,
+            attempt,
+            cause,
+        };
         // Piggyback our receive-side speculation counters so the peer's
         // deposit sender can degrade/upgrade its zero-copy path.
-        if let Some(health) = self.zc_health_context() {
-            header.service_contexts.push(health);
-        }
+        let health = self.zc_health();
+        let mut enc = self.head_encoder();
+        write_request_header(
+            &mut enc,
+            request_id,
+            response_expected,
+            object_key,
+            operation,
+            |w| {
+                if !deposits.is_empty() {
+                    w.manifest(deposits.iter().map(|b| b.len() as u64));
+                }
+                w.trace(&trace);
+                if let Some(health) = &health {
+                    w.health(health);
+                }
+            },
+        );
         let dep_bytes: u64 = deposits.iter().map(|b| b.len() as u64).sum();
         // The attempt event joins this send's trace id to its journey.
         // Recorded *before* the write: a send that dies on a closed socket
@@ -791,8 +804,6 @@ impl GiopConn {
                     .record_attempt(self.conn_id, trace_id, c, attempt, journey_id);
             }
         }
-        let mut enc = CdrEncoder::new(self.wire_order());
-        header.marshal(&mut enc)?;
         self.send_message(MessageType::Request, enc, args, deposits)?;
         let tele = &self.ctx.telemetry;
         if enabled {
@@ -839,25 +850,22 @@ impl GiopConn {
             MessageType::MessageError => {
                 return Err(OrbError::Protocol("peer reported MessageError".into()))
             }
-            other => {
-                // zc-audit: allow(control-plane) — protocol error diagnostic
-                return Err(OrbError::Protocol(format!(
-                    "unexpected {other:?} while awaiting Reply"
-                )));
-            }
+            other => return Err(unexpected(other, MessageType::Reply)),
         }
         let mut dec = CdrDecoder::new(&body, order);
-        let header = ReplyHeader::demarshal(&mut dec)?;
+        let header = ReplyView::parse(&mut dec)?;
         let after_header = dec.position();
         if header.request_id != expect_id {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(OrbError::Protocol(format!(
-                "reply id {} does not match request id {expect_id}",
-                header.request_id
-            )));
+            return Err(GiopError::IdMismatch {
+                got: header.request_id,
+                expected: expect_id,
+            }
+            .into());
         }
-        let manifest = DepositManifest::find_in(&header.service_contexts)?;
-        self.note_peer_health_in(&header.service_contexts);
+        let manifest = header.contexts.manifest;
+        if let Some(health) = header.contexts.health {
+            self.note_peer_health(health);
+        }
         match header.status {
             ReplyStatus::NoException => {
                 // The zc flag is self-describing per message: every
@@ -874,11 +882,7 @@ impl GiopConn {
                     // the reply's trace context) → our arrival, on the
                     // shared in-process trace clock. Unstamped replies
                     // (foreign peers, old format) skip the stage.
-                    let reply_sent_at = TraceContext::find_in(&header.service_contexts)
-                        .ok()
-                        .flatten()
-                        .map(|t| t.sent_at_ns)
-                        .unwrap_or(0);
+                    let reply_sent_at = header.contexts.trace.map_or(0, |t| t.sent_at_ns);
                     if reply_sent_at != 0 && arrival_ns >= reply_sent_at {
                         tele.record_stage(
                             zc_trace::Stage::ClientReplyWire,
@@ -913,8 +917,6 @@ impl GiopConn {
                 })
             }
             ReplyStatus::SystemException => {
-                let mut dec = CdrDecoder::new(&body, order);
-                ReplyHeader::demarshal(&mut dec)?;
                 dec.align(8)?;
                 let ex = SystemException::demarshal(&mut dec)?;
                 let tele = &self.ctx.telemetry;
@@ -932,8 +934,6 @@ impl GiopConn {
             }
             ReplyStatus::UserException => {
                 // body: repo-id string, then the encoded members
-                let mut dec = CdrDecoder::new(&body, order);
-                ReplyHeader::demarshal(&mut dec)?;
                 dec.align(8)?;
                 let repo_id = dec.read_string()?;
                 // the members blob carries its own byte-order flag (the
@@ -953,142 +953,25 @@ impl GiopConn {
         }
     }
 
-    /// Server: receive the next request. `CancelRequest` messages are
-    /// consumed silently (we never start executing before reading the next
-    /// request, so a cancel that arrives here is already moot).
-    pub fn recv_request(&mut self) -> OrbResult<IncomingRequest> {
-        self.recv_request_admitted(|_, _, _| Ok(()))
-            .map(|(req, ())| req)
+    /// Server: receive the next request into `slot` (see
+    /// [`GiopConn::recv_request_admitted`], here with an open gate).
+    pub fn recv_request<'m>(
+        &mut self,
+        slot: &'m mut Option<RequestMessage>,
+    ) -> OrbResult<IncomingRequest<'m>> {
+        let admitted = self.recv_request_admitted(slot, |_, _, _| Ok(()))?;
+        Ok(admitted.expect("an open gate refuses nothing").0)
     }
 
-    /// Server: receive the next **admitted** request. `gate` runs after
-    /// the request header and deposit manifest are decoded but *before*
-    /// any deposit block is collected, with `(header, announced deposit
-    /// bytes, carries-deposits)`. A refusal is cheap by construction: the
-    /// announced blocks are drained straight off the data path without
-    /// retaining a single pool page, the supplied system exception (e.g.
-    /// `TRANSIENT` from admission control) answers the request, and the
-    /// loop continues with the connection intact. On admission, the gate's
-    /// success value (e.g. a queue-slot ticket) is returned alongside the
-    /// request so the caller can scope the reservation to the dispatch.
-    pub fn recv_request_admitted<T>(
-        &mut self,
-        mut gate: impl FnMut(&RequestHeader, u64, bool) -> Result<T, SystemException>,
-    ) -> OrbResult<(IncomingRequest, T)> {
+    /// Server: receive the next Request message, answering or skipping
+    /// everything else on the way. `CancelRequest` messages are consumed
+    /// silently (we never start executing before reading the next request,
+    /// so a cancel that arrives here is already moot).
+    fn recv_request_message(&mut self) -> OrbResult<RequestMessage> {
         loop {
             let (msg_type, body, order) = self.recv_message()?;
             match msg_type {
-                MessageType::Request => {
-                    let arrival_ns = if self.ctx.telemetry.is_enabled() {
-                        zc_trace::now_ns()
-                    } else {
-                        0
-                    };
-                    let mut dec = CdrDecoder::new(&body, order);
-                    let header = RequestHeader::demarshal(&mut dec)?;
-                    let after_header = dec.position();
-                    let manifest = DepositManifest::find_in(&header.service_contexts)?;
-                    // A malformed trace context is ignored, not rejected:
-                    // tracing is advisory and must never fail a request.
-                    let tctx = TraceContext::find_in(&header.service_contexts)
-                        .ok()
-                        .flatten()
-                        .unwrap_or_default();
-                    let trace_id = tctx.trace_id;
-                    self.last_trace_id = trace_id;
-                    self.note_peer_health_in(&header.service_contexts);
-                    // Self-describing per message: manifest present iff the
-                    // sender used descriptors (see `recv_reply`).
-                    let zc = manifest.is_some();
-                    let announced: u64 = manifest
-                        .as_ref()
-                        .map(|m| m.block_lengths.iter().sum())
-                        .unwrap_or(0);
-                    let token = match gate(&header, announced, zc) {
-                        Ok(t) => t,
-                        Err(ex) => {
-                            // Shed: drain the announced blocks (receive and
-                            // immediately drop — no page is pinned past the
-                            // refusal). On the coupled path the blocks are
-                            // inline in `body` and simply never parsed.
-                            if self.tuning.separate_data {
-                                if let Some(m) = &manifest {
-                                    for &len in &m.block_lengths {
-                                        let _ = self.conn.recv_data(len as usize)?;
-                                        self.ctx.telemetry.note_wire_rx(len);
-                                    }
-                                }
-                            }
-                            if header.response_expected {
-                                self.send_reply_exception(header.request_id, &ex)?;
-                            }
-                            continue;
-                        }
-                    };
-                    let (deposits, args_offset) =
-                        self.collect_deposits(manifest, &body, after_header, order)?;
-                    let tele = &self.ctx.telemetry;
-                    if tele.is_enabled() {
-                        let m = tele.metrics();
-                        m.requests_received.incr();
-                        if trace_id != 0 {
-                            m.trace_contexts_seen.incr();
-                        }
-                        // Mirror the caller's journey annotation so a spool
-                        // on this side alone can still reconstruct journeys.
-                        // The cause byte is wire data: tolerate values from
-                        // newer peers by dropping only the event, not the
-                        // request.
-                        if tctx.journey_id != 0 {
-                            if let Some(c) = zc_trace::JourneyCause::from_u8(tctx.cause) {
-                                tele.record_attempt(
-                                    self.conn_id,
-                                    trace_id,
-                                    c,
-                                    tctx.attempt,
-                                    tctx.journey_id,
-                                );
-                            }
-                        }
-                        // Wire stage: the client's send stamp → our arrival,
-                        // valid on the shared in-process trace clock.
-                        if tctx.sent_at_ns != 0 && arrival_ns >= tctx.sent_at_ns {
-                            tele.record_stage(
-                                zc_trace::Stage::Wire,
-                                self.conn_id,
-                                trace_id,
-                                arrival_ns - tctx.sent_at_ns,
-                            );
-                        }
-                        // Receive stage: header demarshal + manifest parse +
-                        // pulling every announced deposit off the data path.
-                        tele.record_stage(
-                            zc_trace::Stage::ServerRecv,
-                            self.conn_id,
-                            trace_id,
-                            zc_trace::now_ns().saturating_sub(arrival_ns),
-                        );
-                    }
-                    tele.record(
-                        TraceLayer::Giop,
-                        EventKind::RequestReceived,
-                        self.conn_id,
-                        trace_id,
-                        deposits.iter().map(|b| b.len() as u64).sum(),
-                    );
-                    return Ok((
-                        IncomingRequest {
-                            header,
-                            body,
-                            args_offset,
-                            deposits,
-                            order,
-                            zc,
-                            trace_id,
-                        },
-                        token,
-                    ));
-                }
+                MessageType::Request => return Ok(RequestMessage { body, order }),
                 MessageType::CancelRequest => continue,
                 MessageType::CloseConnection => {
                     return Err(OrbError::Transport(TransportError::Closed))
@@ -1102,48 +985,153 @@ impl GiopConn {
                     enc.write_u32(1); // OBJECT_HERE
                     let body = enc.finish_stream();
                     self.send_framed(MessageType::LocateReply, &body, &[])?;
-                    continue;
                 }
-                other => {
-                    // zc-audit: allow(control-plane) — protocol error diagnostic
-                    return Err(OrbError::Protocol(format!(
-                        "unexpected {other:?} while awaiting Request"
-                    )));
-                }
+                other => return Err(unexpected(other, MessageType::Request)),
             }
         }
+    }
+
+    /// Server: receive the next request and put it to `gate`. The message
+    /// lands in `slot`, which the caller owns — the returned request reads
+    /// its header in place there, and the connection stays free to marshal
+    /// and send the answer meanwhile.
+    ///
+    /// `gate` runs after the request header and deposit manifest are read
+    /// but *before* any deposit block is collected, with `(header,
+    /// announced deposit bytes, carries-deposits)`. A refusal is cheap by
+    /// construction: the announced blocks are drained straight off the data
+    /// path without retaining a single pool page, the supplied system
+    /// exception (e.g. `TRANSIENT` from admission control) answers the
+    /// request, and `Ok(None)` says so with the connection intact. On
+    /// admission, the gate's success value (e.g. a queue-slot ticket) is
+    /// returned alongside the request so the caller can scope the
+    /// reservation to the dispatch.
+    pub fn recv_request_admitted<'m, T>(
+        &mut self,
+        slot: &'m mut Option<RequestMessage>,
+        mut gate: impl FnMut(&RequestView<'_>, u64, bool) -> Result<T, SystemException>,
+    ) -> OrbResult<Option<(IncomingRequest<'m>, T)>> {
+        let RequestMessage { body, order } = slot.insert(self.recv_request_message()?);
+        let order = *order;
+        let arrival_ns = if self.ctx.telemetry.is_enabled() {
+            zc_trace::now_ns()
+        } else {
+            0
+        };
+        let mut dec = CdrDecoder::new(body, order);
+        let header = RequestView::parse(&mut dec)?;
+        let after_header = dec.position();
+        let manifest = header.contexts.manifest;
+        let tctx = header.contexts.trace.unwrap_or_default();
+        let trace_id = tctx.trace_id;
+        self.last_trace_id = trace_id;
+        if let Some(health) = header.contexts.health {
+            self.note_peer_health(health);
+        }
+        // Self-describing per message: manifest present iff the sender
+        // used descriptors (see `recv_reply`).
+        let zc = manifest.is_some();
+        let announced = manifest.map_or(0, |m| m.total_bytes());
+        let token = match gate(&header, announced, zc) {
+            Ok(t) => t,
+            Err(ex) => {
+                // Shed: drain the announced blocks (receive and immediately
+                // drop — no page is pinned past the refusal). On the
+                // coupled path the blocks are inline in `body` and simply
+                // never parsed.
+                if self.tuning.separate_data {
+                    for len in manifest.iter().flat_map(|m| m.block_lengths()) {
+                        let _ = self.conn.recv_data(len as usize)?;
+                        self.ctx.telemetry.note_wire_rx(len);
+                    }
+                }
+                if header.response_expected {
+                    self.send_reply_exception(header.request_id, &ex)?;
+                }
+                return Ok(None);
+            }
+        };
+        let (deposits, args_offset) = self.collect_deposits(manifest, body, after_header, order)?;
+        let tele = &self.ctx.telemetry;
+        if tele.is_enabled() {
+            let m = tele.metrics();
+            m.requests_received.incr();
+            if trace_id != 0 {
+                m.trace_contexts_seen.incr();
+            }
+            // Mirror the caller's journey annotation so a spool on this
+            // side alone can still reconstruct journeys. The cause byte is
+            // wire data: tolerate values from newer peers by dropping only
+            // the event, not the request.
+            if tctx.journey_id != 0 {
+                if let Some(c) = zc_trace::JourneyCause::from_u8(tctx.cause) {
+                    tele.record_attempt(self.conn_id, trace_id, c, tctx.attempt, tctx.journey_id);
+                }
+            }
+            // Wire stage: the client's send stamp → our arrival, valid on
+            // the shared in-process trace clock.
+            if tctx.sent_at_ns != 0 && arrival_ns >= tctx.sent_at_ns {
+                tele.record_stage(
+                    zc_trace::Stage::Wire,
+                    self.conn_id,
+                    trace_id,
+                    arrival_ns - tctx.sent_at_ns,
+                );
+            }
+            // Receive stage: header read + manifest parse + pulling every
+            // announced deposit off the data path.
+            tele.record_stage(
+                zc_trace::Stage::ServerRecv,
+                self.conn_id,
+                trace_id,
+                zc_trace::now_ns().saturating_sub(arrival_ns),
+            );
+        }
+        tele.record(
+            TraceLayer::Giop,
+            EventKind::RequestReceived,
+            self.conn_id,
+            trace_id,
+            deposits.iter().map(|b| b.len() as u64).sum(),
+        );
+        Ok(Some((
+            IncomingRequest {
+                header,
+                body,
+                args_offset,
+                deposits,
+                order,
+                zc,
+                trace_id,
+            },
+            token,
+        )))
     }
 
     /// Server: send a successful reply whose body is `results_enc`.
     pub fn send_reply_ok(&mut self, request_id: u32, results_enc: CdrEncoder) -> OrbResult<()> {
         let (results, deposits) = results_enc.finish();
-        let mut header = ReplyHeader::ok(request_id);
-        if !deposits.is_empty() {
-            header.service_contexts.push(
-                DepositManifest {
-                    block_lengths: deposits.iter().map(|b| b.len() as u64).collect(),
-                }
-                .to_context(),
-            );
-        }
-        if let Some(health) = self.zc_health_context() {
-            header.service_contexts.push(health);
-        }
+        let health = self.zc_health();
         // Echo the request's trace id with our send stamp so the client can
         // derive the reply-wire stage (symmetric to `send_request_raw`).
-        header.service_contexts.push(
-            TraceContext {
-                trace_id: self.last_trace_id,
-                sent_at_ns: zc_trace::now_ns(),
-                // Replies do not re-announce the journey: the client owns it.
-                ..Default::default()
+        let trace = TraceContext {
+            trace_id: self.last_trace_id,
+            sent_at_ns: zc_trace::now_ns(),
+            // Replies do not re-announce the journey: the client owns it.
+            ..Default::default()
+        };
+        let mut enc = self.head_encoder();
+        write_reply_header(&mut enc, request_id, ReplyStatus::NoException, |w| {
+            if !deposits.is_empty() {
+                w.manifest(deposits.iter().map(|b| b.len() as u64));
             }
-            .to_context(),
-        );
+            if let Some(health) = &health {
+                w.health(health);
+            }
+            w.trace(&trace);
+        });
         let dep_bytes: u64 = deposits.iter().map(|b| b.len() as u64).sum();
-        let mut enc = CdrEncoder::new(self.wire_order());
-        header.marshal(&mut enc)?;
-        self.send_message(MessageType::Reply, enc, &results, deposits)?;
+        self.send_message(MessageType::Reply, enc, &results, &deposits)?;
         self.recycle_body(results);
         self.ctx.telemetry.record(
             TraceLayer::Giop,
@@ -1155,20 +1143,30 @@ impl GiopConn {
         Ok(())
     }
 
+    /// A reply header of `status` carrying `health`, padded for the
+    /// exception body that follows it in the same stream.
+    fn exception_reply(
+        &mut self,
+        request_id: u32,
+        status: ReplyStatus,
+        health: Option<ZcHealthContext>,
+    ) -> CdrEncoder {
+        let mut enc = self.head_encoder();
+        write_reply_header(&mut enc, request_id, status, |w| {
+            if let Some(health) = &health {
+                w.health(health);
+            }
+        });
+        enc.align(8);
+        enc
+    }
+
     /// Server: send a system-exception reply.
     pub fn send_reply_exception(&mut self, request_id: u32, ex: &SystemException) -> OrbResult<()> {
-        let mut header = ReplyHeader::ok(request_id);
-        header.status = ReplyStatus::SystemException;
-        if let Some(health) = self.zc_health_context() {
-            header.service_contexts.push(health);
-        }
-        let mut enc = CdrEncoder::new(self.wire_order());
-        header.marshal(&mut enc)?;
-        enc.align(8);
-        let mut body_enc = CdrEncoder::new(self.wire_order());
-        ex.marshal(&mut body_enc)?;
-        let payload = body_enc.finish_stream();
-        self.send_message(MessageType::Reply, enc, &payload, Vec::new())?;
+        let health = self.zc_health();
+        let mut enc = self.exception_reply(request_id, ReplyStatus::SystemException, health);
+        ex.marshal(&mut enc)?;
+        self.send_message(MessageType::Reply, enc, &[], &[])?;
         self.ctx.telemetry.record(
             TraceLayer::Giop,
             EventKind::Error,
@@ -1185,19 +1183,13 @@ impl GiopConn {
         request_id: u32,
         data: &crate::UserExceptionData,
     ) -> OrbResult<()> {
-        let mut header = ReplyHeader::ok(request_id);
-        header.status = ReplyStatus::UserException;
-        let mut enc = CdrEncoder::new(self.wire_order());
-        header.marshal(&mut enc)?;
-        enc.align(8);
-        let mut body_enc = CdrEncoder::new(self.wire_order());
-        body_enc.write_string(&data.repo_id);
+        let mut enc = self.exception_reply(request_id, ReplyStatus::UserException, None);
+        enc.write_string(&data.repo_id);
         // Members stay in the servant's encoding order; ship that order as
         // a flag so heterogeneous clients decode correctly.
-        body_enc.write_bool(data.order.flag());
-        body_enc.write_octet_seq(&data.body);
-        let payload = body_enc.finish_stream();
-        self.send_message(MessageType::Reply, enc, &payload, Vec::new())
+        enc.write_bool(data.order.flag());
+        enc.write_octet_seq(&data.body);
+        self.send_message(MessageType::Reply, enc, &[], &[])
     }
 
     /// Either side: orderly shutdown notification (best effort).
@@ -1226,18 +1218,16 @@ impl GiopConn {
         self.send_framed(MessageType::LocateRequest, &body, &[])?;
         let (msg_type, body, order) = self.recv_message()?;
         if msg_type != MessageType::LocateReply {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(OrbError::Protocol(format!(
-                "expected LocateReply, got {msg_type:?}"
-            )));
+            return Err(unexpected(msg_type, MessageType::LocateReply));
         }
         let mut dec = CdrDecoder::new(&body, order);
         let id = dec.read_u32()?;
         if id != request_id {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(OrbError::Protocol(format!(
-                "LocateReply id {id} does not match {request_id}"
-            )));
+            return Err(GiopError::IdMismatch {
+                got: id,
+                expected: request_id,
+            }
+            .into());
         }
         let status = dec.read_u32()?;
         Ok(status == 1) // 0 = UNKNOWN_OBJECT, 1 = OBJECT_HERE, 2 = FORWARD
@@ -1261,6 +1251,20 @@ impl Drop for GiopConn {
             tele.note_degraded(false);
         }
         tele.note_conn_closed();
+    }
+}
+
+/// A message of type `got` arrived while the exchange awaited `awaiting`.
+fn unexpected(got: MessageType, awaiting: MessageType) -> OrbError {
+    GiopError::Unexpected { got, awaiting }.into()
+}
+
+/// Keep `returned` as the connection's `spare` buffer if it is the roomier
+/// of the two — and not above [`FRAGMENT_THRESHOLD`]: one oversized message
+/// must not pin its buffer for the connection's lifetime.
+fn keep_roomier(spare: &mut Vec<u8>, returned: Vec<u8>) {
+    if (spare.capacity()..=FRAGMENT_THRESHOLD).contains(&returned.capacity()) {
+        *spare = returned;
     }
 }
 

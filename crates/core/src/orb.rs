@@ -415,9 +415,11 @@ impl Orb {
             // (completed = NO) reply. Control-plane objects (reserved
             // `_`-prefix keys, e.g. `_ZcTelemetry`) ride the reserved lane
             // so operators can still poll a saturated server. The ticket
-            // holds the queue slot until dispatch completes.
-            let (incoming, ticket) = match gc.recv_request_admitted(|header, announced, bulk| {
-                let control = crate::admission::is_control_plane_key(&header.object_key);
+            // holds the queue slot until dispatch completes. The message
+            // lives in `inbound`; the request reads its header in place.
+            let mut inbound = None;
+            let gate = |header: &zc_giop::RequestView<'_>, announced, bulk| {
+                let control = crate::admission::is_control_plane_key(header.object_key);
                 admission.admit(control, announced, bulk).map_err(|reason| {
                     if tele.is_enabled() {
                         let m = tele.metrics();
@@ -440,8 +442,10 @@ impl Orb {
                     tele.record(TraceLayer::Orb, kind, conn_id, 0, announced);
                     reason.exception()
                 })
-            }) {
-                Ok(r) => r,
+            };
+            let (incoming, ticket) = match gc.recv_request_admitted(&mut inbound, gate) {
+                Ok(Some(admitted)) => admitted,
+                Ok(None) => continue, // shed, and answered so
                 Err(OrbError::Transport(TransportError::Closed)) => break,
                 Err(OrbError::Giop(zc_giop::GiopError::MessageTooLarge(_))) => {
                     // The announced size exceeded the hard cap: no huge
@@ -470,7 +474,7 @@ impl Orb {
 
             // Build the argument decoder over the received body, wired to
             // the deposited blocks when the connection is in ZC mode.
-            let mut dec = CdrDecoder::new(&incoming.body, incoming.order).with_meter(self.meter());
+            let mut dec = CdrDecoder::new(incoming.body, incoming.order).with_meter(self.meter());
             if incoming.zc {
                 dec = dec.with_deposits(incoming.deposits);
             }
@@ -482,8 +486,8 @@ impl Orb {
                     let enc = gc.body_encoder();
                     let mut sreq = ServerRequest::new(dec, enc).with_span(tele.request_span());
                     let r = self.inner.adapter.dispatch(
-                        &incoming.header.object_key,
-                        &incoming.header.operation,
+                        incoming.header.object_key,
+                        incoming.header.operation,
                         &mut sreq,
                     );
                     let (enc, ex, _, span) = sreq.finish();

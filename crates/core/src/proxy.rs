@@ -130,11 +130,12 @@ fn rotate_failover(target: &ObjectRef, r: &Recovery, tele: &Arc<zc_trace::Teleme
 }
 
 /// A client-side reference to a remote object: the IOR plus a (shared)
-/// negotiated connection to its server.
+/// negotiated connection to its server. Every part is a shared handle, so
+/// cloning a reference copies no IOR.
 #[derive(Clone)]
 pub struct ObjectRef {
-    ior: Ior,
-    object_key: Vec<u8>,
+    /// Immutable once resolved; holds at least one IIOP profile.
+    ior: Arc<Ior>,
     conn: Arc<Mutex<GiopConn>>,
     recovery: Option<Recovery>,
 }
@@ -144,14 +145,22 @@ impl ObjectRef {
     /// [`crate::Orb::resolve`]. References built directly (without an
     /// owning ORB) cannot self-heal: failures surface immediately.
     pub fn new(ior: Ior, conn: Arc<Mutex<GiopConn>>) -> OrbResult<ObjectRef> {
-        // zc-audit: allow(control-plane) — object key from the IOR profile, not payload
-        let object_key = ior.iiop_profile()?.object_key.clone();
+        ior.iiop_profile()?;
         Ok(ObjectRef {
-            ior,
-            object_key,
+            ior: Arc::new(ior),
             conn,
             recovery: None,
         })
+    }
+
+    /// The object key requests carry. It follows the active profile:
+    /// replicas of an object group may register the same object under
+    /// different keys.
+    fn wire_key(&self) -> &[u8] {
+        match &self.recovery {
+            Some(r) => &r.active_target().1,
+            None => self.ior.iiop_profile().map_or(&[], |p| &p.object_key),
+        }
     }
 
     /// Attach recovery state (reconnects repair the shared cache).
@@ -216,7 +225,7 @@ impl ObjectRef {
     }
 
     /// Begin a static invocation of `operation`.
-    pub fn request(&self, operation: &str) -> StaticRequest {
+    pub fn request<'a>(&'a self, operation: &'a str) -> StaticRequest<'a> {
         let mut conn = self.conn.lock();
         let span = conn.telemetry().request_span();
         let enc = conn.body_encoder();
@@ -226,9 +235,8 @@ impl ObjectRef {
         let probe = conn.take_last_probe();
         drop(conn);
         StaticRequest {
-            // zc-audit: allow(cheap-clone) — ObjectRef is an Arc handle plus small IOR metadata
-            target: self.clone(),
-            operation: operation.to_string(),
+            target: self,
+            operation,
             enc,
             err: None,
             idempotent: false,
@@ -242,7 +250,7 @@ impl ObjectRef {
         // The conn mutex *is* the wire serializer: locate must round-trip
         // under it, and it is a leaf lock (nothing else is taken while held).
         // zc-audit: allow(lock-held) — locate round-trips under the wire-serializing leaf lock
-        self.conn.lock().locate(&self.object_key)
+        self.conn.lock().locate(self.wire_key())
     }
 
     /// Transport statistics of the underlying connection.
@@ -257,15 +265,16 @@ impl std::fmt::Debug for ObjectRef {
             f,
             "ObjectRef({} @ {:?})",
             self.ior.type_id,
-            String::from_utf8_lossy(&self.object_key)
+            String::from_utf8_lossy(self.wire_key())
         )
     }
 }
 
 /// A static method invocation under construction (MICO's `StaticRequest`).
-pub struct StaticRequest {
-    target: ObjectRef,
-    operation: String,
+/// It borrows the reference it was begun on and the operation's name.
+pub struct StaticRequest<'a> {
+    target: &'a ObjectRef,
+    operation: &'a str,
     enc: CdrEncoder,
     err: Option<OrbError>,
     idempotent: bool,
@@ -277,10 +286,10 @@ pub struct StaticRequest {
     span: zc_trace::RequestSpan,
 }
 
-impl StaticRequest {
+impl<'a> StaticRequest<'a> {
     /// Marshal the next `in` parameter. Errors are deferred to
     /// [`StaticRequest::invoke`] so calls chain fluently.
-    pub fn arg<T: CdrMarshal>(mut self, v: &T) -> OrbResult<StaticRequest> {
+    pub fn arg<T: CdrMarshal>(mut self, v: &T) -> OrbResult<StaticRequest<'a>> {
         if self.err.is_none() {
             let t0 = self.span.begin();
             if let Err(e) = v.marshal(&mut self.enc) {
@@ -295,7 +304,7 @@ impl StaticRequest {
     /// once. Under CORBA's at-most-once rule, only idempotent operations
     /// may be retried after the request was (possibly) dispatched — a
     /// send-side failure is provably undispatched and retries regardless.
-    pub fn idempotent(mut self) -> StaticRequest {
+    pub fn idempotent(mut self) -> StaticRequest<'a> {
         self.idempotent = true;
         self
     }
@@ -335,9 +344,8 @@ impl StaticRequest {
         } else {
             zc_trace::JourneyCause::Initial
         };
-        // Marshal exactly once: retries resend the same finished bytes
-        // (deposit blocks are reference-counted, so re-sending is cheap
-        // and bit-identical — no double marshaling cost, no divergence).
+        // Marshal exactly once: retries resend the same finished bytes and
+        // the same blocks — no double marshaling cost, no divergence.
         let finish_t0 = span.begin();
         let (args, deposits) = enc.finish();
         span.end(zc_trace::Stage::ClientMarshal, finish_t0);
@@ -363,7 +371,7 @@ impl StaticRequest {
                     // group, rotate to the next live replica instead of
                     // surfacing TRANSIENT: the call was never attempted
                     // (completed = NO), so any operation may move.
-                    if !rotate_failover(&target, r, &tele) {
+                    if !rotate_failover(target, r, &tele) {
                         return Err(e);
                     }
                     cause = zc_trace::JourneyCause::Failover;
@@ -387,7 +395,7 @@ impl StaticRequest {
                 // reconstruction.
                 tele.record_attempt(conn.trace_conn_id(), 0, cause, attempt - 1, journey_id);
                 drop(conn);
-                if let Some(c) = try_recover(&target, &policy, salt, attempt, &tele) {
+                if let Some(c) = try_recover(target, &policy, salt, attempt, &tele) {
                     cause = c;
                     continue;
                 }
@@ -403,44 +411,31 @@ impl StaticRequest {
                 return Err(comm_failure_maybe(3));
             }
             let start = tele.is_enabled().then(std::time::Instant::now);
-            // The wire object key follows the active profile: replicas of
-            // an object group may register the same object under
-            // different keys.
-            let wire_key: &[u8] = match &target.recovery {
-                Some(r) => &r.active_target().1,
-                None => &target.object_key,
-            };
             // Stamp this attempt's journey coordinates (0-based ordinal)
             // into the next request's ZC_TRACE context.
             conn.set_journey(journey_id, attempt - 1, cause as u8);
-            let id = match conn.send_request_raw(
-                wire_key,
-                &operation,
-                true,
-                &args,
-                // zc-audit: allow(cheap-clone) — deposit descriptors (pointers + lengths), not payload bytes
-                deposits.clone(),
-            ) {
-                Ok(id) => {
-                    // The trace id now exists: commit the client-side
-                    // marshal leg (commit clears its marks, so a retried
-                    // attempt does not double-record it).
-                    span.commit(&tele, conn.trace_conn_id(), conn.last_trace_id());
-                    id
-                }
-                Err(e @ OrbError::Transport(TransportError::Closed)) => {
-                    // The send itself failed: the request provably never
-                    // reached a dispatcher, so *any* operation (idempotent
-                    // or not) may retry on a fresh connection.
-                    drop(conn);
-                    if let Some(c) = try_recover(&target, &policy, salt, attempt, &tele) {
-                        cause = c;
-                        continue;
+            let id =
+                match conn.send_request_raw(target.wire_key(), operation, true, &args, &deposits) {
+                    Ok(id) => {
+                        // The trace id now exists: commit the client-side
+                        // marshal leg (commit clears its marks, so a retried
+                        // attempt does not double-record it).
+                        span.commit(&tele, conn.trace_conn_id(), conn.last_trace_id());
+                        id
                     }
-                    return Err(e);
-                }
-                Err(e) => return Err(e),
-            };
+                    Err(e @ OrbError::Transport(TransportError::Closed)) => {
+                        // The send itself failed: the request provably never
+                        // reached a dispatcher, so *any* operation (idempotent
+                        // or not) may retry on a fresh connection.
+                        drop(conn);
+                        if let Some(c) = try_recover(target, &policy, salt, attempt, &tele) {
+                            cause = c;
+                            continue;
+                        }
+                        return Err(e);
+                    }
+                    Err(e) => return Err(e),
+                };
             let result = match timeout {
                 None => conn.recv_reply(id),
                 Some(d) => conn.recv_reply_timeout(id, d),
@@ -503,7 +498,7 @@ impl StaticRequest {
                                 if let Some(r) = &target.recovery {
                                     r.orb.note_endpoint_failure(&r.active_target().0);
                                     if attempt < policy.max_attempts
-                                        && rotate_failover(&target, r, &tele)
+                                        && rotate_failover(target, r, &tele)
                                     {
                                         cause = zc_trace::JourneyCause::ShedRotate;
                                         continue;
@@ -536,7 +531,7 @@ impl StaticRequest {
                     // At-most-once: only caller-declared idempotent
                     // operations may run twice.
                     if idempotent {
-                        if let Some(c) = try_recover(&target, &policy, salt, attempt, &tele) {
+                        if let Some(c) = try_recover(target, &policy, salt, attempt, &tele) {
                             cause = c;
                             continue;
                         }
@@ -580,11 +575,7 @@ impl StaticRequest {
         }
         // zc-audit: allow(lock-held) — oneway send under the wire-serializing leaf lock; no reply is awaited
         let mut conn = target.conn.lock();
-        let wire_key: &[u8] = match &target.recovery {
-            Some(r) => &r.active_target().1,
-            None => &target.object_key,
-        };
-        conn.send_request(wire_key, &operation, false, enc)?;
+        conn.send_request(target.wire_key(), operation, false, enc)?;
         Ok(())
     }
 }

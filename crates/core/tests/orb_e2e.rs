@@ -346,6 +346,84 @@ fn exceptions_propagate() {
     assert_eq!(reply.result::<OctetSeq>().unwrap().0, vec![9, 9]);
 }
 
+/// Exception replies are decoded on from where the reply header ended, not
+/// parsed again from the top: with service contexts in front — a foreign
+/// one of odd length among them, so the header ends off the 8-byte grid —
+/// a `TRANSIENT` shed and a user exception both still come out whole.
+#[test]
+fn exception_replies_decode_behind_service_contexts() {
+    use zc_cdr::{CdrDecoder, CdrEncoder};
+    use zc_giop::{
+        fragment_frames, GiopHeader, GiopVersion, Handshake, MessageType, ReplyHeader, ReplyStatus,
+        RequestHeader, ServiceContext, TraceContext, ZcHealthContext, GIOP_HEADER_LEN,
+    };
+    use zc_transport::{Acceptor, TransportCtx};
+
+    const CONFLICT: &str = "IDL:test/Conflict:1.0";
+    let shed = zc_orb::ShedReason::QueueFull.exception();
+    let net = SimNetwork::new(SimConfig::zero_copy());
+    let listener = net.listen(0, TransportCtx::new()).unwrap();
+    let port = listener.endpoint().1;
+    // A hand-rolled server: it answers the first request with the shed, the
+    // second with a user exception whose one member is 77.
+    let to_send = shed.clone();
+    let server = std::thread::spawn(move || {
+        let mut conn = listener.accept().unwrap();
+        conn.recv_control().unwrap();
+        conn.send_control(&Handshake::local(true).encode()).unwrap();
+        for status in [ReplyStatus::SystemException, ReplyStatus::UserException] {
+            let raw = conn.recv_control().unwrap();
+            let hdr = GiopHeader::decode(raw.first_chunk().unwrap()).unwrap();
+            let order = hdr.flags.order;
+            let request =
+                RequestHeader::demarshal(&mut CdrDecoder::new(&raw[GIOP_HEADER_LEN..], order))
+                    .unwrap();
+            let reply = ReplyHeader {
+                service_contexts: vec![
+                    ServiceContext {
+                        id: 0x4646_0001, // not a zcorba context id
+                        data: vec![0xDE, 0xAD, 0xBE, 0xEF, 0x01],
+                    },
+                    ZcHealthContext::default().to_context(),
+                    TraceContext::default().to_context(),
+                ],
+                request_id: request.request_id,
+                status,
+            };
+            let mut enc = CdrEncoder::new(order);
+            reply.marshal(&mut enc).unwrap();
+            assert_ne!(enc.len() % 8, 0, "the header must end misaligned");
+            enc.align(8);
+            if status == ReplyStatus::SystemException {
+                to_send.marshal(&mut enc).unwrap();
+            } else {
+                enc.write_string(CONFLICT);
+                enc.write_bool(order.flag());
+                enc.write_octet_seq(&77u32.to_ne_bytes());
+            }
+            let body = enc.finish_stream();
+            for frame in
+                fragment_frames(GiopVersion::V1_2, order, MessageType::Reply, &body, 4 << 20)
+            {
+                conn.send_control(&frame).unwrap();
+            }
+        }
+    });
+
+    let client = Orb::builder().sim(net).build();
+    let ior = zc_giop::Ior::new_iiop("IDL:test/Handmade:1.0", "sim", port, b"handmade");
+    let obj = client.resolve(&ior).unwrap();
+    match obj.request("first").invoke().unwrap_err() {
+        OrbError::System(ex) => assert_eq!(ex, shed),
+        other => panic!("unexpected {other:?}"),
+    }
+    match obj.request("second").invoke().unwrap_err() {
+        OrbError::User(data) => assert_eq!(data.decode::<u32>(CONFLICT), Some(77)),
+        other => panic!("unexpected {other:?}"),
+    }
+    server.join().unwrap();
+}
+
 #[test]
 fn locate_request_roundtrip() {
     let f = Fixture::sim(SimConfig::zero_copy(), true, true);

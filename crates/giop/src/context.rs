@@ -1,7 +1,17 @@
 //! GIOP service contexts, including the zcorba deposit manifest.
+//!
+//! There is one emitter and one parser. A message's contexts are *written
+//! in place* — [`write_context_list`] hands out a [`ContextWriter`] that
+//! puts each one, encapsulation and all, straight into the header's
+//! encoder — and *read in place*: [`ZcContexts::parse`] walks the list
+//! once, bounded, keeps the three zcorba contexts as `Copy` values (the
+//! manifest as a window of the message) and skips everything else. Neither
+//! direction allocates. The owned forms ([`ServiceContext`],
+//! [`DepositManifest`]) are what tests and tools build and compare; they
+//! come out of the same two routines.
 
 use zc_cdr::wire::zc_vendor_id;
-use zc_cdr::{CdrDecoder, CdrEncoder, CdrResult};
+use zc_cdr::{endian, ByteOrder, CdrDecoder, CdrEncoder, CdrError, CdrResult};
 
 /// Service-context id for the zcorba deposit manifest. Built from the
 /// shared `ZC_TAG` ("ZC") so we stay inside the OMG "vendor" id space.
@@ -20,7 +30,15 @@ pub const SVC_CTX_TRACE: u32 = zc_vendor_id(3);
 /// peer can decide to degrade its send path from zero-copy to copying.
 pub const SVC_CTX_ZC_HEALTH: u32 = zc_vendor_id(4);
 
-/// A single GIOP service context: an id plus opaque encapsulated data.
+/// Most service contexts one message may carry. zcorba sends at most three
+/// and real ORBs a handful; a larger count is a hostile field.
+pub const MAX_SERVICE_CONTEXTS: u32 = 64;
+
+/// Most deposit blocks one manifest may announce.
+pub const MAX_MANIFEST_BLOCKS: u32 = 1024;
+
+/// A single GIOP service context in owned form: an id plus opaque
+/// encapsulated data.
 ///
 /// Standard CORBA receivers skip contexts they do not understand, which is
 /// what keeps the deposit manifest interoperable: a non-ZC peer would never
@@ -38,29 +56,201 @@ impl ServiceContext {
     /// Marshal a service-context list (ulong count, then id + octet-seq
     /// data per entry).
     pub fn marshal_list(list: &[ServiceContext], enc: &mut CdrEncoder) -> CdrResult<()> {
-        enc.write_u32(list.len() as u32);
-        for ctx in list {
-            enc.write_u32(ctx.id);
-            enc.write_octet_seq(&ctx.data);
-        }
+        write_context_list(enc, |w| list.iter().for_each(|c| w.raw(c.id, &c.data)));
         Ok(())
     }
 
     /// Demarshal a service-context list.
     pub fn demarshal_list(dec: &mut CdrDecoder<'_>) -> CdrResult<Vec<ServiceContext>> {
-        let count = dec.read_u32()?;
-        let mut out = Vec::with_capacity(zc_buffers::bounded_capacity(count as u64, 64));
-        for _ in 0..count {
-            let id = dec.read_u32()?;
-            let data = dec.read_octet_seq()?;
-            out.push(ServiceContext { id, data });
-        }
-        Ok(out)
+        Ok(ZcContexts::parse(dec)?.to_owned_list())
     }
 
     /// Find a context by id.
     pub fn find(list: &[ServiceContext], id: u32) -> Option<&ServiceContext> {
         list.iter().find(|c| c.id == id)
+    }
+
+    /// The owned form of the one context `write` emits.
+    fn written(write: impl FnOnce(&mut ContextWriter<'_>)) -> ServiceContext {
+        // Room for the largest fixed-size context; a manifest may grow it.
+        let mut enc = CdrEncoder::native().with_buffer(Vec::with_capacity(64));
+        write_context_list(&mut enc, write);
+        let mut bytes = enc.finish_stream();
+        let mut dec = CdrDecoder::new(&bytes, ByteOrder::native());
+        let (id, data_len) = dec
+            .read_u32()
+            .and_then(|_count| next_context(&mut dec))
+            .map(|(id, data)| (id, data.len()))
+            .expect("a context just written reads back");
+        // The data is the tail of the one-entry list: keep it, in place.
+        bytes.drain(..bytes.len() - data_len);
+        ServiceContext { id, data: bytes }
+    }
+}
+
+/// Write a service-context list straight into `enc`: the count, then
+/// whatever `contexts` puts through the [`ContextWriter`].
+pub fn write_context_list(enc: &mut CdrEncoder, contexts: impl FnOnce(&mut ContextWriter<'_>)) {
+    enc.write_u32(0); // the count, once the contexts are written
+    let count_at = enc.len() - 4;
+    let mut writer = ContextWriter {
+        enc: &mut *enc,
+        count: 0,
+    };
+    contexts(&mut writer);
+    let count = writer.count;
+    enc.patch_u32(count_at, count);
+}
+
+/// Emits the entries of one service-context list in place (see
+/// [`write_context_list`]). The zcorba contexts are CDR encapsulations in
+/// native byte order — each announces its order in its first octet — laid
+/// out directly in the message: no intermediate buffer exists.
+pub struct ContextWriter<'e> {
+    enc: &'e mut CdrEncoder,
+    count: u32,
+}
+
+impl ContextWriter<'_> {
+    /// Open the next entry: count it, write its id, hand out the encoder
+    /// for its data.
+    fn begin(&mut self, id: u32) -> &mut CdrEncoder {
+        self.count += 1;
+        self.enc.write_u32(id);
+        self.enc
+    }
+
+    fn entry(&mut self, id: u32, data: impl FnOnce(&mut CdrEncoder)) {
+        self.begin(id)
+            .write_encapsulation_in(ByteOrder::native(), data);
+    }
+
+    /// A context given as its id and already-encoded data.
+    pub fn raw(&mut self, id: u32, data: &[u8]) {
+        let enc = self.begin(id);
+        enc.write_u32(data.len() as u32);
+        enc.write_raw(data);
+    }
+
+    /// The deposit manifest of blocks with these `lengths`, in
+    /// descriptor-index order.
+    pub fn manifest(&mut self, lengths: impl ExactSizeIterator<Item = u64>) {
+        self.entry(SVC_CTX_DEPOSIT, |e| {
+            e.write_u32(lengths.len() as u32);
+            lengths.for_each(|len| e.write_u64(len));
+        });
+    }
+
+    /// A trace context.
+    pub fn trace(&mut self, t: &TraceContext) {
+        self.entry(SVC_CTX_TRACE, |e| {
+            e.write_u64(t.trace_id);
+            e.write_u64(t.sent_at_ns);
+            e.write_u64(t.journey_id);
+            // Attempt ordinal and cause share one trailing word.
+            e.write_u64(((t.attempt as u64) << 8) | t.cause as u64);
+        });
+    }
+
+    /// A zero-copy health report.
+    pub fn health(&mut self, h: &ZcHealthContext) {
+        self.entry(SVC_CTX_ZC_HEALTH, |e| {
+            e.write_u64(h.spec_hits);
+            e.write_u64(h.spec_misses);
+        });
+    }
+}
+
+/// The next `(id, data)` entry of a service-context list, its data a
+/// window of the message.
+fn next_context<'a>(dec: &mut CdrDecoder<'a>) -> CdrResult<(u32, &'a [u8])> {
+    Ok((dec.read_u32()?, dec.read_octet_seq_borrowed()?))
+}
+
+/// Open a context's data as the encapsulation it is: a decoder in the
+/// order its flag octet announces, positioned past the flag.
+fn encapsulated(data: &[u8]) -> CdrResult<CdrDecoder<'_>> {
+    let flag = *data
+        .first()
+        .ok_or(CdrError::OutOfBounds { need: 1, have: 0 })?;
+    let mut dec = CdrDecoder::new(data, ByteOrder::from_flag(flag & 1 == 1));
+    dec.read_octet()?;
+    Ok(dec)
+}
+
+/// The service contexts of one message, read in place.
+///
+/// One bounded pass over the list ([`ZcContexts::parse`]) pulls out the
+/// three contexts zcorba acts on; any other context is stepped over and
+/// never stored, per the standard rule that receivers skip what they do not
+/// understand. Where an id repeats, the first well-formed entry counts.
+#[derive(Debug, Clone, Copy)]
+pub struct ZcContexts<'a> {
+    /// The deposit manifest, if the message announces out-of-band blocks.
+    pub manifest: Option<ManifestView<'a>>,
+    /// The trace context. A malformed one reads as absent: tracing is
+    /// advisory and must never fail a message.
+    pub trace: Option<TraceContext>,
+    /// The peer's health report; malformed reads as absent, like `trace`.
+    pub health: Option<ZcHealthContext>,
+    /// The message up to the end of the list, where in it the list's
+    /// `count` entries start, and its byte order: what
+    /// [`ZcContexts::iter`] walks again.
+    head: &'a [u8],
+    entries_at: usize,
+    count: u32,
+    order: ByteOrder,
+}
+
+impl<'a> ZcContexts<'a> {
+    /// Read the service-context list at `dec`'s cursor. Errors — without
+    /// allocating — on a truncated list, on more than
+    /// [`MAX_SERVICE_CONTEXTS`] entries, and on a malformed deposit
+    /// manifest (the one context whose content the message depends on).
+    pub fn parse(dec: &mut CdrDecoder<'a>) -> CdrResult<ZcContexts<'a>> {
+        let count = dec.read_u32()?;
+        if count > MAX_SERVICE_CONTEXTS {
+            return Err(CdrError::LengthOverflow(count as u64));
+        }
+        let entries_at = dec.position();
+        let (mut manifest, mut trace, mut health) = (None, None, None);
+        for _ in 0..count {
+            let (id, data) = next_context(dec)?;
+            match id {
+                SVC_CTX_DEPOSIT if manifest.is_none() => {
+                    manifest = Some(ManifestView::parse(data)?)
+                }
+                SVC_CTX_TRACE if trace.is_none() => trace = TraceContext::parse(data).ok(),
+                SVC_CTX_ZC_HEALTH if health.is_none() => health = ZcHealthContext::parse(data).ok(),
+                _ => {}
+            }
+        }
+        Ok(ZcContexts {
+            manifest,
+            trace,
+            health,
+            head: dec.consumed(),
+            entries_at,
+            count,
+            order: dec.order(),
+        })
+    }
+
+    /// Every entry of the list as `(id, data)`, unknown ones included.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &'a [u8])> {
+        let mut dec = CdrDecoder::new(self.head, self.order);
+        let count = dec.skip(self.entries_at).map_or(0, |()| self.count);
+        (0..count).map_while(move |_| next_context(&mut dec).ok())
+    }
+
+    /// The whole list in owned form.
+    pub fn to_owned_list(&self) -> Vec<ServiceContext> {
+        let mut list = Vec::with_capacity(self.count as usize);
+        list.extend(self.iter().map(|(id, data)| ServiceContext {
+            id,
+            data: data.to_vec(),
+        }));
+        list
     }
 }
 
@@ -73,6 +263,8 @@ impl ServiceContext {
 /// the data channel — the role played in the paper by the "GIOPRequest
 /// header [that] contains the size of the data block that is needed by the
 /// receiver to correctly receive the GIOPRequest message" (§4.4).
+///
+/// This is the owned form; a received manifest is a [`ManifestView`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DepositManifest {
     /// Byte length of each deposited block, in index order.
@@ -92,16 +284,7 @@ impl DepositManifest {
 
     /// Encode into a service context.
     pub fn to_context(&self) -> ServiceContext {
-        let mut enc = CdrEncoder::native();
-        enc.write_octet(enc.order().flag() as u8); // encapsulation-style flag
-        enc.write_u32(self.block_lengths.len() as u32);
-        for &len in &self.block_lengths {
-            enc.write_u64(len);
-        }
-        ServiceContext {
-            id: SVC_CTX_DEPOSIT,
-            data: enc.finish_stream(),
-        }
+        ServiceContext::written(|w| w.manifest(self.block_lengths.iter().copied()))
     }
 
     /// Decode from a service context previously produced by
@@ -110,28 +293,59 @@ impl DepositManifest {
         if ctx.id != SVC_CTX_DEPOSIT {
             return Ok(None);
         }
-        let flag = *ctx
-            .data
-            .first()
-            .ok_or(zc_cdr::CdrError::OutOfBounds { need: 1, have: 0 })?;
-        let order = zc_cdr::ByteOrder::from_flag(flag & 1 == 1);
-        let mut dec = CdrDecoder::new(&ctx.data, order);
-        dec.read_octet()?; // flag
-        let count = dec.read_u32()?;
-        let mut block_lengths =
-            Vec::with_capacity(zc_buffers::bounded_capacity(count as u64, 1024));
-        for _ in 0..count {
-            block_lengths.push(dec.read_u64()?);
-        }
+        let block_lengths = ManifestView::parse(&ctx.data)?.block_lengths().collect();
         Ok(Some(DepositManifest { block_lengths }))
     }
 
     /// Scan a context list for a manifest.
     pub fn find_in(list: &[ServiceContext]) -> CdrResult<Option<DepositManifest>> {
-        match ServiceContext::find(list, SVC_CTX_DEPOSIT) {
-            Some(ctx) => DepositManifest::from_context(ctx),
-            None => Ok(None),
+        ServiceContext::find(list, SVC_CTX_DEPOSIT).map_or(Ok(None), Self::from_context)
+    }
+}
+
+/// A deposit manifest read in place: the block lengths stay where they
+/// arrived, in the message's header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ManifestView<'a> {
+    /// The lengths, eight bytes each in `order`.
+    lengths: &'a [u8],
+    order: ByteOrder,
+}
+
+impl<'a> ManifestView<'a> {
+    /// Read a manifest context's data. A count above
+    /// [`MAX_MANIFEST_BLOCKS`], or one the remaining bytes cannot hold, is
+    /// an error.
+    pub fn parse(data: &'a [u8]) -> CdrResult<ManifestView<'a>> {
+        let mut dec = encapsulated(data)?;
+        let count = dec.read_u32()?;
+        if count > MAX_MANIFEST_BLOCKS {
+            return Err(CdrError::LengthOverflow(count as u64));
         }
+        dec.align(8)?;
+        Ok(ManifestView {
+            lengths: dec.read_raw(count as usize * 8)?,
+            order: dec.order(),
+        })
+    }
+
+    /// Number of blocks announced.
+    pub fn block_count(&self) -> usize {
+        self.lengths.len() / 8
+    }
+
+    /// Byte length of each announced block, in index order.
+    pub fn block_lengths(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        let order = self.order;
+        self.lengths
+            .chunks_exact(8)
+            .map(move |len| endian::read_u64(order, len))
+    }
+
+    /// Total payload bytes announced (saturating: the lengths are wire
+    /// data).
+    pub fn total_bytes(&self) -> u64 {
+        self.block_lengths().fold(0, u64::saturating_add)
     }
 }
 
@@ -166,55 +380,39 @@ pub struct TraceContext {
 impl TraceContext {
     /// Encode into a service context.
     pub fn to_context(&self) -> ServiceContext {
-        let mut enc = CdrEncoder::native();
-        enc.write_octet(enc.order().flag() as u8); // encapsulation-style flag
-        enc.write_u64(self.trace_id);
-        enc.write_u64(self.sent_at_ns);
-        enc.write_u64(self.journey_id);
-        // Attempt ordinal and cause share one trailing word.
-        enc.write_u64(((self.attempt as u64) << 8) | self.cause as u64);
-        ServiceContext {
-            id: SVC_CTX_TRACE,
-            data: enc.finish_stream(),
-        }
+        ServiceContext::written(|w| w.trace(self))
     }
 
-    /// Decode from a service context previously produced by
-    /// [`TraceContext::to_context`]. Returns `None` if the id differs.
-    /// A context truncated before the trace id is an error; every field
-    /// after it decodes leniently, so the pre-span format (trace id only)
-    /// and the pre-journey format (trace id + timestamp) both still parse,
-    /// with the missing fields reading as 0.
-    pub fn from_context(ctx: &ServiceContext) -> CdrResult<Option<TraceContext>> {
-        if ctx.id != SVC_CTX_TRACE {
-            return Ok(None);
-        }
-        let flag = *ctx
-            .data
-            .first()
-            .ok_or(zc_cdr::CdrError::OutOfBounds { need: 1, have: 0 })?;
-        let order = zc_cdr::ByteOrder::from_flag(flag & 1 == 1);
-        let mut dec = CdrDecoder::new(&ctx.data, order);
-        dec.read_octet()?; // flag
+    /// Read a trace context's data. Data truncated before the trace id is
+    /// an error; every field after it reads leniently, so the pre-span
+    /// format (trace id only) and the pre-journey format (trace id +
+    /// timestamp) both still parse, with the missing fields reading as 0.
+    pub fn parse(data: &[u8]) -> CdrResult<TraceContext> {
+        let mut dec = encapsulated(data)?;
         let trace_id = dec.read_u64()?;
         let sent_at_ns = dec.read_u64().unwrap_or_default();
         let journey_id = dec.read_u64().unwrap_or_default();
         let attempt_cause = dec.read_u64().unwrap_or_default();
-        Ok(Some(TraceContext {
+        Ok(TraceContext {
             trace_id,
             sent_at_ns,
             journey_id,
             attempt: (attempt_cause >> 8) as u32,
             cause: attempt_cause as u8,
-        }))
+        })
+    }
+
+    /// Decode from a service context previously produced by
+    /// [`TraceContext::to_context`]. Returns `None` if the id differs.
+    pub fn from_context(ctx: &ServiceContext) -> CdrResult<Option<TraceContext>> {
+        (ctx.id == SVC_CTX_TRACE)
+            .then(|| TraceContext::parse(&ctx.data))
+            .transpose()
     }
 
     /// Scan a context list for a trace context.
     pub fn find_in(list: &[ServiceContext]) -> CdrResult<Option<TraceContext>> {
-        match ServiceContext::find(list, SVC_CTX_TRACE) {
-            Some(ctx) => TraceContext::from_context(ctx),
-            None => Ok(None),
-        }
+        ServiceContext::find(list, SVC_CTX_TRACE).map_or(Ok(None), Self::from_context)
     }
 }
 
@@ -236,43 +434,29 @@ pub struct ZcHealthContext {
 impl ZcHealthContext {
     /// Encode into a service context.
     pub fn to_context(&self) -> ServiceContext {
-        let mut enc = CdrEncoder::native();
-        enc.write_octet(enc.order().flag() as u8); // encapsulation-style flag
-        enc.write_u64(self.spec_hits);
-        enc.write_u64(self.spec_misses);
-        ServiceContext {
-            id: SVC_CTX_ZC_HEALTH,
-            data: enc.finish_stream(),
-        }
+        ServiceContext::written(|w| w.health(self))
+    }
+
+    /// Read a health context's data.
+    pub fn parse(data: &[u8]) -> CdrResult<ZcHealthContext> {
+        let mut dec = encapsulated(data)?;
+        Ok(ZcHealthContext {
+            spec_hits: dec.read_u64()?,
+            spec_misses: dec.read_u64()?,
+        })
     }
 
     /// Decode from a service context previously produced by
     /// [`ZcHealthContext::to_context`]. Returns `None` if the id differs.
     pub fn from_context(ctx: &ServiceContext) -> CdrResult<Option<ZcHealthContext>> {
-        if ctx.id != SVC_CTX_ZC_HEALTH {
-            return Ok(None);
-        }
-        let flag = *ctx
-            .data
-            .first()
-            .ok_or(zc_cdr::CdrError::OutOfBounds { need: 1, have: 0 })?;
-        let order = zc_cdr::ByteOrder::from_flag(flag & 1 == 1);
-        let mut dec = CdrDecoder::new(&ctx.data, order);
-        dec.read_octet()?; // flag
-        let spec_hits = dec.read_u64()?;
-        let spec_misses = dec.read_u64()?;
-        Ok(Some(ZcHealthContext {
-            spec_hits,
-            spec_misses,
-        }))
+        (ctx.id == SVC_CTX_ZC_HEALTH)
+            .then(|| ZcHealthContext::parse(&ctx.data))
+            .transpose()
     }
 
     /// Scan a context list for a health report.
     pub fn find_in(list: &[ServiceContext]) -> CdrResult<Option<ZcHealthContext>> {
-        match ServiceContext::find(list, SVC_CTX_ZC_HEALTH) {
-            Some(ctx) => ZcHealthContext::from_context(ctx),
-            None => Ok(None),
-        }
+        ServiceContext::find(list, SVC_CTX_ZC_HEALTH).map_or(Ok(None), Self::from_context)
     }
 }
 

@@ -6,8 +6,9 @@
 //!
 //! * [`msg`] — the 12-byte GIOP message header, message types, flags,
 //!   framing helpers and fragmentation;
-//! * [`request`]/[`reply`] — Request and Reply headers and system-exception
-//!   bodies;
+//! * [`request`]/[`reply`] — Request and Reply headers, written in place
+//!   and read in place as views of the received message, and
+//!   system-exception bodies;
 //! * [`context`] — service contexts, including the two zcorba-specific
 //!   contexts: the **deposit manifest** (announces the sizes of the
 //!   out-of-band blocks so the receiver can pre-allocate page-aligned
@@ -27,7 +28,8 @@ pub mod reply;
 pub mod request;
 
 pub use context::{
-    DepositManifest, ServiceContext, TraceContext, ZcHealthContext, SVC_CTX_DEPOSIT,
+    write_context_list, ContextWriter, DepositManifest, ManifestView, ServiceContext, TraceContext,
+    ZcContexts, ZcHealthContext, MAX_MANIFEST_BLOCKS, MAX_SERVICE_CONTEXTS, SVC_CTX_DEPOSIT,
     SVC_CTX_NEGOTIATE, SVC_CTX_TRACE, SVC_CTX_ZC_HEALTH,
 };
 pub use handshake::{Handshake, Negotiated};
@@ -38,8 +40,10 @@ pub use msg::{
     fragment_frames, fragment_plan, frame as frame_msg, reassemble, GiopFlags, GiopHeader,
     GiopVersion, MessageType, GIOP_HEADER_LEN, GIOP_MAGIC,
 };
-pub use reply::{ReplyHeader, ReplyStatus, SystemException, SystemExceptionKind};
-pub use request::RequestHeader;
+pub use reply::{
+    write_reply_header, ReplyHeader, ReplyStatus, ReplyView, SystemException, SystemExceptionKind,
+};
+pub use request::{write_request_header, RequestHeader, RequestView};
 
 use zc_cdr::CdrError;
 
@@ -62,6 +66,21 @@ pub enum GiopError {
     NoIiopProfile,
     /// Handshake frame malformed or incompatible magic.
     BadHandshake,
+    /// A message of type `got` arrived where only `awaiting` (or, on the
+    /// server, another request-side message) makes sense.
+    Unexpected {
+        /// The type that arrived.
+        got: MessageType,
+        /// The type the exchange was waiting for.
+        awaiting: MessageType,
+    },
+    /// A reply echoes a request id other than the one outstanding.
+    IdMismatch {
+        /// The id the reply carries.
+        got: u32,
+        /// The id of the request it should answer.
+        expected: u32,
+    },
 }
 
 impl From<CdrError> for GiopError {
@@ -81,6 +100,12 @@ impl std::fmt::Display for GiopError {
             GiopError::BadIorString(s) => write!(f, "malformed IOR string: {s}"),
             GiopError::NoIiopProfile => write!(f, "IOR carries no IIOP profile"),
             GiopError::BadHandshake => write!(f, "malformed zcorba handshake frame"),
+            GiopError::Unexpected { got, awaiting } => {
+                write!(f, "unexpected {got:?} while awaiting {awaiting:?}")
+            }
+            GiopError::IdMismatch { got, expected } => {
+                write!(f, "reply id {got} does not match request id {expected}")
+            }
         }
     }
 }

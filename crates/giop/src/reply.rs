@@ -2,7 +2,7 @@
 
 use zc_cdr::{CdrDecoder, CdrEncoder, CdrError, CdrResult};
 
-use crate::context::ServiceContext;
+use crate::context::{write_context_list, ContextWriter, ServiceContext, ZcContexts};
 
 /// Reply status codes (CORBA `ReplyStatusType`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +31,54 @@ impl ReplyStatus {
     }
 }
 
-/// A GIOP Reply header: service contexts, request id, status. The result
-/// value / exception body follows in the same stream.
+/// Write a GIOP Reply header at the start of a Reply message body: the
+/// service contexts `contexts` emits, request id, status. The result value
+/// / exception body follows in the same stream.
+pub fn write_reply_header(
+    enc: &mut CdrEncoder,
+    request_id: u32,
+    status: ReplyStatus,
+    contexts: impl FnOnce(&mut ContextWriter<'_>),
+) {
+    write_context_list(enc, contexts);
+    enc.write_u32(request_id);
+    enc.write_u32(status as u32);
+}
+
+/// A GIOP Reply header read in place (see [`crate::RequestView`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ReplyView<'a> {
+    /// Service contexts (a reply carrying deposits announces them here).
+    pub contexts: ZcContexts<'a>,
+    /// Echoes the request id this reply answers.
+    pub request_id: u32,
+    /// Outcome discriminator.
+    pub status: ReplyStatus,
+}
+
+impl<'a> ReplyView<'a> {
+    /// Read the header at the start of a Reply message body; `dec` is left
+    /// at the first byte after it.
+    pub fn parse(dec: &mut CdrDecoder<'a>) -> CdrResult<ReplyView<'a>> {
+        Ok(ReplyView {
+            contexts: ZcContexts::parse(dec)?,
+            request_id: dec.read_u32()?,
+            status: ReplyStatus::from_u32(dec.read_u32()?)?,
+        })
+    }
+
+    /// The header in owned form, every service context included.
+    pub fn to_owned(&self) -> ReplyHeader {
+        ReplyHeader {
+            service_contexts: self.contexts.to_owned_list(),
+            request_id: self.request_id,
+            status: self.status,
+        }
+    }
+}
+
+/// A GIOP Reply header in owned form, for tests and tools (see
+/// [`crate::RequestHeader`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplyHeader {
     /// Service contexts (a reply carrying deposits announces them here).
@@ -55,22 +101,18 @@ impl ReplyHeader {
 
     /// Encode onto a CDR stream.
     pub fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()> {
-        ServiceContext::marshal_list(&self.service_contexts, enc)?;
-        enc.write_u32(self.request_id);
-        enc.write_u32(self.status as u32);
+        write_reply_header(enc, self.request_id, self.status, |w| {
+            self.service_contexts
+                .iter()
+                .for_each(|c| w.raw(c.id, &c.data))
+        });
         Ok(())
     }
 
     /// Decode from a CDR stream.
     pub fn demarshal(dec: &mut CdrDecoder<'_>) -> CdrResult<ReplyHeader> {
-        let service_contexts = ServiceContext::demarshal_list(dec)?;
-        let request_id = dec.read_u32()?;
-        let status = ReplyStatus::from_u32(dec.read_u32()?)?;
-        Ok(ReplyHeader {
-            service_contexts,
-            request_id,
-            status,
-        })
+        // zc-audit: allow(control-plane) — owned form for tests and tools, header fields only
+        ReplyView::parse(dec).map(|view| view.to_owned())
     }
 }
 
@@ -160,8 +202,8 @@ impl SystemException {
 
     /// Decode from a Reply body.
     pub fn demarshal(dec: &mut CdrDecoder<'_>) -> CdrResult<SystemException> {
-        let id = dec.read_string()?;
-        let kind = SystemExceptionKind::from_repo_id(&id).ok_or(CdrError::InvalidString)?;
+        let id = dec.read_str()?;
+        let kind = SystemExceptionKind::from_repo_id(id).ok_or(CdrError::InvalidString)?;
         let minor = dec.read_u32()?;
         let completed = dec.read_u32()?;
         Ok(SystemException {

@@ -118,3 +118,72 @@ fn golden_handshake_frame() {
     // page size LE at offset 8 (after 1 pad byte to align the ulong)
     assert_eq!(&bytes[8..12], &4096u32.to_le_bytes());
 }
+
+/// The three zcorba service contexts, written in place into a request and
+/// a reply header, in both wire orders. The bytes were captured from the
+/// encoder that built each context in a buffer of its own and copied it in;
+/// the in-place emitter must produce the same ones. (The contexts are
+/// native-order encapsulations, so the fixture is a little-endian host's.)
+#[test]
+fn golden_headers_with_zcorba_contexts() {
+    use zc_giop::{
+        write_reply_header, write_request_header, ContextWriter, ReplyStatus, TraceContext,
+        ZcHealthContext,
+    };
+    if ByteOrder::native() != ByteOrder::Little {
+        return;
+    }
+    let contexts = |w: &mut ContextWriter<'_>| {
+        w.manifest([1u64 << 20, 5].into_iter());
+        w.trace(&TraceContext {
+            trace_id: 0x1111,
+            sent_at_ns: 0x2222,
+            journey_id: 0x3333,
+            attempt: 2,
+            cause: 1,
+        });
+        w.health(&ZcHealthContext {
+            spec_hits: 9,
+            spec_misses: 1,
+        });
+    };
+    let list_big = concat!(
+        "00000003",
+        "5a43000100000018",
+        "010000000200000000001000000000000500000000000000",
+        "5a43000300000028",
+        "01000000000000001111000000000000222200000000000033330000000000000102000000000000",
+        "5a43000400000018",
+        "010000000000000009000000000000000100000000000000",
+    );
+    let list_little = concat!(
+        "03000000",
+        "0100435a18000000",
+        "010000000200000000001000000000000500000000000000",
+        "0300435a28000000",
+        "01000000000000001111000000000000222200000000000033330000000000000102000000000000",
+        "0400435a18000000",
+        "010000000000000009000000000000000100000000000000",
+    );
+    for (order, list, request_tail, reply_tail) in [
+        (
+            ByteOrder::Big,
+            list_big,
+            "0102030401000000000000036f626a0000000005707573680000000000000000",
+            "0000000700000000",
+        ),
+        (
+            ByteOrder::Little,
+            list_little,
+            "0403020101000000030000006f626a0005000000707573680000000000000000",
+            "0700000000000000",
+        ),
+    ] {
+        let mut enc = CdrEncoder::new(order);
+        write_request_header(&mut enc, 0x0102_0304, true, b"obj", "push", contexts);
+        assert_eq!(hex(&enc.finish_stream()), format!("{list}{request_tail}"));
+        let mut enc = CdrEncoder::new(order);
+        write_reply_header(&mut enc, 7, ReplyStatus::NoException, contexts);
+        assert_eq!(hex(&enc.finish_stream()), format!("{list}{reply_tail}"));
+    }
+}

@@ -395,3 +395,236 @@ fn iiop_profile_struct_is_public() {
     assert_eq!(p.port, 1);
     assert_eq!(p.endpoint(), ("h".to_string(), 1));
 }
+
+// ---------------------------------------------------------------------------
+// Headers written in place and read in place: for arbitrary headers and
+// service-context lists the views read back exactly what was written, in
+// both byte orders, and reading — a sound header, any truncation of one, or
+// one with a hostile count — never reaches the allocator.
+// ---------------------------------------------------------------------------
+
+use zc_giop::{
+    write_reply_header, write_request_header, ContextWriter, ReplyView, RequestView, TraceContext,
+    ZcHealthContext, MAX_MANIFEST_BLOCKS, MAX_SERVICE_CONTEXTS,
+};
+use zc_test_alloc::allocations;
+
+/// One entry of a generated service-context list.
+#[derive(Debug, Clone)]
+enum Ctx {
+    Manifest(Vec<u64>),
+    Trace(TraceContext),
+    Health(ZcHealthContext),
+    Foreign(u32, Vec<u8>),
+}
+
+impl Ctx {
+    fn write(&self, w: &mut ContextWriter<'_>) {
+        match self {
+            Ctx::Manifest(lengths) => w.manifest(lengths.iter().copied()),
+            Ctx::Trace(t) => w.trace(t),
+            Ctx::Health(h) => w.health(h),
+            Ctx::Foreign(id, data) => w.raw(*id, data),
+        }
+    }
+
+    fn owned(&self) -> ServiceContext {
+        match self {
+            Ctx::Manifest(lengths) => Manifest {
+                block_lengths: lengths.clone(),
+            }
+            .to_context(),
+            Ctx::Trace(t) => t.to_context(),
+            Ctx::Health(h) => h.to_context(),
+            Ctx::Foreign(id, data) => ServiceContext {
+                id: *id,
+                data: data.clone(),
+            },
+        }
+    }
+}
+
+fn ctx() -> impl Strategy<Value = Ctx> {
+    prop_oneof![
+        proptest::collection::vec(any::<u64>(), 0..20).prop_map(Ctx::Manifest),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<u8>()
+        )
+            .prop_map(
+                |(trace_id, sent_at_ns, journey_id, attempt, cause)| Ctx::Trace(TraceContext {
+                    trace_id,
+                    sent_at_ns,
+                    journey_id,
+                    attempt,
+                    cause,
+                })
+            ),
+        (any::<u64>(), any::<u64>()).prop_map(|(spec_hits, spec_misses)| Ctx::Health(
+            ZcHealthContext {
+                spec_hits,
+                spec_misses
+            }
+        )),
+        // Ids below the "ZC" vendor space: contexts this ORB does not know.
+        (
+            0u32..0x5A43_0000,
+            proptest::collection::vec(any::<u8>(), 0..40)
+        )
+            .prop_map(|(id, data)| Ctx::Foreign(id, data)),
+    ]
+}
+
+/// `f`'s result, and how many times this thread allocated while it ran.
+fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = allocations();
+    let r = f();
+    (r, allocations() - before)
+}
+
+/// What the one-pass scan must have kept of `list`: the first of each kind.
+fn check_kept(kept: &zc_giop::ZcContexts<'_>, list: &[Ctx]) -> Result<(), TestCaseError> {
+    let manifest = list.iter().find_map(|c| match c {
+        Ctx::Manifest(l) => Some(l.clone()),
+        _ => None,
+    });
+    let trace = list.iter().find_map(|c| match c {
+        Ctx::Trace(t) => Some(*t),
+        _ => None,
+    });
+    let health = list.iter().find_map(|c| match c {
+        Ctx::Health(h) => Some(*h),
+        _ => None,
+    });
+    prop_assert_eq!(
+        kept.manifest.map(|m| m.block_lengths().collect::<Vec<_>>()),
+        manifest.clone()
+    );
+    prop_assert_eq!(
+        kept.manifest.map(|m| m.total_bytes()),
+        manifest.map(|l| l.iter().fold(0, |a: u64, &b| a.saturating_add(b)))
+    );
+    prop_assert_eq!(kept.trace, trace);
+    prop_assert_eq!(kept.health, health);
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn prop_request_view_reads_back_what_was_written(
+        id: u32,
+        expected: bool,
+        key in proptest::collection::vec(any::<u8>(), 0..64),
+        op in "[a-zA-Z_][a-zA-Z0-9_]{0,30}",
+        list in proptest::collection::vec(ctx(), 0..8),
+        order in orders(),
+    ) {
+        let mut enc = CdrEncoder::new(order);
+        write_request_header(&mut enc, id, expected, &key, &op, |w| list.iter().for_each(|c| c.write(w)));
+        enc.write_u32(0xFEED_F00D); // the first parameter follows the header
+        let bytes = enc.finish_stream();
+
+        let mut dec = CdrDecoder::new(&bytes, order);
+        let (view, allocated) = counting(|| RequestView::parse(&mut dec));
+        let view = view.unwrap();
+        prop_assert_eq!(allocated, 0, "reading a header in place allocated");
+        prop_assert_eq!(dec.read_u32().unwrap(), 0xFEED_F00D);
+        prop_assert_eq!((view.request_id, view.response_expected), (id, expected));
+        prop_assert_eq!((view.object_key, view.operation), (&key[..], &op[..]));
+        check_kept(&view.contexts, &list)?;
+        // The owned form lists every context, unknown ones included, and
+        // goes back onto the wire as the same bytes.
+        let owned = view.to_owned();
+        prop_assert_eq!(&owned.service_contexts, &list.iter().map(Ctx::owned).collect::<Vec<_>>());
+        let mut again = CdrEncoder::new(order);
+        owned.marshal(&mut again).unwrap();
+        prop_assert_eq!(again.as_slice(), &bytes[..bytes.len() - 4]);
+
+        // Every truncation of the header is an error, found without
+        // allocating.
+        for cut in 0..bytes.len() - 4 {
+            let (res, allocated) =
+                counting(|| RequestView::parse(&mut CdrDecoder::new(&bytes[..cut], order)).is_err());
+            prop_assert!(res, "a header cut at {} of {} parsed", cut, bytes.len() - 4);
+            prop_assert_eq!(allocated, 0, "refusing a header cut at {} allocated", cut);
+        }
+    }
+
+    #[test]
+    fn prop_reply_view_reads_back_what_was_written(
+        id: u32,
+        status in 0u32..4,
+        list in proptest::collection::vec(ctx(), 0..8),
+        order in orders(),
+    ) {
+        let status = ReplyStatus::from_u32(status).unwrap();
+        let mut enc = CdrEncoder::new(order);
+        write_reply_header(&mut enc, id, status, |w| list.iter().for_each(|c| c.write(w)));
+        let bytes = enc.finish_stream();
+
+        let mut dec = CdrDecoder::new(&bytes, order);
+        let (view, allocated) = counting(|| ReplyView::parse(&mut dec));
+        let view = view.unwrap();
+        prop_assert_eq!(allocated, 0, "reading a header in place allocated");
+        prop_assert_eq!(dec.remaining(), 0);
+        prop_assert_eq!((view.request_id, view.status), (id, status));
+        check_kept(&view.contexts, &list)?;
+        let owned = view.to_owned();
+        prop_assert_eq!(&owned.service_contexts, &list.iter().map(Ctx::owned).collect::<Vec<_>>());
+        let mut again = CdrEncoder::new(order);
+        owned.marshal(&mut again).unwrap();
+        prop_assert_eq!(again.as_slice(), &bytes[..]);
+
+        for cut in 0..bytes.len() {
+            let (res, allocated) =
+                counting(|| ReplyView::parse(&mut CdrDecoder::new(&bytes[..cut], order)).is_err());
+            prop_assert!(res, "a header cut at {} of {} parsed", cut, bytes.len());
+            prop_assert_eq!(allocated, 0, "refusing a header cut at {} allocated", cut);
+        }
+    }
+
+    /// Oversized counts are refused before anything is sized by them: more
+    /// than 64 contexts, more than 1024 manifest blocks, and a block count
+    /// whose eight bytes apiece the context does not hold.
+    #[test]
+    fn prop_oversized_counts_are_errors_without_allocating(
+        contexts in MAX_SERVICE_CONTEXTS + 1..u32::MAX,
+        blocks in 1u32..u32::MAX,
+        held in 0usize..64,
+        order in orders(),
+    ) {
+        let mut list = u32_wire(contexts, order).to_vec();
+        // Enough bytes behind the count that only the cap can refuse it.
+        list.resize(4 + (MAX_SERVICE_CONTEXTS as usize + 2) * 8, 0);
+        let (res, allocated) =
+            counting(|| RequestView::parse(&mut CdrDecoder::new(&list, order)).is_err());
+        prop_assert!(res, "{} contexts accepted", contexts);
+        prop_assert_eq!(allocated, 0);
+
+        // A manifest announcing `blocks` lengths but holding `held`: sound
+        // only when it holds exactly what it announces, under the cap.
+        let mut data = vec![order.flag() as u8, 0, 0, 0];
+        data.extend_from_slice(&u32_wire(blocks, order));
+        data.resize(8 + held * 8, 0xAB);
+        let mut enc = CdrEncoder::new(order);
+        ReplyHeader {
+            service_contexts: vec![ServiceContext { id: SVC_CTX_DEPOSIT, data }],
+            request_id: 1,
+            status: ReplyStatus::NoException,
+        }
+        .marshal(&mut enc)
+        .unwrap();
+        let bytes = enc.finish_stream();
+        let (parsed, allocated) =
+            counting(|| ReplyView::parse(&mut CdrDecoder::new(&bytes, order)).map(|v| v.contexts.manifest));
+        prop_assert_eq!(allocated, 0);
+        if blocks <= MAX_MANIFEST_BLOCKS && blocks as usize <= held {
+            prop_assert_eq!(parsed.unwrap().unwrap().block_count(), blocks as usize);
+        } else {
+            prop_assert!(parsed.is_err(), "{} blocks over {} held accepted", blocks, held);
+        }
+    }
+}

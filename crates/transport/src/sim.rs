@@ -15,7 +15,7 @@
 //!   kernel→user ([`CopyLayer::SocketRecv`]). Four full traversals of the
 //!   payload, exactly the per-byte overhead the paper attacks — and no
 //!   fifth: every one of those buffers is a pooled page run, so the stack
-//!   touches the heap for nothing but a burst's frame list.
+//!   touches the heap for nothing but a multi-frame burst's frame list.
 //!
 //! * [`StackMode::ZeroCopy`] — the speculative-defragmentation path \[10\].
 //!   Payload pages cross the wire *by reference* (page-granular fragments
@@ -443,7 +443,7 @@ pub const MAX_SIM_BLOCK_BYTES: u64 = 1 << 30;
 /// `recv_block_frames` checks the first fragment's total too, but every
 /// allocation clamps locally so no refactor of the call path can let an
 /// unchecked announcement size a buffer (wire-taint invariant).
-fn checked_block_len(frames: &[Frame]) -> TResult<usize> {
+fn checked_block_len(frames: &Burst) -> TResult<usize> {
     let total = frames.first().map_or(0, |f| f.total_len);
     if total > MAX_SIM_BLOCK_BYTES {
         // zc-audit: allow(control-plane) — protocol error diagnostic
@@ -476,7 +476,52 @@ fn checked_span(offset: u64, len: usize, total: usize) -> TResult<std::ops::Rang
 /// per frame. A burst is a *delivery* unit only: faults, frame indices,
 /// stamps and counters stay per frame, and a fault can split a block over
 /// bursts (a cut delivers the prefix; a delayed frame rides the next one).
-type Burst = Vec<Frame>;
+///
+/// The first frame rides inline and only the others in a list, so the
+/// one-frame burst of a small control message — every request and reply
+/// header — crosses the wire without a heap allocation. The receiver keeps
+/// a sound burst as its block's frame list, as it is.
+#[derive(Default)]
+struct Burst {
+    first: Option<Frame>,
+    rest: Vec<Frame>,
+}
+
+impl Burst {
+    fn with_capacity(frames: usize) -> Burst {
+        Burst {
+            first: None,
+            rest: Vec::with_capacity(frames.saturating_sub(1)),
+        }
+    }
+
+    fn push(&mut self, frame: Frame) {
+        match self.first {
+            None => self.first = Some(frame),
+            Some(_) => self.rest.push(frame),
+        }
+    }
+
+    fn first(&self) -> Option<&Frame> {
+        self.first.as_ref()
+    }
+
+    fn len(&self) -> usize {
+        self.first.iter().len() + self.rest.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Frame> + Clone {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn into_frames(self) -> impl Iterator<Item = Frame> {
+        self.first.into_iter().chain(self.rest)
+    }
+
+    fn wire_bytes(&self) -> u64 {
+        self.iter().map(|f| f.wire_bytes() as u64).sum()
+    }
+}
 
 /// One endpoint of a simulated connection.
 pub struct SimConn {
@@ -610,7 +655,7 @@ impl SimConn {
         // burst frame by frame costs more allocations than the per-frame
         // hand-off it replaces.
         let mut burst =
-            Vec::with_capacity(fragments.size_hint().0 + usize::from(self.delayed.is_some()));
+            Burst::with_capacity(fragments.size_hint().0 + usize::from(self.delayed.is_some()));
         for (offset, payload) in fragments {
             let frame = Frame {
                 lane,
@@ -659,16 +704,14 @@ impl SimConn {
 
     /// Hand a burst to the peer: one channel operation, one wake-up.
     fn put_on_wire(&mut self, burst: Burst) -> TResult<()> {
-        if burst.is_empty() {
+        if burst.first.is_none() {
             // Its only frame is being held back by `delay_frame`.
             return Ok(());
         }
         self.stats
             .add(TransportField::FramesSent, burst.len() as u64);
-        self.stats.add(
-            TransportField::WireBytesSent,
-            burst.iter().map(|f| f.wire_bytes() as u64).sum(),
-        );
+        self.stats
+            .add(TransportField::WireBytesSent, burst.wire_bytes());
         match &self.tx {
             Some(tx) => tx.send(burst).map_err(|_| TransportError::Closed),
             None => Err(TransportError::Closed),
@@ -781,10 +824,8 @@ impl SimConn {
                 crossbeam::channel::RecvTimeoutError::Disconnected => TransportError::Closed,
             })?,
         };
-        self.stats.add(
-            TransportField::WireBytesRecv,
-            burst.iter().map(|f| f.wire_bytes() as u64).sum(),
-        );
+        self.stats
+            .add(TransportField::WireBytesRecv, burst.wire_bytes());
         Ok(burst)
     }
 
@@ -802,23 +843,23 @@ impl SimConn {
             if let Some(f) = self.pending(lane).pop_front() {
                 return Ok(f);
             }
-            for f in self.recv_burst()? {
+            for f in self.recv_burst()?.into_frames() {
                 self.pending(f.lane).push_back(f);
             }
         }
     }
 
     /// Collect all fragments of the next block on `lane`.
-    fn recv_block_frames(&mut self, lane: Lane) -> TResult<Vec<Frame>> {
+    fn recv_block_frames(&mut self, lane: Lane) -> TResult<Burst> {
         // The common case: nothing parked for the lane and the next burst
-        // is exactly one sound block of it. Its vector becomes the block's
-        // frame list as it is.
+        // is exactly one sound block of it. It becomes the block's frame
+        // list as it is.
         while self.pending(lane).is_empty() {
             let burst = self.recv_burst()?;
             if is_whole_block(&burst, lane) {
                 return Ok(burst);
             }
-            for f in burst {
+            for f in burst.into_frames() {
                 self.pending(f.lane).push_back(f);
             }
         }
@@ -834,7 +875,8 @@ impl SimConn {
             )));
         }
         let mut got = first.payload.len() as u64;
-        let mut frames = vec![first];
+        let mut frames = Burst::default();
+        frames.push(first);
         while got < total {
             let f = self.next_frame(lane)?;
             if f.block_id != block_id {
@@ -867,11 +909,11 @@ impl SimConn {
 
     /// Copy a block's fragments, each to its offset, into one pooled
     /// buffer, metered at `layer`.
-    fn copy_out(&self, frames: &[Frame], layer: CopyLayer) -> TResult<PooledBuf> {
+    fn copy_out(&self, frames: &Burst, layer: CopyLayer) -> TResult<PooledBuf> {
         let total = checked_block_len(frames)?;
         let mut buf = self.ctx.pool.acquire(total.max(1));
         buf.set_len(total);
-        for f in frames {
+        for f in frames.iter() {
             let payload = f.payload.as_slice();
             let span = checked_span(f.offset, payload.len(), total)?;
             self.ctx
@@ -883,7 +925,7 @@ impl SimConn {
 
     /// The conventional receive path: defragment into a kernel buffer, then
     /// copy kernel→user.
-    fn reassemble_copying(&mut self, frames: &[Frame]) -> TResult<ZcBytes> {
+    fn reassemble_copying(&mut self, frames: &Burst) -> TResult<ZcBytes> {
         let total = checked_block_len(frames)?;
         // Defragmentation: fragments are copied off the receive ring into a
         // contiguous kernel buffer.
@@ -900,8 +942,8 @@ impl SimConn {
     }
 
     /// The zero-copy receive path: speculate that fragments landed in place.
-    fn reassemble_zero_copy(&mut self, frames: Vec<Frame>) -> TResult<ZcBytes> {
-        let total = checked_block_len(&frames)?;
+    fn reassemble_zero_copy(&mut self, frames: &Burst) -> TResult<ZcBytes> {
+        let total = checked_block_len(frames)?;
         if total == 0 {
             return Ok(ZcBytes::empty());
         }
@@ -956,7 +998,7 @@ impl SimConn {
             0,
             total as u64,
         );
-        Ok(self.copy_out(&frames, CopyLayer::DepositFallback)?.freeze())
+        Ok(self.copy_out(frames, CopyLayer::DepositFallback)?.freeze())
     }
 }
 
@@ -965,7 +1007,7 @@ impl SimConn {
 /// reach the announced (and capped) total with the last frame, not before.
 /// Anything else goes through the frame-by-frame path, which names what is
 /// wrong with it.
-fn is_whole_block(burst: &[Frame], lane: Lane) -> bool {
+fn is_whole_block(burst: &Burst, lane: Lane) -> bool {
     let Some(first) = burst.first() else {
         return false;
     };
@@ -1022,7 +1064,7 @@ impl Connection for SimConn {
 
     fn recv_data(&mut self, expected_len: usize) -> TResult<ZcBytes> {
         let frames = self.recv_block_frames(Lane::Data)?;
-        let total = frames[0].total_len as usize;
+        let total = checked_block_len(&frames)?;
         if total != expected_len {
             // zc-audit: allow(control-plane) — protocol error diagnostic
             return Err(TransportError::Protocol(format!(
@@ -1037,7 +1079,7 @@ impl Connection for SimConn {
                 .record(frames.len() as u64);
             // Data-path flight time, derived from the first fragment's
             // put-on-wire stamp (both ends share the process trace clock).
-            let sent_ns = frames[0].sent_ns;
+            let sent_ns = frames.first().map_or(0, |f| f.sent_ns);
             if sent_ns != 0 {
                 let now = zc_trace::now_ns();
                 if now >= sent_ns {
@@ -1051,7 +1093,7 @@ impl Connection for SimConn {
         }
         let block = match self.cfg.mode {
             StackMode::Copying => self.reassemble_copying(&frames)?,
-            StackMode::ZeroCopy => self.reassemble_zero_copy(frames)?,
+            StackMode::ZeroCopy => self.reassemble_zero_copy(&frames)?,
         };
         self.stats.add(TransportField::DataBlocksRecv, 1);
         self.stats
@@ -1462,16 +1504,16 @@ mod tests {
             false,
             faults,
         );
-        wire_tx
-            .send(vec![Frame {
-                lane: Lane::Control,
-                block_id: 0,
-                offset: 0,
-                total_len: MAX_SIM_BLOCK_BYTES + 1,
-                sent_ns: 0,
-                payload: FramePayload::Copied(vec![0u8; 16]),
-            }])
-            .unwrap();
+        let mut burst = Burst::default();
+        burst.push(Frame {
+            lane: Lane::Control,
+            block_id: 0,
+            offset: 0,
+            total_len: MAX_SIM_BLOCK_BYTES + 1,
+            sent_ns: 0,
+            payload: FramePayload::Copied(vec![0u8; 16]),
+        });
+        assert!(wire_tx.send(burst).is_ok());
         match conn.recv_control() {
             Err(TransportError::Protocol(msg)) => {
                 assert!(msg.contains("cap"), "{msg}");
