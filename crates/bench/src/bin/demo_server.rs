@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use zc_bench::cli::{self, Flag, Kind};
 use zc_giop::Ior;
 use zc_orb::{AdmissionConfig, ObjectAdapterExt, Orb, OrbError, OrbResult, Servant, ServerRequest};
 
@@ -153,28 +154,27 @@ fn run_journey_demo(telemetry: &Arc<zc_trace::Telemetry>) {
     }
 }
 
-fn arg_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
-fn arg_num<T: std::str::FromStr>(name: &str, default: T) -> T {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+const FLAGS: &[Flag] = &[
+    ("--port", Kind::Num(u16::MAX as u64)),
+    ("--load", Kind::Num(1 << 10)),
+    ("--block-kib", Kind::Num(1 << 20)),
+    ("--duration-secs", Kind::Num(u64::MAX)),
+    ("--admit-requests", Kind::Num(u64::MAX)),
+    ("--admit-bytes", Kind::Num(u64::MAX)),
+    ("--spool", Kind::Text("DIR")),
+];
 
 fn main() {
-    let port: u16 = arg_num("--port", 0);
-    let load_threads: usize = arg_num("--load", 2);
-    let block_kib: usize = arg_num("--block-kib", 256);
-    let duration_secs: u64 = arg_num("--duration-secs", 0);
-    let admit_requests: u64 = arg_num("--admit-requests", 0);
-    let admit_bytes: u64 = arg_num(
-        "--admit-bytes",
-        admit_requests.saturating_mul((block_kib as u64) << 10),
-    );
-
-    let spool_dir = arg_value("--spool");
+    let args = cli::parse_or_exit("demo_server", FLAGS, &cli::argv());
+    let port = args.num("--port").unwrap_or(0) as u16;
+    let load_threads = args.num("--load").unwrap_or(2);
+    let block_kib = args.num("--block-kib").unwrap_or(256) as usize;
+    let duration_secs = args.num("--duration-secs").unwrap_or(0);
+    let admit_requests = args.num("--admit-requests").unwrap_or(0);
+    let admit_bytes = args
+        .num("--admit-bytes")
+        .unwrap_or(admit_requests.saturating_mul((block_kib as u64) << 10));
+    let spool_dir = args.text("--spool");
 
     let telemetry = zc_trace::Telemetry::with_capacity(4096);
     let mut builder = Orb::builder().tcp().telemetry(Arc::clone(&telemetry));

@@ -15,26 +15,24 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use zc_bench::cli::{self, Flag, Kind, JSON};
 use zc_bench::flame::{analyze_spool_dir, render_json, render_text};
 
-fn arg_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
-fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
+const FLAGS: &[Flag] = &[
+    ("--dir", Kind::Text("SPOOL_DIR")),
+    JSON,
+    ("--out", Kind::Text("FILE")),
+    ("--top", Kind::Num(usize::MAX as u64)),
+];
 
 fn main() -> ExitCode {
-    let Some(dir) = arg_value("--dir") else {
-        eprintln!("usage: zc_flame --dir SPOOL_DIR [--json] [--out FILE] [--top N]");
-        return ExitCode::FAILURE;
+    let args = cli::parse_or_exit("zc_flame", FLAGS, &cli::argv());
+    let Some(dir) = args.text("--dir") else {
+        cli::usage_exit("zc_flame", FLAGS, "--dir is required");
     };
-    let top: usize = arg_value("--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
+    let top = args.num("--top").unwrap_or(10) as usize;
 
-    let analysis = match analyze_spool_dir(&PathBuf::from(&dir)) {
+    let analysis = match analyze_spool_dir(&PathBuf::from(dir)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("zc_flame: {dir}: {e}");
@@ -42,15 +40,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let rendered = if arg_flag("--json") {
+    let rendered = if args.flag("--json") {
         render_json(&analysis, top)
     } else {
         render_text(&analysis, top)
     };
 
-    match arg_value("--out") {
+    match args.text("--out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, rendered.as_bytes()) {
+            if let Err(e) = std::fs::write(path, rendered.as_bytes()) {
                 eprintln!("zc_flame: write {path}: {e}");
                 return ExitCode::FAILURE;
             }

@@ -23,14 +23,18 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use zc_bench::top::{
-    delta, render_frame, render_once_json, TopDelta, TopSample, REQUIRED_JSON_KEYS,
-};
+use zc_bench::cli::{self, Flag, Kind, JSON};
+use zc_bench::top::{delta, render_frame, render_once_json, TopDelta, TopSample, SUMMARY};
 use zc_orb::{Orb, TelemetryClient};
 
-fn arg_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
+const FLAGS: &[Flag] = &[
+    ("--connect", Kind::Text("HOST:PORT")),
+    ("--interval-ms", Kind::Num(u64::MAX)),
+    ("--frames", Kind::Num(u64::MAX)),
+    ("--once", Kind::Switch),
+    JSON,
+    ("--keys", Kind::Switch),
+];
 
 fn poll(client: &TelemetryClient) -> Result<TopSample, String> {
     let text = client
@@ -40,38 +44,30 @@ fn poll(client: &TelemetryClient) -> Result<TopSample, String> {
 }
 
 fn main() {
+    let args = cli::parse_or_exit("zc-top", FLAGS, &cli::argv());
     // `--keys` needs no server: print the `--once --json` schema contract
     // (one key per line) for scripts and CI to assert against.
-    if std::env::args().any(|a| a == "--keys") {
-        for key in REQUIRED_JSON_KEYS {
+    if args.flag("--keys") {
+        for (key, _) in &SUMMARY {
             println!("{key}");
         }
         return;
     }
-    let Some(endpoint) = arg_value("--connect") else {
-        eprintln!(
-            "usage: zc-top --connect HOST:PORT [--interval-ms N] [--frames N] [--once] [--json]"
+    let endpoint = args.text("--connect").unwrap_or_default();
+    let Some((host, Ok(port))) = endpoint
+        .rsplit_once(':')
+        .map(|(host, port)| (host, port.parse::<u16>()))
+    else {
+        cli::usage_exit(
+            "zc-top",
+            FLAGS,
+            &format!("--connect wants HOST:PORT, got {endpoint:?}"),
         );
-        std::process::exit(2);
     };
-    let Some((host, port)) = endpoint.rsplit_once(':') else {
-        eprintln!("zc-top: --connect wants HOST:PORT, got {endpoint:?}");
-        std::process::exit(2);
-    };
-    let Ok(port) = port.parse::<u16>() else {
-        eprintln!("zc-top: bad port in {endpoint:?}");
-        std::process::exit(2);
-    };
-    let once = std::env::args().any(|a| a == "--once");
-    let json = std::env::args().any(|a| a == "--json");
-    let interval = Duration::from_millis(
-        arg_value("--interval-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1000),
-    );
-    let frames: u64 = arg_value("--frames")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let once = args.flag("--once");
+    let json = args.flag("--json");
+    let interval = Duration::from_millis(args.num("--interval-ms").unwrap_or(1000));
+    let frames = args.num("--frames").unwrap_or(0);
 
     let orb = Orb::builder().tcp().build();
     let client = match TelemetryClient::connect(&orb, host, port) {
@@ -92,9 +88,9 @@ fn main() {
             let second = poll(&client)?;
             let d = delta(&first, &second, t0.elapsed().as_secs_f64());
             if json {
-                println!("{}", render_once_json(&second, &d, &endpoint));
+                println!("{}", render_once_json(&second, &d, endpoint));
             } else {
-                print!("{}", render_frame(&second, Some(&d), &endpoint));
+                print!("{}", render_frame(&second, Some(&d), endpoint));
             }
             return Ok(());
         }
@@ -109,13 +105,13 @@ fn main() {
             if json {
                 println!(
                     "{}",
-                    render_once_json(&sample, &d.unwrap_or_default(), &endpoint)
+                    render_once_json(&sample, &d.unwrap_or_default(), endpoint)
                 );
             } else {
                 // Clear + home, then the frame: a cheap full-screen refresh.
                 print!(
                     "\x1b[2J\x1b[H{}",
-                    render_frame(&sample, d.as_ref(), &endpoint)
+                    render_frame(&sample, d.as_ref(), endpoint)
                 );
                 let _ = std::io::stdout().flush();
             }

@@ -1,6 +1,9 @@
-//! Shared plumbing for the figure/table harness binaries.
+//! The experiment runner behind `zc-bench <experiment>`, and the library
+//! halves of the three operator tools (`zc-top`, `zc_flame`,
+//! `demo_server`). [`experiments`] holds the table of experiments, [`cli`]
+//! the one argument parser, [`report`] the one reporter.
 //!
-//! Every binary prints two views of its experiment:
+//! The figure experiments print two views:
 //!
 //! 1. **modeled** — the calibrated 2003-testbed prediction (`zc-simnet`),
 //!    which is what should be compared against the paper's absolute
@@ -10,30 +13,17 @@
 //!    copies are real `memcpy`s; absolute numbers reflect *this* machine,
 //!    but the ordering and the copy accounting must tell the same story.
 
+pub mod cli;
+pub mod experiments;
 pub mod flame;
 pub mod overload;
 pub mod report;
 pub mod top;
 
-pub use flame::{
-    analyze_spool_dir, reconstruct_journeys, Attempt, FlameAnalysis, Journey, FLAME_SCHEMA,
-};
-
-pub use overload::{
-    probe_capacity, run_point as overload_point, run_sweep as overload_sweep, OverloadCurve,
-    OverloadMode, OverloadParams, OverloadPoint,
-};
-
-pub use report::{
-    json_flag, print_telemetry, render_breakdown_json, render_breakdown_text, run_breakdown,
-    Breakdown, BreakdownColumn, BREAKDOWN_CONFIGS,
-};
-
-use zc_trace::OrbTelemetry;
-use zc_ttcp::{run_measured, run_modeled, MeasuredOutcome, Series, TtcpParams, TtcpVersion};
+use zc_ttcp::{run_measured, MeasuredOutcome, TtcpParams, TtcpVersion};
 
 /// Block sizes for the measured sweep (a subset of the paper's range keeps
-/// harness runtime reasonable; pass `--full` to binaries for all sizes).
+/// the runtime reasonable; `--full` asks for all sizes).
 pub fn measured_block_sizes(full: bool) -> Vec<usize> {
     if full {
         zc_simnet::paper_block_sizes()
@@ -48,60 +38,11 @@ pub fn measured_total(block: usize) -> usize {
     (block * 16).clamp(8 << 20, 64 << 20)
 }
 
-/// Modeled series over the paper's full size range.
-pub fn modeled_series(version: TtcpVersion, sizes: &[usize]) -> Series {
-    Series::new(
-        format!("{} (model)", version.label()),
-        sizes.iter().map(|&b| run_modeled(version, b)).collect(),
-    )
-}
-
 /// One measured point, optionally with telemetry enabled.
 pub fn measured_point(version: TtcpVersion, block: usize, traced: bool) -> MeasuredOutcome {
     let mut p = TtcpParams::new(version, block, measured_total(block));
     p.traced = traced;
     run_measured(&p)
-}
-
-/// Measured series over the host (telemetry disabled).
-pub fn measured_series(version: TtcpVersion, sizes: &[usize]) -> Series {
-    measured_series_traced(version, sizes, false).0
-}
-
-/// Measured series over the host; when `traced`, every point runs with
-/// telemetry enabled and the last point's merged [`OrbTelemetry`] snapshot
-/// is returned alongside the throughput series.
-pub fn measured_series_traced(
-    version: TtcpVersion,
-    sizes: &[usize],
-    traced: bool,
-) -> (Series, Option<OrbTelemetry>) {
-    let mut last = None;
-    let values = sizes
-        .iter()
-        .map(|&b| {
-            let out = measured_point(version, b, traced);
-            if out.telemetry.is_some() {
-                last = out.telemetry;
-            }
-            out.mbit_s
-        })
-        .collect();
-    (
-        Series::new(format!("{} (host)", version.label()), values),
-        last,
-    )
-}
-
-/// Parse the common harness flags: `--full` widens the measured sweep.
-pub fn full_flag() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
-
-/// `--no-trace` turns the measured runs' telemetry off (fig5/fig6 trace by
-/// default to exercise the observability path alongside the benchmark).
-pub fn trace_flag() -> bool {
-    !std::env::args().any(|a| a == "--no-trace")
 }
 
 // ---------------------------------------------------------------------------
@@ -133,28 +74,6 @@ pub struct FaultSweepPoint {
     /// of wall clock, in Mbit/s. Retries and reconnect stalls are paid for
     /// here — this is what frame loss costs the application.
     pub goodput_mbit_s: f64,
-}
-
-impl FaultSweepPoint {
-    /// CSV row matching [`fault_sweep_csv_header`].
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{:.4},{},{},{},{},{},{},{:.2}",
-            self.drop_prob,
-            self.block_bytes,
-            self.calls,
-            self.ok,
-            self.failed,
-            self.retries,
-            self.reconnects,
-            self.goodput_mbit_s
-        )
-    }
-}
-
-/// Header for the fault-sweep CSV section.
-pub fn fault_sweep_csv_header() -> &'static str {
-    "drop_prob,block_bytes,calls,ok,failed,retries,reconnects,goodput_mbit_s"
 }
 
 struct ByteSum;
@@ -275,13 +194,5 @@ mod tests {
         // Heavy loss must show recovery work, and most calls still land.
         assert!(pt.retries + pt.reconnects > 0);
         assert!(pt.ok > pt.calls / 2);
-    }
-
-    #[test]
-    fn modeled_series_has_all_points() {
-        let sizes = zc_simnet::paper_block_sizes();
-        let s = modeled_series(TtcpVersion::RawTcp, &sizes);
-        assert_eq!(s.values.len(), sizes.len());
-        assert!(s.values.iter().all(|&v| v > 0.0));
     }
 }

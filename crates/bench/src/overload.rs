@@ -24,10 +24,12 @@
 //! cold keys two — the 80/20 skew of [`KeySkew`]) so the experiment
 //! measures queueing and shedding, not host CPU contention.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::report::Row;
 use zc_json::{Layout, Writer};
 use zc_orb::{
     AdmissionConfig, ObjectAdapterExt, Orb, OrbError, OrbResult, RetryPolicy, Servant,
@@ -241,9 +243,35 @@ impl OverloadCurve {
             && admission.iter().any(|p| p.telemetry_pings > 0)
             && admission.iter().all(|p| p.telemetry_failures == 0)
     }
+}
 
-    /// The curve as one pretty-printed JSON object, one point per row.
-    pub fn to_json(&self) -> String {
+impl Row for OverloadCurve {
+    /// CSV: a header, then one line per point.
+    fn text(&self) -> String {
+        let mut out = String::from(
+            "mode,offered_x,offered_rps,sent,ok_deadline,late,shed,failed,goodput_rps,p99_sojourn_ms",
+        );
+        for p in &self.points {
+            let _ = write!(
+                out,
+                "\n{},{:.2},{:.1},{},{},{},{},{},{:.1},{:.3}",
+                p.mode,
+                p.offered_x,
+                p.offered_rps,
+                p.sent,
+                p.ok_deadline,
+                p.late,
+                p.shed,
+                p.failed,
+                p.goodput_rps,
+                p.p99_sojourn_ms
+            );
+        }
+        out
+    }
+
+    /// One pretty-printed JSON object, one point per row.
+    fn json(&self) -> String {
         let mut w = Writer::new();
         w.begin_object(Layout::Pretty)
             .field("capacity_rps", format_args!("{:.1}", self.capacity_rps))
@@ -281,30 +309,6 @@ impl OverloadCurve {
         }
         w.end().end();
         w.finish()
-    }
-
-    /// CSV header matching [`OverloadPoint::to_csv_row`].
-    pub fn csv_header() -> &'static str {
-        "mode,offered_x,offered_rps,sent,ok_deadline,late,shed,failed,goodput_rps,p99_sojourn_ms"
-    }
-}
-
-impl OverloadPoint {
-    /// CSV row matching [`OverloadCurve::csv_header`].
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{:.2},{:.1},{},{},{},{},{},{:.1},{:.3}",
-            self.mode,
-            self.offered_x,
-            self.offered_rps,
-            self.sent,
-            self.ok_deadline,
-            self.late,
-            self.shed,
-            self.failed,
-            self.goodput_rps,
-            self.p99_sojourn_ms
-        )
     }
 }
 
@@ -689,7 +693,7 @@ mod tests {
         assert!(curve.total_sheds() > 0, "sweep never shed");
         assert!(curve.telemetry_alive(), "management lane went dark");
         // JSON renders and mentions both modes.
-        let json = curve.to_json();
+        let json = curve.json();
         assert!(json.contains("\"seed\"") && json.contains("\"admission\""));
         assert!(json.contains("telemetry_alive"));
     }

@@ -1,7 +1,9 @@
-//! The shared §5.2 reporter: one consistent rendering of the
-//! stage-latency × copy-accounting breakdown, used by every harness
-//! binary (text and `--json` views alike).
+//! The one reporter. An experiment builds its records once (a flat one as
+//! a text line beside its [`Member`]s, a structured one as a [`Row`]) and
+//! hands them to a [`Reporter`], which owns the `--json` choice and the
+//! output stream.
 //!
+//! The largest row is the §5.2 stage-latency × copy-accounting breakdown.
 //! "We instrumented the ORB source code to pinpoint the sources of this
 //! overhead." — the breakdown joins three accounts of the same requests:
 //!
@@ -17,12 +19,113 @@
 //! and the all-zero-copy combination.
 
 use std::fmt::Write as _;
+use std::io::{self, Write as _};
+use std::process::ExitCode;
 
 use zc_buffers::{CopyLayer, CopySnapshot};
 use zc_json::{Layout, Writer};
 use zc_simnet::{stage_budget, Scenario, StageBudget};
 use zc_trace::{HistogramSnapshot, Stage, StageSnapshots};
-use zc_ttcp::{run_measured, LatencyStats, Series, TtcpParams, TtcpTransport, TtcpVersion};
+use zc_ttcp::{format_series_table, run_measured, Series, TtcpParams, TtcpTransport, TtcpVersion};
+
+/// One JSON member of a flat record.
+pub enum Member<'a> {
+    /// A string.
+    Text(&'a str),
+    /// A whole number.
+    Count(u64),
+    /// A real number, printed with this many decimals.
+    Real(f64, usize),
+}
+
+/// One structured record of an experiment's output, renderable both ways.
+pub trait Row {
+    /// The human view, without its final newline.
+    fn text(&self) -> String;
+    /// The machine view: one JSON document.
+    fn json(&self) -> String;
+}
+
+/// Where every experiment's output goes: text or JSON, chosen once.
+pub struct Reporter<'a> {
+    out: Box<dyn io::Write + 'a>,
+    json: bool,
+    io_error: Option<io::Error>,
+    failed: bool,
+}
+
+impl<'a> Reporter<'a> {
+    /// Report to `out`, as JSON when `json`. A binary passes its locked
+    /// stdout, so the whole run writes through one handle.
+    pub fn new(out: impl io::Write + 'a, json: bool) -> Reporter<'a> {
+        Reporter {
+            out: Box::new(out),
+            json,
+            io_error: None,
+            failed: false,
+        }
+    }
+
+    /// After the first write error (a reader that closed the pipe, a full
+    /// disk) nothing more is written; [`Reporter::finish`] reports it.
+    fn line(&mut self, s: &str) {
+        if self.io_error.is_none() {
+            self.io_error = writeln!(self.out, "{s}").err();
+        }
+    }
+
+    /// Prose for the human view only: headings, column names, readings.
+    pub fn note(&mut self, text: &str) {
+        if !self.json {
+            self.line(text);
+        }
+    }
+
+    /// One structured record, in the chosen format.
+    pub fn row(&mut self, row: &dyn Row) {
+        let rendered = if self.json { row.json() } else { row.text() };
+        self.line(&rendered);
+    }
+
+    /// One flat record: its text line, or the same values as the members
+    /// of one JSON object.
+    pub fn record(&mut self, text: &str, members: &[(&str, Member)]) {
+        if !self.json {
+            return self.line(text);
+        }
+        let mut w = Writer::new();
+        w.begin_object(Layout::Compact);
+        for (key, member) in members {
+            match *member {
+                Member::Text(s) => w.field_str(key, s),
+                Member::Count(n) => w.field(key, n),
+                Member::Real(x, decimals) => w.field(key, format_args!("{x:.decimals$}")),
+            };
+        }
+        w.end();
+        self.line(&w.finish());
+    }
+
+    /// An experiment's own gate did not hold: said on stderr, and the
+    /// process will exit 1.
+    pub fn fail(&mut self, why: &str) {
+        eprintln!("FAIL: {why}");
+        self.failed = true;
+    }
+
+    /// Flush, and turn the run into an exit code. A closed pipe is a quiet
+    /// end, not a failure; any other write error is one.
+    pub fn finish(mut self) -> ExitCode {
+        match self.io_error.or_else(|| self.out.flush().err()) {
+            Some(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                eprintln!("cannot write the report: {e}");
+                ExitCode::FAILURE
+            }
+            _ if self.failed => ExitCode::FAILURE,
+            _ => ExitCode::SUCCESS,
+        }
+    }
+}
 
 /// The three §5.2 columns, in paper order.
 pub const BREAKDOWN_CONFIGS: [(TtcpVersion, &str); 3] = [
@@ -121,89 +224,83 @@ fn transport_name(t: TtcpTransport) -> &'static str {
     }
 }
 
-/// Render the breakdown as an aligned text table: stage rows (p50 µs per
-/// request), then copy-meter bytes per payload byte, then the modeled
-/// per-block budget.
-pub fn render_breakdown_text(b: &Breakdown) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "## §5.2 overhead breakdown — {} blocks, {} total, {} transport\n",
-        zc_ttcp::report::human_size(b.block_bytes),
-        zc_ttcp::report::human_size(b.total_bytes),
-        transport_name(b.transport),
-    );
-    let _ = write!(out, "{:<24}", "");
-    for c in &b.columns {
-        let _ = write!(out, "{:>18}", c.config);
-    }
-    let _ = writeln!(out);
+impl Row for Breakdown {
+    /// An aligned table: stage rows (p50 µs per request), then copy-meter
+    /// bytes per payload byte, then the modeled per-block budget.
+    fn text(&self) -> String {
+        let mut out = format!(
+            "## §5.2 overhead breakdown — {} blocks, {} total, {} transport\n\n",
+            zc_ttcp::report::human_size(self.block_bytes),
+            zc_ttcp::report::human_size(self.total_bytes),
+            transport_name(self.transport),
+        );
+        // One table row: its label, then one right-aligned cell per column.
+        let row = |out: &mut String, label: &str, cell: &dyn Fn(&BreakdownColumn) -> String| {
+            let _ = write!(out, "{label:<24}");
+            for c in &self.columns {
+                let _ = write!(out, "{:>18}", cell(c));
+            }
+            out.push('\n');
+        };
+        let p50_us = |h: &HistogramSnapshot| match h.count {
+            0 => "-".to_string(),
+            _ => format!("{:.1}", h.quantile(0.5) as f64 / 1e3),
+        };
+        row(&mut out, "", &|c| c.config.to_string());
 
-    let _ = writeln!(out, "-- measured stage p50 (µs/request) --");
-    for stage in Stage::ALL {
-        if b.columns.iter().all(|c| c.stages.get(stage).count == 0) {
-            continue;
-        }
-        let _ = write!(out, "{:<24}", stage.name());
-        for c in &b.columns {
-            let h = c.stages.get(stage);
-            if h.count == 0 {
-                let _ = write!(out, "{:>18}", "-");
-            } else {
-                let _ = write!(out, "{:>18.1}", h.quantile(0.5) as f64 / 1e3);
+        out.push_str("-- measured stage p50 (µs/request) --\n");
+        for stage in Stage::ALL {
+            if self.columns.iter().any(|c| c.stages.get(stage).count != 0) {
+                row(&mut out, stage.name(), &|c| p50_us(c.stages.get(stage)));
             }
         }
-        let _ = writeln!(out);
-    }
-    let _ = write!(out, "{:<24}", "data wire (p50 µs)");
-    for c in &b.columns {
-        if c.data_wire_ns.count == 0 {
-            let _ = write!(out, "{:>18}", "-");
-        } else {
-            let _ = write!(out, "{:>18.1}", c.data_wire_ns.quantile(0.5) as f64 / 1e3);
-        }
-    }
-    let _ = writeln!(out);
+        row(&mut out, "data wire (p50 µs)", &|c| {
+            p50_us(&c.data_wire_ns)
+        });
 
-    let _ = writeln!(out, "-- copy-meter bytes per payload byte --");
-    let payload = b.total_bytes as f64;
-    for layer in BREAKDOWN_COPY_LAYERS {
-        if b.columns.iter().all(|c| c.copies.bytes(layer) == 0) {
-            continue;
+        out.push_str("-- copy-meter bytes per payload byte --\n");
+        let payload = self.total_bytes as f64;
+        for layer in BREAKDOWN_COPY_LAYERS {
+            if self.columns.iter().any(|c| c.copies.bytes(layer) != 0) {
+                let share = |c: &BreakdownColumn| c.copies.bytes(layer) as f64 / payload;
+                row(&mut out, layer.name(), &|c| format!("{:.3}", share(c)));
+            }
         }
-        let _ = write!(out, "{:<24}", layer.name());
-        for c in &b.columns {
-            let _ = write!(out, "{:>18.3}", c.copies.bytes(layer) as f64 / payload);
+
+        out.push_str("-- summary --\n");
+        row(&mut out, "goodput (Mbit/s)", &|c| {
+            format!("{:.1}", c.mbit_s)
+        });
+        row(&mut out, "copy factor (×payload)", &|c| {
+            format!("{:.3}", c.overhead_copy_factor)
+        });
+        row(&mut out, "spec hit rate", &|c| {
+            format!("{:.3}", c.spec_hit_rate)
+        });
+
+        out.push_str("-- modeled per-block budget (ms, P-II 400 / GbE) --\n");
+        for (name, pick) in MODELED_ROWS {
+            row(&mut out, name, &|c| {
+                format!("{:.3}", pick(&c.modeled) * 1e3)
+            });
         }
-        let _ = writeln!(out);
+        out.pop(); // the reporter ends the last line
+        out
     }
 
-    let _ = writeln!(out, "-- summary --");
-    let _ = write!(out, "{:<24}", "goodput (Mbit/s)");
-    for c in &b.columns {
-        let _ = write!(out, "{:>18.1}", c.mbit_s);
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "{:<24}", "copy factor (×payload)");
-    for c in &b.columns {
-        let _ = write!(out, "{:>18.3}", c.overhead_copy_factor);
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "{:<24}", "spec hit rate");
-    for c in &b.columns {
-        let _ = write!(out, "{:>18.3}", c.spec_hit_rate);
-    }
-    let _ = writeln!(out);
-
-    let _ = writeln!(out, "-- modeled per-block budget (ms, P-II 400 / GbE) --");
-    for (name, pick) in MODELED_ROWS {
-        let _ = write!(out, "{:<24}", name);
-        for c in &b.columns {
-            let _ = write!(out, "{:>18.3}", pick(&c.modeled) * 1e3);
+    fn json(&self) -> String {
+        let mut w = Writer::new();
+        w.begin_object(Layout::Compact)
+            .field("block_bytes", self.block_bytes)
+            .field("total_bytes", self.total_bytes)
+            .field_str("transport", transport_name(self.transport));
+        w.key("columns").begin_array(Layout::Compact);
+        for c in &self.columns {
+            breakdown_column(&mut w, c, self.total_bytes);
         }
-        let _ = writeln!(out);
+        w.end().end();
+        w.finish()
     }
-    out
 }
 
 type BudgetPick = fn(&StageBudget) -> f64;
@@ -267,118 +364,58 @@ fn breakdown_column(w: &mut Writer, c: &BreakdownColumn, payload_bytes: usize) {
     w.end().end();
 }
 
-/// Render the whole breakdown as one JSON object.
-pub fn render_breakdown_json(b: &Breakdown) -> String {
-    let mut w = Writer::new();
-    w.begin_object(Layout::Compact)
-        .field("block_bytes", b.block_bytes)
-        .field("total_bytes", b.total_bytes)
-        .field_str("transport", transport_name(b.transport));
-    w.key("columns").begin_array(Layout::Compact);
-    for c in &b.columns {
-        breakdown_column(&mut w, c, b.total_bytes);
-    }
-    w.end().end();
-    w.finish()
+/// A figure table: block sizes down the rows, one column per series.
+pub struct SeriesTable<'a> {
+    /// Heading of the table.
+    pub title: &'a str,
+    /// Block sizes, one per row.
+    pub sizes: &'a [usize],
+    /// Mbit/s columns.
+    pub series: &'a [Series],
 }
 
-/// Render a figure series set as one JSON object (the `--json` view of
-/// [`zc_ttcp::format_series_table`]).
-pub fn series_json(title: &str, sizes: &[usize], series: &[Series]) -> String {
-    let mut w = Writer::new();
-    w.begin_object(Layout::Compact).field_str("title", title);
-    w.key("block_bytes").begin_array(Layout::Spaced);
-    for size in sizes {
-        w.value(size);
+impl Row for SeriesTable<'_> {
+    fn text(&self) -> String {
+        format_series_table(self.title, self.sizes, self.series)
     }
-    w.end();
-    w.key("series").begin_array(Layout::Compact);
-    for s in series {
-        w.begin_object(Layout::Compact).field_str("name", &s.name);
-        w.key("mbit_s").begin_array(Layout::Compact);
-        for v in &s.values {
-            w.value(format_args!("{v:.3}"));
+
+    fn json(&self) -> String {
+        let mut w = Writer::new();
+        w.begin_object(Layout::Compact)
+            .field_str("title", self.title);
+        w.key("block_bytes").begin_array(Layout::Spaced);
+        for size in self.sizes {
+            w.value(size);
+        }
+        w.end();
+        w.key("series").begin_array(Layout::Compact);
+        for s in self.series {
+            w.begin_object(Layout::Compact).field_str("name", &s.name);
+            w.key("mbit_s").begin_array(Layout::Compact);
+            for v in &s.values {
+                w.value(format_args!("{v:.3}"));
+            }
+            w.end().end();
         }
         w.end().end();
-    }
-    w.end().end();
-    w.finish()
-}
-
-/// Render one latency measurement as a JSON object.
-pub fn latency_json(version: TtcpVersion, msg_bytes: usize, s: &LatencyStats) -> String {
-    let mut w = Writer::new();
-    w.begin_object(Layout::Compact)
-        .field_str("version", version.label())
-        .field("msg_bytes", msg_bytes)
-        .field("rounds", s.rounds);
-    for (key, us) in [
-        ("min_us", s.min_us),
-        ("p50_us", s.p50_us),
-        ("p90_us", s.p90_us),
-        ("p99_us", s.p99_us),
-        ("max_us", s.max_us),
-        ("mean_us", s.mean_us),
-    ] {
-        w.field(key, format_args!("{us:.2}"));
-    }
-    w.end();
-    w.finish()
-}
-
-/// One goodput point of a measured sweep.
-#[derive(Debug, Clone)]
-pub struct GoodputPoint {
-    /// TTCP version label.
-    pub version: TtcpVersion,
-    /// Substrate name (`sim` / `tcp`).
-    pub transport: &'static str,
-    /// Payload bytes per block.
-    pub block_bytes: usize,
-    /// Calibrated-testbed prediction, Mbit/s.
-    pub modeled_mbit_s: f64,
-    /// Measured on this host, Mbit/s.
-    pub measured_mbit_s: f64,
-    /// Overhead bytes copied per payload byte.
-    pub overhead_copy_factor: f64,
-    /// Receive-speculation hit rate.
-    pub spec_hit_rate: f64,
-}
-
-/// Render one goodput point as a JSON object (the `--json` sweep view).
-pub fn goodput_json(g: &GoodputPoint) -> String {
-    let mut w = Writer::new();
-    w.begin_object(Layout::Spaced)
-        .field_str("version", g.version.label())
-        .field_str("transport", g.transport)
-        .field("block_bytes", g.block_bytes)
-        .field("modeled_mbit_s", format_args!("{:.3}", g.modeled_mbit_s))
-        .field("measured_mbit_s", format_args!("{:.3}", g.measured_mbit_s))
-        .field(
-            "overhead_copy_factor",
-            format_args!("{:.4}", g.overhead_copy_factor),
-        )
-        .field("spec_hit_rate", format_args!("{:.4}", g.spec_hit_rate))
-        .end();
-    w.finish()
-}
-
-/// Print a telemetry snapshot in the shared format: JSON lines under
-/// `--json`, the aligned text table (with the request-span stage section)
-/// otherwise.
-pub fn print_telemetry(label: &str, t: &zc_trace::OrbTelemetry, json: bool) {
-    if json {
-        print!("{}", t.json_lines());
-    } else {
-        println!("\n{label}:");
-        print!("{}", t.text_table());
+        w.finish()
     }
 }
 
-/// The common `--json` flag: every harness binary switches its report
-/// format with it.
-pub fn json_flag() -> bool {
-    std::env::args().any(|a| a == "--json")
+/// A telemetry snapshot under a label saying which run it is of: the
+/// aligned text table (with the request-span stage section), or JSON lines.
+pub struct TelemetryRow<'a>(pub &'a str, pub &'a zc_trace::OrbTelemetry);
+
+impl Row for TelemetryRow<'_> {
+    fn text(&self) -> String {
+        format!("\n{}:\n{}", self.0, self.1.text_table().trim_end())
+    }
+
+    fn json(&self) -> String {
+        let mut lines = self.1.json_lines();
+        lines.truncate(lines.trim_end().len());
+        lines
+    }
 }
 
 #[cfg(test)]
@@ -402,11 +439,11 @@ mod tests {
         assert!(std_col.stages.get(Stage::ClientMarshal).count > 0);
         assert!(zc_col.stages.get(Stage::ClientMarshal).count > 0);
         // Renderings carry the key sections.
-        let text = render_breakdown_text(&b);
+        let text = b.text();
         assert!(text.contains("measured stage p50"));
         assert!(text.contains("copy-meter bytes"));
         assert!(text.contains("modeled per-block budget"));
-        let json = render_breakdown_json(&b);
+        let json = b.json();
         assert!(json.contains("\"config\":\"standard\""));
         assert!(json.contains("\"config\":\"all-zc\""));
         assert!(json.contains("\"stage\":\"marshal\""));
@@ -415,7 +452,12 @@ mod tests {
 
     #[test]
     fn series_json_shape() {
-        let s = series_json("T", &[1024, 2048], &[Series::new("raw", vec![1.0, 2.0])]);
+        let s = SeriesTable {
+            title: "T",
+            sizes: &[1024, 2048],
+            series: &[Series::new("raw", vec![1.0, 2.0])],
+        }
+        .json();
         assert!(s.contains("\"title\":\"T\""));
         assert!(s.contains("\"mbit_s\":[1.000,2.000]"));
     }

@@ -11,6 +11,8 @@ use std::fmt::Write as _;
 
 use zc_json::{Layout, Value, Writer};
 
+use self::Source::{Delta, Sample};
+
 /// One parsed `_ZcTelemetry` snapshot, flattened to `section.key` (and
 /// `section.name.key` for named families) → numeric value.
 #[derive(Debug, Clone)]
@@ -248,115 +250,95 @@ pub fn render_frame(s: &TopSample, d: Option<&TopDelta>, endpoint: &str) -> Stri
     out
 }
 
-/// Every key the `--once --json` summary is contractually required to
-/// carry. CI asserts the whole list with one jq query (replacing the old
-/// hand-maintained grep loop, which silently rotted whenever a key was
-/// renamed), `zc-top --keys` prints it for scripts, and a unit test keeps
-/// it in lock-step with [`render_once_json`] in both directions.
-pub const REQUIRED_JSON_KEYS: &[&str] = &[
-    "schema",
-    "endpoint",
-    "enabled",
-    "goodput_mbit_s",
-    "tx_mbit_s",
-    "copied_bytes_delta",
-    "poll_interval_s",
-    "req_per_s",
-    "wire_tx_bytes_per_s",
-    "wire_rx_bytes_per_s",
-    "retries_per_s",
-    "inflight",
-    "inflight_peak",
-    "conns",
-    "conns_peak",
-    "degraded_conns",
-    "degraded_conns_peak",
-    "breakers_open",
-    "breakers_open_peak",
-    "reassembly_peak_bytes",
-    "pool_retained_bytes",
-    "pool_retained_peak",
-    "requests_received",
-    "replies_ok",
-    "replies_exception",
-    "retries_total",
-    "reconnects_total",
-    "breaker_opens_total",
-    "sheds_total",
-    "brownout_sheds_total",
-    "failovers_total",
-    "shed_per_s",
-    "brownout_per_s",
-    "failover_per_s",
-    "degradations_total",
-    "upgrades_total",
-    "spec_hit_rate",
-    "events_recorded",
-    "events_dropped",
-    "stage_p99_ns",
-];
-
-/// The numeric summary fields, in emission order: the `REQUIRED_JSON_KEYS`
-/// tail between the three header fields and `stage_p99_ns`.
-fn summary_numbers(s: &TopSample, d: &TopDelta) -> [f64; 36] {
-    [
-        d.goodput_mbit_s,
-        d.tx_mbit_s,
-        d.copied_bytes_delta,
-        d.elapsed_s,
-        s.num("load.req_per_s"),
-        s.num("load.wire_tx_bytes_per_s"),
-        s.num("load.wire_rx_bytes_per_s"),
-        s.num("load.retries_per_s"),
-        s.num("load.inflight"),
-        s.num("load.inflight_peak"),
-        s.num("load.conns"),
-        s.num("load.conns_peak"),
-        s.num("load.degraded_conns"),
-        s.num("load.degraded_conns_peak"),
-        s.num("load.breakers_open"),
-        s.num("load.breakers_open_peak"),
-        s.num("load.reassembly_bytes_peak"),
-        s.num("pool.retained_bytes"),
-        s.num("load.pool_retained_peak"),
-        s.num("counter.requests_received"),
-        s.num("counter.replies_ok"),
-        s.num("counter.replies_exception"),
-        s.num("counter.retries"),
-        s.num("counter.reconnects"),
-        s.num("counter.breaker_opens"),
-        s.num("counter.sheds"),
-        s.num("counter.brownout_sheds"),
-        s.num("counter.failovers"),
-        s.num("load.shed_per_s"),
-        s.num("load.brownout_per_s"),
-        s.num("load.failover_per_s"),
-        s.num("counter.degradations"),
-        s.num("counter.upgrades"),
-        s.num("transport.spec_hit_rate"),
-        s.num("recorder.recorded"),
-        s.num("recorder.dropped"),
-    ]
+/// Where one field of the `--once --json` summary comes from.
+pub enum Source {
+    /// The constant `zcorba-top/v1`.
+    Schema,
+    /// The polled `HOST:PORT`.
+    Endpoint,
+    /// Whether the server's telemetry is enabled.
+    Enabled,
+    /// Computed client-side between two polls.
+    Delta(fn(&TopDelta) -> f64),
+    /// A flattened snapshot field, read with [`TopSample::num`].
+    Sample(&'static str),
+    /// The object of per-stage p99s.
+    StageP99s,
 }
 
+/// The `--once --json` summary, one row per field in emission order: the
+/// key and where its value comes from. [`render_once_json`] walks it,
+/// `zc-top --keys` prints its first column for scripts (CI asserts the
+/// emitted key set against that with one jq query), and the tests read the
+/// same rows, so a key cannot be emitted under another field's value.
+pub const SUMMARY: [(&str, Source); 40] = [
+    ("schema", Source::Schema),
+    ("endpoint", Source::Endpoint),
+    ("enabled", Source::Enabled),
+    ("goodput_mbit_s", Delta(|d| d.goodput_mbit_s)),
+    ("tx_mbit_s", Delta(|d| d.tx_mbit_s)),
+    ("copied_bytes_delta", Delta(|d| d.copied_bytes_delta)),
+    ("poll_interval_s", Delta(|d| d.elapsed_s)),
+    ("req_per_s", Sample("load.req_per_s")),
+    ("wire_tx_bytes_per_s", Sample("load.wire_tx_bytes_per_s")),
+    ("wire_rx_bytes_per_s", Sample("load.wire_rx_bytes_per_s")),
+    ("retries_per_s", Sample("load.retries_per_s")),
+    ("inflight", Sample("load.inflight")),
+    ("inflight_peak", Sample("load.inflight_peak")),
+    ("conns", Sample("load.conns")),
+    ("conns_peak", Sample("load.conns_peak")),
+    ("degraded_conns", Sample("load.degraded_conns")),
+    ("degraded_conns_peak", Sample("load.degraded_conns_peak")),
+    ("breakers_open", Sample("load.breakers_open")),
+    ("breakers_open_peak", Sample("load.breakers_open_peak")),
+    (
+        "reassembly_peak_bytes",
+        Sample("load.reassembly_bytes_peak"),
+    ),
+    ("pool_retained_bytes", Sample("pool.retained_bytes")),
+    ("pool_retained_peak", Sample("load.pool_retained_peak")),
+    ("requests_received", Sample("counter.requests_received")),
+    ("replies_ok", Sample("counter.replies_ok")),
+    ("replies_exception", Sample("counter.replies_exception")),
+    ("retries_total", Sample("counter.retries")),
+    ("reconnects_total", Sample("counter.reconnects")),
+    ("breaker_opens_total", Sample("counter.breaker_opens")),
+    ("sheds_total", Sample("counter.sheds")),
+    ("brownout_sheds_total", Sample("counter.brownout_sheds")),
+    ("failovers_total", Sample("counter.failovers")),
+    ("shed_per_s", Sample("load.shed_per_s")),
+    ("brownout_per_s", Sample("load.brownout_per_s")),
+    ("failover_per_s", Sample("load.failover_per_s")),
+    ("degradations_total", Sample("counter.degradations")),
+    ("upgrades_total", Sample("counter.upgrades")),
+    ("spec_hit_rate", Sample("transport.spec_hit_rate")),
+    ("events_recorded", Sample("recorder.recorded")),
+    ("events_dropped", Sample("recorder.dropped")),
+    ("stage_p99_ns", Source::StageP99s),
+];
+
 /// Render the `--once --json` machine summary: one flat object carrying
-/// exactly [`REQUIRED_JSON_KEYS`]. The key names come straight from the
-/// required list so the contract and the emitter cannot drift apart.
+/// exactly the rows of [`SUMMARY`].
 pub fn render_once_json(s: &TopSample, d: &TopDelta, endpoint: &str) -> String {
     let mut w = Writer::new();
-    w.begin_object(Layout::Compact)
-        .field_str("schema", "zcorba-top/v1")
-        .field_str("endpoint", endpoint)
-        .field("enabled", s.enabled);
-    let numeric_keys = &REQUIRED_JSON_KEYS[3..REQUIRED_JSON_KEYS.len() - 1];
-    for (key, v) in numeric_keys.iter().zip(summary_numbers(s, d)) {
-        w.field(key, format_args!("{v:.6}"));
+    w.begin_object(Layout::Compact);
+    for (key, source) in &SUMMARY {
+        match source {
+            Source::Schema => w.field_str(key, "zcorba-top/v1"),
+            Source::Endpoint => w.field_str(key, endpoint),
+            Source::Enabled => w.field(key, s.enabled),
+            Delta(pick) => w.field(key, format_args!("{:.6}", pick(d))),
+            Sample(field) => w.field(key, format_args!("{:.6}", s.num(field))),
+            Source::StageP99s => {
+                w.key(key).begin_object(Layout::Compact);
+                for (name, p99) in s.stage_p99s() {
+                    w.field(name, format_args!("{p99:.0}"));
+                }
+                w.end()
+            }
+        };
     }
-    w.key("stage_p99_ns").begin_object(Layout::Compact);
-    for (name, p99) in s.stage_p99s() {
-        w.field(name, format_args!("{p99:.0}"));
-    }
-    w.end().end();
+    w.end();
     w.finish()
 }
 
@@ -424,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_and_json_render_required_keys() {
+    fn frame_and_json_render() {
         let s = live_sample();
         let d = TopDelta {
             elapsed_s: 0.25,
@@ -444,30 +426,7 @@ mod tests {
 
         let json = render_once_json(&s, &d, "127.0.0.1:47117");
         let v = zc_json::parse(&json).expect("valid json");
-        for key in [
-            "goodput_mbit_s",
-            "req_per_s",
-            "wire_rx_bytes_per_s",
-            "retries_per_s",
-            "inflight_peak",
-            "breakers_open",
-            "degraded_conns",
-            "reassembly_peak_bytes",
-            "pool_retained_peak",
-            "spec_hit_rate",
-            "copied_bytes_delta",
-            "sheds_total",
-            "brownout_sheds_total",
-            "failovers_total",
-            "shed_per_s",
-            "brownout_per_s",
-            "failover_per_s",
-        ] {
-            assert!(
-                v.get(key).and_then(Value::as_f64).is_some(),
-                "missing {key}"
-            );
-        }
+        assert_eq!(v.get("goodput_mbit_s").and_then(Value::as_f64), Some(812.5));
         assert!(
             v.get("stage_p99_ns")
                 .and_then(|o| o.get("dispatch"))
@@ -476,25 +435,20 @@ mod tests {
         );
     }
 
-    /// The schema contract, both directions: every required key is
-    /// emitted, and nothing is emitted that the required list does not
-    /// name. CI's jq check trusts this list, so drift fails here first.
+    /// The schema contract: the summary's members are the table's keys, in
+    /// the table's order. CI's jq check trusts `--keys`, which prints them.
     #[test]
-    fn json_summary_carries_exactly_the_required_keys() {
+    fn json_summary_carries_exactly_the_table_keys() {
         let s = live_sample();
         let json = render_once_json(&s, &TopDelta::default(), "127.0.0.1:1");
         let v = zc_json::parse(&json).expect("valid json");
-        for key in REQUIRED_JSON_KEYS {
-            assert!(v.get(key).is_some(), "summary missing required key {key}");
-        }
-        let members = v.members().expect("summary is an object");
-        for (key, _) in members {
-            assert!(
-                REQUIRED_JSON_KEYS.contains(&key.as_str()),
-                "summary emits undeclared key {key}"
-            );
-        }
-        assert_eq!(members.len(), REQUIRED_JSON_KEYS.len());
+        let emitted: Vec<&str> = v
+            .members()
+            .expect("summary is an object")
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        assert_eq!(emitted, SUMMARY.map(|(key, _)| key));
     }
 
     #[test]

@@ -54,6 +54,7 @@ fn main() {
 
     println!(
         "\n(throughput on this host is dominated by the software DCT; the paper's\n\
-         communication-side ×10 is reproduced by `cargo run -p zc-bench --bin transcoder`)"
+         communication-side ×10 is reproduced by\n\
+         `cargo run --release -p zc-bench --bin zc-bench -- transcoder`)"
     );
 }
