@@ -133,6 +133,41 @@ impl CopyMeter {
         self.record(layer, src.len());
     }
 
+    /// Perform a run of metered copies at one `layer` — a window of MTU
+    /// fragments, a gather list — and record it once: `copies` is handed the
+    /// copier, `copy(dst, src)`, to call per piece; the byte total is exact,
+    /// the run counts as one event, and it is recorded whatever `copies`
+    /// returns.
+    ///
+    /// Both ends of an in-process connection share one meter, and since the
+    /// copying stack's two CPUs copy concurrently, a locked add per
+    /// 1460-byte fragment made them trade the counters' cache lines ~3 000
+    /// times per MiB.
+    ///
+    /// # Panics
+    /// If a piece's slices differ in length — a metered copy is always exact.
+    pub fn copy_run<R>(
+        &self,
+        layer: CopyLayer,
+        copies: impl FnOnce(&mut dyn FnMut(&mut [u8], &[u8])) -> R,
+    ) -> R {
+        let mut bytes = 0;
+        let result = copies(&mut |dst, src| {
+            assert_eq!(
+                dst.len(),
+                src.len(),
+                "metered copy length mismatch at {}",
+                layer.name()
+            );
+            dst.copy_from_slice(src);
+            bytes += src.len();
+        });
+        if bytes != 0 {
+            self.record(layer, bytes);
+        }
+        result
+    }
+
     /// Bytes recorded so far at `layer`.
     #[inline]
     pub fn bytes(&self, layer: CopyLayer) -> u64 {
@@ -250,6 +285,29 @@ mod tests {
         assert_eq!(dst, src);
         assert_eq!(m.bytes(CopyLayer::KernelFrag), 4);
         assert_eq!(m.events(CopyLayer::KernelFrag), 1);
+    }
+
+    #[test]
+    fn copy_run_copies_piecewise_and_records_once() {
+        let m = CopyMeter::default();
+        let src = [9u8, 8, 7, 6, 5];
+        let mut dst = [0u8; 5];
+        let failed: Result<(), ()> = m.copy_run(CopyLayer::KernelDefrag, |copy| {
+            copy(&mut dst[..2], &src[..2]);
+            assert_eq!(m.bytes(CopyLayer::KernelDefrag), 0, "recorded at the end");
+            copy(&mut dst[2..], &src[2..]);
+            Err(())
+        });
+        assert!(failed.is_err());
+        assert_eq!(dst, src);
+        assert_eq!(m.bytes(CopyLayer::KernelDefrag), 5, "recorded even so");
+        assert_eq!(m.events(CopyLayer::KernelDefrag), 1);
+        m.copy_run(CopyLayer::KernelDefrag, |_| ());
+        assert_eq!(
+            m.events(CopyLayer::KernelDefrag),
+            1,
+            "an empty run is no event"
+        );
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl Report {
     /// `taint-*` rules under `--deny-taint`, `atomics-protocol` under
     /// `--deny-atomics` and `reactor-blocking` under `--deny-reactor`. The
     /// `workspace_is_clean` test is strict on everything except live
-    /// `reactor-blocking` debt (measured, to be retired by ROADMAP item 1).
+    /// `reactor-blocking` debt (measured, to be retired by ROADMAP item 3).
     pub fn only_advisory(&self) -> bool {
         !self.violations.is_empty()
             && self.violations.iter().all(|v| {
