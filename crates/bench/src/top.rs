@@ -351,13 +351,17 @@ mod tests {
     /// parser: this is the contract between the server and the dashboard.
     fn live_sample() -> TopSample {
         let tele = zc_trace::Telemetry::with_capacity(64);
-        tele.metrics().requests_received.incr();
-        tele.metrics().requests_received.incr();
-        tele.metrics().replies_ok.incr();
-        tele.transport()
-            .add(zc_trace::TransportField::WireBytesRecv, 1 << 20);
-        tele.record_stage(zc_trace::Stage::ServerDispatch, 1, 7, 999);
-        tele.note_request_received();
+        use zc_trace::{pack_stage, EventKind, Stage};
+        tele.emit(EventKind::RequestReceived, 1, 7, 0);
+        tele.emit(EventKind::RequestReceived, 1, 8, 0);
+        tele.emit(EventKind::ReplyReceived, 1, 7, 0);
+        tele.mirror_transport(zc_trace::TransportField::WireBytesRecv, 1 << 20);
+        tele.emit(
+            EventKind::Stage,
+            1,
+            7,
+            pack_stage(Stage::ServerDispatch, 999),
+        );
         tele.note_dispatch_begin();
         tele.note_reassembly_bytes(123_456);
         let snap = tele.orb_snapshot(CopySnapshot::default(), PoolStats::default());
@@ -390,8 +394,7 @@ mod tests {
             .unwrap()
         };
         let a = snap(&tele);
-        tele.transport()
-            .add(zc_trace::TransportField::WireBytesRecv, 10_000_000);
+        tele.mirror_transport(zc_trace::TransportField::WireBytesRecv, 10_000_000);
         let b = snap(&tele);
         let d = delta(&a, &b, 2.0);
         // 10 MB in 2 s = 40 Mbit/s.

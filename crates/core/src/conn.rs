@@ -42,7 +42,7 @@ use zc_giop::{
     SystemException, TraceContext, ZcHealthContext, GIOP_HEADER_LEN, MAX_GIOP_MESSAGE,
     MAX_MANIFEST_BLOCKS,
 };
-use zc_trace::{EventKind, TraceLayer};
+use zc_trace::{pack_attempt, pack_stage, EventKind, JourneyCause, Stage};
 use zc_transport::{Connection, TransportCtx, TransportError};
 
 /// GIOP bodies above this size are split into `Fragment` continuations.
@@ -342,18 +342,7 @@ impl GiopConn {
                 self.degrade.degraded = false;
                 self.degrade.window_hits = 0;
                 self.degrade.window_misses = 0;
-                let tele = &self.ctx.telemetry;
-                if tele.is_enabled() {
-                    tele.metrics().upgrades.incr();
-                }
-                tele.note_degraded(false);
-                tele.record(
-                    TraceLayer::Giop,
-                    EventKind::Upgrade,
-                    self.conn_id,
-                    self.last_trace_id,
-                    self.degrade.probes,
-                );
+                self.emit(EventKind::Upgrade, self.last_trace_id, self.degrade.probes);
                 self.degrade.probes = 0;
             }
             return;
@@ -367,15 +356,8 @@ impl GiopConn {
                 self.degrade.degraded = true;
                 self.degrade.msgs_since_probe = 0;
                 self.degrade.probes = 0;
-                let tele = &self.ctx.telemetry;
-                if tele.is_enabled() {
-                    tele.metrics().degradations.incr();
-                }
-                tele.note_degraded(true);
-                tele.record(
-                    TraceLayer::Giop,
+                self.emit(
                     EventKind::Degrade,
-                    self.conn_id,
                     self.last_trace_id,
                     self.degrade.window_misses,
                 );
@@ -401,7 +383,7 @@ impl GiopConn {
     }
 
     /// Peer description.
-    pub fn peer(&self) -> String {
+    pub fn peer(&self) -> &str {
         self.conn.peer()
     }
 
@@ -461,6 +443,34 @@ impl GiopConn {
         CdrEncoder::new(self.wire_order()).with_buffer(std::mem::take(&mut self.spare_head))
     }
 
+    /// Report one event of request `trace_id` on this connection.
+    fn emit(&self, kind: EventKind, trace_id: u64, payload: u64) {
+        self.ctx
+            .telemetry
+            .emit(kind, self.conn_id, trace_id, payload);
+    }
+
+    /// One request-span stage of `trace_id` took `dur_ns` on this connection.
+    fn emit_stage(&self, stage: Stage, trace_id: u64, dur_ns: u64) {
+        self.emit(EventKind::Stage, trace_id, pack_stage(stage, dur_ns));
+    }
+
+    /// One attempt of journey `journey_id` (`0` = none) goes by `trace_id`
+    /// on this connection. `cause` may be wire data: a value from a newer
+    /// peer costs the event, not the request.
+    fn emit_attempt(&self, trace_id: u64, cause: u8, attempt: u32, journey_id: u64) {
+        if journey_id == 0 {
+            return;
+        }
+        if let Some(cause) = JourneyCause::from_u8(cause) {
+            self.emit(
+                EventKind::Attempt,
+                trace_id,
+                pack_attempt(cause, attempt, journey_id),
+            );
+        }
+    }
+
     fn alloc_request_id(&mut self) -> u32 {
         let id = self.next_request_id;
         self.next_request_id = self.next_request_id.wrapping_add(1);
@@ -489,7 +499,11 @@ impl GiopConn {
             // marshal: this is the buffering the separation avoids.
             header_enc = header_enc.with_meter(std::sync::Arc::clone(&self.ctx.meter));
             for block in deposits {
-                self.note_deposit_block(block);
+                self.emit(
+                    EventKind::DepositSent,
+                    self.last_trace_id,
+                    block.len() as u64,
+                );
                 header_enc.align(8);
                 header_enc.write_octet_seq(block.as_slice());
             }
@@ -505,11 +519,8 @@ impl GiopConn {
             for block in deposits {
                 self.conn.send_data(block)?;
                 sent += block.len() as u64;
-                self.note_deposit_block(block);
-                self.ctx.telemetry.record(
-                    TraceLayer::Giop,
+                self.emit(
                     EventKind::DepositSent,
-                    self.conn_id,
                     self.last_trace_id,
                     block.len() as u64,
                 );
@@ -519,15 +530,6 @@ impl GiopConn {
         // signal costs a clock read, which is too hot for the MTU loop.
         self.ctx.telemetry.note_wire_tx(sent);
         Ok(())
-    }
-
-    fn note_deposit_block(&self, block: &ZcBytes) {
-        let tele = &self.ctx.telemetry;
-        if tele.is_enabled() {
-            tele.metrics()
-                .deposit_block_bytes
-                .record(block.len() as u64);
-        }
     }
 
     /// Frame (and if necessary fragment) the GIOP body `head ++ args` onto
@@ -611,20 +613,15 @@ impl GiopConn {
     fn recv_one_frame(&mut self) -> OrbResult<(GiopHeader, ZcBytes)> {
         let raw = self.conn.recv_control()?;
         let Some(hdr_bytes) = raw.first_chunk::<GIOP_HEADER_LEN>() else {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(OrbError::Protocol(format!(
-                "short GIOP frame ({} bytes)",
-                raw.len()
-            )));
+            return Err(GiopError::ShortFrame(raw.len()).into());
         };
         let hdr = GiopHeader::decode(hdr_bytes)?;
         if raw.len() != GIOP_HEADER_LEN + hdr.msg_size as usize {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(OrbError::Protocol(format!(
-                "GIOP size mismatch: header says {}, frame has {}",
-                hdr.msg_size,
-                raw.len() - GIOP_HEADER_LEN
-            )));
+            return Err(GiopError::SizeMismatch {
+                announced: hdr.msg_size,
+                got: raw.len() - GIOP_HEADER_LEN,
+            }
+            .into());
         }
         Ok((hdr, raw.slice(GIOP_HEADER_LEN..)))
     }
@@ -648,13 +645,7 @@ impl GiopConn {
             for len in manifest.block_lengths() {
                 blocks.push(self.conn.recv_data(len as usize)?);
                 self.ctx.telemetry.note_wire_rx(len);
-                self.ctx.telemetry.record(
-                    TraceLayer::Giop,
-                    EventKind::DepositReceived,
-                    self.conn_id,
-                    self.last_trace_id,
-                    len,
-                );
+                self.emit(EventKind::DepositReceived, self.last_trace_id, len);
             }
             Ok((blocks, align_up(after_header, 8)))
         } else {
@@ -668,10 +659,11 @@ impl GiopConn {
                 dec.align(8)?;
                 let announced = dec.read_u32()? as u64;
                 if announced != len {
-                    // zc-audit: allow(control-plane) — protocol error diagnostic
-                    return Err(OrbError::Protocol(format!(
-                        "inline deposit length {announced} disagrees with manifest {len}"
-                    )));
+                    return Err(GiopError::InlineDepositMismatch {
+                        inline: announced,
+                        manifest: len,
+                    }
+                    .into());
                 }
                 let bytes = dec.read_raw(len as usize)?;
                 let mut buf = self.ctx.pool.acquire(bytes.len().max(1));
@@ -794,43 +786,27 @@ impl GiopConn {
         // The attempt event joins this send's trace id to its journey.
         // Recorded *before* the write: a send that dies on a closed socket
         // still consumed this attempt, and the journey's ordinal chain must
-        // show it or offline reconstruction sees a hole. An unknown cause
-        // byte cannot happen locally (the proxy packs it from
-        // `JourneyCause`), but stay lenient anyway.
-        if enabled && journey_id != 0 {
-            if let Some(c) = zc_trace::JourneyCause::from_u8(cause) {
-                self.ctx
-                    .telemetry
-                    .record_attempt(self.conn_id, trace_id, c, attempt, journey_id);
-            }
+        // show it or offline reconstruction sees a hole.
+        if enabled {
+            self.emit_attempt(trace_id, cause, attempt, journey_id);
         }
         self.send_message(MessageType::Request, enc, args, deposits)?;
-        let tele = &self.ctx.telemetry;
         if enabled {
-            tele.metrics().requests_sent.incr();
             let sent_done = zc_trace::now_ns();
-            tele.record_stage(
-                zc_trace::Stage::ClientDepositRegister,
-                self.conn_id,
+            self.emit_stage(
+                Stage::ClientDepositRegister,
                 trace_id,
                 sent_at_ns.saturating_sub(reg_t0),
             );
             // ClientSend is a sub-interval of the receiver-derived Wire
             // stage: the local half (header marshal + socket hand-off).
-            tele.record_stage(
-                zc_trace::Stage::ClientSend,
-                self.conn_id,
+            self.emit_stage(
+                Stage::ClientSend,
                 trace_id,
                 sent_done.saturating_sub(sent_at_ns),
             );
         }
-        tele.record(
-            TraceLayer::Giop,
-            EventKind::RequestSent,
-            self.conn_id,
-            trace_id,
-            dep_bytes,
-        );
+        self.emit(EventKind::RequestSent, trace_id, dep_bytes);
         Ok(request_id)
     }
 
@@ -875,18 +851,15 @@ impl GiopConn {
                 let zc = manifest.is_some();
                 let (deposits, results_offset) =
                     self.collect_deposits(manifest, &body, after_header, order)?;
-                let tele = &self.ctx.telemetry;
-                if tele.is_enabled() {
-                    tele.metrics().replies_ok.incr();
+                if self.ctx.telemetry.is_enabled() {
                     // Reply wire stage: the server's send stamp (echoed in
                     // the reply's trace context) → our arrival, on the
                     // shared in-process trace clock. Unstamped replies
                     // (foreign peers, old format) skip the stage.
                     let reply_sent_at = header.contexts.trace.map_or(0, |t| t.sent_at_ns);
                     if reply_sent_at != 0 && arrival_ns >= reply_sent_at {
-                        tele.record_stage(
-                            zc_trace::Stage::ClientReplyWire,
-                            self.conn_id,
+                        self.emit_stage(
+                            Stage::ClientReplyWire,
                             self.last_trace_id,
                             arrival_ns - reply_sent_at,
                         );
@@ -894,17 +867,14 @@ impl GiopConn {
                     // Everything after arrival: header demarshal + deposit
                     // collection (result-value demarshal happens in the
                     // proxy and is not on this connection's clock).
-                    tele.record_stage(
-                        zc_trace::Stage::ClientReplyDemarshal,
-                        self.conn_id,
+                    self.emit_stage(
+                        Stage::ClientReplyDemarshal,
                         self.last_trace_id,
                         zc_trace::now_ns().saturating_sub(arrival_ns),
                     );
                 }
-                tele.record(
-                    TraceLayer::Giop,
+                self.emit(
                     EventKind::ReplyReceived,
-                    self.conn_id,
                     self.last_trace_id,
                     deposits.iter().map(|b| b.len() as u64).sum(),
                 );
@@ -919,14 +889,8 @@ impl GiopConn {
             ReplyStatus::SystemException => {
                 dec.align(8)?;
                 let ex = SystemException::demarshal(&mut dec)?;
-                let tele = &self.ctx.telemetry;
-                if tele.is_enabled() {
-                    tele.metrics().replies_exception.incr();
-                }
-                tele.record(
-                    TraceLayer::Giop,
-                    EventKind::Error,
-                    self.conn_id,
+                self.emit(
+                    EventKind::ExceptionReceived,
                     self.last_trace_id,
                     ex.minor as u64,
                 );
@@ -1052,45 +1016,25 @@ impl GiopConn {
             }
         };
         let (deposits, args_offset) = self.collect_deposits(manifest, body, after_header, order)?;
-        let tele = &self.ctx.telemetry;
-        if tele.is_enabled() {
-            let m = tele.metrics();
-            m.requests_received.incr();
-            if trace_id != 0 {
-                m.trace_contexts_seen.incr();
-            }
+        if self.ctx.telemetry.is_enabled() {
             // Mirror the caller's journey annotation so a spool on this
-            // side alone can still reconstruct journeys. The cause byte is
-            // wire data: tolerate values from newer peers by dropping only
-            // the event, not the request.
-            if tctx.journey_id != 0 {
-                if let Some(c) = zc_trace::JourneyCause::from_u8(tctx.cause) {
-                    tele.record_attempt(self.conn_id, trace_id, c, tctx.attempt, tctx.journey_id);
-                }
-            }
+            // side alone can still reconstruct journeys.
+            self.emit_attempt(trace_id, tctx.cause, tctx.attempt, tctx.journey_id);
             // Wire stage: the client's send stamp → our arrival, valid on
             // the shared in-process trace clock.
             if tctx.sent_at_ns != 0 && arrival_ns >= tctx.sent_at_ns {
-                tele.record_stage(
-                    zc_trace::Stage::Wire,
-                    self.conn_id,
-                    trace_id,
-                    arrival_ns - tctx.sent_at_ns,
-                );
+                self.emit_stage(Stage::Wire, trace_id, arrival_ns - tctx.sent_at_ns);
             }
             // Receive stage: header read + manifest parse + pulling every
             // announced deposit off the data path.
-            tele.record_stage(
-                zc_trace::Stage::ServerRecv,
-                self.conn_id,
+            self.emit_stage(
+                Stage::ServerRecv,
                 trace_id,
                 zc_trace::now_ns().saturating_sub(arrival_ns),
             );
         }
-        tele.record(
-            TraceLayer::Giop,
+        self.emit(
             EventKind::RequestReceived,
-            self.conn_id,
             trace_id,
             deposits.iter().map(|b| b.len() as u64).sum(),
         );
@@ -1133,13 +1077,7 @@ impl GiopConn {
         let dep_bytes: u64 = deposits.iter().map(|b| b.len() as u64).sum();
         self.send_message(MessageType::Reply, enc, &results, &deposits)?;
         self.recycle_body(results);
-        self.ctx.telemetry.record(
-            TraceLayer::Giop,
-            EventKind::ReplySent,
-            self.conn_id,
-            self.last_trace_id,
-            dep_bytes,
-        );
+        self.emit(EventKind::ReplySent, self.last_trace_id, dep_bytes);
         Ok(())
     }
 
@@ -1167,13 +1105,7 @@ impl GiopConn {
         let mut enc = self.exception_reply(request_id, ReplyStatus::SystemException, health);
         ex.marshal(&mut enc)?;
         self.send_message(MessageType::Reply, enc, &[], &[])?;
-        self.ctx.telemetry.record(
-            TraceLayer::Giop,
-            EventKind::Error,
-            self.conn_id,
-            self.last_trace_id,
-            ex.minor as u64,
-        );
+        self.emit(EventKind::Error, self.last_trace_id, ex.minor as u64);
         Ok(())
     }
 
@@ -1246,11 +1178,7 @@ impl Drop for GiopConn {
     fn drop(&mut self) {
         // Balance the open-connections gauge (raised in client()/server());
         // a connection that dies while degraded also leaves that gauge.
-        let tele = &self.ctx.telemetry;
-        if self.degrade.degraded {
-            tele.note_degraded(false);
-        }
-        tele.note_conn_closed();
+        self.ctx.telemetry.note_conn_closed(self.degrade.degraded);
     }
 }
 

@@ -226,8 +226,7 @@ mod tests {
     #[test]
     fn snapshot_json_serves_sections() {
         let tele = Telemetry::with_capacity(64);
-        tele.metrics().requests_received.incr();
-        tele.note_request_received();
+        tele.emit(zc_trace::EventKind::RequestReceived, 1, 0, 0);
         let oa = servant_with(tele);
         let reply = dispatch_local(
             &oa,

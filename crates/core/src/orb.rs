@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use zc_buffers::{CopyMeter, PagePool};
 use zc_cdr::CdrDecoder;
 use zc_giop::{Handshake, Ior, SystemException, SystemExceptionKind};
-use zc_trace::{EventKind, OrbTelemetry, SpoolConfig, SpoolWriter, Telemetry, TraceLayer};
+use zc_trace::{EventKind, OrbTelemetry, SpoolConfig, SpoolWriter, Telemetry};
 use zc_transport::{
     Acceptor, Connection, SimNetwork, TcpTransportListener, TransportCtx, TransportError,
 };
@@ -108,6 +108,11 @@ impl Orb {
         &self.inner.config
     }
 
+    /// The ORB's telemetry, borrowed (no refcount traffic).
+    fn tele(&self) -> &Telemetry {
+        &self.inner.ctx.telemetry
+    }
+
     /// The ORB's telemetry handle (disabled unless installed via
     /// [`OrbBuilder::telemetry`]).
     pub fn telemetry(&self) -> Arc<Telemetry> {
@@ -171,7 +176,7 @@ impl Orb {
                 if half_open_admitted {
                     // Open → half-open counts as closed for the gauge; a
                     // failed trial re-raises it via note_endpoint_failure.
-                    self.inner.ctx.telemetry.note_breaker(false);
+                    self.tele().emit(EventKind::BreakerClose, 0, 0, 0);
                 }
                 Ok(())
             }
@@ -191,25 +196,15 @@ impl Orb {
             .endpoint_health
             .on_failure(endpoint, &self.inner.config.retry)
         {
-            let tele = &self.inner.ctx.telemetry;
-            if tele.is_enabled() {
-                tele.metrics().breaker_opens.incr();
-            }
-            tele.note_breaker(true);
-            tele.record(
-                TraceLayer::Orb,
-                EventKind::BreakerOpen,
-                0,
-                0,
-                failures as u64,
-            );
+            self.tele()
+                .emit(EventKind::BreakerOpen, 0, 0, failures as u64);
         }
     }
 
     /// Record a successful call: `endpoint` is healthy, breaker resets.
     pub(crate) fn note_endpoint_success(&self, endpoint: &(String, u16)) {
         if self.inner.endpoint_health.on_success(endpoint) {
-            self.inner.ctx.telemetry.note_breaker(false);
+            self.tele().emit(EventKind::BreakerClose, 0, 0, 0);
         }
     }
 
@@ -238,11 +233,7 @@ impl Orb {
                 .lock()
                 .insert(endpoint.clone(), Arc::clone(shared));
         }
-        let tele = &self.inner.ctx.telemetry;
-        if tele.is_enabled() {
-            tele.metrics().reconnects.incr();
-        }
-        tele.record(TraceLayer::Orb, EventKind::Reconnect, conn_id, 0, conn_id);
+        self.tele().emit(EventKind::Reconnect, conn_id, 0, conn_id);
         Ok(())
     }
 
@@ -421,25 +412,11 @@ impl Orb {
             let gate = |header: &zc_giop::RequestView<'_>, announced, bulk| {
                 let control = crate::admission::is_control_plane_key(header.object_key);
                 admission.admit(control, announced, bulk).map_err(|reason| {
-                    if tele.is_enabled() {
-                        let m = tele.metrics();
-                        m.sheds.incr();
-                        if matches!(reason, ShedReason::Brownout) {
-                            m.brownout_sheds.incr();
-                        }
-                    }
                     let kind = match reason {
-                        ShedReason::QueueFull => {
-                            tele.note_shed();
-                            EventKind::Shed
-                        }
-                        ShedReason::Brownout => {
-                            tele.note_shed();
-                            tele.note_brownout_shed();
-                            EventKind::Brownout
-                        }
+                        ShedReason::QueueFull => EventKind::Shed,
+                        ShedReason::Brownout => EventKind::Brownout,
                     };
-                    tele.record(TraceLayer::Orb, kind, conn_id, 0, announced);
+                    tele.emit(kind, conn_id, 0, announced);
                     reason.exception()
                 })
             };
@@ -468,8 +445,7 @@ impl Orb {
             let response_expected = incoming.header.response_expected;
             let trace_id = incoming.trace_id;
             let dispatch_start = tele.is_enabled().then(std::time::Instant::now);
-            // Load signals: arrival rate + in-flight gauge around dispatch.
-            tele.note_request_received();
+            // Load signal: the in-flight gauge brackets the dispatch.
             tele.note_dispatch_begin();
 
             // Build the argument decoder over the received body, wired to
@@ -496,14 +472,7 @@ impl Orb {
                 });
             if let Some(start) = dispatch_start {
                 let elapsed = start.elapsed().as_nanos() as u64;
-                tele.metrics().dispatch_ns.record(elapsed);
-                tele.record(
-                    TraceLayer::Orb,
-                    EventKind::Dispatch,
-                    gc.trace_conn_id(),
-                    trace_id,
-                    elapsed,
-                );
+                tele.emit(EventKind::Dispatch, gc.trace_conn_id(), trace_id, elapsed);
                 // Servant time exclusive of the measured (de)marshal legs:
                 // the three stages partition the dispatch window.
                 let marshal_ns = served_span.get(zc_trace::Stage::ServerDemarshal)

@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use zc_buffers::ZcBytes;
 use zc_cdr::{CdrDecoder, CdrEncoder, CdrMarshal};
 use zc_giop::{GiopError, Ior, SystemException, SystemExceptionKind};
-use zc_trace::{EventKind, TraceLayer};
+use zc_trace::EventKind;
 use zc_transport::TransportError;
 
 use crate::conn::{GiopConn, IncomingReply};
@@ -87,18 +87,10 @@ impl Recovery {
             .is_ok()
         {
             self.active.store(0, Ordering::SeqCst);
-            record_failover(0, tele);
+            // Failing back to the primary is a profile switch like any other.
+            tele.emit(EventKind::Failover, 0, 0, 0);
         }
     }
-}
-
-/// Account a completed profile switch (failover, or fail-back to `idx` 0).
-fn record_failover(idx: usize, tele: &Arc<zc_trace::Telemetry>) {
-    if tele.is_enabled() {
-        tele.metrics().failovers.incr();
-    }
-    tele.note_failover();
-    tele.record(TraceLayer::Orb, EventKind::Failover, 0, 0, idx as u64);
 }
 
 /// Rotate `target` to the next live profile of its object group: walk the
@@ -122,7 +114,7 @@ fn rotate_failover(target: &ObjectRef, r: &Recovery, tele: &Arc<zc_trace::Teleme
         if r.orb.reconnect_shared(ep, &target.conn, r.cached).is_ok() {
             r.active.store(idx, Ordering::SeqCst);
             r.backup_streak.store(0, Ordering::SeqCst);
-            record_failover(idx, tele);
+            tele.emit(EventKind::Failover, 0, 0, idx as u64);
             return true;
         }
     }
@@ -393,7 +385,12 @@ impl<'a> StaticRequest<'a> {
                 // with a zero trace id (no stage timeline to join) so the
                 // journey's ordinal chain stays contiguous for offline
                 // reconstruction.
-                tele.record_attempt(conn.trace_conn_id(), 0, cause, attempt - 1, journey_id);
+                tele.emit(
+                    EventKind::Attempt,
+                    conn.trace_conn_id(),
+                    0,
+                    zc_trace::pack_attempt(cause, attempt - 1, journey_id),
+                );
                 drop(conn);
                 if let Some(c) = try_recover(target, &policy, salt, attempt, &tele) {
                     cause = c;
@@ -444,9 +441,7 @@ impl<'a> StaticRequest<'a> {
                 Ok(incoming) => {
                     if let Some(start) = start {
                         let elapsed = start.elapsed().as_nanos() as u64;
-                        tele.metrics().request_latency_ns.record(elapsed);
-                        tele.record(
-                            TraceLayer::Orb,
+                        tele.emit(
                             EventKind::Invoke,
                             conn.trace_conn_id(),
                             conn.last_trace_id(),
@@ -624,12 +619,7 @@ fn try_recover(
     } else {
         return None;
     };
-    if tele.is_enabled() {
-        tele.metrics().retries.incr();
-    }
-    tele.note_retry();
-    tele.record(
-        TraceLayer::Orb,
+    tele.emit(
         EventKind::Retry,
         target.conn.lock().trace_conn_id(),
         0,

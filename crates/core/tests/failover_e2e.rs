@@ -346,6 +346,103 @@ fn admission_sheds_bulk_while_reserved_lane_answers() {
     server.shutdown();
 }
 
+/// One event is one booking: after a run that was shed, failed over and
+/// retried, each signal's registry counter, rate-window lifetime total and
+/// flight-recorder event count agree — they all moved in the same `emit`.
+#[test]
+fn counter_window_and_ring_agree_after_shed_failover_and_retry() {
+    use zc_trace::EventKind;
+    let net = SimNetwork::new(SimConfig::zero_copy());
+    let telemetry = Telemetry::with_capacity(4096);
+    let mut servers = Vec::new();
+    let mut iors = Vec::new();
+    for name in ["primary", "backup"] {
+        // Two dispatch slots, one reserved for the control plane.
+        let orb = Orb::builder()
+            .sim(net.clone())
+            .telemetry(Arc::clone(&telemetry))
+            .admission(AdmissionConfig::bounded(2, 256 << 10))
+            .build();
+        orb.adapter()
+            .register("replica", Replica::new(name) as Arc<dyn Servant>);
+        let server = orb.serve(0).unwrap();
+        iors.push(server.ior_for("replica", REPO_ID).unwrap());
+        servers.push((orb, server));
+    }
+    let group = Ior::merge_group(&iors).unwrap();
+    let client = Orb::builder()
+        .sim(net.clone())
+        .telemetry(Arc::clone(&telemetry))
+        .build();
+    let obj = client.resolve(&group).unwrap();
+    assert_eq!(call_get(&obj).unwrap(), "primary");
+
+    // Shed, then failed over: a nap holds the primary's only data slot, so
+    // the primary sheds the next call and the reference rotates.
+    let napper = client.resolve_private(&group).unwrap();
+    let nap = std::thread::spawn(move || {
+        napper
+            .request("nap")
+            .arg(&400u32)
+            .unwrap()
+            .invoke_timeout(Duration::from_secs(5))
+            .and_then(|r| r.result::<u32>())
+    });
+    std::thread::sleep(Duration::from_millis(80));
+    assert_eq!(call_get(&obj).unwrap(), "backup");
+    assert_eq!(nap.join().unwrap().unwrap(), 400);
+
+    // Retried: the wire to the backup is cut under the next send, and the
+    // dial back to the same replica succeeds.
+    net.inject_faults(FaultPlan::cut_after(0).on(zc_transport::FaultSide::Client));
+    assert_eq!(call_get(&obj).unwrap(), "backup");
+
+    let counters = telemetry.metrics().snapshot();
+    let totals: std::collections::BTreeMap<_, _> = telemetry.windows().totals().collect();
+    let events = telemetry.recorder().events();
+    assert_eq!(telemetry.recorder().dropped(), 0);
+    let ring =
+        |kinds: &[EventKind]| events.iter().filter(|e| kinds.contains(&e.kind)).count() as u64;
+    for (signal, counter, window, in_ring) in [
+        (
+            "requests received",
+            counters.requests_received,
+            totals["req_rx"],
+            ring(&[EventKind::RequestReceived]),
+        ),
+        (
+            "sheds",
+            counters.sheds,
+            totals["shed"],
+            ring(&[EventKind::Shed, EventKind::Brownout]),
+        ),
+        (
+            "brownout sheds",
+            counters.brownout_sheds,
+            totals["brownout"],
+            ring(&[EventKind::Brownout]),
+        ),
+        (
+            "failovers",
+            counters.failovers,
+            totals["failover"],
+            ring(&[EventKind::Failover]),
+        ),
+        (
+            "retries",
+            counters.retries,
+            totals["retries"],
+            ring(&[EventKind::Retry]),
+        ),
+    ] {
+        assert_eq!((counter, window), (in_ring, in_ring), "{signal}");
+    }
+    assert!(counters.sheds >= 1 && counters.failovers >= 1 && counters.retries >= 1);
+    for (_, server) in servers {
+        server.shutdown();
+    }
+}
+
 /// Back-to-back `_ZcTelemetry` pings against a one-slot control reserve:
 /// each ping's slot must be free again by the time its reply is on the
 /// wire, so a poller that never sleeps is never shed by its own previous

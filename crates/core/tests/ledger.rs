@@ -56,7 +56,7 @@ impl Connection for Spy {
     fn stats(&self) -> ConnStats {
         self.inner.stats()
     }
-    fn peer(&self) -> String {
+    fn peer(&self) -> &str {
         self.inner.peer()
     }
     fn set_recv_timeout(&mut self, timeout: Option<std::time::Duration>) -> TResult<()> {

@@ -81,6 +81,23 @@ pub enum GiopError {
         /// The id of the request it should answer.
         expected: u32,
     },
+    /// A control frame of this many bytes is too short for a GIOP header.
+    ShortFrame(usize),
+    /// A control frame's body is not the size its GIOP header announces.
+    SizeMismatch {
+        /// The header's `message_size`.
+        announced: u32,
+        /// The body bytes the frame carries.
+        got: usize,
+    },
+    /// A deposit block embedded in the control message is not the length
+    /// the deposit manifest lists for it.
+    InlineDepositMismatch {
+        /// The block's own length prefix.
+        inline: u64,
+        /// The manifest's entry.
+        manifest: u64,
+    },
 }
 
 impl From<CdrError> for GiopError {
@@ -105,6 +122,19 @@ impl std::fmt::Display for GiopError {
             }
             GiopError::IdMismatch { got, expected } => {
                 write!(f, "reply id {got} does not match request id {expected}")
+            }
+            GiopError::ShortFrame(len) => write!(f, "short GIOP frame ({len} bytes)"),
+            GiopError::SizeMismatch { announced, got } => {
+                write!(
+                    f,
+                    "GIOP size mismatch: header says {announced}, frame has {got}"
+                )
+            }
+            GiopError::InlineDepositMismatch { inline, manifest } => {
+                write!(
+                    f,
+                    "inline deposit length {inline} disagrees with manifest {manifest}"
+                )
             }
         }
     }

@@ -48,120 +48,167 @@ impl TraceLayer {
     }
 }
 
-/// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum EventKind {
+/// Declares every request-path signal exactly once. A row is
+/// `Kind = wire byte, "report name", Layer => [cells it moves];` and the
+/// [`EventKind`] enum, its `ALL`/`name`/`from_u8`/`layer`, and the fan-out
+/// [`crate::Telemetry::emit`] performs all derive from it. The cells are
+/// the fields of [`MetricsRegistry`](crate::MetricsRegistry),
+/// [`LoadWindows`](crate::LoadWindows) and
+/// [`TransportField`](crate::TransportField), moved by:
+///
+/// * `count c` — registry counter `c` += 1;
+/// * `count_traced c` — the same, when the event carries a trace id;
+/// * `rate r` — rate window `r` ticks once, on the event's own timestamp;
+/// * `raise g` / `lower g` — gauge `g` ± 1;
+/// * `sample h` — histogram `h` takes the payload as one sample;
+/// * `stage h` — the per-stage histogram family takes the packed payload;
+/// * `mirror F` — ORB-wide transport total `F` += 1.
+///
+/// Every kind also writes exactly one flight-recorder event.
+macro_rules! event_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident = $byte:literal, $name:literal, $layer:ident => [$($op:ident $cell:ident),*];
+    )*) => {
+        /// What happened.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $($(#[$doc])* $kind = $byte,)*
+        }
+
+        impl EventKind {
+            /// All kinds.
+            pub const ALL: [EventKind; [$($byte,)*].len()] = [$(EventKind::$kind,)*];
+
+            /// Short name used in reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $name,)*
+                }
+            }
+
+            /// Inverse of `self as u8`.
+            pub fn from_u8(v: u8) -> Option<EventKind> {
+                match v {
+                    $($byte => Some(EventKind::$kind),)*
+                    _ => None,
+                }
+            }
+
+            /// The stack layer the kind's events are filed under (a
+            /// [`EventKind::Stage`] event is filed under its stage's own
+            /// layer instead, see [`crate::Stage::layer`]).
+            pub fn layer(self) -> TraceLayer {
+                match self {
+                    $(EventKind::$kind => TraceLayer::$layer,)*
+                }
+            }
+        }
+
+        /// Move every cell `ev.kind` declares, fed by `ev` itself.
+        #[inline]
+        pub(crate) fn book(t: &crate::Telemetry, ev: &TraceEvent) {
+            match ev.kind {
+                $(EventKind::$kind => {
+                    $(event_kinds!(@cell t ev $op $cell);)*
+                })*
+            }
+        }
+    };
+    (@cell $t:ident $ev:ident count $c:ident) => {
+        $t.metrics.$c.incr()
+    };
+    (@cell $t:ident $ev:ident count_traced $c:ident) => {
+        if $ev.trace_id != 0 {
+            $t.metrics.$c.incr()
+        }
+    };
+    (@cell $t:ident $ev:ident rate $r:ident) => {
+        $t.windows.$r.tick($ev.ts_ns, 1)
+    };
+    (@cell $t:ident $ev:ident raise $g:ident) => {
+        $t.windows.$g.add(1)
+    };
+    (@cell $t:ident $ev:ident lower $g:ident) => {
+        $t.windows.$g.sub(1)
+    };
+    (@cell $t:ident $ev:ident sample $h:ident) => {
+        $t.metrics.$h.record($ev.payload)
+    };
+    (@cell $t:ident $ev:ident stage $h:ident) => {
+        if let Some((stage, dur_ns)) = crate::unpack_stage($ev.payload) {
+            $t.metrics.$h.record(stage, dur_ns)
+        }
+    };
+    (@cell $t:ident $ev:ident mirror $f:ident) => {
+        $t.transport.add(crate::TransportField::$f, 1)
+    };
+}
+
+event_kinds! {
     /// A Request left this endpoint (payload: announced deposit bytes).
-    RequestSent = 0,
-    /// A Request arrived (payload: announced deposit bytes).
-    RequestReceived = 1,
+    RequestSent = 0, "request-sent", Giop => [count requests_sent];
+    /// A Request arrived and was admitted (payload: announced deposit
+    /// bytes).
+    RequestReceived = 1, "request-recv", Giop =>
+        [count requests_received, count_traced trace_contexts_seen, rate req_rx];
     /// A Reply left this endpoint (payload: result bytes).
-    ReplySent = 2,
-    /// A Reply arrived (payload: body bytes).
-    ReplyReceived = 3,
-    /// One deposit block shipped on the data path (payload: block bytes).
-    DepositSent = 4,
+    ReplySent = 2, "reply-sent", Giop => [];
+    /// A successful Reply arrived (payload: body bytes).
+    ReplyReceived = 3, "reply-recv", Giop => [count replies_ok];
+    /// One deposit block shipped (payload: block bytes).
+    DepositSent = 4, "deposit-sent", Giop => [sample deposit_block_bytes];
     /// One deposit block landed (payload: block bytes).
-    DepositReceived = 5,
+    DepositReceived = 5, "deposit-recv", Giop => [];
     /// A zero-copy receive speculation held (payload: block bytes).
-    SpecHit = 6,
+    SpecHit = 6, "spec-hit", Transport => [mirror SpecHits];
     /// A speculation missed; the fallback copy ran (payload: block bytes).
-    SpecMiss = 7,
+    SpecMiss = 7, "spec-miss", Transport => [mirror SpecMisses];
     /// Client-side invocation completed (payload: latency in ns).
-    Invoke = 8,
+    Invoke = 8, "invoke", Orb => [sample request_latency_ns];
     /// Server-side servant dispatch completed (payload: duration in ns).
-    Dispatch = 9,
-    /// An error surfaced (payload: implementation-defined code).
-    Error = 10,
+    Dispatch = 9, "dispatch", Orb => [sample dispatch_ns];
+    /// A system exception left this endpoint in a Reply (payload: its
+    /// minor code).
+    Error = 10, "error", Giop => [];
     /// A failed invocation is being retried (payload: attempt number).
-    Retry = 11,
+    Retry = 11, "retry", Orb => [count retries, rate retries];
     /// A dead connection was replaced by a fresh one (payload: new conn id).
-    Reconnect = 12,
+    Reconnect = 12, "reconnect", Orb => [count reconnects];
     /// An endpoint circuit breaker opened (payload: consecutive failures).
-    BreakerOpen = 13,
+    BreakerOpen = 13, "breaker-open", Orb => [count breaker_opens, raise breakers_open];
     /// A connection degraded from zero-copy to the copying path
     /// (payload: recent speculation misses).
-    Degrade = 14,
+    Degrade = 14, "degrade", Giop => [count degradations, raise degraded_conns];
     /// A degraded connection re-upgraded to zero-copy (payload: probes run).
-    Upgrade = 15,
+    Upgrade = 15, "upgrade", Giop => [count upgrades, lower degraded_conns];
     /// One request-span stage completed (payload: stage discriminant in the
     /// top byte, duration in ns in the low 56 bits — see
     /// [`crate::pack_stage`]).
-    Stage = 16,
+    Stage = 16, "stage", Orb => [stage stage_ns];
     /// Admission control shed a request before dispatch
     /// (payload: announced request bytes, body plus deposits).
-    Shed = 17,
+    Shed = 17, "shed", Orb => [count sheds, rate shed];
     /// A bulk request was shed by brownout-mode admission while
     /// control-plane traffic stayed admitted (payload: announced bytes).
-    Brownout = 18,
+    /// A brownout shed is a shed: it moves both sets of cells.
+    Brownout = 18, "brownout", Orb =>
+        [count sheds, count brownout_sheds, rate shed, rate brownout];
     /// The client rotated an object reference to another IOR profile
     /// (payload: index of the newly active profile).
-    Failover = 19,
+    Failover = 19, "failover", Orb => [count failovers, rate failover];
     /// One attempt of a logical request journey began (payload: cause tag,
     /// attempt ordinal and journey id packed per [`pack_attempt`]). The
     /// event's `trace_id` is the attempt's per-send trace id — the join key
     /// from journey to that attempt's stage timeline.
-    Attempt = 20,
-}
-
-impl EventKind {
-    /// All kinds.
-    pub const ALL: [EventKind; 21] = [
-        EventKind::RequestSent,
-        EventKind::RequestReceived,
-        EventKind::ReplySent,
-        EventKind::ReplyReceived,
-        EventKind::DepositSent,
-        EventKind::DepositReceived,
-        EventKind::SpecHit,
-        EventKind::SpecMiss,
-        EventKind::Invoke,
-        EventKind::Dispatch,
-        EventKind::Error,
-        EventKind::Retry,
-        EventKind::Reconnect,
-        EventKind::BreakerOpen,
-        EventKind::Degrade,
-        EventKind::Upgrade,
-        EventKind::Stage,
-        EventKind::Shed,
-        EventKind::Brownout,
-        EventKind::Failover,
-        EventKind::Attempt,
-    ];
-
-    /// Short name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::RequestSent => "request-sent",
-            EventKind::RequestReceived => "request-recv",
-            EventKind::ReplySent => "reply-sent",
-            EventKind::ReplyReceived => "reply-recv",
-            EventKind::DepositSent => "deposit-sent",
-            EventKind::DepositReceived => "deposit-recv",
-            EventKind::SpecHit => "spec-hit",
-            EventKind::SpecMiss => "spec-miss",
-            EventKind::Invoke => "invoke",
-            EventKind::Dispatch => "dispatch",
-            EventKind::Error => "error",
-            EventKind::Retry => "retry",
-            EventKind::Reconnect => "reconnect",
-            EventKind::BreakerOpen => "breaker-open",
-            EventKind::Degrade => "degrade",
-            EventKind::Upgrade => "upgrade",
-            EventKind::Stage => "stage",
-            EventKind::Shed => "shed",
-            EventKind::Brownout => "brownout",
-            EventKind::Failover => "failover",
-            EventKind::Attempt => "attempt",
-        }
-    }
-
-    /// Inverse of `self as u8`.
-    pub fn from_u8(v: u8) -> Option<EventKind> {
-        EventKind::ALL.into_iter().find(|k| *k as u8 == v)
-    }
+    Attempt = 20, "attempt", Orb => [];
+    /// An open circuit breaker closed: its cooldown admitted a half-open
+    /// trial, or a call to its endpoint succeeded (payload: 0).
+    BreakerClose = 21, "breaker-close", Orb => [lower breakers_open];
+    /// A Reply carrying a system exception arrived (payload: its minor
+    /// code).
+    ExceptionReceived = 22, "exception-recv", Giop => [count replies_exception];
 }
 
 /// Why an attempt of a logical request journey exists. The first attempt

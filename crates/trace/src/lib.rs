@@ -11,12 +11,17 @@
 //!    service context.
 //! 2. **Metrics registry** ([`MetricsRegistry`]) — atomic counters and
 //!    log2-bucketed [`Histogram`]s (request latency, deposit-block sizes,
-//!    fragment counts), plus [`TransportCounters`]: the ORB-wide mirror
-//!    that merges every connection's `ConnStats` so totals survive
-//!    connection teardown.
+//!    fragment counts), the windowed load signals ([`LoadWindows`]), plus
+//!    [`TransportCounters`]: the ORB-wide mirror that merges every
+//!    connection's `ConnStats` so totals survive connection teardown.
 //! 3. **Unified report** ([`OrbTelemetry`]) — one snapshot joining the
 //!    above with the `CopyMeter` and `PagePool` accounting from
 //!    `zc-buffers`, exportable as a text table or JSON lines.
+//!
+//! One fact on the request path is one call, [`Telemetry::emit`]: the
+//! `event_kinds!` table in `event.rs` declares each [`EventKind`] once —
+//! name, layer, and which registry cells move with it — and `emit` writes
+//! the ring event and moves those cells behind a single enabled test.
 //!
 //! The paper's claim is an accounting claim (§5: copy cost dominates);
 //! this crate is the ledger.

@@ -1,6 +1,6 @@
 //! The metrics registry: atomic counters, log2-bucketed histograms, and the
-//! transport-counter mirror that merges every connection's `ConnStats` into
-//! one ORB-wide total.
+//! transport counters — one type for a connection's own statistics and for
+//! the ORB-wide mirror that merges every connection's into one total.
 //!
 //! Everything here is a fixed-size group of relaxed atomics — recording a
 //! sample is a handful of `fetch_add`s, never an allocation and never a
@@ -10,26 +10,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::span::Stage;
 
-/// A monotonic atomic counter.
+/// A monotonic atomic counter. Readable anywhere; it moves only inside
+/// this crate, when [`crate::Telemetry::emit`] books an event that declares
+/// it.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Add one.
     #[inline]
-    pub fn incr(&self) {
-        self.add(1);
+    pub(crate) fn incr(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -281,10 +272,9 @@ impl StageSnapshots {
 }
 
 /// Declares the per-connection transport counters exactly once: the
-/// [`TransportField`] index enum shared by `ConnStats` cells and the
-/// ORB-wide mirror (which keeps both accountings in lockstep by
-/// construction), its snake-case report names, and the named-field
-/// [`TransportTotals`] snapshot all derive from one list.
+/// [`TransportField`] index enum, its snake-case report names, and the
+/// named-field [`TransportTotals`] snapshot — which is also the
+/// transport's `ConnStats` — all derive from one list.
 macro_rules! transport_fields {
     ($($variant:ident => $field:ident: $help:literal,)*) => {
         /// The per-connection transport counters, as field indices.
@@ -310,8 +300,8 @@ macro_rules! transport_fields {
             }
         }
 
-        /// Point-in-time transport totals (the merged view of all
-        /// `ConnStats`).
+        /// Point-in-time transport totals: one connection's (the
+        /// transport's `ConnStats`), or the ORB-wide merge of them all.
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
         pub struct TransportTotals {
             $(#[doc = $help] pub $field: u64,)*
@@ -348,9 +338,9 @@ transport_fields! {
     SpecMisses => spec_misses: "Speculations that missed (fallback copy).",
 }
 
-/// ORB-wide transport totals: every connection's stats cell mirrors its
-/// increments here, so one snapshot covers connections that have already
-/// closed.
+/// Live transport counters. A connection's stats cell holds one and
+/// mirrors its increments into the telemetry's ORB-wide one, so one
+/// snapshot covers connections that have already closed.
 #[derive(Debug, Default)]
 pub struct TransportCounters {
     cells: [AtomicU64; TransportField::COUNT],
@@ -393,23 +383,26 @@ impl TransportTotals {
 }
 
 /// Declares the registry exactly once. Each line is a field name plus its
-/// help text; the [`MetricsRegistry`] cells, the [`MetricsSnapshot`] copy
-/// and the `(name, help, value)` lists the text / JSON-lines / Prometheus
-/// renderers walk all derive from it, so adding a counter or histogram is
-/// this one line plus its `incr()`/`record()` call site.
+/// help text, in rendered order; the [`MetricsRegistry`] cells, the
+/// [`MetricsSnapshot`] copy and the `(name, help, value)` lists the text /
+/// JSON-lines / Prometheus renderers walk all derive from it. Which event
+/// moves which cell is the `event_kinds!` table's business (`event.rs`), so
+/// adding a counter or histogram is this one line plus its entry there.
 macro_rules! registry {
     (
         counters { $($(#[$cnote:meta])* $c:ident: $chelp:literal,)* }
         histograms { $($(#[$hnote:meta])* $h:ident: $hhelp:literal,)* }
     ) => {
-        /// The fixed set of ORB metrics. Fields are public: call sites
-        /// update the counter or histogram they own directly.
+        /// The fixed set of ORB metrics. Counters can be read in place;
+        /// histograms through [`MetricsRegistry::snapshot`]. Nothing here
+        /// is writable from outside the crate: cells move when
+        /// [`crate::Telemetry::emit`] books an event that declares them.
         #[derive(Debug, Default)]
         pub struct MetricsRegistry {
             $(#[doc = $chelp] $(#[$cnote])* pub $c: Counter,)*
-            $(#[doc = $hhelp] $(#[$hnote])* pub $h: Histogram,)*
+            $(#[doc = $hhelp] $(#[$hnote])* pub(crate) $h: Histogram,)*
             /// Per-stage request-span durations, in nanoseconds.
-            pub stage_ns: StageHistograms,
+            pub(crate) stage_ns: StageHistograms,
         }
 
         impl MetricsRegistry {
@@ -487,11 +480,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_adds() {
-        let c = Counter::new();
+    fn counter_counts() {
+        let c = Counter::default();
         c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
+        c.incr();
+        assert_eq!(c.get(), 2);
     }
 
     #[test]

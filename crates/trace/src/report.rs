@@ -272,21 +272,19 @@ mod tests {
 
     fn sample() -> OrbTelemetry {
         let tele = crate::Telemetry::with_capacity(8);
-        tele.record(
-            crate::TraceLayer::Giop,
-            crate::EventKind::RequestSent,
+        use crate::{pack_stage, EventKind, Stage};
+        tele.emit(EventKind::RequestSent, 1, 2, 4096);
+        tele.emit(EventKind::Invoke, 1, 2, 150_000);
+        tele.emit(EventKind::DepositSent, 1, 2, 1 << 16);
+        tele.mirror_transport(crate::TransportField::SpecHits, 3);
+        tele.mirror_transport(crate::TransportField::WireBytesRecv, 9999);
+        tele.emit(
+            EventKind::Stage,
             1,
             2,
-            4096,
+            pack_stage(Stage::ClientMarshal, 777),
         );
-        tele.metrics().requests_sent.incr();
-        tele.metrics().request_latency_ns.record(150_000);
-        tele.metrics().deposit_block_bytes.record(1 << 16);
-        tele.transport().add(crate::TransportField::SpecHits, 3);
-        tele.transport()
-            .add(crate::TransportField::WireBytesRecv, 9999);
-        tele.record_stage(crate::Stage::ClientMarshal, 1, 2, 777);
-        tele.record_stage(crate::Stage::Wire, 1, 2, 12_000);
+        tele.emit(EventKind::Stage, 1, 2, pack_stage(Stage::Wire, 12_000));
         tele.orb_snapshot(CopySnapshot::default(), PoolStats::default())
     }
 
@@ -323,7 +321,12 @@ mod tests {
     #[test]
     fn post_mortem_decodes_stage_events() {
         let tele = crate::Telemetry::with_capacity(8);
-        tele.record_stage(crate::Stage::ServerDispatch, 5, 9, 4321);
+        tele.emit(
+            crate::EventKind::Stage,
+            5,
+            9,
+            crate::pack_stage(crate::Stage::ServerDispatch, 4321),
+        );
         let pm = tele.post_mortem(5, 8).unwrap();
         assert!(pm.contains("stage=dispatch"), "{pm}");
         assert!(pm.contains("dur_ns=4321"), "{pm}");

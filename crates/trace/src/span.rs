@@ -94,9 +94,9 @@ impl Stage {
         }
     }
 
-    /// Inverse of `self as u8`.
+    /// Inverse of `self as u8` (the discriminants index [`Stage::ALL`]).
     pub fn from_u8(v: u8) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| *s as u8 == v)
+        Stage::ALL.get(v as usize).copied()
     }
 
     /// The stack layer a stage's event is recorded at.
@@ -227,7 +227,12 @@ impl RequestSpan {
         }
         for stage in Stage::ALL {
             if self.is_marked(stage) {
-                tele.record_stage(stage, conn_id, trace_id, self.acc[stage as usize]);
+                tele.emit(
+                    crate::EventKind::Stage,
+                    conn_id,
+                    trace_id,
+                    pack_stage(stage, self.acc[stage as usize]),
+                );
             }
         }
         self.marked = 0;
@@ -402,13 +407,23 @@ mod tests {
     fn timelines_join_on_trace_id() {
         let tele = crate::Telemetry::with_capacity(64);
         // request 42: client legs on conn 1, server legs on conn 2
-        tele.record_stage(Stage::ClientMarshal, 1, 42, 10);
-        tele.record_stage(Stage::ClientSend, 1, 42, 5);
-        tele.record_stage(Stage::Wire, 2, 42, 30);
-        tele.record_stage(Stage::ServerDispatch, 2, 42, 20);
+        tele.emit(
+            EventKind::Stage,
+            1,
+            42,
+            pack_stage(Stage::ClientMarshal, 10),
+        );
+        tele.emit(EventKind::Stage, 1, 42, pack_stage(Stage::ClientSend, 5));
+        tele.emit(EventKind::Stage, 2, 42, pack_stage(Stage::Wire, 30));
+        tele.emit(
+            EventKind::Stage,
+            2,
+            42,
+            pack_stage(Stage::ServerDispatch, 20),
+        );
         // request 43: one leg; untraced stage events are ignored
-        tele.record_stage(Stage::ClientMarshal, 1, 43, 7);
-        tele.record_stage(Stage::ClientMarshal, 1, 0, 99);
+        tele.emit(EventKind::Stage, 1, 43, pack_stage(Stage::ClientMarshal, 7));
+        tele.emit(EventKind::Stage, 1, 0, pack_stage(Stage::ClientMarshal, 99));
         let tl = span_timelines(&tele.recorder().events());
         assert_eq!(tl.len(), 2);
         assert_eq!(tl[0].trace_id, 42);

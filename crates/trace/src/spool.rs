@@ -646,7 +646,7 @@ mod tests {
             .flush_interval(Duration::from_millis(5));
         let writer = SpoolWriter::spawn(Arc::clone(&tele), config).unwrap();
         for i in 0..600u64 {
-            tele.record(TraceLayer::Orb, EventKind::Invoke, 1, i + 1, i);
+            tele.emit(EventKind::Invoke, 1, i + 1, i);
             if i % 200 == 0 {
                 std::thread::sleep(Duration::from_millis(10));
             }
@@ -677,7 +677,7 @@ mod tests {
         let tele = Telemetry::with_capacity(64);
         let config = SpoolConfig::new(&dir).flush_interval(Duration::from_millis(5));
         let w1 = SpoolWriter::spawn(Arc::clone(&tele), config.clone()).unwrap();
-        tele.record(TraceLayer::Orb, EventKind::Invoke, 1, 1, 0);
+        tele.emit(EventKind::Invoke, 1, 1, 0);
         drop(w1);
         let first = spool_segments(&dir);
         assert_eq!(first.len(), 1);

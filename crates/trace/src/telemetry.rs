@@ -1,21 +1,24 @@
 //! The telemetry handle: one shared object bundling the flight recorder,
-//! the metrics registry and the transport mirror.
+//! the metrics registry, the windowed load signals and the transport
+//! mirror.
 //!
 //! An `Arc<Telemetry>` rides inside `TransportCtx` next to the copy meter,
-//! so every layer that can account a copy can also record an event. The
-//! disabled handle is a real object whose `record` returns after one plain
-//! (non-RMW) boolean load — instrumentation compiles in, costs nothing
-//! measurable, and flips on without rebuilding.
+//! so every layer that can account a copy can also report an event. One
+//! fact is one call: [`Telemetry::emit`] writes the flight-recorder event
+//! and moves every cell the `event_kinds!` table (`event.rs`) declares for
+//! its kind. The disabled handle is a real object whose `emit` returns
+//! after one plain (non-RMW) boolean load — instrumentation compiles in,
+//! costs nothing measurable, and flips on without rebuilding.
 
 use std::sync::Arc;
 
 use zc_buffers::{CopySnapshot, PoolStats};
 
 use crate::event::{EventKind, TraceEvent, TraceLayer};
-use crate::metrics::{MetricsRegistry, TransportCounters, TransportField};
+use crate::metrics::{MetricsRegistry, TransportCounters, TransportField, TransportTotals};
 use crate::recorder::FlightRecorder;
 use crate::report::OrbTelemetry;
-use crate::span::{pack_stage, RequestSpan, Stage};
+use crate::span::{unpack_stage, RequestSpan};
 use crate::windows::LoadWindows;
 
 /// Shared telemetry state for one ORB (or one experiment, when the client
@@ -23,9 +26,9 @@ use crate::windows::LoadWindows;
 pub struct Telemetry {
     enabled: bool,
     recorder: FlightRecorder,
-    metrics: MetricsRegistry,
-    transport: TransportCounters,
-    windows: LoadWindows,
+    pub(crate) metrics: MetricsRegistry,
+    pub(crate) transport: TransportCounters,
+    pub(crate) windows: LoadWindows,
 }
 
 impl Telemetry {
@@ -49,7 +52,7 @@ impl Telemetry {
         })
     }
 
-    /// The disabled instance: recording is a no-op after one plain boolean
+    /// The disabled instance: reporting is a no-op after one plain boolean
     /// load — no heap allocation, no atomic read-modify-write.
     pub fn disabled() -> Arc<Telemetry> {
         Telemetry::with_capacity(0)
@@ -61,74 +64,37 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Record one event (no-op when disabled). Timestamps the event with
-    /// [`crate::now_ns`].
+    /// Report one event (no-op when disabled): one clock read stamps the
+    /// flight-recorder event and ticks whatever rate windows the kind
+    /// declares, and the kind's counters, gauges and histograms move with
+    /// it — `payload` is the histogram sample where the kind feeds one. A
+    /// stage goes in as `emit(EventKind::Stage, .., pack_stage(stage, ns))`,
+    /// a journey attempt as `emit(EventKind::Attempt, .., pack_attempt(..))`.
     #[inline]
-    pub fn record(
-        &self,
-        layer: TraceLayer,
-        kind: EventKind,
-        conn_id: u64,
-        trace_id: u64,
-        payload: u64,
-    ) {
-        if !self.enabled {
-            return;
+    pub fn emit(&self, kind: EventKind, conn_id: u64, trace_id: u64, payload: u64) {
+        if self.enabled {
+            self.book_and_record(kind, conn_id, trace_id, payload);
         }
-        self.recorder.record(TraceEvent {
+    }
+
+    /// The enabled half of [`Telemetry::emit`], kept out of line so a call
+    /// site carries the boolean test and a call, not the fan-out.
+    #[inline(never)]
+    fn book_and_record(&self, kind: EventKind, conn_id: u64, trace_id: u64, payload: u64) {
+        let layer = match kind {
+            EventKind::Stage => unpack_stage(payload).map_or(TraceLayer::Orb, |(s, _)| s.layer()),
+            _ => kind.layer(),
+        };
+        let ev = TraceEvent {
             ts_ns: crate::now_ns(),
             conn_id,
             trace_id,
             layer,
             kind,
             payload,
-        });
-    }
-
-    /// Record one request-span stage (no-op when disabled): a sample in the
-    /// stage's duration histogram plus a [`EventKind::Stage`] flight-recorder
-    /// event whose payload packs stage + duration ([`pack_stage`]).
-    #[inline]
-    pub fn record_stage(&self, stage: Stage, conn_id: u64, trace_id: u64, dur_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.stage_ns.record(stage, dur_ns);
-        self.recorder.record(TraceEvent {
-            ts_ns: crate::now_ns(),
-            conn_id,
-            trace_id,
-            layer: stage.layer(),
-            kind: EventKind::Stage,
-            payload: pack_stage(stage, dur_ns),
-        });
-    }
-
-    /// Record one journey attempt (no-op when disabled): an
-    /// [`EventKind::Attempt`] flight-recorder event whose payload packs
-    /// cause + attempt ordinal + journey id ([`crate::pack_attempt`]) and
-    /// whose `trace_id` is the attempt's per-send trace id — the join key
-    /// from the journey to that attempt's stage timeline.
-    #[inline]
-    pub fn record_attempt(
-        &self,
-        conn_id: u64,
-        trace_id: u64,
-        cause: crate::JourneyCause,
-        attempt: u32,
-        journey_id: u64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.recorder.record(TraceEvent {
-            ts_ns: crate::now_ns(),
-            conn_id,
-            trace_id,
-            layer: TraceLayer::Orb,
-            kind: EventKind::Attempt,
-            payload: crate::pack_attempt(cause, attempt, journey_id),
-        });
+        };
+        crate::event::book(self, &ev);
+        self.recorder.record(ev);
     }
 
     /// A [`RequestSpan`] that accumulates exactly when this instance is
@@ -144,20 +110,17 @@ impl Telemetry {
         &self.recorder
     }
 
-    /// The metrics registry. Callers must gate updates on
-    /// [`Telemetry::is_enabled`] to preserve the disabled-mode
-    /// zero-overhead guarantee.
+    /// The metrics registry, to read.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
-    /// The ORB-wide transport totals.
-    pub fn transport(&self) -> &TransportCounters {
-        &self.transport
+    /// The ORB-wide transport totals, as of now.
+    pub fn transport(&self) -> TransportTotals {
+        self.transport.snapshot()
     }
 
-    /// The windowed load signals. Callers must gate updates on
-    /// [`Telemetry::is_enabled`] (or use the `note_*` helpers, which do).
+    /// The windowed load signals, to read.
     pub fn windows(&self) -> &LoadWindows {
         &self.windows
     }
@@ -179,6 +142,10 @@ impl Telemetry {
         self.transport.add(field, n);
     }
 
+    // The `note_*` methods below move the signals that are not events: a
+    // byte rate, a level, a watermark, a per-block sample. Nothing they
+    // touch is declared by an event kind, so no fact is booked twice.
+
     /// Tick the transmit byte-rate window with one message's worth of wire
     /// bytes (control body plus any separated deposit blocks). Called once
     /// per GIOP message send, not per frame.
@@ -199,51 +166,6 @@ impl Telemetry {
             return;
         }
         self.windows.wire_rx.tick(crate::now_ns(), bytes);
-    }
-
-    /// Count one received request into the arrival-rate window.
-    #[inline]
-    pub fn note_request_received(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.windows.req_rx.tick(crate::now_ns(), 1);
-    }
-
-    /// Count one retry attempt into the retry-rate window.
-    #[inline]
-    pub fn note_retry(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.windows.retries.tick(crate::now_ns(), 1);
-    }
-
-    /// Count one admission-control shed into the shed-rate window.
-    #[inline]
-    pub fn note_shed(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.windows.shed.tick(crate::now_ns(), 1);
-    }
-
-    /// Count one brownout-mode bulk shed into the brownout-rate window.
-    #[inline]
-    pub fn note_brownout_shed(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.windows.brownout.tick(crate::now_ns(), 1);
-    }
-
-    /// Count one client-side profile failover into the failover-rate window.
-    #[inline]
-    pub fn note_failover(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.windows.failover.tick(crate::now_ns(), 1);
     }
 
     /// A dispatch began: raise the in-flight gauge.
@@ -273,38 +195,17 @@ impl Telemetry {
         self.windows.conns.add(1);
     }
 
-    /// A GIOP connection closed.
+    /// A GIOP connection closed. One that dies `degraded` never re-upgrades
+    /// (no [`EventKind::Upgrade`] will lower the gauge its
+    /// [`EventKind::Degrade`] raised), so it leaves that gauge here.
     #[inline]
-    pub fn note_conn_closed(&self) {
+    pub fn note_conn_closed(&self, degraded: bool) {
         if !self.enabled {
             return;
         }
         self.windows.conns.sub(1);
-    }
-
-    /// A connection entered (`true`) or left (`false`) degraded mode.
-    #[inline]
-    pub fn note_degraded(&self, degraded: bool) {
-        if !self.enabled {
-            return;
-        }
         if degraded {
-            self.windows.degraded_conns.add(1);
-        } else {
             self.windows.degraded_conns.sub(1);
-        }
-    }
-
-    /// An endpoint circuit breaker opened (`true`) or closed (`false`).
-    #[inline]
-    pub fn note_breaker(&self, open: bool) {
-        if !self.enabled {
-            return;
-        }
-        if open {
-            self.windows.breakers_open.add(1);
-        } else {
-            self.windows.breakers_open.sub(1);
         }
     }
 
@@ -317,13 +218,21 @@ impl Telemetry {
         self.windows.reassembly_bytes.record(bytes);
     }
 
-    /// Fold a sampled pool retained-bytes value into its watermark.
+    /// One data block came off the data path in `frames` wire fragments,
+    /// stamped `sent_ns` ([`crate::now_ns`] clock; `0` = unstamped) when it
+    /// was put on the wire: one sample each for the fragments-per-block and
+    /// the data-path flight-time histograms.
     #[inline]
-    pub fn note_pool_retained(&self, bytes: u64) {
+    pub fn note_data_block(&self, frames: u64, sent_ns: u64) {
         if !self.enabled {
             return;
         }
-        self.windows.pool_retained.record(bytes);
+        self.metrics.frames_per_block.record(frames);
+        if sent_ns != 0 {
+            if let Some(flight_ns) = crate::now_ns().checked_sub(sent_ns) {
+                self.metrics.data_wire_ns.record(flight_ns);
+            }
+        }
     }
 
     /// `Some(self)` when enabled — the handle a per-connection stats cell
@@ -353,7 +262,9 @@ impl Telemetry {
     pub fn orb_snapshot(&self, copies: CopySnapshot, pool: PoolStats) -> OrbTelemetry {
         // Fold the instantaneous pool occupancy into its watermark first,
         // so the reported peak is never below the value in this snapshot.
-        self.note_pool_retained(pool.retained_bytes);
+        if self.enabled {
+            self.windows.pool_retained.record(pool.retained_bytes);
+        }
         OrbTelemetry {
             enabled: self.enabled,
             copies,
@@ -383,9 +294,10 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let t = Telemetry::disabled();
-        t.record(TraceLayer::Giop, EventKind::RequestSent, 1, 2, 3);
+        t.emit(EventKind::RequestSent, 1, 2, 3);
         assert!(!t.is_enabled());
         assert_eq!(t.recorder().recorded(), 0);
+        assert_eq!(t.metrics().requests_sent.get(), 0);
         assert!(t.transport_mirror().is_none());
         assert!(t.post_mortem(1, 8).is_none());
     }
@@ -393,25 +305,42 @@ mod tests {
     #[test]
     fn enabled_records_and_snapshots() {
         let t = Telemetry::with_capacity(16);
-        t.record(TraceLayer::Giop, EventKind::RequestSent, 1, 42, 100);
-        t.record(TraceLayer::Giop, EventKind::ReplyReceived, 1, 42, 5);
-        t.metrics().requests_sent.incr();
-        t.metrics().request_latency_ns.record(1234);
+        t.emit(EventKind::RequestSent, 1, 42, 100);
+        t.emit(EventKind::Invoke, 1, 42, 1234);
         let snap = t.orb_snapshot(CopySnapshot::default(), PoolStats::default());
         assert!(snap.enabled);
         assert_eq!(snap.events_recorded, 2);
         assert_eq!(snap.metrics.requests_sent, 1);
         assert_eq!(snap.metrics.request_latency_ns.count, 1);
+        assert_eq!(snap.metrics.request_latency_ns.sum, 1234);
         let events = t.recorder().events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].trace_id, 42);
+        assert_eq!(events[0].layer, TraceLayer::Giop);
         assert!(events[1].ts_ns >= events[0].ts_ns);
+    }
+
+    #[test]
+    fn stage_events_are_filed_under_their_stage_layer() {
+        let t = Telemetry::with_capacity(16);
+        t.emit(
+            EventKind::Stage,
+            1,
+            2,
+            crate::pack_stage(crate::Stage::Wire, 30),
+        );
+        // An unknown stage byte still leaves its event, under the kind's layer.
+        t.emit(EventKind::Stage, 1, 2, 0xFF << 56);
+        let events = t.recorder().events();
+        assert_eq!(events[0].layer, TraceLayer::Transport);
+        assert_eq!(events[1].layer, EventKind::Stage.layer());
+        assert_eq!(t.metrics().snapshot().stage_ns.total_count(), 1);
     }
 
     #[test]
     fn post_mortem_mentions_events() {
         let t = Telemetry::with_capacity(16);
-        t.record(TraceLayer::Transport, EventKind::SpecMiss, 9, 7, 4096);
+        t.emit(EventKind::SpecMiss, 9, 7, 4096);
         let pm = t.post_mortem(9, 8).unwrap();
         assert!(pm.contains("spec-miss"), "{pm}");
         assert!(pm.contains("4096"), "{pm}");

@@ -18,11 +18,11 @@
 //! Ordering discipline (the `trace-windows` cas-roll protocol in
 //! `zc-audit.toml`): the once-per-window roll CAS publishes with `AcqRel`;
 //! every per-event fast-path site stays `Relaxed`. Nothing blocks and
-//! nothing allocates. Updates MUST be gated on
-//! [`crate::Telemetry::is_enabled`]
-//! (the `note_*` helpers on `Telemetry` do this), preserving the
-//! disabled-mode zero-overhead guarantee: one plain boolean load, no
-//! atomic read-modify-write, no clock read.
+//! nothing allocates. The signals of a [`crate::Telemetry`] move only
+//! behind its one enabled test (in `emit` for the event-driven ones, in the
+//! `note_*` methods for the rest), preserving the disabled-mode
+//! zero-overhead guarantee: one plain boolean load, no atomic
+//! read-modify-write, no clock read.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -221,13 +221,13 @@ macro_rules! load_signals {
     ) => {
         /// The ORB-wide bundle of windowed load signals.
         ///
-        /// Lives inside [`crate::Telemetry`]; all updates flow through the
-        /// gated `note_*` helpers there so the disabled instance pays
-        /// nothing.
+        /// Lives inside [`crate::Telemetry`], which is the only writer: the
+        /// fields are crate-private, so the disabled instance pays nothing
+        /// and no signal moves without its event.
         #[derive(Debug)]
         pub struct LoadWindows {
-            $(#[doc = $rhelp] pub $r: RateWindow,)*
-            $(#[doc = $ghelp] $(#[$gnote])* pub $g: Gauge,)*
+            $(#[doc = $rhelp] pub(crate) $r: RateWindow,)*
+            $(#[doc = $ghelp] $(#[$gnote])* pub(crate) $g: Gauge,)*
         }
 
         impl LoadWindows {
@@ -237,6 +237,14 @@ macro_rules! load_signals {
                     $($r: RateWindow::new(window_ns),)*
                     $($g: Gauge::new(),)*
                 }
+            }
+
+            /// `(window name, exact lifetime total)` of every rate, in
+            /// declaration order: what each window has counted since boot,
+            /// comparable with the registry counter and the flight-recorder
+            /// events of the same signal.
+            pub fn totals(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($r), self.$r.total()),)*].into_iter()
             }
 
             /// Snapshot every signal at `now_ns`.
@@ -256,8 +264,7 @@ macro_rules! load_signals {
             /// Tumbling-window length the rates are computed over.
             pub window_ns: u64,
             $(#[doc = $rhelp] pub $rate: f64,)*
-            /// Exact lifetime count of received requests seen by the window
-            /// (for monotonicity checks against the registry counter).
+            /// Exact lifetime count of received requests seen by the window.
             pub req_rx_total: u64,
             $(#[doc = $ghelp] pub $g: GaugeSnapshot,)*
         }
@@ -312,7 +319,7 @@ load_signals! {
         /// tracked.
         reassembly_bytes => "reassembly_bytes":
             "In-progress fragment-reassembly bytes (watermark).",
-        /// Sampled at deposit acquire and snapshot time.
+        /// Sampled at snapshot time.
         pool_retained => "pool_retained_watermark_bytes":
             "Pool retained bytes (sampled watermark).",
     }

@@ -9,7 +9,7 @@
 
 use zc_buffers::{CopyLayer, CopyMeter, PoolStats};
 use zc_trace::{
-    prometheus_text, GaugeSnapshot, LoadSnapshot, MetricsRegistry, OrbTelemetry, Stage,
+    prometheus_text, GaugeSnapshot, Histogram, LoadSnapshot, MetricsSnapshot, OrbTelemetry, Stage,
     StageHistograms, TransportCounters, TransportField,
 };
 
@@ -23,47 +23,52 @@ fn synthetic() -> OrbTelemetry {
     for (i, f) in TransportField::ALL.into_iter().enumerate() {
         transport.add(f, 1000 + 7 * i as u64);
     }
-    let m = MetricsRegistry::default();
+    // The registry's cells move only with their events; a snapshot is plain
+    // data, so every counter gets its own value here.
+    let mut metrics = MetricsSnapshot::default();
     for (i, c) in [
-        &m.requests_sent,
-        &m.requests_received,
-        &m.replies_ok,
-        &m.replies_exception,
-        &m.trace_contexts_seen,
-        &m.retries,
-        &m.reconnects,
-        &m.breaker_opens,
-        &m.degradations,
-        &m.upgrades,
-        &m.sheds,
-        &m.brownout_sheds,
-        &m.failovers,
+        &mut metrics.requests_sent,
+        &mut metrics.requests_received,
+        &mut metrics.replies_ok,
+        &mut metrics.replies_exception,
+        &mut metrics.trace_contexts_seen,
+        &mut metrics.retries,
+        &mut metrics.reconnects,
+        &mut metrics.breaker_opens,
+        &mut metrics.degradations,
+        &mut metrics.upgrades,
+        &mut metrics.sheds,
+        &mut metrics.brownout_sheds,
+        &mut metrics.failovers,
     ]
     .into_iter()
     .enumerate()
     {
-        c.add(101 + 3 * i as u64);
+        *c = 101 + 3 * i as u64;
     }
     for (i, h) in [
-        &m.request_latency_ns,
-        &m.dispatch_ns,
-        &m.deposit_block_bytes,
-        &m.frames_per_block,
-        &m.data_wire_ns,
+        &mut metrics.request_latency_ns,
+        &mut metrics.dispatch_ns,
+        &mut metrics.deposit_block_bytes,
+        &mut metrics.frames_per_block,
+        &mut metrics.data_wire_ns,
     ]
     .into_iter()
     .enumerate()
     {
+        let samples = Histogram::new();
         for s in [0u64, 1, 150, 4097, 1 << 20] {
-            h.record(s * (i as u64 + 1) + i as u64);
+            samples.record(s * (i as u64 + 1) + i as u64);
         }
+        *h = samples.snapshot();
     }
-    let stages: &StageHistograms = &m.stage_ns;
+    let stages = StageHistograms::new();
     for (i, stage) in Stage::ALL.into_iter().enumerate() {
         for s in [3u64, 700, 12_000] {
             stages.record(stage, s * (i as u64 + 2));
         }
     }
+    metrics.stage_ns = stages.snapshot();
     let g = |current, peak| GaugeSnapshot { current, peak };
     OrbTelemetry {
         enabled: true,
@@ -76,7 +81,7 @@ fn synthetic() -> OrbTelemetry {
             retained_bytes: 786_432,
         },
         transport: transport.snapshot(),
-        metrics: m.snapshot(),
+        metrics,
         load: LoadSnapshot {
             window_ns: 250_000_000,
             req_per_s: 1234.5,

@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use zc_trace::{
     read_spool_segment, repair_segment, spool_segments, EventKind, SpoolConfig, SpoolWriter,
-    Telemetry, TraceLayer, SEGMENT_MAGIC, SPOOL_EVENT_LEN,
+    Telemetry, SEGMENT_MAGIC, SPOOL_EVENT_LEN,
 };
 
 /// Per-thread live-byte accounting, so tests can assert the reader's peak
@@ -61,7 +61,7 @@ fn base_segment() -> &'static Vec<u8> {
             let writer = SpoolWriter::spawn(std::sync::Arc::clone(&tele), SpoolConfig::new(&dir))
                 .expect("spawn spool writer");
             for i in 0..300u64 {
-                tele.record(TraceLayer::Orb, EventKind::Invoke, 1, i + 1, i);
+                tele.emit(EventKind::Invoke, 1, i + 1, i);
             }
             drop(writer); // final drain + sync
         }

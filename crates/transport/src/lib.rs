@@ -45,20 +45,115 @@ use std::sync::Arc;
 use zc_buffers::{CopyMeter, PagePool, ZcBytes};
 use zc_trace::Telemetry;
 
-/// Errors raised by transports.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How a peer broke the framing protocol, with the offending numbers. A
+/// plain `Copy` value: raising one on the receive path allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireViolation {
+    /// A sim block announces more bytes than the receiver will ever buffer.
+    BlockTooLarge {
+        block: u64,
+        announced: u64,
+        cap: u64,
+    },
+    /// A fragment's deposit window lies outside its block's buffer.
+    FragmentOutsideBuffer {
+        offset: u64,
+        len: usize,
+        total: usize,
+    },
+    /// A fragment of block `got` arrived inside unfinished block `expected`.
+    InterleavedBlock { expected: u64, got: u64 },
+    /// A continuation fragment of `block` carries no payload.
+    EmptyContinuation { block: u64 },
+    /// The fragments of `block` add up to more than it announced.
+    FragmentOverrun {
+        block: u64,
+        announced: usize,
+        got: usize,
+    },
+    /// Every fragment of `block` arrived, yet `missing` of its `total`
+    /// bytes were covered by none.
+    FragmentsOverlap {
+        block: u64,
+        missing: usize,
+        total: usize,
+    },
+    /// A data block is not the length the control message announced for it.
+    BlockLenMismatch { announced: usize, got: usize },
+    /// A TCP frame header that does not parse.
+    MalformedFrameHeader,
+    /// A TCP frame announces more bytes than the receiver will ever buffer.
+    FrameTooLarge { announced: u64, cap: u64 },
+    /// A TCP frame on a lane that does not exist.
+    UnknownLane(u8),
+}
+
+impl std::fmt::Display for WireViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            WireViolation::BlockTooLarge {
+                block,
+                announced,
+                cap,
+            } => write!(
+                f,
+                "block {block} announces {announced} bytes, above the {cap} byte cap"
+            ),
+            WireViolation::FragmentOutsideBuffer { offset, len, total } => write!(
+                f,
+                "fragment window {offset}+{len} outside its buffer of {total} bytes"
+            ),
+            WireViolation::InterleavedBlock { expected, got } => write!(
+                f,
+                "interleaved fragments: expected block {expected}, got {got}"
+            ),
+            WireViolation::EmptyContinuation { block } => {
+                write!(f, "zero-length continuation fragment in block {block}")
+            }
+            WireViolation::FragmentOverrun {
+                block,
+                announced,
+                got,
+            } => write!(
+                f,
+                "fragment overrun: block {block} announced {announced}, got {got}"
+            ),
+            WireViolation::FragmentsOverlap {
+                block,
+                missing,
+                total,
+            } => write!(
+                f,
+                "fragments of block {block} overlap: {missing} of its {total} bytes never arrived"
+            ),
+            WireViolation::BlockLenMismatch { announced, got } => write!(
+                f,
+                "data block length {got} does not match announced {announced}"
+            ),
+            WireViolation::MalformedFrameHeader => write!(f, "malformed frame header"),
+            WireViolation::FrameTooLarge { announced, cap } => write!(
+                f,
+                "frame announces {announced} bytes, above the {cap} byte cap"
+            ),
+            WireViolation::UnknownLane(tag) => write!(f, "unknown lane tag {tag}"),
+        }
+    }
+}
+
+/// Errors raised by transports. `Copy`: no variant owns heap memory, so an
+/// error on the data path costs no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportError {
     /// The peer closed the connection (or the wire vanished).
     Closed,
-    /// Underlying I/O failure (message preserved; `std::io::Error` is not
-    /// `Clone`, so we keep its rendering).
-    Io(String),
+    /// Underlying I/O failure, by kind (`std::io::Error` is not `Clone`).
+    Io(std::io::ErrorKind),
     /// Framing/protocol violation on the wire.
-    Protocol(String),
-    /// No listener at the requested address.
-    ConnectionRefused(String),
-    /// Address already bound.
-    AddrInUse(String),
+    Protocol(WireViolation),
+    /// No listener on this port.
+    ConnectionRefused(u16),
+    /// This port is already bound.
+    AddrInUse(u16),
     /// A blocking receive exceeded its deadline.
     Timeout,
 }
@@ -67,10 +162,12 @@ impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransportError::Closed => write!(f, "connection closed by peer"),
-            TransportError::Io(e) => write!(f, "transport I/O error: {e}"),
-            TransportError::Protocol(e) => write!(f, "transport protocol violation: {e}"),
-            TransportError::ConnectionRefused(a) => write!(f, "connection refused: {a}"),
-            TransportError::AddrInUse(a) => write!(f, "address in use: {a}"),
+            TransportError::Io(kind) => write!(f, "transport I/O error: {kind}"),
+            TransportError::Protocol(v) => write!(f, "transport protocol violation: {v}"),
+            TransportError::ConnectionRefused(port) => {
+                write!(f, "connection refused: port {port}")
+            }
+            TransportError::AddrInUse(port) => write!(f, "address in use: port {port}"),
             TransportError::Timeout => write!(f, "transport receive timed out"),
         }
     }
@@ -78,6 +175,15 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+impl From<WireViolation> for TransportError {
+    fn from(v: WireViolation) -> Self {
+        TransportError::Protocol(v)
+    }
+}
+
+/// An I/O error on an established stream. Dialing and binding know their
+/// port and name it ([`TransportError::ConnectionRefused`],
+/// [`TransportError::AddrInUse`]) where they fail.
 impl From<std::io::Error> for TransportError {
     fn from(e: std::io::Error) -> Self {
         match e.kind() {
@@ -85,14 +191,10 @@ impl From<std::io::Error> for TransportError {
             | std::io::ErrorKind::ConnectionReset
             | std::io::ErrorKind::BrokenPipe
             | std::io::ErrorKind::ConnectionAborted => TransportError::Closed,
-            std::io::ErrorKind::ConnectionRefused => {
-                TransportError::ConnectionRefused(e.to_string())
-            }
-            std::io::ErrorKind::AddrInUse => TransportError::AddrInUse(e.to_string()),
             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
                 TransportError::Timeout
             }
-            _ => TransportError::Io(e.to_string()),
+            kind => TransportError::Io(kind),
         }
     }
 }
@@ -137,7 +239,7 @@ pub trait Connection: Send {
     fn stats(&self) -> ConnStats;
 
     /// Diagnostic description of the peer.
-    fn peer(&self) -> String;
+    fn peer(&self) -> &str;
 
     /// Bound subsequent blocking receives: `Some(d)` makes `recv_control`
     /// and `recv_data` fail with [`TransportError::Timeout`] after `d`;

@@ -45,11 +45,9 @@ use rand::{Rng, SeedableRng};
 
 use zc_buffers::{CopyLayer, CopyMeter, PagePool, PooledBuf, ZcBytes, PAGE_SIZE};
 
-use zc_trace::{EventKind, TraceLayer};
-
 use crate::frame::{Frame, FramePayload, Lane, MTU_PAYLOAD};
 use crate::stats::{ConnStats, StatsCell, TransportField};
-use crate::{Acceptor, Connection, TResult, TransportCtx, TransportError};
+use crate::{Acceptor, Connection, TResult, TransportCtx, TransportError, WireViolation};
 
 /// Which kernel stack the simulated network runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,8 +309,7 @@ impl SimNetwork {
         {
             let mut map = self.inner.listeners.lock();
             if map.contains_key(&port) {
-                // zc-audit: allow(control-plane) — endpoint name for the error
-                return Err(TransportError::AddrInUse(format!("sim:{port}")));
+                return Err(TransportError::AddrInUse(port));
             }
             map.insert(port, tx);
         }
@@ -330,18 +327,14 @@ impl SimNetwork {
         {
             let plan = *self.inner.faults.plan.lock();
             if plan.refuse_connects && plan.applies_to(true) {
-                // zc-audit: allow(control-plane) — endpoint name for the error
-                return Err(TransportError::ConnectionRefused(format!(
-                    "sim:{port} (injected fault: refusing connects)"
-                )));
+                return Err(TransportError::ConnectionRefused(port));
             }
         }
         let listener_tx = {
             let map = self.inner.listeners.lock();
             map.get(&port).cloned()
         }
-        // zc-audit: allow(control-plane) — endpoint name for the error
-        .ok_or_else(|| TransportError::ConnectionRefused(format!("sim:{port}")))?;
+        .ok_or(TransportError::ConnectionRefused(port))?;
 
         let conn_id = self.inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let cfg = self.inner.config;
@@ -376,8 +369,7 @@ impl SimNetwork {
                 server_half,
                 TransportCtx::new(),
             )))
-            // zc-audit: allow(control-plane) — endpoint name for the error
-            .map_err(|_| TransportError::ConnectionRefused(format!("sim:{port}")))?;
+            .map_err(|_| TransportError::ConnectionRefused(port))?;
         // NOTE: from_half above installs a throwaway ctx; the listener
         // replaces it in accept(). See SimListener::accept.
         Ok(Box::new(client))
@@ -464,10 +456,12 @@ const WINDOW_FRAMES: usize = 44;
 /// it is a protocol error, never an allocation size (wire-taint invariant).
 fn checked_block_len(announced: u64, block_id: u64) -> TResult<usize> {
     if announced > MAX_SIM_BLOCK_BYTES {
-        // zc-audit: allow(control-plane) — protocol error diagnostic
-        return Err(TransportError::Protocol(format!(
-            "block {block_id} announces {announced} bytes, above the {MAX_SIM_BLOCK_BYTES} byte cap"
-        )));
+        return Err(WireViolation::BlockTooLarge {
+            block: block_id,
+            announced,
+            cap: MAX_SIM_BLOCK_BYTES,
+        }
+        .into());
     }
     Ok(announced as usize)
 }
@@ -480,12 +474,9 @@ fn checked_span(offset: u64, len: usize, total: usize) -> TResult<std::ops::Rang
         .ok()
         .and_then(|off| off.checked_add(len).map(|end| off..end))
         .filter(|span| span.end <= total)
-        .ok_or_else(|| {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            TransportError::Protocol(format!(
-                "fragment window {offset}+{len} outside its buffer of {total} bytes"
-            ))
-        })
+        .ok_or(TransportError::Protocol(
+            WireViolation::FragmentOutsideBuffer { offset, len, total },
+        ))
 }
 
 /// A frame queue per lane.
@@ -669,27 +660,25 @@ impl Incoming {
     fn claim(&mut self, f: &Frame) -> TResult<()> {
         let block_id = self.block_id;
         if f.block_id != block_id {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(TransportError::Protocol(format!(
-                "interleaved fragments: expected block {block_id}, got {}",
-                f.block_id
-            )));
+            return Err(WireViolation::InterleavedBlock {
+                expected: block_id,
+                got: f.block_id,
+            }
+            .into());
         }
         if self.frames > 0 && f.payload.is_empty() {
             // Progress guarantee: a peer streaming empty continuation
             // fragments must not pin the receiver in its loop forever.
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(TransportError::Protocol(format!(
-                "zero-length continuation fragment in block {block_id}"
-            )));
+            return Err(WireViolation::EmptyContinuation { block: block_id }.into());
         }
         self.got = self.got.saturating_add(f.payload.len());
         if self.got > self.total {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(TransportError::Protocol(format!(
-                "fragment overrun: block {block_id} announced {}, got {}",
-                self.total, self.got
-            )));
+            return Err(WireViolation::FragmentOverrun {
+                block: block_id,
+                announced: self.total,
+                got: self.got,
+            }
+            .into());
         }
         self.frames += 1;
         Ok(())
@@ -796,13 +785,12 @@ impl Reassembly {
     /// The block whose every fragment has arrived, if they tile it.
     fn into_block(self, block: &Incoming) -> TResult<ZcBytes> {
         if self.read != self.user_buf.len() {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(TransportError::Protocol(format!(
-                "fragments of block {} overlap: {} of its {} bytes never arrived",
-                block.block_id,
-                self.user_buf.len() - self.read,
-                self.user_buf.len()
-            )));
+            return Err(WireViolation::FragmentsOverlap {
+                block: block.block_id,
+                missing: self.user_buf.len() - self.read,
+                total: self.user_buf.len(),
+            }
+            .into());
         }
         Ok(self.user_buf.freeze())
     }
@@ -1293,28 +1281,14 @@ impl SimConn {
             let aligned = pages().next().is_some_and(|p| p.is_page_aligned());
             if referenced && aligned {
                 if let Some(joined) = ZcBytes::join_contiguous(pages()) {
-                    self.stats.add(TransportField::SpecHits, 1);
-                    self.ctx.telemetry.record(
-                        TraceLayer::Transport,
-                        EventKind::SpecHit,
-                        self.trace_conn,
-                        0,
-                        total as u64,
-                    );
+                    self.stats.speculated(true, self.trace_conn, total as u64);
                     return Ok(joined);
                 }
             }
         }
         // Speculation miss: the driver falls back to copying the fragments
         // into a fresh page-aligned buffer.
-        self.stats.add(TransportField::SpecMisses, 1);
-        self.ctx.telemetry.record(
-            TraceLayer::Transport,
-            EventKind::SpecMiss,
-            self.trace_conn,
-            0,
-            total as u64,
-        );
+        self.stats.speculated(false, self.trace_conn, total as u64);
         Ok(self
             .copy_out(frames, total, CopyLayer::DepositFallback)?
             .freeze())
@@ -1380,10 +1354,11 @@ impl Connection for SimConn {
         let mut block = self.open_block(Lane::Data)?;
         let total = block.total;
         if total != expected_len {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(TransportError::Protocol(format!(
-                "data block length {total} does not match announced {expected_len}"
-            )));
+            return Err(WireViolation::BlockLenMismatch {
+                announced: expected_len,
+                got: total,
+            }
+            .into());
         }
         let data = match self.cfg.mode {
             StackMode::Copying => self.recv_copying(&mut block)?,
@@ -1391,18 +1366,11 @@ impl Connection for SimConn {
                 conn.reassemble_zero_copy(frames, total)
             })?,
         };
-        if self.ctx.telemetry.is_enabled() {
-            let metrics = self.ctx.telemetry.metrics();
-            metrics.frames_per_block.record(block.frames as u64);
-            // Data-path flight time: from the block's put-on-wire stamp to
-            // its delivery (both ends share the process trace clock).
-            if block.sent_ns != 0 {
-                let now = zc_trace::now_ns();
-                if now >= block.sent_ns {
-                    metrics.data_wire_ns.record(now - block.sent_ns);
-                }
-            }
-        }
+        // Fragments per block, and the data-path flight time from the
+        // block's put-on-wire stamp (both ends share the trace clock).
+        self.ctx
+            .telemetry
+            .note_data_block(block.frames as u64, block.sent_ns);
         self.stats.add(TransportField::DataBlocksRecv, 1);
         self.stats.add(TransportField::BytesRecv, data.len() as u64);
         Ok(data)
@@ -1416,9 +1384,8 @@ impl Connection for SimConn {
         self.stats.snapshot()
     }
 
-    fn peer(&self) -> String {
-        // zc-audit: allow(control-plane) — short peer-name string for diagnostics
-        self.peer.clone()
+    fn peer(&self) -> &str {
+        &self.peer
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<std::time::Duration>) -> TResult<()> {
@@ -1811,8 +1778,8 @@ mod tests {
         staged.control.push_back(hostile);
         wire.push_batch(&mut staged).unwrap();
         match conn.recv_control() {
-            Err(TransportError::Protocol(msg)) => {
-                assert!(msg.contains("cap"), "{msg}");
+            Err(TransportError::Protocol(WireViolation::BlockTooLarge { cap, .. })) => {
+                assert_eq!(cap, MAX_SIM_BLOCK_BYTES);
             }
             other => panic!("expected protocol error, got {other:?}"),
         }

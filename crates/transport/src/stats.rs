@@ -1,69 +1,27 @@
 //! Per-connection transport statistics.
 //!
-//! Counters are indexed by [`TransportField`] (defined in `zc-trace`, so
-//! the per-connection cells and the ORB-wide telemetry mirror share one
-//! field vocabulary). When the owning context carries enabled telemetry,
-//! every increment is mirrored into its [`zc_trace::TransportCounters`] in
-//! the same call — totals then survive connection teardown and merge across
-//! connections. With telemetry disabled the mirror is `None` and the cost
-//! is exactly one relaxed `fetch_add`, as before.
+//! One vocabulary, one snapshot type: the cells are a
+//! [`zc_trace::TransportCounters`] indexed by [`TransportField`] and
+//! [`ConnStats`] *is* [`zc_trace::TransportTotals`], so a connection's
+//! statistics and the ORB-wide telemetry mirror cannot drift apart. When
+//! the owning context carries enabled telemetry, every increment is
+//! mirrored into its totals in the same call — they then survive
+//! connection teardown and merge across connections. With telemetry
+//! disabled the mirror is `None` and the cost is exactly one relaxed
+//! `fetch_add`, as before.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use zc_trace::Telemetry;
 pub use zc_trace::TransportField;
+use zc_trace::{EventKind, Telemetry, TransportCounters};
 
 /// Point-in-time statistics snapshot for one connection endpoint.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ConnStats {
-    /// Control messages sent.
-    pub control_sent: u64,
-    /// Control messages received.
-    pub control_recv: u64,
-    /// Data blocks sent.
-    pub data_blocks_sent: u64,
-    /// Data blocks received.
-    pub data_blocks_recv: u64,
-    /// Payload bytes sent (control + data).
-    pub bytes_sent: u64,
-    /// Payload bytes received (control + data).
-    pub bytes_recv: u64,
-    /// Frames put on the wire by this endpoint.
-    pub frames_sent: u64,
-    /// Wire bytes (headers + payload) put on the wire by this endpoint.
-    pub wire_bytes_sent: u64,
-    /// Wire bytes (headers + payload) taken off the wire by this endpoint.
-    pub wire_bytes_recv: u64,
-    /// Zero-copy receive speculations that landed (block reassembled in
-    /// place, no copy).
-    pub spec_hits: u64,
-    /// Speculations that missed (fallback copy performed).
-    pub spec_misses: u64,
-}
-
-impl From<ConnStats> for zc_trace::TransportTotals {
-    fn from(s: ConnStats) -> zc_trace::TransportTotals {
-        zc_trace::TransportTotals {
-            control_sent: s.control_sent,
-            control_recv: s.control_recv,
-            data_blocks_sent: s.data_blocks_sent,
-            data_blocks_recv: s.data_blocks_recv,
-            bytes_sent: s.bytes_sent,
-            bytes_recv: s.bytes_recv,
-            frames_sent: s.frames_sent,
-            wire_bytes_sent: s.wire_bytes_sent,
-            wire_bytes_recv: s.wire_bytes_recv,
-            spec_hits: s.spec_hits,
-            spec_misses: s.spec_misses,
-        }
-    }
-}
+pub type ConnStats = zc_trace::TransportTotals;
 
 /// Shared mutable counters behind a [`ConnStats`] snapshot.
 #[derive(Debug, Default)]
 pub struct StatsCell {
-    cells: [AtomicU64; TransportField::COUNT],
+    cells: TransportCounters,
     mirror: Option<Arc<Telemetry>>,
 }
 
@@ -77,43 +35,39 @@ impl StatsCell {
     /// when `Some`.
     pub fn with_telemetry(mirror: Option<Arc<Telemetry>>) -> Arc<StatsCell> {
         Arc::new(StatsCell {
-            cells: Default::default(),
+            cells: TransportCounters::default(),
             mirror,
         })
     }
 
     pub(crate) fn add(&self, field: TransportField, n: u64) {
-        // `cells` is indexed by the enum discriminant, which is always in
-        // range; the clamp makes the bound local so a future enum/array
-        // mismatch degrades to miscounting instead of a panic.
-        let idx = (field as usize).min(TransportField::COUNT - 1);
-        self.cells[idx].fetch_add(n, Ordering::Relaxed);
+        self.cells.add(field, n);
         if let Some(t) = &self.mirror {
-            // Mirrors into the ORB-wide totals only — this runs per frame,
-            // so it must stay one relaxed add; the byte-rate windows are
-            // ticked per message by the GIOP layer. The mirror handle only
-            // exists when telemetry is enabled, so the disabled-path cost
-            // is unchanged: one relaxed fetch_add and a None check.
+            // Runs per frame, so it stays one relaxed add; the byte-rate
+            // windows are ticked per message by the GIOP layer.
             t.mirror_transport(field, n);
+        }
+    }
+
+    /// One zero-copy receive speculation over a `bytes`-long block on
+    /// connection `conn_id` held (`hit`) or fell back to the copy. Counted
+    /// here for the peer's health report; the ORB-wide total moves with the
+    /// event telemetry books.
+    pub(crate) fn speculated(&self, hit: bool, conn_id: u64, bytes: u64) {
+        let (field, kind) = if hit {
+            (TransportField::SpecHits, EventKind::SpecHit)
+        } else {
+            (TransportField::SpecMisses, EventKind::SpecMiss)
+        };
+        self.cells.add(field, 1);
+        if let Some(t) = &self.mirror {
+            t.emit(kind, conn_id, 0, bytes);
         }
     }
 
     /// Capture a snapshot.
     pub fn snapshot(&self) -> ConnStats {
-        let get = |f: TransportField| self.cells[f as usize].load(Ordering::Relaxed);
-        ConnStats {
-            control_sent: get(TransportField::ControlSent),
-            control_recv: get(TransportField::ControlRecv),
-            data_blocks_sent: get(TransportField::DataBlocksSent),
-            data_blocks_recv: get(TransportField::DataBlocksRecv),
-            bytes_sent: get(TransportField::BytesSent),
-            bytes_recv: get(TransportField::BytesRecv),
-            frames_sent: get(TransportField::FramesSent),
-            wire_bytes_sent: get(TransportField::WireBytesSent),
-            wire_bytes_recv: get(TransportField::WireBytesRecv),
-            spec_hits: get(TransportField::SpecHits),
-            spec_misses: get(TransportField::SpecMisses),
-        }
+        self.cells.snapshot()
     }
 }
 
@@ -126,7 +80,7 @@ mod tests {
         let c = StatsCell::new_shared();
         c.add(TransportField::ControlSent, 2);
         c.add(TransportField::BytesSent, 100);
-        c.add(TransportField::SpecHits, 1);
+        c.speculated(true, 1, 4096);
         c.add(TransportField::WireBytesRecv, 77);
         let s = c.snapshot();
         assert_eq!(s.control_sent, 2);
@@ -141,12 +95,15 @@ mod tests {
         let tele = Telemetry::with_capacity(8);
         let c = StatsCell::with_telemetry(tele.transport_mirror());
         c.add(TransportField::WireBytesSent, 500);
-        c.add(TransportField::SpecMisses, 2);
-        let totals = tele.transport().snapshot();
+        c.speculated(false, 7, 4096);
+        c.speculated(false, 7, 4096);
+        let totals = tele.transport();
         assert_eq!(totals.wire_bytes_sent, 500);
         assert_eq!(totals.spec_misses, 2);
-        // The local cell counts too.
+        // The local cells count too, and each speculation left its event.
         assert_eq!(c.snapshot().wire_bytes_sent, 500);
+        assert_eq!(c.snapshot().spec_misses, 2);
+        assert_eq!(tele.recorder().recorded(), 2);
     }
 
     #[test]
@@ -154,17 +111,7 @@ mod tests {
         let tele = Telemetry::disabled();
         let c = StatsCell::with_telemetry(tele.transport_mirror());
         c.add(TransportField::FramesSent, 3);
-        assert_eq!(tele.transport().snapshot().frames_sent, 0);
+        assert_eq!(tele.transport().frames_sent, 0);
         assert_eq!(c.snapshot().frames_sent, 3);
-    }
-
-    #[test]
-    fn conn_stats_convert_to_totals() {
-        let c = StatsCell::new_shared();
-        c.add(TransportField::DataBlocksRecv, 4);
-        c.add(TransportField::WireBytesRecv, 4096);
-        let t: zc_trace::TransportTotals = c.snapshot().into();
-        assert_eq!(t.data_blocks_recv, 4);
-        assert_eq!(t.wire_bytes_recv, 4096);
     }
 }

@@ -15,7 +15,9 @@ use std::sync::Arc;
 use zc_buffers::{CopyLayer, ZcBytes};
 
 use crate::stats::{ConnStats, StatsCell, TransportField};
-use crate::{Acceptor, Connection, Connector, TResult, TransportCtx, TransportError};
+use crate::{
+    Acceptor, Connection, Connector, TResult, TransportCtx, TransportError, WireViolation,
+};
 
 const LANE_CONTROL: u8 = 0;
 const LANE_DATA: u8 = 1;
@@ -32,10 +34,11 @@ pub const MAX_TCP_FRAME: u64 = 64 << 20;
 /// length must pass through here first (wire-taint invariant).
 fn checked_frame_len(len: u64) -> TResult<usize> {
     if len > MAX_TCP_FRAME {
-        // zc-audit: allow(control-plane) — protocol error diagnostic
-        return Err(TransportError::Protocol(format!(
-            "frame announces {len} bytes, above the {MAX_TCP_FRAME} byte cap"
-        )));
+        return Err(WireViolation::FrameTooLarge {
+            announced: len,
+            cap: MAX_TCP_FRAME,
+        }
+        .into());
     }
     Ok(len as usize)
 }
@@ -55,10 +58,10 @@ pub struct TcpConn {
 impl TcpConn {
     fn new(stream: TcpStream, ctx: TransportCtx) -> TResult<TcpConn> {
         stream.set_nodelay(true)?;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "tcp:?".to_string());
+        let peer = stream.peer_addr().map_or_else(
+            |_| "tcp:?".to_string(),
+            |a| ["tcp:", &a.to_string()].concat(),
+        );
         let stats = StatsCell::with_telemetry(ctx.conn_mirror());
         Ok(TcpConn {
             stream,
@@ -116,7 +119,7 @@ impl TcpConn {
             Ok(b) => u64::from_le_bytes(b),
             // `header` is 9 bytes, so the 8-byte window always converts;
             // an error return keeps hostile input away from any panic.
-            Err(_) => return Err(TransportError::Protocol("malformed frame header".into())),
+            Err(_) => return Err(WireViolation::MalformedFrameHeader.into()),
         };
         let len = checked_frame_len(len)?;
         let mut buf = self.ctx.pool.acquire(len.max(1));
@@ -147,12 +150,7 @@ impl TcpConn {
             match lane {
                 LANE_CONTROL => self.pending_control.push_back(payload),
                 LANE_DATA => self.pending_data.push_back(payload),
-                other => {
-                    // zc-audit: allow(control-plane) — protocol error diagnostic
-                    return Err(TransportError::Protocol(format!(
-                        "unknown lane tag {other}"
-                    )));
-                }
+                other => return Err(WireViolation::UnknownLane(other).into()),
             }
         }
     }
@@ -197,18 +195,16 @@ impl Connection for TcpConn {
     fn recv_data(&mut self, expected_len: usize) -> TResult<ZcBytes> {
         let z = self.next_on_lane(LANE_DATA)?;
         if z.len() != expected_len {
-            // zc-audit: allow(control-plane) — protocol error diagnostic
-            return Err(TransportError::Protocol(format!(
-                "data block length {} does not match announced {expected_len}",
-                z.len()
-            )));
+            return Err(WireViolation::BlockLenMismatch {
+                announced: expected_len,
+                got: z.len(),
+            }
+            .into());
         }
         self.stats.add(TransportField::DataBlocksRecv, 1);
         self.stats.add(TransportField::BytesRecv, z.len() as u64);
-        if self.ctx.telemetry.is_enabled() {
-            // A TCP data block always arrives as one frame.
-            self.ctx.telemetry.metrics().frames_per_block.record(1);
-        }
+        // A TCP data block always arrives as one frame, unstamped.
+        self.ctx.telemetry.note_data_block(1, 0);
         Ok(z)
     }
 
@@ -220,9 +216,8 @@ impl Connection for TcpConn {
         self.stats.snapshot()
     }
 
-    fn peer(&self) -> String {
-        // zc-audit: allow(control-plane) — short peer-name string for diagnostics
-        format!("tcp:{}", self.peer)
+    fn peer(&self) -> &str {
+        &self.peer
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<std::time::Duration>) -> TResult<()> {
@@ -245,7 +240,10 @@ pub struct TcpTransportListener {
 impl TcpTransportListener {
     /// Bind on 127.0.0.1. `port == 0` picks an ephemeral port.
     pub fn bind(port: u16, ctx: TransportCtx) -> TResult<TcpTransportListener> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
+        let listener = TcpListener::bind(("127.0.0.1", port)).map_err(|e| match e.kind() {
+            std::io::ErrorKind::AddrInUse => TransportError::AddrInUse(port),
+            _ => e.into(),
+        })?;
         let port = listener.local_addr()?.port();
         Ok(TcpTransportListener {
             listener,
@@ -275,7 +273,10 @@ pub struct TcpConnector {
 
 impl Connector for TcpConnector {
     fn connect(&self, host: &str, port: u16) -> TResult<Box<dyn Connection>> {
-        let stream = TcpStream::connect((host, port))?;
+        let stream = TcpStream::connect((host, port)).map_err(|e| match e.kind() {
+            std::io::ErrorKind::ConnectionRefused => TransportError::ConnectionRefused(port),
+            _ => e.into(),
+        })?;
         // zc-audit: allow(cheap-clone) — TransportCtx is a trio of Arc handles (meter + pool + telemetry)
         Ok(Box::new(TcpConn::new(stream, self.ctx.clone())?))
     }

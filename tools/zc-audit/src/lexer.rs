@@ -195,6 +195,72 @@ pub fn scan(src: &str) -> Scanned {
     }
     out
 }
+// Token-stream helpers every pass shares.
+
+/// Whether token `i` exists and reads `text`.
+pub(crate) fn tok_is(toks: &[Tok], i: usize, text: &str) -> bool {
+    toks.get(i).is_some_and(|t| t.text == text)
+}
+
+/// Past-the-end index of a balanced `(…)`/`{…}`/`[…]` group at `i`.
+pub(crate) fn skip_group(toks: &[Tok], i: usize) -> usize {
+    let (openc, closec) = match toks[i].text.as_str() {
+        "(" => ("(", ")"),
+        "{" => ("{", "}"),
+        _ => ("[", "]"),
+    };
+    let mut depth = 0i32;
+    let mut j = i;
+    while j < toks.len() {
+        if toks[j].text == openc {
+            depth += 1;
+        } else if toks[j].text == closec {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+        j += 1;
+    }
+    j
+}
+
+/// Given `i` at the `#` of an attribute (`#[…]` or `#![…]`), return the
+/// index just past its closing `]`; past the `#` alone if none opens.
+pub(crate) fn skip_attr(toks: &[Tok], i: usize) -> usize {
+    let mut j = i + 1;
+    if tok_is(toks, j, "!") {
+        j += 1;
+    }
+    if !tok_is(toks, j, "[") {
+        return i + 1;
+    }
+    skip_group(toks, j)
+}
+
+/// From a token at/before a block's opening `{`, return (open, close) token
+/// indices of the matched braces; `None` if a `;` arrives first (no body:
+/// `mod foo;`, a trait fn declaration).
+pub(crate) fn brace_span(toks: &[Tok], from: usize) -> Option<(usize, usize)> {
+    let open = (from..toks.len()).find(|&i| matches!(toks[i].text.as_str(), "{" | ";"))?;
+    if toks[open].text == ";" {
+        return None;
+    }
+    let mut depth = 0i32;
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        match t.text.as_str() {
+            "{" => depth += 1,
+            "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some((open, i));
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
 
 /// Past-the-end index of the plain string starting at `b[i] == '"'`.
 fn skip_string(b: &[u8], i: usize) -> usize {

@@ -110,15 +110,6 @@ pub struct WaiverRecord {
     pub used: bool,
 }
 
-/// Which advisory rule families are upgraded to hard failures.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Deny {
-    pub lock_order: bool,
-    pub taint: bool,
-    pub atomics: bool,
-    pub reactor: bool,
-}
-
 /// Full result of a workspace audit: violations plus the waiver inventory
 /// and the v4 pass summaries.
 #[derive(Debug, Default)]
@@ -132,38 +123,13 @@ pub struct Report {
 }
 
 impl Report {
-    /// Are all remaining violations advisory-grade? Advisory families are
-    /// opt-in hard failures: `lock-order` under `--deny-lock-order`, the
-    /// `taint-*` rules under `--deny-taint`, `atomics-protocol` under
-    /// `--deny-atomics` and `reactor-blocking` under `--deny-reactor`. The
-    /// `workspace_is_clean` test is strict on everything except live
-    /// `reactor-blocking` debt (measured, to be retired by ROADMAP item 3).
-    pub fn only_advisory(&self) -> bool {
-        !self.violations.is_empty()
-            && self.violations.iter().all(|v| {
-                v.rule == "lock-order"
-                    || v.rule.starts_with("taint-")
-                    || v.rule == "atomics-protocol"
-                    || v.rule == "reactor-blocking"
-            })
-    }
-
-    /// Would this report fail with the given enforcement flags? Advisory
-    /// families stay exit-0 until their deny flag upgrades them.
-    pub fn fails(&self, deny: Deny) -> bool {
-        self.violations.iter().any(|v| {
-            if v.rule == "lock-order" {
-                deny.lock_order
-            } else if v.rule.starts_with("taint-") {
-                deny.taint
-            } else if v.rule == "atomics-protocol" {
-                deny.atomics
-            } else if v.rule == "reactor-blocking" {
-                deny.reactor
-            } else {
-                true
-            }
-        })
+    /// Does this report fail the audit? Every finding does, except live
+    /// `reactor-blocking` debt — measured, to be retired by ROADMAP item 3 —
+    /// which fails only under `--deny-reactor`.
+    pub fn fails(&self, deny_reactor: bool) -> bool {
+        self.violations
+            .iter()
+            .any(|v| deny_reactor || v.rule != "reactor-blocking")
     }
 
     /// Machine-readable findings: every violation and every waiver with its

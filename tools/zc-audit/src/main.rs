@@ -1,20 +1,19 @@
 //! CLI entry point: audit the workspace, print violations, exit non-zero if
 //! any are found.
 //!
-//! Usage: `cargo run -p zc-audit [-- [--json] [--deny-lock-order]
-//! [--deny-taint] [--deny-atomics] [--deny-reactor] [--reactor-report]
-//! [--ratchet <baseline.json>] [--update-ratchet <baseline.json>] [<root>]]`
+//! Usage: `cargo run -p zc-audit [-- [--json] [--deny-reactor]
+//! [--reactor-report] [--ratchet <baseline.json>]
+//! [--update-ratchet <baseline.json>] [<root>]]`
 //!
 //! - `<root>` defaults to the nearest ancestor directory containing
 //!   `zc-audit.toml`.
 //! - `--json` emits the machine-readable report (rule, file, line, msg,
 //!   the full waiver inventory with used/stale status, the atomics/reactor
 //!   pass summaries and the ratchet outcome) on stdout.
-//! - lock-order, wire-taint (`taint-*`), atomics-protocol and
-//!   reactor-blocking findings are *advisory* by default (printed, exit 0);
-//!   the matching `--deny-*` flag upgrades the family to a hard failure
-//!   like every other rule. The `workspace_is_clean` test is strict on
-//!   everything except live reactor-blocking debt.
+//! - every finding fails the run (exit 1) except `reactor-blocking`, the
+//!   measured debt ROADMAP item 3 retires: it is printed and exits 0 until
+//!   `--deny-reactor` makes it fail like every other rule. The
+//!   `workspace_is_clean` test draws the same line.
 //! - `--ratchet <file>` compares the current per-kind waiver counts against
 //!   the committed baseline and fails (exit 1) if any kind grew; shrinkage
 //!   prints a hint to tighten the baseline. `--update-ratchet <file>`
@@ -26,11 +25,11 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use zc_audit::{ratchet, Deny};
+use zc_audit::ratchet;
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut deny = Deny::default();
+    let mut deny_reactor = false;
     let mut reactor_report = false;
     let mut ratchet_path: Option<PathBuf> = None;
     let mut update_ratchet_path: Option<PathBuf> = None;
@@ -39,10 +38,7 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.to_str() {
             Some("--json") => json = true,
-            Some("--deny-lock-order") => deny.lock_order = true,
-            Some("--deny-taint") => deny.taint = true,
-            Some("--deny-atomics") => deny.atomics = true,
-            Some("--deny-reactor") => deny.reactor = true,
+            Some("--deny-reactor") => deny_reactor = true,
             Some("--reactor-report") => reactor_report = true,
             Some(s @ ("--ratchet" | "--update-ratchet")) => {
                 let Some(path) = args.next() else {
@@ -186,18 +182,14 @@ fn main() -> ExitCode {
     if ratchet_failed {
         return ExitCode::FAILURE;
     }
-    if report.violations.is_empty() {
-        ExitCode::SUCCESS
-    } else if !report.fails(deny) {
-        if !json {
-            println!(
-                "zc-audit: all findings are advisory (lock-order / taint-* / \
-                 atomics-protocol / reactor-blocking); exiting 0 (use the matching \
-                 --deny-* flag to enforce)"
-            );
-        }
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    if report.fails(deny_reactor) {
+        return ExitCode::FAILURE;
     }
+    if !report.violations.is_empty() && !json {
+        println!(
+            "zc-audit: every finding is reactor-blocking debt (ROADMAP item 3); \
+             exiting 0 (--deny-reactor enforces)"
+        );
+    }
+    ExitCode::SUCCESS
 }

@@ -24,7 +24,7 @@
 //! both choices over-approximate, which is the correct direction for a
 //! deadlock auditor; waivers absorb the false positives they cause.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{brace_span, tok_is, Tok, TokKind};
 
 /// One declared parameter. Tuple patterns produce one `Param` per bound
 /// identifier, each carrying the identifiers of the whole type.
@@ -613,41 +613,6 @@ fn skip_angles(toks: &[Tok], start: usize) -> usize {
         j += 1;
     }
     j
-}
-
-fn tok_is(toks: &[Tok], i: usize, text: &str) -> bool {
-    toks.get(i).is_some_and(|t| t.text == text)
-}
-
-/// From a token at/before a block's opening `{`, return (open, close) token
-/// indices of the matched braces; `None` if a `;` arrives first (no body).
-fn brace_span(toks: &[Tok], from: usize) -> Option<(usize, usize)> {
-    let mut i = from;
-    while i < toks.len() && toks[i].text != "{" {
-        if toks[i].text == ";" {
-            return None;
-        }
-        i += 1;
-    }
-    if i >= toks.len() {
-        return None;
-    }
-    let open = i;
-    let mut depth = 0i32;
-    while i < toks.len() {
-        match toks[i].text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open, i));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
 }
 
 #[cfg(test)]

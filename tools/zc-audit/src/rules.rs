@@ -22,7 +22,7 @@
 //! rule applies everywhere — test `unsafe` needs justification too.
 
 use crate::config::{path_matches_any, Config, CopyPathModule, Idiom};
-use crate::lexer::{scan, Scanned, Tok, TokKind};
+use crate::lexer::{brace_span, scan, skip_attr, tok_is, Scanned, Tok, TokKind};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -428,65 +428,6 @@ pub(crate) fn cfg_test_mod_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
         i += 1;
     }
     spans
-}
-
-fn tok_is(toks: &[Tok], i: usize, text: &str) -> bool {
-    toks.get(i).is_some_and(|t| t.text == text)
-}
-
-/// Given `i` at a `#`, return the index just past the closing `]`.
-fn skip_attr(toks: &[Tok], i: usize) -> usize {
-    let mut j = i + 1;
-    if !tok_is(toks, j, "[") {
-        return i + 1;
-    }
-    let mut depth = 0;
-    while j < toks.len() {
-        match toks[j].text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
-/// From a token at/before a block's opening `{`, return (open, close)
-/// token indices of the matched braces.
-fn brace_span(toks: &[Tok], from: usize) -> Option<(usize, usize)> {
-    let mut i = from;
-    while i < toks.len() && toks[i].text != "{" {
-        // A `;` first means no body here (e.g. `mod foo;`, trait fn decl).
-        if toks[i].text == ";" {
-            return None;
-        }
-        i += 1;
-    }
-    if i >= toks.len() {
-        return None;
-    }
-    let open = i;
-    let mut depth = 0;
-    while i < toks.len() {
-        match toks[i].text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open, i));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
 }
 
 /// A flagged idiom occurrence.

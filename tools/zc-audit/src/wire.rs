@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use crate::config::{path_matches_any, Config};
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{brace_span, skip_attr, skip_group, Tok, TokKind};
 use crate::rules::{waiver_for, Violation, Waiver, WaiverKind};
 use crate::FileAnalysis;
 
@@ -313,69 +313,4 @@ fn classify(toks: &[&Tok]) -> Option<Val> {
                 .then(|| Val::Sym(last.text.clone()))
         }
     }
-}
-
-/// Past-the-end index of a balanced `(…)`/`{…}`/`[…]` group at `i`.
-fn skip_group(toks: &[Tok], i: usize) -> usize {
-    let (openc, closec) = match toks[i].text.as_str() {
-        "(" => ("(", ")"),
-        "{" => ("{", "}"),
-        _ => ("[", "]"),
-    };
-    let mut depth = 0i32;
-    let mut j = i;
-    while j < toks.len() {
-        if toks[j].text == openc {
-            depth += 1;
-        } else if toks[j].text == closec {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    j
-}
-
-/// Given `i` at a `#`, return the index just past the closing `]`.
-fn skip_attr(toks: &[Tok], i: usize) -> usize {
-    let mut j = i + 1;
-    if j < toks.len() && toks[j].text == "!" {
-        j += 1;
-    }
-    if toks.get(j).map(|t| t.text.as_str()) != Some("[") {
-        return i + 1;
-    }
-    skip_group(toks, j)
-}
-
-/// From a token at/before a block's opening `{`, return (open, close).
-fn brace_span(toks: &[Tok], from: usize) -> Option<(usize, usize)> {
-    let mut i = from;
-    while i < toks.len() && toks[i].text != "{" {
-        if toks[i].text == ";" {
-            return None;
-        }
-        i += 1;
-    }
-    if i >= toks.len() {
-        return None;
-    }
-    let open = i;
-    let mut depth = 0i32;
-    while i < toks.len() {
-        match toks[i].text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open, i));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
 }

@@ -176,17 +176,11 @@ fn taint_good_fixture_is_clean_and_waiver_is_used() {
 }
 
 #[test]
-fn taint_findings_are_advisory_unless_denied() {
-    let (code, stdout) = run_binary("taint_alloc_bad", &[]);
-    assert_eq!(code, 0, "taint-* alone is advisory: {stdout}");
-    assert!(stdout.contains("advisory"), "{stdout}");
-
-    let (code, _) = run_binary("taint_alloc_bad", &["--deny-taint"]);
-    assert_eq!(code, 1, "--deny-taint upgrades to a hard failure");
-
-    // The other deny flag must not upgrade this family.
-    let (code, _) = run_binary("taint_panic_bad", &["--deny-lock-order"]);
-    assert_eq!(code, 0, "--deny-lock-order leaves taint-* advisory");
+fn taint_findings_fail_the_run() {
+    for fixture in ["taint_alloc_bad", "taint_panic_bad"] {
+        let (code, stdout) = run_binary(fixture, &[]);
+        assert_eq!(code, 1, "taint-* fails like every other rule: {stdout}");
+    }
 }
 
 #[test]
@@ -236,17 +230,15 @@ fn atomics_fixture_reports_protocol_violations() {
 }
 
 #[test]
-fn atomics_findings_are_advisory_unless_denied() {
+fn atomics_findings_fail_the_run() {
     let (code, stdout) = run_binary("atomics_bad", &[]);
-    assert_eq!(code, 0, "atomics-protocol alone is advisory: {stdout}");
-    assert!(stdout.contains("advisory"), "{stdout}");
-
+    assert_eq!(
+        code, 1,
+        "atomics-protocol fails like every other rule: {stdout}"
+    );
+    // The retired per-family flags are gone, not silently accepted.
     let (code, _) = run_binary("atomics_bad", &["--deny-atomics"]);
-    assert_eq!(code, 1, "--deny-atomics upgrades to a hard failure");
-
-    // The other deny flags must not upgrade this family.
-    let (code, _) = run_binary("atomics_bad", &["--deny-lock-order", "--deny-taint"]);
-    assert_eq!(code, 0, "other deny flags leave atomics-protocol advisory");
+    assert_eq!(code, 2, "an unknown flag is a usage error");
 }
 
 #[test]
@@ -275,10 +267,10 @@ fn blocking_fixture_reports_reachable_leaf_only() {
 }
 
 #[test]
-fn reactor_findings_are_advisory_unless_denied() {
+fn reactor_findings_are_debt_unless_denied() {
     let (code, stdout) = run_binary("blocking_bad", &[]);
-    assert_eq!(code, 0, "reactor-blocking alone is advisory: {stdout}");
-    assert!(stdout.contains("advisory"), "{stdout}");
+    assert_eq!(code, 0, "reactor-blocking alone exits 0: {stdout}");
+    assert!(stdout.contains("--deny-reactor enforces"), "{stdout}");
 
     let (code, stdout) = run_binary("blocking_bad", &["--reactor-report"]);
     assert_eq!(code, 0);
@@ -343,15 +335,9 @@ fn update_ratchet_round_trips_through_the_binary() {
 }
 
 #[test]
-fn lock_order_findings_are_advisory_unless_denied() {
+fn lock_order_findings_fail_the_run() {
     let (code, stdout) = run_binary("lock_blocking_bad", &[]);
-    assert_eq!(code, 0, "lock-order alone is advisory: {stdout}");
-    assert!(stdout.contains("advisory"), "{stdout}");
-
-    let (code, _) = run_binary("lock_blocking_bad", &["--deny-lock-order"]);
-    assert_eq!(code, 1, "--deny-lock-order upgrades to a hard failure");
-
-    // A mix with any non-advisory rule still fails without the flag.
+    assert_eq!(code, 1, "lock-order fails like every other rule: {stdout}");
     let (code, _) = run_binary("wire_dup_bad", &[]);
     assert_eq!(code, 1);
 }
