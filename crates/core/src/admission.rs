@@ -42,9 +42,13 @@ pub const MINOR_SHED_BROWNOUT: u32 = zc_vendor_id(0x21);
 /// CORBA completion status `COMPLETED_NO` — shed before dispatch.
 const COMPLETED_NO: u32 = 1;
 
-/// Budgets and watermarks for one ORB's dispatch queue. The default is
+/// The two hard budgets of one ORB's dispatch queue. The default is
 /// unlimited (admission control disabled); [`AdmissionConfig::bounded`]
-/// derives sensible watermarks from the two hard budgets.
+/// sets both. The gate derives its watermarks from them: brownout — bulk
+/// (deposit-carrying) requests shed while small calls still pass — begins
+/// at 3/4 of either budget, and 1/8 of the request slots (at least one)
+/// are reserved for control-plane objects (reserved-key namespace,
+/// `_`-prefix), so `_ZcTelemetry` polls keep answering under overload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Hard cap on concurrently admitted requests (dispatch queue depth
@@ -52,49 +56,27 @@ pub struct AdmissionConfig {
     pub max_requests: u64,
     /// Hard cap on the sum of announced deposit bytes in flight.
     pub max_bytes: u64,
-    /// Brownout watermark: at or above this many in-flight requests, bulk
-    /// (deposit-carrying) requests are shed while small calls still pass.
-    pub brownout_requests: u64,
-    /// Brownout watermark on announced in-flight bytes.
-    pub brownout_bytes: u64,
-    /// Request slots reserved for control-plane objects (reserved-key
-    /// namespace, `_`-prefix): data-plane requests are shed this many
-    /// slots early so `_ZcTelemetry` polls keep answering under overload.
-    pub control_reserve: u64,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig {
-            max_requests: u64::MAX,
-            max_bytes: u64::MAX,
-            brownout_requests: u64::MAX,
-            brownout_bytes: u64::MAX,
-            control_reserve: 0,
-        }
+        AdmissionConfig::bounded(u64::MAX, u64::MAX)
     }
 }
 
 impl AdmissionConfig {
-    /// A bounded queue with derived watermarks: brownout begins at 3/4 of
-    /// either hard budget, and 1/8 of the request slots (at least one) are
-    /// reserved for the control-plane lane.
+    /// A bounded queue of `max_requests` requests and `max_bytes` announced
+    /// bytes.
     pub fn bounded(max_requests: u64, max_bytes: u64) -> AdmissionConfig {
         AdmissionConfig {
             max_requests,
             max_bytes,
-            brownout_requests: max_requests - max_requests / 4,
-            brownout_bytes: max_bytes - max_bytes / 4,
-            control_reserve: (max_requests / 8).max(1).min(max_requests),
         }
     }
 
     /// Whether this configuration can ever shed.
     pub fn is_unlimited(&self) -> bool {
-        self.max_requests == u64::MAX
-            && self.max_bytes == u64::MAX
-            && self.brownout_requests == u64::MAX
-            && self.brownout_bytes == u64::MAX
+        self.max_requests == u64::MAX && self.max_bytes == u64::MAX
     }
 }
 
@@ -135,6 +117,11 @@ pub fn is_shed(ex: &SystemException) -> bool {
 #[derive(Debug)]
 struct AdmissionState {
     config: AdmissionConfig,
+    /// Brownout watermarks: at or above them, bulk requests are shed.
+    brownout_requests: u64,
+    brownout_bytes: u64,
+    /// Request slots data-plane requests leave to the control plane.
+    control_reserve: u64,
     inflight_requests: AtomicU64,
     inflight_bytes: AtomicU64,
 }
@@ -168,9 +155,18 @@ impl Drop for AdmissionTicket {
 impl AdmissionControl {
     /// Build a gate from a configuration.
     pub fn new(config: AdmissionConfig) -> AdmissionControl {
+        let (r, b) = (config.max_requests, config.max_bytes);
+        let (brownout_requests, brownout_bytes, control_reserve) = if config.is_unlimited() {
+            (u64::MAX, u64::MAX, 0)
+        } else {
+            (r - r / 4, b - b / 4, (r / 8).max(1).min(r))
+        };
         AdmissionControl {
             state: Arc::new(AdmissionState {
                 config,
+                brownout_requests,
+                brownout_bytes,
+                control_reserve,
                 inflight_requests: AtomicU64::new(0),
                 inflight_bytes: AtomicU64::new(0),
             }),
@@ -207,19 +203,19 @@ impl AdmissionControl {
         announced_bytes: u64,
         bulk: bool,
     ) -> Result<AdmissionTicket, ShedReason> {
-        let cfg = &self.state.config;
+        let (state, cfg) = (&*self.state, &self.state.config);
         // Reserved lane: data-plane requests stop `control_reserve` slots
         // below the hard cap; control-plane requests may use them all.
         let slot_cap = if control_plane {
             cfg.max_requests
         } else {
-            cfg.max_requests.saturating_sub(cfg.control_reserve)
+            cfg.max_requests.saturating_sub(state.control_reserve)
         };
         // The brownout watermarks bind bulk data-plane requests only.
         let (slot_limit, byte_limit) = if bulk && !control_plane {
             (
-                slot_cap.min(cfg.brownout_requests),
-                cfg.max_bytes.min(cfg.brownout_bytes),
+                slot_cap.min(state.brownout_requests),
+                cfg.max_bytes.min(state.brownout_bytes),
             )
         } else {
             (slot_cap, cfg.max_bytes)
@@ -231,7 +227,6 @@ impl AdmissionControl {
         // data-plane sheds push the counters past the caps, and a
         // `_ZcTelemetry` poll arriving in that window is shed from its own
         // reserved lane.
-        let state = &*self.state;
         if let Err(held) =
             state
                 .inflight_requests
@@ -292,11 +287,8 @@ mod tests {
 
     #[test]
     fn hard_request_budget_sheds_queue_full() {
-        let gate = AdmissionControl::new(AdmissionConfig {
-            max_requests: 2,
-            control_reserve: 0,
-            ..AdmissionConfig::default()
-        });
+        // Three slots, one of them reserved: the data plane gets two.
+        let gate = AdmissionControl::new(AdmissionConfig::bounded(3, u64::MAX));
         let t1 = gate.admit(false, 0, false).unwrap();
         let _t2 = gate.admit(false, 0, false).unwrap();
         assert!(matches!(
@@ -310,32 +302,31 @@ mod tests {
 
     #[test]
     fn byte_budget_sheds_and_releases() {
-        let gate = AdmissionControl::new(AdmissionConfig {
-            max_bytes: 1000,
-            brownout_bytes: u64::MAX,
-            ..AdmissionConfig::default()
-        });
-        let t = gate.admit(false, 900, true).unwrap();
+        let gate = AdmissionControl::new(AdmissionConfig::bounded(8, 1000));
+        let t = gate.admit(false, 700, true).unwrap();
+        // Past the hard budget the queue is full; past only the brownout
+        // watermark (3/4 of it), bulk is shed as brownout.
         assert!(matches!(
-            gate.admit(false, 200, true),
+            gate.admit(false, 400, true),
             Err(ShedReason::QueueFull)
         ));
+        assert!(matches!(
+            gate.admit(false, 200, true),
+            Err(ShedReason::Brownout)
+        ));
         // A shed must not leak its optimistic reservation.
-        assert_eq!(gate.inflight(), (1, 900));
+        assert_eq!(gate.inflight(), (1, 700));
         drop(t);
-        assert!(gate.admit(false, 1000, true).is_ok());
+        assert!(gate.admit(false, 750, true).is_ok());
     }
 
     #[test]
     fn brownout_sheds_bulk_but_admits_small_calls() {
-        let gate = AdmissionControl::new(AdmissionConfig {
-            max_requests: 8,
-            brownout_requests: 2,
-            control_reserve: 0,
-            ..AdmissionConfig::default()
-        });
-        let _t1 = gate.admit(false, 4096, true).unwrap();
-        let _t2 = gate.admit(false, 4096, true).unwrap();
+        // Brownout at 6 of 8 slots, one of which is reserved.
+        let gate = AdmissionControl::new(AdmissionConfig::bounded(8, u64::MAX));
+        let _bulk: Vec<_> = (0..6)
+            .map(|_| gate.admit(false, 4096, true).unwrap())
+            .collect();
         // Watermark reached: bulk sheds (brownout), small calls pass.
         assert!(matches!(
             gate.admit(false, 4096, true),
@@ -346,11 +337,8 @@ mod tests {
 
     #[test]
     fn reserved_lane_keeps_control_plane_answerable() {
-        let gate = AdmissionControl::new(AdmissionConfig {
-            max_requests: 2,
-            control_reserve: 1,
-            ..AdmissionConfig::default()
-        });
+        // Two slots reserve one: the smallest reserve `bounded` derives.
+        let gate = AdmissionControl::new(AdmissionConfig::bounded(2, u64::MAX));
         let _t = gate.admit(false, 0, false).unwrap();
         // Data plane stops one slot early; the telemetry lane still admits.
         assert!(matches!(
@@ -425,21 +413,39 @@ mod tests {
     #[test]
     fn bounded_derives_watermarks_and_reserve() {
         let c = AdmissionConfig::bounded(32, 1 << 20);
-        assert_eq!(c.brownout_requests, 24);
-        assert_eq!(c.brownout_bytes, (1 << 20) - (1 << 18));
-        assert_eq!(c.control_reserve, 4);
         assert!(!c.is_unlimited());
+        let gate = AdmissionControl::new(c);
+        let admitted = |control_plane, bytes, bulk| {
+            std::iter::from_fn(|| gate.admit(control_plane, bytes, bulk).ok()).collect::<Vec<_>>()
+        };
+        // Bulk stops at the brownout watermark, 3/4 of the slots…
+        let bulk = admitted(false, 0, true);
+        assert_eq!(bulk.len(), 24);
+        // …small calls at the 4 slots reserved for the control plane…
+        let small = admitted(false, 0, false);
+        assert_eq!(small.len(), 4);
+        // …and the control plane at the hard cap.
+        assert_eq!(admitted(true, 0, false).len(), 4);
+        drop((bulk, small));
+        // The byte watermark is 3/4 of the byte budget too.
+        let _held = gate.admit(false, 3 << 18, true).unwrap();
+        assert!(matches!(
+            gate.admit(false, 1, true),
+            Err(ShedReason::Brownout)
+        ));
         // Tiny budgets still reserve one control slot (never more than all).
-        assert_eq!(AdmissionConfig::bounded(1, 64).control_reserve, 1);
+        let tiny = AdmissionControl::new(AdmissionConfig::bounded(1, 64));
+        assert!(matches!(
+            tiny.admit(false, 0, false),
+            Err(ShedReason::QueueFull)
+        ));
+        assert!(tiny.admit(true, 0, false).is_ok());
     }
 
     #[test]
     fn ticket_release_is_panic_safe() {
-        let gate = AdmissionControl::new(AdmissionConfig {
-            max_requests: 1,
-            control_reserve: 0,
-            ..AdmissionConfig::default()
-        });
+        // One data slot, one reserved.
+        let gate = AdmissionControl::new(AdmissionConfig::bounded(2, u64::MAX));
         let g2 = gate.clone();
         let _ = std::panic::catch_unwind(move || {
             let _t = g2.admit(false, 7, false).unwrap();

@@ -204,46 +204,43 @@ pub struct GiopConn {
 impl GiopConn {
     /// Client-side establishment: send our handshake, read the peer's.
     pub fn client(
-        mut conn: Box<dyn Connection>,
+        conn: Box<dyn Connection>,
         local: Handshake,
         ctx: TransportCtx,
         tuning: ConnTuning,
     ) -> OrbResult<GiopConn> {
-        conn.send_control(&local.encode())?;
-        let remote_bytes = conn.recv_control()?;
-        let remote = Handshake::decode(&remote_bytes)?;
-        let negotiated = Handshake::negotiate(&local, &remote);
-        let conn_id = conn.trace_conn_id();
-        ctx.telemetry.note_conn_open();
-        Ok(GiopConn {
-            conn,
-            negotiated,
-            ctx,
-            tuning,
-            next_request_id: 1,
-            version: GiopVersion::V1_2,
-            poisoned: false,
-            conn_id,
-            last_trace_id: 0,
-            pending_journey: None,
-            degrade: DegradeState::default(),
-            spare_body: Vec::new(),
-            spare_head: Vec::new(),
-        })
+        GiopConn::exchange_handshakes(conn, local, ctx, tuning, true)
     }
 
     /// Server-side establishment: read the client's handshake, answer.
     pub fn server(
-        mut conn: Box<dyn Connection>,
+        conn: Box<dyn Connection>,
         local: Handshake,
         ctx: TransportCtx,
         tuning: ConnTuning,
     ) -> OrbResult<GiopConn> {
-        let remote_bytes = conn.recv_control()?;
-        let remote = Handshake::decode(&remote_bytes)?;
-        conn.send_control(&local.encode())?;
-        // Client is the `client` argument of negotiate on both sides.
-        let negotiated = Handshake::negotiate(&remote, &local);
+        GiopConn::exchange_handshakes(conn, local, ctx, tuning, false)
+    }
+
+    /// The client speaks first; both sides negotiate with the client's
+    /// handshake as `negotiate`'s `client` argument.
+    fn exchange_handshakes(
+        mut conn: Box<dyn Connection>,
+        local: Handshake,
+        ctx: TransportCtx,
+        tuning: ConnTuning,
+        is_client: bool,
+    ) -> OrbResult<GiopConn> {
+        if is_client {
+            conn.send_control(&local.encode())?;
+        }
+        let remote = Handshake::decode(&conn.recv_control()?)?;
+        let negotiated = if is_client {
+            Handshake::negotiate(&local, &remote)
+        } else {
+            conn.send_control(&local.encode())?;
+            Handshake::negotiate(&remote, &local)
+        };
         let conn_id = conn.trace_conn_id();
         ctx.telemetry.note_conn_open();
         Ok(GiopConn {

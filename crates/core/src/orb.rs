@@ -265,63 +265,46 @@ impl Orb {
     /// object groups) bind to the first live profile: profiles are tried in
     /// IOR order, skipping endpoints whose circuit breaker is open.
     pub fn resolve(&self, ior: &Ior) -> OrbResult<ObjectRef> {
-        let targets = Self::group_targets(ior)?;
-        let mut bound = None;
-        let mut last_err = None;
-        for (idx, (endpoint, _)) in targets.iter().enumerate() {
-            let cached = self.inner.conn_cache.lock().get(endpoint).cloned();
-            let conn = match cached {
-                Some(c) => c,
-                None => {
-                    if let Err(e) = self.breaker_check(endpoint) {
-                        last_err = Some(e);
-                        continue;
-                    }
-                    match self.establish(&endpoint.0, endpoint.1) {
-                        Ok(c) => {
-                            let c = Arc::new(Mutex::new(c));
-                            self.inner
-                                .conn_cache
-                                .lock()
-                                .insert(endpoint.clone(), Arc::clone(&c));
-                            c
-                        }
-                        Err(e) => {
-                            self.note_endpoint_failure(endpoint);
-                            last_err = Some(e);
-                            continue;
-                        }
-                    }
-                }
-            };
-            bound = Some((idx, conn));
-            break;
-        }
-        match bound {
-            Some((idx, conn)) => {
-                Ok(ObjectRef::new(ior.clone(), conn)?.with_recovery(self.clone(), targets, idx))
-            }
-            None => Err(last_err.expect("group_targets guarantees at least one profile")),
-        }
+        self.resolve_via(ior, true)
     }
 
     /// Resolve over a *fresh private* connection (needed for concurrent
     /// clients, since requests on one connection are serialized). Tries
     /// profiles in IOR order like [`Orb::resolve`].
     pub fn resolve_private(&self, ior: &Ior) -> OrbResult<ObjectRef> {
+        self.resolve_via(ior, false)
+    }
+
+    /// Bind `ior` to its first live profile, over the shared connection
+    /// cache when `cached` — a fresh connection joins it — or over a
+    /// private connection the cache never sees, whose recoveries stay
+    /// private too.
+    fn resolve_via(&self, ior: &Ior, cached: bool) -> OrbResult<ObjectRef> {
         let targets = Self::group_targets(ior)?;
         let mut bound = None;
         let mut last_err = None;
         for (idx, (endpoint, _)) in targets.iter().enumerate() {
+            let shared = cached
+                .then(|| self.inner.conn_cache.lock().get(endpoint).cloned())
+                .flatten();
+            if let Some(conn) = shared {
+                bound = Some((idx, conn));
+                break;
+            }
             if let Err(e) = self.breaker_check(endpoint) {
                 last_err = Some(e);
                 continue;
             }
             match self.establish(&endpoint.0, endpoint.1) {
                 Ok(c) => {
-                    // Private references recover too, but their replacement
-                    // connection is never inserted into the shared cache.
-                    bound = Some((idx, Arc::new(Mutex::new(c))));
+                    let c = Arc::new(Mutex::new(c));
+                    if cached {
+                        self.inner
+                            .conn_cache
+                            .lock()
+                            .insert(endpoint.clone(), Arc::clone(&c));
+                    }
+                    bound = Some((idx, c));
                     break;
                 }
                 Err(e) => {
@@ -331,10 +314,11 @@ impl Orb {
             }
         }
         match bound {
-            Some((idx, conn)) => Ok(ObjectRef::new(ior.clone(), conn)?.with_recovery_private(
+            Some((idx, conn)) => Ok(ObjectRef::new(ior.clone(), conn)?.with_recovery(
                 self.clone(),
                 targets,
                 idx,
+                cached,
             )),
             None => Err(last_err.expect("group_targets guarantees at least one profile")),
         }

@@ -155,14 +155,16 @@ impl ObjectRef {
         }
     }
 
-    /// Attach recovery state (reconnects repair the shared cache).
-    /// `targets` lists every dialable profile of the IOR in order;
-    /// `active` is the one currently connected.
+    /// Attach recovery state. `targets` lists every dialable profile of
+    /// the IOR in order; `active` is the one currently connected; `cached`
+    /// says whether reconnects repair the shared connection cache or stay
+    /// private.
     pub(crate) fn with_recovery(
         mut self,
         orb: crate::Orb,
         targets: Vec<Target>,
         active: usize,
+        cached: bool,
     ) -> ObjectRef {
         debug_assert!(!targets.is_empty() && active < targets.len());
         self.recovery = Some(Recovery {
@@ -170,25 +172,7 @@ impl ObjectRef {
             targets: Arc::new(targets),
             active: Arc::new(AtomicUsize::new(active)),
             backup_streak: Arc::new(AtomicU32::new(0)),
-            cached: true,
-        });
-        self
-    }
-
-    /// Attach recovery state for a private (uncached) connection.
-    pub(crate) fn with_recovery_private(
-        mut self,
-        orb: crate::Orb,
-        targets: Vec<Target>,
-        active: usize,
-    ) -> ObjectRef {
-        debug_assert!(!targets.is_empty() && active < targets.len());
-        self.recovery = Some(Recovery {
-            orb,
-            targets: Arc::new(targets),
-            active: Arc::new(AtomicUsize::new(active)),
-            backup_streak: Arc::new(AtomicU32::new(0)),
-            cached: false,
+            cached,
         });
         self
     }

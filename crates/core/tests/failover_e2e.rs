@@ -10,8 +10,8 @@ use std::time::Duration;
 use zc_cdr::ZcOctetSeq;
 use zc_giop::Ior;
 use zc_orb::{
-    AdmissionConfig, ObjectAdapterExt, Orb, OrbError, OrbResult, RetryPolicy, Servant,
-    ServerHandle, ServerRequest, TelemetryClient,
+    AdmissionConfig, AdmissionControl, ObjectAdapterExt, Orb, OrbError, OrbResult, RetryPolicy,
+    Servant, ServerHandle, ServerRequest, TelemetryClient,
 };
 use zc_trace::Telemetry;
 use zc_transport::{FaultPlan, SimConfig, SimNetwork};
@@ -452,7 +452,11 @@ fn back_to_back_pings_never_shed_on_a_one_slot_reserve() {
     let net = SimNetwork::new(SimConfig::zero_copy());
     let telemetry = Telemetry::with_capacity(1024);
     let config = AdmissionConfig::bounded(2, 256 << 10);
-    assert_eq!(config.control_reserve, 1);
+    // One slot each for the data plane and the control-plane reserve.
+    let gate = AdmissionControl::new(config);
+    let _data = gate.admit(false, 0, false).unwrap();
+    assert!(gate.admit(false, 0, false).is_err());
+    assert!(gate.admit(true, 0, false).is_ok());
     let server_orb = Orb::builder()
         .sim(net.clone())
         .telemetry(Arc::clone(&telemetry))

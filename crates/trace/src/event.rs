@@ -7,44 +7,86 @@
 //! (operation names, peers) stays out of the event; the `trace_id` is the
 //! join key back to richer request state.
 
-/// The layer of the stack an event was recorded at. Mirrors the path of a
-/// request through the middleware: application → ORB core → GIOP engine →
-/// transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum TraceLayer {
-    /// Application / benchmark harness.
-    App = 0,
-    /// ORB core: proxies, dispatch, object adapter.
-    Orb = 1,
-    /// GIOP engine: request/reply framing, deposit manifests.
-    Giop = 2,
-    /// Transport: frames, speculation, the wire.
-    Transport = 3,
-}
-
-impl TraceLayer {
-    /// All layers, in data-path order.
-    pub const ALL: [TraceLayer; 4] = [
-        TraceLayer::App,
-        TraceLayer::Orb,
-        TraceLayer::Giop,
-        TraceLayer::Transport,
-    ];
-
-    /// Short name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceLayer::App => "app",
-            TraceLayer::Orb => "orb",
-            TraceLayer::Giop => "giop",
-            TraceLayer::Transport => "transport",
+/// Declares a `u8`-tagged enum one row per variant — `Variant = wire byte,
+/// "report name"` — and derives its `COUNT`, `ALL` (in row order), `name`
+/// and `from_u8` from the rows. A row may go on `=> value`, an expression
+/// of the type named after the enum (`enum Stage => (TraceLayer, bool)`),
+/// which the private `row()` returns, for accessors of per-variant facts.
+macro_rules! byte_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident => $row_ty:ty {
+            $($(#[$doc:meta])* $v:ident = $byte:literal, $name:literal => $row:expr;)*
         }
-    }
+    ) => {
+        byte_enum! {
+            $(#[$meta])*
+            pub enum $ty {
+                $($(#[$doc])* $v = $byte, $name;)*
+            }
+        }
 
-    /// Inverse of `self as u8`.
-    pub fn from_u8(v: u8) -> Option<TraceLayer> {
-        TraceLayer::ALL.into_iter().find(|l| *l as u8 == v)
+        impl $ty {
+            /// The variant's declaration row.
+            const fn row(self) -> $row_ty {
+                match self {
+                    $($ty::$v => $row,)*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $($(#[$doc:meta])* $v:ident = $byte:literal, $name:literal;)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum $ty {
+            $($(#[$doc])* $v = $byte,)*
+        }
+
+        impl $ty {
+            /// Number of variants.
+            pub const COUNT: usize = [$($byte,)*].len();
+
+            /// Every variant, in declaration order.
+            pub const ALL: [$ty; $ty::COUNT] = [$($ty::$v,)*];
+
+            /// Short name used in reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$v => $name,)*
+                }
+            }
+
+            /// Inverse of `self as u8`.
+            pub fn from_u8(v: u8) -> Option<$ty> {
+                match v {
+                    $($byte => Some($ty::$v),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+pub(crate) use byte_enum;
+
+byte_enum! {
+    /// The layer of the stack an event was recorded at. Mirrors the path of
+    /// a request through the middleware: application → ORB core → GIOP
+    /// engine → transport.
+    pub enum TraceLayer {
+        /// Application / benchmark harness.
+        App = 0, "app";
+        /// ORB core: proxies, dispatch, object adapter.
+        Orb = 1, "orb";
+        /// GIOP engine: request/reply framing, deposit manifests.
+        Giop = 2, "giop";
+        /// Transport: frames, speculation, the wire.
+        Transport = 3, "transport";
     }
 }
 
@@ -70,39 +112,19 @@ macro_rules! event_kinds {
         $(#[$doc:meta])*
         $kind:ident = $byte:literal, $name:literal, $layer:ident => [$($op:ident $cell:ident),*];
     )*) => {
-        /// What happened.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        #[repr(u8)]
-        pub enum EventKind {
-            $($(#[$doc])* $kind = $byte,)*
+        byte_enum! {
+            /// What happened.
+            pub enum EventKind => TraceLayer {
+                $($(#[$doc])* $kind = $byte, $name => TraceLayer::$layer;)*
+            }
         }
 
         impl EventKind {
-            /// All kinds.
-            pub const ALL: [EventKind; [$($byte,)*].len()] = [$(EventKind::$kind,)*];
-
-            /// Short name used in reports.
-            pub fn name(self) -> &'static str {
-                match self {
-                    $(EventKind::$kind => $name,)*
-                }
-            }
-
-            /// Inverse of `self as u8`.
-            pub fn from_u8(v: u8) -> Option<EventKind> {
-                match v {
-                    $($byte => Some(EventKind::$kind),)*
-                    _ => None,
-                }
-            }
-
             /// The stack layer the kind's events are filed under (a
             /// [`EventKind::Stage`] event is filed under its stage's own
             /// layer instead, see [`crate::Stage::layer`]).
             pub fn layer(self) -> TraceLayer {
-                match self {
-                    $(EventKind::$kind => TraceLayer::$layer,)*
-                }
+                self.row()
             }
         }
 
@@ -211,51 +233,25 @@ event_kinds! {
     ExceptionReceived = 22, "exception-recv", Giop => [count replies_exception];
 }
 
-/// Why an attempt of a logical request journey exists. The first attempt
-/// is `Initial` (or `DegradeProbe` when the degraded send path scheduled a
-/// zero-copy probe for it); every later attempt carries the recovery path
-/// that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum JourneyCause {
-    /// The first attempt of the journey.
-    Initial = 0,
-    /// A fresh connection was dialed to the same profile and the request
-    /// was re-sent.
-    Retry = 1,
-    /// The reference rotated to another profile of its object group.
-    Failover = 2,
-    /// The active replica shed the request (`TRANSIENT`) and the reference
-    /// rotated to the next live replica.
-    ShedRotate = 3,
-    /// The attempt was a degraded connection's periodic zero-copy probe.
-    DegradeProbe = 4,
-}
-
-impl JourneyCause {
-    /// All causes.
-    pub const ALL: [JourneyCause; 5] = [
-        JourneyCause::Initial,
-        JourneyCause::Retry,
-        JourneyCause::Failover,
-        JourneyCause::ShedRotate,
-        JourneyCause::DegradeProbe,
-    ];
-
-    /// Short name used in reports and the flame analyzer.
-    pub fn name(self) -> &'static str {
-        match self {
-            JourneyCause::Initial => "initial",
-            JourneyCause::Retry => "retry",
-            JourneyCause::Failover => "failover",
-            JourneyCause::ShedRotate => "shed-rotate",
-            JourneyCause::DegradeProbe => "degrade-probe",
-        }
-    }
-
-    /// Inverse of `self as u8`.
-    pub fn from_u8(v: u8) -> Option<JourneyCause> {
-        JourneyCause::ALL.into_iter().find(|c| *c as u8 == v)
+byte_enum! {
+    /// Why an attempt of a logical request journey exists. The first
+    /// attempt is `Initial` (or `DegradeProbe` when the degraded send path
+    /// scheduled a zero-copy probe for it); every later attempt carries the
+    /// recovery path that produced it.
+    pub enum JourneyCause {
+        /// The first attempt of the journey.
+        Initial = 0, "initial";
+        /// A fresh connection was dialed to the same profile and the
+        /// request was re-sent.
+        Retry = 1, "retry";
+        /// The reference rotated to another profile of its object group.
+        Failover = 2, "failover";
+        /// The active replica shed the request (`TRANSIENT`) and the
+        /// reference rotated to the next live replica.
+        ShedRotate = 3, "shed-rotate";
+        /// The attempt was a degraded connection's periodic zero-copy
+        /// probe.
+        DegradeProbe = 4, "degrade-probe";
     }
 }
 

@@ -20,110 +20,65 @@
 //! allocation, no locks, and a disabled span is inert after one boolean
 //! test. Rendering (tables, the §5.2 breakdown) lives in `zc-bench`.
 
-use crate::event::{TraceEvent, TraceLayer};
+use crate::event::{byte_enum, TraceEvent, TraceLayer};
+use TraceLayer::{Giop, Orb, Transport};
 
-/// One leg of a request's journey through the stack, in causal data-path
-/// order. The client records the `Client*` legs, the server the `Server*`
-/// legs plus [`Stage::Wire`]; [`Stage::ClientReplyWire`] is computed by the
-/// client from the server's reply timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Stage {
-    /// Client: marshaling the arguments into the request body (the CDR
-    /// copy that zero-copy descriptors eliminate).
-    ClientMarshal = 0,
-    /// Client: assembling the request header, deposit manifest and service
-    /// contexts — the control-path "deposit registration" of §4.4.
-    ClientDepositRegister = 1,
-    /// Client: handing the control message and deposit blocks to the
-    /// transport (includes the socket send copies on the copying path).
-    /// A sub-interval of [`Stage::Wire`], reported separately so the
-    /// send-side socket cost is visible on its own.
-    ClientSend = 2,
-    /// Sender-stamp → receiver-arrival for the request: encode + send +
-    /// flight + kernel receive, as observed by the server against the
-    /// `sent_at` timestamp in the trace context.
-    Wire = 3,
-    /// Server: pulling the announced deposit blocks off the data path
-    /// (zero copies on a speculative hit; the fallback copy otherwise).
-    ServerRecv = 4,
-    /// Server: CDR-demarshaling the arguments the servant actually reads.
-    ServerDemarshal = 5,
-    /// Server: servant execution, excluding measured demarshal/marshal.
-    ServerDispatch = 6,
-    /// Server: marshaling the reply results (descriptor writes under ZC).
-    ServerReplyMarshal = 7,
-    /// Server-stamp → client-arrival for the reply, symmetric to
-    /// [`Stage::Wire`].
-    ClientReplyWire = 8,
-    /// Client: parsing the reply header and collecting reply deposits.
-    ClientReplyDemarshal = 9,
+// Which endpoint records a stage.
+const CLIENT: bool = true;
+const SERVER: bool = false;
+
+byte_enum! {
+    /// One leg of a request's journey through the stack, in causal
+    /// data-path order (the discriminants index [`Stage::ALL`]). The client
+    /// records the `Client*` legs, the server the `Server*` legs plus
+    /// [`Stage::Wire`]; [`Stage::ClientReplyWire`] is computed by the
+    /// client from the server's reply timestamp. A row's value is the layer
+    /// the stage's event is recorded at and the side that records it.
+    pub enum Stage => (TraceLayer, bool) {
+        /// Client: marshaling the arguments into the request body (the CDR
+        /// copy that zero-copy descriptors eliminate).
+        ClientMarshal = 0, "marshal" => (Orb, CLIENT);
+        /// Client: assembling the request header, deposit manifest and
+        /// service contexts — the control-path "deposit registration" of
+        /// §4.4.
+        ClientDepositRegister = 1, "deposit-register" => (Giop, CLIENT);
+        /// Client: handing the control message and deposit blocks to the
+        /// transport (includes the socket send copies on the copying
+        /// path). A sub-interval of [`Stage::Wire`], reported separately so
+        /// the send-side socket cost is visible on its own.
+        ClientSend = 2, "send" => (Giop, CLIENT);
+        /// Sender-stamp → receiver-arrival for the request: encode + send +
+        /// flight + kernel receive, as observed by the server against the
+        /// `sent_at` timestamp in the trace context.
+        Wire = 3, "wire" => (Transport, SERVER);
+        /// Server: pulling the announced deposit blocks off the data path
+        /// (zero copies on a speculative hit; the fallback copy otherwise).
+        ServerRecv = 4, "recv" => (Giop, SERVER);
+        /// Server: CDR-demarshaling the arguments the servant actually
+        /// reads.
+        ServerDemarshal = 5, "demarshal" => (Orb, SERVER);
+        /// Server: servant execution, excluding measured demarshal/marshal.
+        ServerDispatch = 6, "dispatch" => (Orb, SERVER);
+        /// Server: marshaling the reply results (descriptor writes under
+        /// ZC).
+        ServerReplyMarshal = 7, "reply-marshal" => (Giop, SERVER);
+        /// Server-stamp → client-arrival for the reply, symmetric to
+        /// [`Stage::Wire`].
+        ClientReplyWire = 8, "reply-wire" => (Transport, CLIENT);
+        /// Client: parsing the reply header and collecting reply deposits.
+        ClientReplyDemarshal = 9, "reply-demarshal" => (Giop, CLIENT);
+    }
 }
 
 impl Stage {
-    /// Number of stages.
-    pub const COUNT: usize = 10;
-
-    /// All stages, in causal data-path order.
-    pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::ClientMarshal,
-        Stage::ClientDepositRegister,
-        Stage::ClientSend,
-        Stage::Wire,
-        Stage::ServerRecv,
-        Stage::ServerDemarshal,
-        Stage::ServerDispatch,
-        Stage::ServerReplyMarshal,
-        Stage::ClientReplyWire,
-        Stage::ClientReplyDemarshal,
-    ];
-
-    /// Short name used in reports and JSON keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::ClientMarshal => "marshal",
-            Stage::ClientDepositRegister => "deposit-register",
-            Stage::ClientSend => "send",
-            Stage::Wire => "wire",
-            Stage::ServerRecv => "recv",
-            Stage::ServerDemarshal => "demarshal",
-            Stage::ServerDispatch => "dispatch",
-            Stage::ServerReplyMarshal => "reply-marshal",
-            Stage::ClientReplyWire => "reply-wire",
-            Stage::ClientReplyDemarshal => "reply-demarshal",
-        }
-    }
-
-    /// Inverse of `self as u8` (the discriminants index [`Stage::ALL`]).
-    pub fn from_u8(v: u8) -> Option<Stage> {
-        Stage::ALL.get(v as usize).copied()
-    }
-
     /// The stack layer a stage's event is recorded at.
     pub fn layer(self) -> TraceLayer {
-        match self {
-            Stage::ClientMarshal | Stage::ServerDemarshal | Stage::ServerDispatch => {
-                TraceLayer::Orb
-            }
-            Stage::ClientDepositRegister
-            | Stage::ClientSend
-            | Stage::ServerRecv
-            | Stage::ServerReplyMarshal
-            | Stage::ClientReplyDemarshal => TraceLayer::Giop,
-            Stage::Wire | Stage::ClientReplyWire => TraceLayer::Transport,
-        }
+        self.row().0
     }
 
     /// Whether this leg is recorded by the request's client side.
     pub fn is_client(self) -> bool {
-        matches!(
-            self,
-            Stage::ClientMarshal
-                | Stage::ClientDepositRegister
-                | Stage::ClientSend
-                | Stage::ClientReplyWire
-                | Stage::ClientReplyDemarshal
-        )
+        self.row().1
     }
 }
 

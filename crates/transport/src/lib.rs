@@ -35,7 +35,7 @@ pub mod sim;
 pub mod stats;
 pub mod tcp;
 
-pub use frame::{Frame, FramePayload, FRAME_HEADER_BYTES, MTU_PAYLOAD};
+pub use frame::{Frame, FRAME_HEADER_BYTES, MTU_PAYLOAD};
 pub use sim::{FaultPlan, FaultSide, SimConfig, SimListener, SimNetwork, StackMode};
 pub use stats::{ConnStats, TransportField};
 pub use tcp::{TcpConnector, TcpTransportListener};
@@ -286,21 +286,13 @@ pub struct TransportCtx {
 impl TransportCtx {
     /// Context with a fresh meter, a default pool and disabled telemetry.
     pub fn new() -> TransportCtx {
-        TransportCtx {
-            meter: CopyMeter::new_shared(),
-            pool: PagePool::default_for_orb(),
-            telemetry: Telemetry::disabled(),
-        }
+        TransportCtx::with_meter(CopyMeter::new_shared())
     }
 
     /// Context with a supplied meter, a default pool and disabled
     /// telemetry.
     pub fn with_meter(meter: Arc<CopyMeter>) -> TransportCtx {
-        TransportCtx {
-            meter,
-            pool: PagePool::default_for_orb(),
-            telemetry: Telemetry::disabled(),
-        }
+        TransportCtx::with_telemetry(meter, Telemetry::disabled())
     }
 
     /// Context with a supplied meter and telemetry, and a default pool.
@@ -310,12 +302,6 @@ impl TransportCtx {
             pool: PagePool::default_for_orb(),
             telemetry,
         }
-    }
-
-    /// The telemetry handle a per-connection stats cell should mirror
-    /// into (`None` when telemetry is disabled).
-    pub fn conn_mirror(&self) -> Option<Arc<Telemetry>> {
-        self.telemetry.transport_mirror()
     }
 }
 

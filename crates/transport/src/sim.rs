@@ -6,35 +6,41 @@
 //! frames at a time — one lock, at most one wake-up — and the receiver
 //! drains as the frames arrive. What makes it a *simulation of the paper's
 //! kernel stacks* — rather than a mere message queue — is that the
-//! per-layer work of the two stack configurations is **actually performed**
-//! on real memory, through the copy meter:
+//! per-layer work is **actually performed** on real memory, through the
+//! copy meter.
 //!
-//! * [`StackMode::Copying`] — the conventional path of Figure 1. Sending a
-//!   block really copies it user→kernel ([`CopyLayer::SocketSend`]), really
-//!   fragments it into MTU frames with a header-insertion copy
-//!   ([`CopyLayer::KernelFrag`]); receiving really reassembles fragments
-//!   into a kernel buffer ([`CopyLayer::KernelDefrag`]) and really copies
-//!   kernel→user ([`CopyLayer::SocketRecv`]). Four full traversals of the
-//!   payload, exactly the per-byte overhead the paper attacks — and no
-//!   fifth: every one of those buffers is a pooled page run, and the wire's
-//!   frame queues keep their storage, so in steady state the stack does
-//!   not touch the heap. The stack **cuts through**, as a kernel's does:
-//!   the block moves in windows of `WINDOW_FRAMES` frames, a window's
-//!   segments leave while `write()` is still copying the next, and the
-//!   receiving CPU defragments and `read()`s window *n* while the sending
-//!   CPU copies window *n + 1* — both socket buffers hold one window, so a
-//!   window is still in cache for its second copy.
+//! Figure 1's conventional path is one pipeline of four copies —
+//! `write()` user→kernel, driver fragmentation, defragmentation, `read()`
+//! kernel→user — and the zero-copy stack is the same pipeline with copies
+//! taken out. So the stack is a table, one row per ([`StackMode`], [`Lane`])
+//! pair (`Plan::for_lane`), walked by one sender (`SimConn::transmit`):
 //!
-//! * [`StackMode::ZeroCopy`] — the speculative-defragmentation path \[10\].
-//!   Payload pages cross the wire *by reference* (page-granular fragments
-//!   of the sender's buffer). The receiver **speculates** that fragments
-//!   landed in place; with probability `zc_success_prob` the speculation
-//!   holds and the block is rejoined without touching a byte
-//!   ([`zc_buffers::ZcBytes::join_contiguous`]). A miss falls back to the
-//!   conventional copy ([`CopyLayer::DepositFallback`]) — the probabilistic
-//!   fallback of the real driver.
+//! | row | sender copies | frames | hand-offs | receiver |
+//! |---|---|---|---|---|
+//! | copying, either lane | [`CopyLayer::SocketSend`], [`CopyLayer::KernelFrag`] | MTU | `WINDOW_FRAMES` a time | [`CopyLayer::KernelDefrag`] into a one-window socket buffer, [`CopyLayer::SocketRecv`] out of it |
+//! | zero-copy control | [`CopyLayer::SocketSend`] | one | one | [`CopyLayer::SocketRecv`] |
+//! | zero-copy data | none: frames reference the caller's pages | `PAGE_SIZE` | one | speculation; [`CopyLayer::DepositFallback`] on a miss |
+//!
+//! The copying row is four full traversals of the payload, exactly the
+//! per-byte overhead the paper attacks — and no fifth: every buffer is a
+//! pooled page run and the wire's frame queues keep their storage, so in
+//! steady state the stack does not touch the heap. It **cuts through**, as
+//! a kernel's does: a window's segments leave while `write()` is still
+//! copying the next, and the receiving CPU defragments and `read()`s window
+//! *n* while the sending CPU copies window *n + 1* — both socket buffers
+//! hold one window, so a window is still in cache for its second copy.
+//!
+//! Every row but the last is received by one streaming receiver
+//! (`SimConn::recv_streaming`), which lands fragments as they come off the
+//! wire. The zero-copy data row is the speculative-defragmentation path
+//! \[10\] and holds a block until it is whole (`SimConn::recv_in_place`):
+//! the receiver **speculates** that the fragments landed in place, and with
+//! probability `zc_success_prob` the speculation holds and the block is
+//! rejoined without touching a byte ([`zc_buffers::ZcBytes::join_contiguous`]).
+//! A miss falls back to the conventional copy — the probabilistic fallback
+//! of the real driver.
 
-use std::collections::{vec_deque, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -43,9 +49,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use zc_buffers::{CopyLayer, CopyMeter, PagePool, PooledBuf, ZcBytes, PAGE_SIZE};
+use zc_buffers::{AlignedBuf, CopyLayer, CopyMeter, PagePool, PooledBuf, ZcBytes, PAGE_SIZE};
 
-use crate::frame::{Frame, FramePayload, Lane, MTU_PAYLOAD};
+use crate::frame::{Frame, Lane, MTU_PAYLOAD};
 use crate::stats::{ConnStats, StatsCell, TransportField};
 use crate::{Acceptor, Connection, TResult, TransportCtx, TransportError, WireViolation};
 
@@ -76,10 +82,9 @@ impl SimConfig {
     pub fn copying() -> SimConfig {
         SimConfig {
             mode: StackMode::Copying,
-            mtu_payload: MTU_PAYLOAD,
-            zc_success_prob: 1.0,
             // zc-audit: allow(wire-const) — deterministic RNG seed; "ZC" digits are branding, not a protocol id
             seed: 0x5A43_0001,
+            ..SimConfig::zero_copy()
         }
     }
 
@@ -236,10 +241,10 @@ struct FaultState {
     trips: AtomicU64,
 }
 
-type PendingConn = Box<SimConn>;
-
 struct NetInner {
-    listeners: Mutex<HashMap<u16, mpsc::Sender<PendingConn>>>,
+    /// Each listener's accept queue: the server halves of dialed
+    /// connections, waiting for `accept` to give them a context.
+    listeners: Mutex<HashMap<u16, mpsc::Sender<Half>>>,
     next_port: AtomicU64,
     next_conn_id: AtomicU64,
     config: SimConfig,
@@ -337,46 +342,21 @@ impl SimNetwork {
         .ok_or(TransportError::ConnectionRefused(port))?;
 
         let conn_id = self.inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let cfg = self.inner.config;
         // Two unidirectional frame rings form the full-duplex wire.
         let (c2s, s2c) = (Arc::<Wire>::default(), Arc::<Wire>::default());
-
-        let client = SimConn::new(
+        let half = |is_client: bool, tx: Arc<Wire>, rx: Arc<Wire>| Half {
             // zc-audit: allow(control-plane) — peer name, built once per connection
-            format!("sim:{port}#c{conn_id}"),
-            cfg,
-            ctx,
-            Arc::clone(&c2s),
-            Arc::clone(&s2c),
-            conn_id * 2,
-            true,
-            Arc::clone(&self.inner.faults),
-        );
-        // Server side gets its context from the listener at accept time; a
-        // placeholder ctx here would double-count, so the listener injects
-        // its own ctx into the pending half.
-        let server_half = PendingHalf {
-            // zc-audit: allow(control-plane) — peer name, built once per connection
-            peer: format!("sim:{port}#s{conn_id}"),
-            cfg,
-            tx: s2c,
-            rx: c2s,
-            seed_salt: conn_id * 2 + 1,
+            peer: format!("sim:{port}#{}{conn_id}", if is_client { 'c' } else { 's' }),
+            cfg: self.inner.config,
+            wires: Wires { tx, rx },
+            seed_salt: conn_id * 2 + u64::from(!is_client),
+            is_client,
             faults: Arc::clone(&self.inner.faults),
         };
         listener_tx
-            .send(Box::new(SimConn::from_half(
-                server_half,
-                TransportCtx::new(),
-            )))
+            .send(half(false, Arc::clone(&s2c), Arc::clone(&c2s)))
             .map_err(|_| TransportError::ConnectionRefused(port))?;
-        // NOTE: from_half above installs a throwaway ctx; the listener
-        // replaces it in accept(). See SimListener::accept.
-        Ok(Box::new(client))
-    }
-
-    fn unlisten(&self, port: u16) {
-        self.inner.listeners.lock().remove(&port);
+        Ok(Box::new(half(true, c2s, s2c).attach(ctx)))
     }
 }
 
@@ -391,36 +371,75 @@ impl std::fmt::Debug for SimNetwork {
     }
 }
 
-struct PendingHalf {
+/// One end of a dialed connection, before it has a context: the dialer
+/// attaches its own, the listener that accepts the other end attaches its
+/// own, so each end's copies and counters land on its own side's meter,
+/// pool and telemetry.
+struct Half {
     peer: String,
     cfg: SimConfig,
+    wires: Wires,
+    seed_salt: u64,
+    is_client: bool,
+    faults: Arc<FaultState>,
+}
+
+/// One end's two wires. Dropping the end, accepted or not, closes both:
+/// the peer drains what was delivered, then sees `Closed`.
+struct Wires {
     tx: Arc<Wire>,
     rx: Arc<Wire>,
-    seed_salt: u64,
-    faults: Arc<FaultState>,
+}
+
+impl Drop for Wires {
+    fn drop(&mut self) {
+        self.tx.close();
+        self.rx.close();
+    }
+}
+
+impl Half {
+    /// The connection end, with `ctx` installed.
+    fn attach(self, ctx: TransportCtx) -> SimConn {
+        let (seed, salt) = (self.cfg.seed, self.seed_salt);
+        let active_plan = *self.faults.plan.lock();
+        SimConn {
+            peer: self.peer,
+            cfg: self.cfg,
+            stats: StatsCell::with_telemetry(ctx.telemetry.transport_mirror()),
+            ctx,
+            wires: self.wires,
+            staged: Lanes::default(),
+            inbox: Lanes::default(),
+            next_block_id: 0,
+            rng: StdRng::seed_from_u64(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            recv_timeout: None,
+            trace_conn: zc_trace::next_conn_id(),
+            is_client: self.is_client,
+            fault_gen: self.faults.generation.load(Ordering::Acquire),
+            active_plan,
+            faults: self.faults,
+            frames_since_fault: 0,
+            wire_cut: false,
+            delayed: None,
+            fault_rng: StdRng::seed_from_u64(seed ^ salt.rotate_left(17) ^ 0xFA17_FA17_FA17_FA17),
+        }
+    }
 }
 
 /// A bound simulated listener.
 pub struct SimListener {
     network: SimNetwork,
     port: u16,
-    rx: mpsc::Receiver<PendingConn>,
+    rx: mpsc::Receiver<Half>,
     ctx: TransportCtx,
 }
 
 impl Acceptor for SimListener {
     fn accept(&self) -> TResult<Box<dyn Connection>> {
-        let mut conn = self.rx.recv().map_err(|_| TransportError::Closed)?;
-        // Install the listener's context (meter + pool + telemetry) into
-        // the accepted half so server-side copies land on the server's
-        // meter.
+        let half = self.rx.recv().map_err(|_| TransportError::Closed)?;
         // zc-audit: allow(cheap-clone) — TransportCtx is a trio of Arc handles (meter + pool + telemetry)
-        conn.ctx = self.ctx.clone();
-        // The pending half was built with a throwaway ctx, so its stats
-        // cell mirrors nothing; rebind it to the real telemetry. Nothing
-        // has been counted yet (the handshake happens after accept).
-        conn.rebind_telemetry();
-        Ok(conn)
+        Ok(Box::new(half.attach(self.ctx.clone())))
     }
 
     fn endpoint(&self) -> (String, u16) {
@@ -430,7 +449,7 @@ impl Acceptor for SimListener {
 
 impl Drop for SimListener {
     fn drop(&mut self) {
-        self.network.unlisten(self.port);
+        self.network.inner.listeners.lock().remove(&self.port);
     }
 }
 
@@ -451,6 +470,46 @@ pub const MAX_SIM_BLOCK_BYTES: u64 = 1 << 30;
 /// cheaper in CPU (7 of 8, −4 %). A constant, not a `SimConfig` field:
 /// nothing has a reason to want a second value.
 const WINDOW_FRAMES: usize = 44;
+
+/// One row of the stack table: how a ([`StackMode`], [`Lane`]) pair moves a
+/// block. The receiver undoes the sender's copies in reverse —
+/// `KernelDefrag` for `KernelFrag`, `SocketRecv` for `SocketSend` — and a
+/// row with neither sends the caller's own pages, which the receiver
+/// speculates on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Plan {
+    /// `write()` copies the block into socket buffers
+    /// ([`CopyLayer::SocketSend`]), and `read()` copies it out
+    /// ([`CopyLayer::SocketRecv`]).
+    socket_copy: bool,
+    /// The driver copies every fragment behind its header
+    /// ([`CopyLayer::KernelFrag`]), and the receiver defragments them into
+    /// a one-window socket buffer ([`CopyLayer::KernelDefrag`]).
+    frag_copy: bool,
+    /// Payload bytes per frame.
+    unit: usize,
+    /// Bytes copied and handed over at a time.
+    window: usize,
+}
+
+impl Plan {
+    /// The row for `lane` on `cfg`'s stack.
+    fn for_lane(cfg: &SimConfig, lane: Lane) -> Plan {
+        let mtu = cfg.mtu_payload;
+        let (socket_copy, frag_copy, unit, window) = match (cfg.mode, lane) {
+            (StackMode::Copying, _) => (true, true, mtu, WINDOW_FRAMES.saturating_mul(mtu)),
+            // Through the socket, but past the fragmentation machinery.
+            (StackMode::ZeroCopy, Lane::Control) => (true, false, usize::MAX, usize::MAX),
+            (StackMode::ZeroCopy, Lane::Data) => (false, false, PAGE_SIZE, usize::MAX),
+        };
+        Plan {
+            socket_copy,
+            frag_copy,
+            unit,
+            window,
+        }
+    }
+}
 
 /// Validate a block's wire-announced length where it enters: above the cap
 /// it is a protocol error, never an allocation size (wire-taint invariant).
@@ -683,25 +742,17 @@ impl Incoming {
         self.frames += 1;
         Ok(())
     }
-
-    /// Take the block's next fragment out of `inbox`, if the block is still
-    /// short of fragments and one is at hand.
-    fn next_fragment(&mut self, inbox: &mut VecDeque<Frame>) -> TResult<Option<Frame>> {
-        if self.is_whole() {
-            return Ok(None);
-        }
-        let next = inbox.pop_front();
-        next.iter().try_for_each(|f| self.claim(f))?;
-        Ok(next)
-    }
 }
 
-/// The conventional stack's receiving end of one block: the socket buffer
-/// — a window's worth of kernel memory, like the sender's — that fragments
-/// are defragmented into, and the user buffer `read()` empties it into
-/// while the bytes are still in cache.
+/// The receiving end of one block, landing its fragments in order into the
+/// user buffer. Where the row defragments with a copy they go through a
+/// socket buffer — a window's worth of kernel memory, like the sender's —
+/// that `read()` empties into the user buffer while the bytes are still in
+/// cache; elsewhere each frame is itself the kernel's buffer and is read
+/// out as it lands.
 struct Reassembly {
-    socket_buf: PooledBuf,
+    /// `None` on a row without a defragmentation copy.
+    socket_buf: Option<PooledBuf>,
     user_buf: PooledBuf,
     /// Bytes `..read` of the block are in `user_buf`, `read..in_order` in
     /// `socket_buf`.
@@ -713,10 +764,13 @@ struct Reassembly {
 }
 
 impl Reassembly {
-    fn new(pool: &PagePool, total: usize, window: usize) -> Reassembly {
-        let room = window.min(total).max(1);
-        let mut socket_buf = pool.acquire(room);
-        socket_buf.set_len(room);
+    fn new(pool: &PagePool, total: usize, defrag_window: Option<usize>) -> Reassembly {
+        let socket_buf = defrag_window.map(|window| {
+            let room = window.min(total).max(1);
+            let mut buf = pool.acquire(room);
+            buf.set_len(room);
+            buf
+        });
         let mut user_buf = pool.acquire(total.max(1));
         user_buf.set_len(total);
         Reassembly {
@@ -728,10 +782,11 @@ impl Reassembly {
         }
     }
 
-    /// Defragmentation: copy `frame`'s fragment off the receive ring into
-    /// the socket buffer if it is the next in order — and then any early
-    /// one it makes room for — or queue it.
-    fn defragment(
+    /// Land `frame`'s fragment if it is the next in order — and then any
+    /// early one it makes room for — or queue it. `copy` is the row's
+    /// landing copy: defragmentation into the socket buffer, or straight
+    /// into the user buffer.
+    fn land_fragment(
         &mut self,
         frame: Frame,
         copy: &mut dyn FnMut(&mut [u8], &[u8]),
@@ -745,18 +800,22 @@ impl Reassembly {
                 self.early.push(f);
                 break;
             }
-            if span.end - self.read > self.socket_buf.len() {
+            let full = |s: &PooledBuf| span.end - self.read > s.len();
+            if self.socket_buf.as_ref().is_some_and(full) {
                 self.read_out(meter)?;
             }
+            let (dst, at) = match &mut self.socket_buf {
+                Some(socket_buf) => (socket_buf.as_mut_slice(), self.read),
+                None => (self.user_buf.as_mut_slice(), 0),
+            };
             // A fragment larger than the whole socket buffer has no place
             // in it.
-            let at = (span.start - self.read) as u64;
-            let room = checked_span(at, len, self.socket_buf.len())?;
-            copy(
-                &mut self.socket_buf.as_mut_slice()[room],
-                f.payload.as_slice(),
-            );
+            let room = checked_span((span.start - at) as u64, len, dst.len())?;
+            copy(&mut dst[room], f.payload.as_slice());
             self.in_order = span.end;
+            if self.socket_buf.is_none() {
+                self.read = span.end;
+            }
             next = self
                 .early
                 .iter()
@@ -769,6 +828,9 @@ impl Reassembly {
     /// `read()`: copy what the socket buffer holds kernel→user, into the
     /// aligned application buffer, and empty it.
     fn read_out(&mut self, meter: &CopyMeter) -> TResult<()> {
+        let Some(socket_buf) = &self.socket_buf else {
+            return Ok(());
+        };
         let held = self.in_order.saturating_sub(self.read);
         let unread = checked_span(self.read as u64, held, self.user_buf.len())?;
         if held > 0 {
@@ -776,7 +838,7 @@ impl Reassembly {
             meter.copy(
                 CopyLayer::SocketRecv,
                 &mut self.user_buf.as_mut_slice()[unread],
-                &self.socket_buf.as_slice()[..held],
+                &socket_buf.as_slice()[..held],
             );
         }
         Ok(())
@@ -796,15 +858,12 @@ impl Reassembly {
     }
 }
 
-/// The fragments of a whole block, where they came off the wire: the first
-/// so many frames of a lane's inbox.
+/// What a send hands the stack: a control message's gather list, or a data
+/// block's pages. Which one picks the lane, and so the row.
 #[derive(Clone, Copy)]
-struct BlockFrames<'a>(&'a VecDeque<Frame>, usize);
-
-impl<'a> BlockFrames<'a> {
-    fn iter(self) -> vec_deque::Iter<'a, Frame> {
-        self.0.range(..self.1)
-    }
+enum Outbound<'a> {
+    Control(&'a [&'a [u8]]),
+    Data(&'a ZcBytes),
 }
 
 /// Cursor over a gather list: the bytes `write()` has not taken yet.
@@ -813,14 +872,7 @@ struct Gather<'a> {
     rest: std::slice::Iter<'a, &'a [u8]>,
 }
 
-impl<'a> Gather<'a> {
-    fn new(parts: &'a [&'a [u8]]) -> Gather<'a> {
-        Gather {
-            head: &[],
-            rest: parts.iter(),
-        }
-    }
-
+impl Gather<'_> {
     /// `write()`: fill `dst` with the list's next bytes, copied across the
     /// user/kernel boundary.
     fn copy_to(&mut self, meter: &CopyMeter, mut dst: &mut [u8]) {
@@ -846,8 +898,7 @@ pub struct SimConn {
     peer: String,
     cfg: SimConfig,
     ctx: TransportCtx,
-    tx: Arc<Wire>,
-    rx: Arc<Wire>,
+    wires: Wires,
     /// Frames run through the fault plan and waiting for the next
     /// hand-off. Empty between sends.
     staged: Lanes,
@@ -874,50 +925,6 @@ pub struct SimConn {
 }
 
 impl SimConn {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        peer: String,
-        cfg: SimConfig,
-        ctx: TransportCtx,
-        tx: Arc<Wire>,
-        rx: Arc<Wire>,
-        seed_salt: u64,
-        is_client: bool,
-        faults: Arc<FaultState>,
-    ) -> SimConn {
-        let stats = StatsCell::with_telemetry(ctx.conn_mirror());
-        let fault_gen = faults.generation.load(Ordering::Acquire);
-        let active_plan = *faults.plan.lock();
-        SimConn {
-            peer,
-            cfg,
-            ctx,
-            tx,
-            rx,
-            staged: Lanes::default(),
-            inbox: Lanes::default(),
-            next_block_id: 0,
-            rng: StdRng::seed_from_u64(cfg.seed ^ seed_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            stats,
-            recv_timeout: None,
-            trace_conn: zc_trace::next_conn_id(),
-            is_client,
-            faults,
-            active_plan,
-            fault_gen,
-            frames_since_fault: 0,
-            wire_cut: false,
-            delayed: None,
-            fault_rng: StdRng::seed_from_u64(
-                cfg.seed ^ seed_salt.rotate_left(17) ^ 0xFA17_FA17_FA17_FA17,
-            ),
-        }
-    }
-
-    fn from_half(h: PendingHalf, ctx: TransportCtx) -> SimConn {
-        SimConn::new(h.peer, h.cfg, ctx, h.tx, h.rx, h.seed_salt, false, h.faults)
-    }
-
     /// Pick up a newly injected plan; frame counting restarts with it.
     fn refresh_fault_plan(&mut self) {
         let gen = self.faults.generation.load(Ordering::Acquire);
@@ -932,20 +939,6 @@ impl SimConn {
     fn take_trip(&self) -> bool {
         let max = self.active_plan.max_trips as u64;
         self.faults.trips.fetch_add(1, Ordering::AcqRel) < max
-    }
-
-    /// Sever this endpoint's outgoing wire: the peer drains what was
-    /// already delivered, then observes [`TransportError::Closed`].
-    fn cut(&mut self) {
-        self.wire_cut = true;
-        self.tx.close();
-        self.delayed = None;
-    }
-
-    /// Rebuild the stats cell against the (possibly replaced) context's
-    /// telemetry. Only valid while all counters are still zero.
-    fn rebind_telemetry(&mut self) {
-        self.stats = StatsCell::with_telemetry(self.ctx.conn_mirror());
     }
 
     /// Start a block of `total_len` bytes on `lane`.
@@ -971,30 +964,73 @@ impl SimConn {
         })
     }
 
-    /// Send one block whose fragments, each `(offset, payload)`, cost the
-    /// sender no per-byte work: every one run through the live fault plan,
-    /// all handed over as one batch.
-    fn send_block(
-        &mut self,
-        lane: Lane,
-        total_len: usize,
-        fragments: impl Iterator<Item = (usize, FramePayload)>,
-    ) -> TResult<()> {
-        let block = self.begin_block(lane, total_len)?;
-        for (offset, payload) in fragments {
-            self.stage_frame(block, offset, payload)?;
+    /// Send one block down its lane's row of the stack table, a window at
+    /// a time: `write()` copies the window's bytes into a socket buffer —
+    /// on the row without that copy, the window is the block's own pages —
+    /// then the driver copies each fragment behind its header, or the frame
+    /// references its share of the window, and the window's frames go on
+    /// the wire before the next window is touched: the peer takes window
+    /// *n* off the wire while this end copies window *n + 1*.
+    fn transmit(&mut self, out: Outbound<'_>) -> TResult<()> {
+        let (lane, head, rest) = match out {
+            Outbound::Control(parts) => (Lane::Control, &[][..], parts),
+            Outbound::Data(block) => (Lane::Data, block.as_slice(), &[][..]),
+        };
+        let plan = Plan::for_lane(&self.cfg, lane);
+        let total = head.len() + rest.iter().map(|p| p.len()).sum::<usize>();
+        self.stats.add(TransportField::BytesSent, total as u64);
+        let block = self.begin_block(lane, total)?;
+        let mut parts = Gather {
+            head,
+            rest: rest.iter(),
+        };
+        // An empty block is one empty frame.
+        for at in (0..total.max(1)).step_by(plan.window) {
+            let len = (total - at).min(plan.window);
+            let window = match out {
+                Outbound::Data(pages) if !plan.socket_copy => pages.slice(at..at + len),
+                _ => {
+                    let mut socket_buf = self.ctx.pool.acquire(len.max(1));
+                    socket_buf.set_len(len);
+                    parts.copy_to(&self.ctx.meter, socket_buf.as_mut_slice());
+                    socket_buf.freeze()
+                }
+            };
+            let window = if plan.frag_copy {
+                self.fragment(&window, plan.unit)
+            } else {
+                window
+            };
+            for frag in (0..len.max(1)).step_by(plan.unit) {
+                let payload = window.slice(frag..len.min(frag + plan.unit));
+                self.stage_frame(block, at + frag, payload)?;
+            }
+            self.put_on_wire()?;
         }
-        self.put_on_wire()
+        Ok(())
+    }
+
+    /// Driver fragmentation: header insertion forces a copy of every
+    /// fragment. One pass lays a window's fragments out in a pooled slab,
+    /// and each frame references its share of it.
+    fn fragment(&self, window: &[u8], unit: usize) -> ZcBytes {
+        let mut slab = self.ctx.pool.acquire(window.len().max(1));
+        slab.set_len(window.len());
+        self.ctx.meter.copy_run(CopyLayer::KernelFrag, |copy| {
+            for (frag, src) in slab
+                .as_mut_slice()
+                .chunks_mut(unit)
+                .zip(window.chunks(unit))
+            {
+                copy(frag, src);
+            }
+        });
+        slab.freeze()
     }
 
     /// Run one fragment of `block` through the live fault plan and stage
     /// its frame for the next hand-off.
-    fn stage_frame(
-        &mut self,
-        block: Outgoing,
-        offset: usize,
-        payload: FramePayload,
-    ) -> TResult<()> {
+    fn stage_frame(&mut self, block: Outgoing, offset: usize, payload: ZcBytes) -> TResult<()> {
         let mut frame = Frame {
             lane: block.lane,
             block_id: block.block_id,
@@ -1010,16 +1046,21 @@ impl SimConn {
             if (plan.cut_after_frames.is_some_and(|k| n >= k) && self.take_trip())
                 || (plan.drop_prob > 0.0 && self.fault_rng.gen::<f64>() < plan.drop_prob)
             {
-                // The frames before the cut made it onto the wire.
+                // The frames before the cut made it onto the wire; the peer
+                // drains them, then observes `Closed`.
                 let _ = self.put_on_wire();
-                self.cut();
+                self.wire_cut = true;
+                self.wires.tx.close();
+                self.delayed = None;
                 return Err(TransportError::Closed);
             }
             if plan.corrupt_frame == Some(n) && self.take_trip() {
                 Self::corrupt_payload(&mut frame);
             }
             if plan.truncate_frame == Some(n) && self.take_trip() {
-                Self::truncate_payload(&mut frame);
+                // The announced block length is left as it was: downstream
+                // sees a fragment stream that can never complete.
+                frame.payload = frame.payload.slice(..frame.payload.len() / 2);
             }
             if plan.delay_frame == Some(n) && self.take_trip() {
                 self.delayed = Some(frame);
@@ -1046,95 +1087,26 @@ impl SimConn {
         }
         self.stats.add(TransportField::FramesSent, frames);
         self.stats.add(TransportField::WireBytesSent, wire_bytes);
-        self.tx.push_batch(&mut self.staged)
+        self.wires.tx.push_batch(&mut self.staged)
     }
 
     /// Flip bits in the frame payload. The payload may reference the
     /// sender's live pages, so corruption first detaches the frame into a
     /// private buffer — the injector must never scribble on application
-    /// memory.
+    /// memory — one that starts a byte past a page boundary, so that a
+    /// damaged fragment never passes for a page deposited in place.
     fn corrupt_payload(frame: &mut Frame) {
+        let mut detached = AlignedBuf::zeroed(frame.payload.len() + 1);
+        let bytes = &mut detached.as_mut_slice()[1..];
         // zc-audit: allow(copy) — fault injector detaches the frame before flipping bits; wire damage on the KernelFrag-sized fragment, not a data-path copy
-        let mut bytes = frame.payload.as_slice().to_vec();
+        bytes.copy_from_slice(frame.payload.as_slice());
         if let Some(b) = bytes.first_mut() {
             *b ^= 0xFF;
         }
         for b in bytes.iter_mut().skip(1).step_by(97) {
             *b ^= 0xA5;
         }
-        frame.payload = FramePayload::Copied(bytes);
-    }
-
-    /// Shorten the frame payload without touching the announced block
-    /// length: downstream sees a fragment stream that can never complete.
-    fn truncate_payload(frame: &mut Frame) {
-        let len = frame.payload.len();
-        if len == 0 {
-            return;
-        }
-        let keep = len / 2;
-        frame.payload = match &frame.payload {
-            FramePayload::Referenced(z) => FramePayload::Referenced(z.slice(0..keep)),
-            // zc-audit: allow(copy) — injected wire truncation rebuilds the shortened KernelFrag-sized fragment, fault path only
-            FramePayload::Copied(v) => FramePayload::Copied(v[..keep].to_vec()),
-        };
-    }
-
-    /// The conventional send path, cut through a window at a time: the
-    /// window's bytes cross user→kernel, are fragmented with a copy per
-    /// frame, and go on the wire before the next window is touched — the
-    /// peer defragments window *n* while this end copies window *n + 1*.
-    fn send_bytes_copying(&mut self, lane: Lane, parts: &[&[u8]]) -> TResult<()> {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        if total == 0 {
-            let empty = std::iter::once((0, FramePayload::Copied(Vec::new())));
-            return self.send_block(lane, 0, empty);
-        }
-        let block = self.begin_block(lane, total)?;
-        let (mtu, window) = (self.cfg.mtu_payload, self.window_bytes());
-        let mut parts = Gather::new(parts);
-        // The socket buffer: one window's worth, refilled per window.
-        let mut kernel_buf = self.ctx.pool.acquire(total.min(window));
-        for at in (0..total).step_by(window) {
-            let len = (total - at).min(window);
-            kernel_buf.set_len(len);
-            parts.copy_to(&self.ctx.meter, kernel_buf.as_mut_slice());
-            // Driver fragmentation: header insertion forces a copy of
-            // every fragment. One pass lays the window's fragments out in
-            // a pooled slab, and each frame references its share of it.
-            let mut slab = self.ctx.pool.acquire(len);
-            slab.set_len(len);
-            self.ctx.meter.copy_run(CopyLayer::KernelFrag, |copy| {
-                for (frag, src) in slab
-                    .as_mut_slice()
-                    .chunks_mut(mtu)
-                    .zip(kernel_buf.as_slice().chunks(mtu))
-                {
-                    copy(frag, src);
-                }
-            });
-            let slab = slab.freeze();
-            for frag in (0..len).step_by(mtu) {
-                let payload = FramePayload::Referenced(slab.slice(frag..len.min(frag + mtu)));
-                self.stage_frame(block, at + frag, payload)?;
-            }
-            self.put_on_wire()?;
-        }
-        Ok(())
-    }
-
-    /// The zero-copy send path for data blocks: page-granular referenced
-    /// fragments, no byte touched.
-    fn send_block_zero_copy(&mut self, block: &ZcBytes) -> TResult<()> {
-        if block.is_empty() {
-            let empty = std::iter::once((0, FramePayload::Copied(Vec::new())));
-            return self.send_block(Lane::Data, 0, empty);
-        }
-        let pages = block
-            .chunks(PAGE_SIZE)
-            .enumerate()
-            .map(|(i, page)| (i * PAGE_SIZE, FramePayload::Referenced(page)));
-        self.send_block(Lane::Data, block.len(), pages)
+        frame.payload = ZcBytes::from_aligned(detached).slice(1..);
     }
 
     /// Take what has arrived on `lane` off the wire, waiting for it if
@@ -1142,7 +1114,7 @@ impl SimConn {
     fn fetch(&mut self, lane: Lane, deadline: Option<Instant>) -> TResult<()> {
         let inbox = self.inbox.of(lane);
         let had = inbox.len();
-        self.rx.drain_into(lane, inbox, deadline)?;
+        self.wires.rx.drain_into(lane, inbox, deadline)?;
         let wire_bytes: u64 = inbox.range(had..).map(|f| f.wire_bytes() as u64).sum();
         self.stats.add(TransportField::WireBytesRecv, wire_bytes);
         Ok(())
@@ -1170,21 +1142,41 @@ impl SimConn {
         }
     }
 
-    /// Bytes the copying stack copies, and hands over, at a time.
-    fn window_bytes(&self) -> usize {
-        WINDOW_FRAMES.saturating_mul(self.cfg.mtu_payload)
+    /// Take `block` off the wire the way its row receives it.
+    fn take_block(&mut self, block: &mut Incoming) -> TResult<ZcBytes> {
+        let plan = Plan::for_lane(&self.cfg, block.lane);
+        let whole = if plan.socket_copy {
+            self.recv_streaming(block, plan.frag_copy.then_some(plan.window))?
+        } else {
+            self.recv_in_place(block)?
+        };
+        self.stats
+            .add(TransportField::BytesRecv, whole.len() as u64);
+        Ok(whole)
     }
 
-    /// The conventional receive path, trailing the sender: fragments are
-    /// defragmented into the socket buffer as they come off the wire, and
-    /// `read()` out of it whenever it fills or the wire runs dry.
-    fn recv_copying(&mut self, block: &mut Incoming) -> TResult<ZcBytes> {
-        let mut asm = Reassembly::new(&self.ctx.pool, block.total, self.window_bytes());
+    /// The streaming receive, trailing the sender: fragments land as they
+    /// come off the wire — defragmented into a socket buffer of
+    /// `defrag_window` bytes and `read()` out of it whenever it fills or
+    /// the wire runs dry, or, without a defragmentation copy, read straight
+    /// out of the frame.
+    fn recv_streaming(
+        &mut self,
+        block: &mut Incoming,
+        defrag_window: Option<usize>,
+    ) -> TResult<ZcBytes> {
+        let mut asm = Reassembly::new(&self.ctx.pool, block.total, defrag_window);
+        let layer = match defrag_window {
+            Some(_) => CopyLayer::KernelDefrag,
+            None => CopyLayer::SocketRecv,
+        };
         loop {
             let (inbox, meter) = (self.inbox.of(block.lane), &self.ctx.meter);
-            meter.copy_run(CopyLayer::KernelDefrag, |copy| -> TResult<()> {
-                while let Some(f) = block.next_fragment(inbox)? {
-                    asm.defragment(f, copy, meter)?;
+            meter.copy_run(layer, |copy| -> TResult<()> {
+                while !block.is_whole() {
+                    let Some(f) = inbox.pop_front() else { break };
+                    block.claim(&f)?;
+                    asm.land_fragment(f, copy, meter)?;
                 }
                 Ok(())
             })?;
@@ -1196,14 +1188,12 @@ impl SimConn {
         }
     }
 
-    /// The zero-copy stack's receive: the fragments stay where they came
-    /// off the wire until all of the block's have, are handed to
-    /// `reassemble` together, and are let go.
-    fn recv_in_place<R>(
-        &mut self,
-        block: &mut Incoming,
-        reassemble: impl FnOnce(&mut SimConn, BlockFrames<'_>) -> TResult<R>,
-    ) -> TResult<R> {
+    /// The zero-copy data row's receive: the fragments stay where they came
+    /// off the wire until all of the block's have, and the receiver
+    /// speculates that they landed in place. A hit is the sender's pages,
+    /// rejoined; a miss falls back to copying the fragments into a fresh
+    /// page-aligned buffer ([`CopyLayer::DepositFallback`]).
+    fn recv_in_place(&mut self, block: &mut Incoming) -> TResult<ZcBytes> {
         loop {
             for f in self.inbox.of(block.lane).range(block.frames..) {
                 if block.is_whole() {
@@ -1216,163 +1206,87 @@ impl SimConn {
             }
             self.fetch(block.lane, block.deadline)?;
         }
-        let mut inbox = std::mem::take(self.inbox.of(block.lane));
-        let whole = reassemble(self, BlockFrames(&inbox, block.frames));
-        inbox.drain(..block.frames);
-        *self.inbox.of(block.lane) = inbox;
-        whole
-    }
-
-    /// Copy a block's fragments, each to its offset, into one pooled
-    /// buffer, metered at `layer`.
-    fn copy_out(
-        &self,
-        frames: BlockFrames<'_>,
-        total: usize,
-        layer: CopyLayer,
-    ) -> TResult<PooledBuf> {
-        // Every allocation clamps locally (wire-taint invariant), however
-        // the announced length was vetted on the way here.
-        let total = total.min(MAX_SIM_BLOCK_BYTES as usize);
-        let mut buf = self.ctx.pool.acquire(total.max(1));
-        buf.set_len(total);
-        self.ctx.meter.copy_run(layer, |copy| -> TResult<()> {
-            for f in frames.iter() {
-                let payload = f.payload.as_slice();
-                let span = checked_span(f.offset, payload.len(), total)?;
-                copy(&mut buf.as_mut_slice()[span], payload);
+        // An empty block has nothing to speculate on.
+        if block.total > 0 {
+            let holds = self.speculation_holds();
+            let inbox = self.inbox.of(block.lane);
+            let mut pages = inbox.range(..block.frames).map(|f| &f.payload).peekable();
+            // A block that does not start on a page boundary cannot land in
+            // place: the speculative-defragmentation hardware places payload
+            // at page granularity (paper [10]; ablation A2 exercises exactly
+            // this). Nor can a fragment the wire damaged: it was detached
+            // from the sender's pages to storage of its own, off a page
+            // boundary.
+            let aligned = pages.peek().is_some_and(|p| p.is_page_aligned());
+            let joined = (holds && aligned)
+                .then(|| ZcBytes::join_contiguous(pages))
+                .flatten();
+            let total = block.total as u64;
+            self.stats
+                .speculated(joined.is_some(), self.trace_conn, total);
+            if let Some(joined) = joined {
+                inbox.drain(..block.frames);
+                return Ok(joined);
             }
-            Ok(())
+        }
+        let (inbox, meter) = (self.inbox.of(block.lane), &self.ctx.meter);
+        let mut asm = Reassembly::new(&self.ctx.pool, block.total, None);
+        meter.copy_run(CopyLayer::DepositFallback, |copy| {
+            inbox
+                .drain(..block.frames)
+                .try_for_each(|f| asm.land_fragment(f, copy, meter))
         })?;
-        Ok(buf)
+        asm.into_block(block)
     }
 
-    /// The zero-copy receive path: speculate that fragments landed in place.
-    fn reassemble_zero_copy(&mut self, frames: BlockFrames<'_>, total: usize) -> TResult<ZcBytes> {
-        if total == 0 {
-            return Ok(ZcBytes::empty());
-        }
+    /// Draw whether this block's speculation holds. The draw always
+    /// happens (keeps `rng`'s stream, and therefore every fault-free
+    /// experiment, unchanged); an injected miss only overrides a draw that
+    /// would have succeeded.
+    fn speculation_holds(&mut self) -> bool {
         self.refresh_fault_plan();
         let plan = self.active_plan;
-        // The speculation draw always happens (keeps `rng`'s stream, and
-        // therefore every fault-free experiment, unchanged); an injected
-        // miss only overrides a draw that would have succeeded.
-        let mut speculation_ok = self.rng.gen::<f64>() < self.cfg.zc_success_prob;
-        if speculation_ok
-            && plan.spec_miss_prob > 0.0
-            && plan.applies_to(self.is_client)
-            && self.fault_rng.gen::<f64>() < plan.spec_miss_prob
-        {
-            speculation_ok = false;
-        }
-        if speculation_ok {
-            let pages = || {
-                frames.iter().filter_map(|f| match &f.payload {
-                    FramePayload::Referenced(z) => Some(z),
-                    FramePayload::Copied(_) => None,
-                })
-            };
-            // A fragment the wire damaged was detached from the sender's
-            // pages and cannot land in place. Nor can a block that does not
-            // start on a page boundary: the speculative-defragmentation
-            // hardware places payload at page granularity (paper [10];
-            // ablation A2 exercises exactly this constraint).
-            let referenced = pages().count() == frames.iter().len();
-            let aligned = pages().next().is_some_and(|p| p.is_page_aligned());
-            if referenced && aligned {
-                if let Some(joined) = ZcBytes::join_contiguous(pages()) {
-                    self.stats.speculated(true, self.trace_conn, total as u64);
-                    return Ok(joined);
-                }
-            }
-        }
-        // Speculation miss: the driver falls back to copying the fragments
-        // into a fresh page-aligned buffer.
-        self.stats.speculated(false, self.trace_conn, total as u64);
-        Ok(self
-            .copy_out(frames, total, CopyLayer::DepositFallback)?
-            .freeze())
-    }
-}
-
-impl Drop for SimConn {
-    fn drop(&mut self) {
-        // The peer drains what was delivered, then sees `Closed`; its own
-        // sends fail from now on.
-        self.tx.close();
-        self.rx.close();
+        self.rng.gen::<f64>() < self.cfg.zc_success_prob
+            && !(plan.spec_miss_prob > 0.0
+                && plan.applies_to(self.is_client)
+                && self.fault_rng.gen::<f64>() < plan.spec_miss_prob)
     }
 }
 
 impl Connection for SimConn {
     fn send_control_vectored(&mut self, parts: &[&[u8]]) -> TResult<()> {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
         self.stats.add(TransportField::ControlSent, 1);
-        self.stats.add(TransportField::BytesSent, total as u64);
-        match self.cfg.mode {
-            StackMode::Copying => self.send_bytes_copying(Lane::Control, parts),
-            StackMode::ZeroCopy => {
-                // The zero-copy stack still moves control messages through
-                // the socket (one metered copy into a pooled page), but
-                // skips the fragmentation machinery: one frame.
-                let mut framed = self.ctx.pool.acquire(total.max(1));
-                framed.set_len(total);
-                Gather::new(parts).copy_to(&self.ctx.meter, framed.as_mut_slice());
-                let frame = std::iter::once((0, FramePayload::Referenced(framed.freeze())));
-                self.send_block(Lane::Control, total, frame)
-            }
-        }
+        self.transmit(Outbound::Control(parts))
     }
 
     fn recv_control(&mut self) -> TResult<ZcBytes> {
         let mut block = self.open_block(Lane::Control)?;
-        let total = block.total;
-        let msg = match self.cfg.mode {
-            StackMode::Copying => self.recv_copying(&mut block)?,
-            StackMode::ZeroCopy => self
-                .recv_in_place(&mut block, |conn, frames| {
-                    conn.copy_out(frames, total, CopyLayer::SocketRecv)
-                })?
-                .freeze(),
-        };
+        let msg = self.take_block(&mut block)?;
         self.stats.add(TransportField::ControlRecv, 1);
-        self.stats.add(TransportField::BytesRecv, msg.len() as u64);
         Ok(msg)
     }
 
     fn send_data(&mut self, block: &ZcBytes) -> TResult<()> {
         self.stats.add(TransportField::DataBlocksSent, 1);
-        self.stats
-            .add(TransportField::BytesSent, block.len() as u64);
-        match self.cfg.mode {
-            StackMode::Copying => self.send_bytes_copying(Lane::Data, &[block.as_slice()]),
-            StackMode::ZeroCopy => self.send_block_zero_copy(block),
-        }
+        self.transmit(Outbound::Data(block))
     }
 
     fn recv_data(&mut self, expected_len: usize) -> TResult<ZcBytes> {
         let mut block = self.open_block(Lane::Data)?;
-        let total = block.total;
-        if total != expected_len {
+        if block.total != expected_len {
             return Err(WireViolation::BlockLenMismatch {
                 announced: expected_len,
-                got: total,
+                got: block.total,
             }
             .into());
         }
-        let data = match self.cfg.mode {
-            StackMode::Copying => self.recv_copying(&mut block)?,
-            StackMode::ZeroCopy => self.recv_in_place(&mut block, |conn, frames| {
-                conn.reassemble_zero_copy(frames, total)
-            })?,
-        };
+        let data = self.take_block(&mut block)?;
         // Fragments per block, and the data-path flight time from the
         // block's put-on-wire stamp (both ends share the trace clock).
         self.ctx
             .telemetry
             .note_data_block(block.frames as u64, block.sent_ns);
         self.stats.add(TransportField::DataBlocksRecv, 1);
-        self.stats.add(TransportField::BytesRecv, data.len() as u64);
         Ok(data)
     }
 
@@ -1580,6 +1494,19 @@ mod tests {
     }
 
     #[test]
+    fn dialer_sees_closed_when_the_listener_goes_before_accepting() {
+        let net = SimNetwork::new(SimConfig::zero_copy());
+        let l = net.listen(0, TransportCtx::new()).unwrap();
+        let mut c = net.connect(l.endpoint().1, TransportCtx::new()).unwrap();
+        drop(l);
+        assert_eq!(c.recv_control().unwrap_err(), TransportError::Closed);
+        assert_eq!(
+            c.send_control(b"hello").unwrap_err(),
+            TransportError::Closed
+        );
+    }
+
+    #[test]
     fn multiple_connections_are_independent() {
         let net = SimNetwork::new(SimConfig::zero_copy());
         let ctx = TransportCtx::new();
@@ -1772,7 +1699,7 @@ mod tests {
             offset: 0,
             total_len: MAX_SIM_BLOCK_BYTES + 1,
             sent_ns: 0,
-            payload: FramePayload::Copied(vec![0u8; 16]),
+            payload: ZcBytes::zeroed(16),
         };
         let mut staged = Lanes::default();
         staged.control.push_back(hostile);
@@ -1917,16 +1844,18 @@ mod tests {
     /// A connection end whose incoming wire the test feeds by hand.
     fn fed_by_hand(cfg: SimConfig) -> (SimConn, Arc<Wire>) {
         let wire = Arc::<Wire>::default();
-        let conn = SimConn::new(
-            "sim:test#fed".to_string(),
+        let conn = Half {
+            peer: "sim:test#fed".to_string(),
             cfg,
-            TransportCtx::new(),
-            Arc::default(),
-            Arc::clone(&wire),
-            7,
-            false,
-            Arc::default(),
-        );
+            wires: Wires {
+                tx: Arc::default(),
+                rx: Arc::clone(&wire),
+            },
+            seed_salt: 7,
+            is_client: false,
+            faults: Arc::default(),
+        }
+        .attach(TransportCtx::new());
         (conn, wire)
     }
 
@@ -1950,7 +1879,7 @@ mod tests {
                         offset: i * 8,
                         total_len: FRAMES * 8,
                         sent_ns: 0,
-                        payload: FramePayload::Copied(vec![i as u8; 8]),
+                        payload: ZcBytes::zeroed(8),
                     });
                     if wire.push_batch(&mut staged).is_err() {
                         return; // the receiver gave up and hung up
@@ -1983,7 +1912,7 @@ mod tests {
             offset,
             total_len,
             sent_ns: 0,
-            payload: FramePayload::Copied(vec![1u8; len]),
+            payload: ZcBytes::zeroed(len),
         };
         let oversized = WINDOW_FRAMES * cfg.mtu_payload + 1;
         for hostile in [
@@ -2032,5 +1961,134 @@ mod tests {
             st.wire_bytes_sent,
             (n + 4 * crate::frame::FRAME_HEADER_BYTES) as u64
         );
+    }
+
+    /// Every row of the stack table, at sizes either side of its units:
+    /// each copy layer meters exactly what the row declares — the block
+    /// once at each of its layers, nothing anywhere else — and the block
+    /// crosses in the frames its unit cuts it into, each carrying a header.
+    #[test]
+    fn every_row_meters_its_declared_copies_frames_and_wire_bytes() {
+        use CopyLayer::{DepositFallback, KernelDefrag, KernelFrag, SocketRecv, SocketSend};
+        let four = [SocketSend, KernelFrag, KernelDefrag, SocketRecv];
+        let window = WINDOW_FRAMES * MTU_PAYLOAD;
+        // (stack, lane, payload bytes per frame, bytes per hand-off, the
+        // layers every byte of the block is copied at)
+        let rows: [(SimConfig, Lane, usize, usize, &[CopyLayer]); 5] = [
+            (
+                SimConfig::copying(),
+                Lane::Control,
+                MTU_PAYLOAD,
+                window,
+                &four,
+            ),
+            (SimConfig::copying(), Lane::Data, MTU_PAYLOAD, window, &four),
+            (
+                SimConfig::zero_copy(),
+                Lane::Control,
+                usize::MAX,
+                usize::MAX,
+                &[SocketSend, SocketRecv],
+            ),
+            (
+                SimConfig::zero_copy(),
+                Lane::Data,
+                PAGE_SIZE,
+                usize::MAX,
+                &[],
+            ),
+            // The same row when speculation misses: the fallback copy.
+            (
+                SimConfig::zero_copy_with_speculation(0.0),
+                Lane::Data,
+                PAGE_SIZE,
+                usize::MAX,
+                &[DepositFallback],
+            ),
+        ];
+        for (cfg, lane, unit, window, layers) in rows {
+            let declared = Plan {
+                socket_copy: layers.contains(&SocketSend),
+                frag_copy: layers.contains(&KernelFrag),
+                unit,
+                window,
+            };
+            assert_eq!(Plan::for_lane(&cfg, lane), declared, "{cfg:?} {lane:?}");
+            for len in [0, 1, MTU_PAYLOAD + 1, WINDOW_FRAMES * MTU_PAYLOAD + 1] {
+                let what = format!("{cfg:?} {lane:?} len {len}");
+                let (mut c, mut s, ctx) = pair(cfg);
+                let pattern: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
+                let before = ctx.meter.snapshot();
+                let got = match lane {
+                    Lane::Control => {
+                        c.send_control(&pattern).unwrap();
+                        s.recv_control().unwrap()
+                    }
+                    Lane::Data => {
+                        let block = ZcBytes::from_aligned(AlignedBuf::from_slice(&pattern));
+                        c.send_data(&block).unwrap();
+                        s.recv_data(len).unwrap()
+                    }
+                };
+                assert!(got.as_slice() == &pattern[..], "{what}");
+                let copied = ctx.meter.snapshot().since(&before);
+                for layer in CopyLayer::ALL {
+                    let bytes = if layers.contains(&layer) { len } else { 0 };
+                    assert_eq!(copied.bytes(layer), bytes as u64, "{what} {layer:?}");
+                }
+                let frames = len.div_ceil(unit).max(1) as u64;
+                let (sent, received) = (c.stats(), s.stats());
+                assert_eq!(sent.frames_sent, frames, "{what}");
+                assert_eq!(
+                    sent.wire_bytes_sent,
+                    len as u64 + frames * crate::frame::FRAME_HEADER_BYTES as u64,
+                    "{what}"
+                );
+                assert_eq!(received.wire_bytes_recv, sent.wire_bytes_sent, "{what}");
+                // An empty block has nothing to speculate on.
+                let speculated = u64::from(!declared.socket_copy && len > 0);
+                let missed = u64::from(layers.contains(&DepositFallback));
+                assert_eq!(
+                    (received.spec_hits, received.spec_misses),
+                    (speculated * (1 - missed), speculated * missed),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    /// Fragments that overlap instead of tiling their block are named as
+    /// such on every row — on the streaming receive and on the fallback
+    /// copy after a missed speculation — never papered over with whatever
+    /// the pooled buffer held before.
+    #[test]
+    fn overlapping_fragments_are_named_on_every_row() {
+        for cfg in [SimConfig::copying(), SimConfig::zero_copy()] {
+            for lane in [Lane::Control, Lane::Data] {
+                let (mut conn, wire) = fed_by_hand(cfg);
+                let mut staged = Lanes::default();
+                for _ in 0..2 {
+                    staged.of(lane).push_back(Frame {
+                        lane,
+                        block_id: 0,
+                        offset: 0,
+                        total_len: 16,
+                        sent_ns: 0,
+                        payload: ZcBytes::zeroed(8),
+                    });
+                }
+                wire.push_batch(&mut staged).unwrap();
+                let got = match lane {
+                    Lane::Control => conn.recv_control(),
+                    Lane::Data => conn.recv_data(16),
+                };
+                let overlap = WireViolation::FragmentsOverlap {
+                    block: 0,
+                    missing: 8,
+                    total: 16,
+                };
+                assert_eq!(got.unwrap_err(), overlap.into(), "{cfg:?} {lane:?}");
+            }
+        }
     }
 }

@@ -26,11 +26,6 @@ pub struct StatsCell {
 }
 
 impl StatsCell {
-    /// Fresh shared counters without a telemetry mirror.
-    pub fn new_shared() -> Arc<StatsCell> {
-        StatsCell::with_telemetry(None)
-    }
-
     /// Fresh shared counters, mirroring into `mirror`'s transport totals
     /// when `Some`.
     pub fn with_telemetry(mirror: Option<Arc<Telemetry>>) -> Arc<StatsCell> {
@@ -77,7 +72,7 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_adds() {
-        let c = StatsCell::new_shared();
+        let c = StatsCell::with_telemetry(None);
         c.add(TransportField::ControlSent, 2);
         c.add(TransportField::BytesSent, 100);
         c.speculated(true, 1, 4096);

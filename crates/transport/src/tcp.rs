@@ -62,7 +62,7 @@ impl TcpConn {
             |_| "tcp:?".to_string(),
             |a| ["tcp:", &a.to_string()].concat(),
         );
-        let stats = StatsCell::with_telemetry(ctx.conn_mirror());
+        let stats = StatsCell::with_telemetry(ctx.telemetry.transport_mirror());
         Ok(TcpConn {
             stream,
             ctx,
@@ -104,16 +104,11 @@ impl TcpConn {
         Ok(())
     }
 
-    fn read_exact(&mut self, buf: &mut [u8]) -> TResult<()> {
-        self.stream.read_exact(buf)?;
-        Ok(())
-    }
-
     /// Read one frame; returns `(lane, payload)` with the payload already
     /// landed in a page-aligned buffer (one metered kernel→user copy).
     fn read_frame(&mut self) -> TResult<(u8, ZcBytes)> {
         let mut header = [0u8; 9];
-        self.read_exact(&mut header)?;
+        self.stream.read_exact(&mut header)?;
         let lane = header[0];
         let len = match <[u8; 8]>::try_from(&header[1..9]) {
             Ok(b) => u64::from_le_bytes(b),
@@ -124,7 +119,7 @@ impl TcpConn {
         let len = checked_frame_len(len)?;
         let mut buf = self.ctx.pool.acquire(len.max(1));
         buf.set_len(len);
-        self.read_exact(buf.as_mut_slice())?;
+        self.stream.read_exact(buf.as_mut_slice())?;
         // Account the kernel→user copy `read` just performed.
         self.ctx.meter.record(CopyLayer::SocketRecv, len);
         self.stats

@@ -1,6 +1,6 @@
 //! atomics-protocol pass: per-module atomic-ordering protocol enforcement.
 //!
-//! ROADMAP item 3 (sharded reactor core) retires the data-path locks and
+//! The reactor cutover (sharded reactor core) retires the data-path locks and
 //! leans entirely on the lock-free structures — the seqlock flight recorder,
 //! the CAS-rolled `RateWindow`s, the refcounted buffers. Nothing in the type
 //! system stops a refactor from quietly weakening `Ordering::Release` to

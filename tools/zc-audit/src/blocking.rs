@@ -1,7 +1,7 @@
 //! reactor-readiness pass: blocking-leaf reachability from the future
 //! reactor entrypoints.
 //!
-//! ROADMAP item 3 moves the data-path functions (`GiopConn` frame pump,
+//! The reactor cutover moves the data-path functions (`GiopConn` frame pump,
 //! dispatch, deposit collection) onto non-blocking reactor shards. A shard
 //! must never block, so every blocking leaf reachable from those functions
 //! today is migration debt. This pass walks the same name-resolved call
@@ -11,8 +11,8 @@
 //! `thread::sleep`, `JoinHandle::join`, channel `recv`).
 //!
 //! Findings are emitted under the `reactor-blocking` rule — **advisory**
-//! until item 3 lands and `--deny-reactor` flips the gate. The point this
-//! PR is the measured starting debt, not a clean bill.
+//! until the reactor cutover lands and `--deny-reactor` flips the gate. The
+//! point this PR is the measured starting debt, not a clean bill.
 
 use crate::config::Config;
 use crate::locks::OPAQUE_CALLEES;
@@ -124,7 +124,7 @@ pub(crate) fn run(
                         msg: format!(
                             "blocking leaf `{callee}` reachable from reactor entrypoint \
                              `{ep}` via {}; must go non-blocking (or move off-shard) \
-                             before the ROADMAP item 3 reactor cutover",
+                             before the reactor cutover",
                             chain.join(" -> ")
                         ),
                     });

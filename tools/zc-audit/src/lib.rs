@@ -124,7 +124,8 @@ pub struct Report {
 
 impl Report {
     /// Does this report fail the audit? Every finding does, except live
-    /// `reactor-blocking` debt — measured, to be retired by ROADMAP item 3 —
+    /// `reactor-blocking` debt — measured, to be retired by the reactor
+    /// cutover —
     /// which fails only under `--deny-reactor`.
     pub fn fails(&self, deny_reactor: bool) -> bool {
         self.violations

@@ -11,7 +11,7 @@
 //!   the full waiver inventory with used/stale status, the atomics/reactor
 //!   pass summaries and the ratchet outcome) on stdout.
 //! - every finding fails the run (exit 1) except `reactor-blocking`, the
-//!   measured debt ROADMAP item 3 retires: it is printed and exits 0 until
+//!   measured debt the reactor cutover retires: it is printed and exits 0 until
 //!   `--deny-reactor` makes it fail like every other rule. The
 //!   `workspace_is_clean` test draws the same line.
 //! - `--ratchet <file>` compares the current per-kind waiver counts against
@@ -187,7 +187,7 @@ fn main() -> ExitCode {
     }
     if !report.violations.is_empty() && !json {
         println!(
-            "zc-audit: every finding is reactor-blocking debt (ROADMAP item 3); \
+            "zc-audit: every finding is reactor-blocking debt (the reactor cutover); \
              exiting 0 (--deny-reactor enforces)"
         );
     }

@@ -79,7 +79,8 @@ pub enum WaiverKind {
     /// model covering the ordering.
     AtomicsProtocol,
     /// A blocking leaf deliberately left reachable from a reactor
-    /// entrypoint (reactor-readiness pass, advisory until ROADMAP item 3).
+    /// entrypoint (reactor-readiness pass, advisory until the reactor
+    /// cutover).
     ReactorBlocking,
 }
 

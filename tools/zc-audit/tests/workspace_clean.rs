@@ -3,7 +3,7 @@
 //! `cargo run -p zc-audit` in CI.
 //!
 //! One carve-out: `reactor-blocking` findings are *measured migration debt*
-//! — blocking leaves that ROADMAP item 3 (the sharded reactor core) will
+//! — blocking leaves that the reactor cutover (the sharded reactor core) will
 //! retire. They stay advisory until the cutover, so the strictness here is
 //! "no violations except live reactor debt", plus a companion test pinning
 //! that the debt is real (nonzero) and enumerated in the report.
@@ -40,7 +40,7 @@ fn reactor_debt_is_measured_not_hidden() {
     let report = workspace_report();
     // The data path still blocks today (socket sends, pool mutex, sleeps):
     // the reactor-readiness pass must SEE that debt, not report a false
-    // clean bill. When ROADMAP item 3 retires the last blocking leaf, this
+    // clean bill. When the reactor cutover retires the last blocking leaf, this
     // assertion flips to `is_empty()` alongside `--deny-reactor` in CI.
     assert!(
         !report.reactor.is_empty(),
