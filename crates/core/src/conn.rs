@@ -53,6 +53,16 @@ pub const FRAGMENT_THRESHOLD: usize = 4 << 20;
 
 use crate::{OrbError, OrbResult};
 
+/// Peer-reported speculation samples to accumulate before judging the
+/// connection's zero-copy health (one tumbling window).
+const DEGRADE_WINDOW: u64 = 8;
+/// Miss rate within a window at or above which the send path degrades
+/// from zero-copy descriptors to inline marshaling.
+const DEGRADE_THRESHOLD: f64 = 0.5;
+/// While degraded, every Nth outgoing message is a zero-copy *probe*; a
+/// probe whose deposits land cleanly re-upgrades the connection.
+const PROBE_INTERVAL: u64 = 16;
+
 /// Tuning switches for a connection (ablations A1/A4; defaults are the
 /// paper's full design).
 #[derive(Debug, Clone, Copy)]
@@ -65,15 +75,6 @@ pub struct ConnTuning {
     /// are embedded in the control message (coupled synchronization + data),
     /// which forces buffering copies at both ends.
     pub separate_data: bool,
-    /// Peer-reported speculation samples to accumulate before judging the
-    /// connection's zero-copy health (one tumbling window).
-    pub degrade_window: u64,
-    /// Miss rate within a window at or above which the send path degrades
-    /// from zero-copy descriptors to inline marshaling.
-    pub degrade_threshold: f64,
-    /// While degraded, every Nth outgoing message is a zero-copy *probe*;
-    /// a probe whose deposits land cleanly re-upgrades the connection.
-    pub probe_interval: u64,
 }
 
 impl Default for ConnTuning {
@@ -81,9 +82,6 @@ impl Default for ConnTuning {
         ConnTuning {
             deposit_enabled: true,
             separate_data: true,
-            degrade_window: 8,
-            degrade_threshold: 0.5,
-            probe_interval: 16,
         }
     }
 }
@@ -95,8 +93,8 @@ impl Default for ConnTuning {
 /// sender degrades on the receiver's say-so.
 ///
 /// States: **healthy** (descriptors + deposits) → when the windowed miss
-/// rate crosses `degrade_threshold`: **degraded** (inline marshaling —
-/// slower but immune to speculation) → every `probe_interval` messages one
+/// rate crosses [`DEGRADE_THRESHOLD`]: **degraded** (inline marshaling —
+/// slower but immune to speculation) → every [`PROBE_INTERVAL`] messages one
 /// zero-copy **probe**; a probe answered with hits and no misses returns
 /// the connection to healthy.
 #[derive(Debug, Default)]
@@ -289,7 +287,7 @@ impl GiopConn {
             return true;
         }
         self.degrade.msgs_since_probe += 1;
-        if self.degrade.msgs_since_probe >= self.tuning.probe_interval.max(1) {
+        if self.degrade.msgs_since_probe >= PROBE_INTERVAL {
             self.degrade.msgs_since_probe = 0;
             self.degrade.probes += 1;
             self.degrade.last_was_probe = true;
@@ -347,9 +345,9 @@ impl GiopConn {
         self.degrade.window_hits += dh;
         self.degrade.window_misses += dm;
         let total = self.degrade.window_hits + self.degrade.window_misses;
-        if total >= self.tuning.degrade_window.max(1) {
+        if total >= DEGRADE_WINDOW {
             let miss_rate = self.degrade.window_misses as f64 / total as f64;
-            if miss_rate >= self.tuning.degrade_threshold {
+            if miss_rate >= DEGRADE_THRESHOLD {
                 self.degrade.degraded = true;
                 self.degrade.msgs_since_probe = 0;
                 self.degrade.probes = 0;

@@ -585,13 +585,6 @@ impl OrbBuilder {
         self
     }
 
-    /// Replace the whole connection tuning (degradation windows, probe
-    /// cadence, ablation switches) in one call.
-    pub fn tuning(mut self, tuning: ConnTuning) -> Self {
-        self.config.tuning = tuning;
-        self
-    }
-
     /// Pretend to be a foreign architecture (forces conventional IIOP).
     pub fn pretend_foreign(mut self, foreign: bool) -> Self {
         self.config.pretend_foreign = foreign;

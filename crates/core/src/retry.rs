@@ -24,6 +24,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+/// Fraction of a backoff randomized away. Jitter is derived from a hash of
+/// the endpoint and attempt number, so retry schedules are deterministic
+/// per call site but decorrelated between endpoints.
+const BACKOFF_JITTER: f64 = 0.5;
+
 /// When and how the ORB retries failed invocations.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
@@ -33,11 +38,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Ceiling on the exponential backoff.
     pub max_backoff: Duration,
-    /// Fraction of the backoff randomized away (0.0–1.0). Jitter is
-    /// derived from a hash of the endpoint and attempt number, so retry
-    /// schedules are deterministic per call site but decorrelated between
-    /// endpoints.
-    pub jitter: f64,
     /// Consecutive failures to one endpoint that open its circuit breaker.
     pub breaker_threshold: u32,
     /// How long an open breaker rejects calls before admitting a
@@ -55,7 +55,6 @@ impl Default for RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(100),
-            jitter: 0.5,
             breaker_threshold: 4,
             breaker_cooldown: Duration::from_millis(250),
             reprobe_interval: 16,
@@ -80,16 +79,15 @@ impl RetryPolicy {
 
     /// Backoff before retry number `attempt` (1-based: the delay between
     /// the first failure and the second attempt is `backoff(1, ..)`).
-    /// Exponential with a cap, minus up to `jitter` of itself, derived
-    /// deterministically from `(salt, attempt)`.
+    /// Exponential with a cap, minus up to [`BACKOFF_JITTER`] of itself,
+    /// derived deterministically from `(salt, attempt)`.
     pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let exp = attempt.saturating_sub(1).min(16);
         let raw = self
             .base_backoff
             .saturating_mul(1u32 << exp)
             .min(self.max_backoff);
-        let jitter = self.jitter.clamp(0.0, 1.0);
-        if jitter == 0.0 || raw.is_zero() {
+        if raw.is_zero() {
             return raw;
         }
         // Hash-based jitter: no RNG dependency on the data path, and a
@@ -99,7 +97,7 @@ impl RetryPolicy {
         salt.hash(&mut h);
         attempt.hash(&mut h);
         let unit = (h.finish() % 1024) as f64 / 1024.0; // [0, 1)
-        let scale = 1.0 - jitter * unit;
+        let scale = 1.0 - BACKOFF_JITTER * unit;
         Duration::from_nanos((raw.as_nanos() as f64 * scale) as u64)
     }
 }
@@ -201,22 +199,19 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_capped_and_deterministic() {
-        let p = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(p.backoff(1, 0), Duration::from_millis(2));
-        assert_eq!(p.backoff(2, 0), Duration::from_millis(4));
-        assert_eq!(p.backoff(3, 0), Duration::from_millis(8));
-        // capped
-        assert_eq!(p.backoff(40, 0), p.max_backoff);
-        // jitter shrinks but never below (1 - jitter) and is reproducible
-        let pj = RetryPolicy::default();
-        let a = pj.backoff(2, 7);
-        let b = pj.backoff(2, 7);
-        assert_eq!(a, b);
-        assert!(a <= Duration::from_millis(4));
-        assert!(a >= Duration::from_millis(2));
+        let p = RetryPolicy::default();
+        // Doubling from 2 ms, capped at 100 ms; jitter shrinks each delay
+        // but never below (1 - jitter) of it, and is reproducible.
+        for (attempt, raw_ms) in [(1, 2), (2, 4), (3, 8), (40, 100)] {
+            let raw = Duration::from_millis(raw_ms);
+            for salt in 0..32 {
+                let b = p.backoff(attempt, salt);
+                assert_eq!(b, p.backoff(attempt, salt));
+                assert!(b <= raw && b >= raw.mul_f64(1.0 - BACKOFF_JITTER), "{b:?}");
+            }
+        }
+        // Decorrelated: endpoints do not all wait the same time.
+        assert!((0..32).any(|salt| p.backoff(2, salt) != p.backoff(2, 0)));
     }
 
     #[test]

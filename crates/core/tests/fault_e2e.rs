@@ -10,8 +10,7 @@ use zc_buffers::CopyLayer;
 use zc_cdr::ZcOctetSeq;
 use zc_giop::SystemExceptionKind;
 use zc_orb::{
-    ConnTuning, ObjectAdapterExt, Orb, OrbError, OrbResult, RetryPolicy, Servant, ServerHandle,
-    ServerRequest,
+    ObjectAdapterExt, Orb, OrbError, OrbResult, RetryPolicy, Servant, ServerHandle, ServerRequest,
 };
 use zc_trace::Telemetry;
 use zc_transport::{FaultPlan, FaultSide, SimConfig, SimNetwork};
@@ -81,7 +80,7 @@ struct Fixture {
     telemetry: Arc<Telemetry>,
 }
 
-fn fixture_with(tuning: ConnTuning, retry: RetryPolicy) -> Fixture {
+fn fixture_with(retry: RetryPolicy) -> Fixture {
     let net = SimNetwork::new(SimConfig::zero_copy());
     let telemetry = Telemetry::with_capacity(4096);
     // One meter for both ends, as the experiments wire it: copy accounting
@@ -91,7 +90,6 @@ fn fixture_with(tuning: ConnTuning, retry: RetryPolicy) -> Fixture {
     let counter = Counter::new();
     let server_orb = Orb::builder()
         .sim(net.clone())
-        .tuning(tuning)
         .meter(Arc::clone(&meter))
         .telemetry(Arc::clone(&telemetry))
         .build();
@@ -101,7 +99,6 @@ fn fixture_with(tuning: ConnTuning, retry: RetryPolicy) -> Fixture {
     let server = server_orb.serve(0).unwrap();
     let client = Orb::builder()
         .sim(net.clone())
-        .tuning(tuning)
         .retry(retry)
         .meter(meter)
         .telemetry(Arc::clone(&telemetry))
@@ -117,7 +114,7 @@ fn fixture_with(tuning: ConnTuning, retry: RetryPolicy) -> Fixture {
 }
 
 fn fixture() -> Fixture {
-    fixture_with(ConnTuning::default(), RetryPolicy::default())
+    fixture_with(RetryPolicy::default())
 }
 
 fn resolve(f: &Fixture) -> zc_orb::ObjectRef {
@@ -219,14 +216,9 @@ fn reply_loss_on_non_idempotent_op_surfaces_comm_failure_maybe() {
 
 #[test]
 fn zero_copy_degrades_to_copy_and_recovers() {
-    // Small window and probe cadence keep the test brisk.
-    let tuning = ConnTuning {
-        degrade_window: 4,
-        degrade_threshold: 0.5,
-        probe_interval: 3,
-        ..ConnTuning::default()
-    };
-    let f = fixture_with(tuning, RetryPolicy::default());
+    // The connection judges its health over windows of 8 peer-reported
+    // speculation samples and, once degraded, probes every 16th message.
+    let f = fixture();
     let obj = resolve(&f);
     let payload: Vec<u8> = (0..48 * 1024).map(|i| (i % 251) as u8).collect();
     let expect: u64 = payload.iter().map(|&b| b as u64).sum();
@@ -253,7 +245,7 @@ fn zero_copy_degrades_to_copy_and_recovers() {
     // a speculation miss costs a metered DepositFallback copy, never data.
     f.net
         .inject_faults(FaultPlan::spec_miss(1.0).on(FaultSide::Server));
-    for i in 0..8 {
+    for i in 0..16 {
         call(&format!("degrading #{i}"));
     }
     let m = f.telemetry.metrics().snapshot();
@@ -270,7 +262,7 @@ fn zero_copy_degrades_to_copy_and_recovers() {
     let marshal_before = f.client.meter().snapshot().bytes(CopyLayer::Marshal);
 
     // While degraded, payload travels inline (Marshal copies rise), and
-    // only every `probe_interval`-th message speculates again.
+    // only every 16th message speculates again.
     for i in 0..4 {
         call(&format!("degraded #{i}"));
     }
@@ -283,7 +275,7 @@ fn zero_copy_degrades_to_copy_and_recovers() {
     // Heal the network: the next probe's deposits land cleanly and the
     // connection upgrades back to zero-copy.
     f.net.clear_faults();
-    for i in 0..12 {
+    for i in 0..32 {
         call(&format!("recovering #{i}"));
     }
     let m = f.telemetry.metrics().snapshot();
@@ -306,7 +298,7 @@ fn breaker_opens_fails_fast_and_recovers_after_cooldown() {
         breaker_cooldown: Duration::from_millis(50),
         ..RetryPolicy::default()
     };
-    let f = fixture_with(ConnTuning::default(), retry);
+    let f = fixture_with(retry);
     let obj = resolve(&f);
     let _: u32 = obj.request("bump").invoke().unwrap().result().unwrap();
 

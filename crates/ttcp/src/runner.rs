@@ -98,23 +98,6 @@ pub fn run_modeled(version: TtcpVersion, block_bytes: usize) -> f64 {
     predict(&Scenario::on_testbed(socket, orb, block_bytes))
 }
 
-/// Evaluate the configuration on a machine/link of choice.
-pub fn run_modeled_on(
-    version: TtcpVersion,
-    block_bytes: usize,
-    machine: zc_simnet::MachineSpec,
-    link: zc_simnet::LinkSpec,
-) -> f64 {
-    let (socket, orb) = version.to_modes();
-    predict(&Scenario {
-        machine,
-        link,
-        socket,
-        orb,
-        block_bytes,
-    })
-}
-
 fn sim_config(socket: SocketMode) -> SimConfig {
     match socket {
         SocketMode::Copying => SimConfig::copying(),

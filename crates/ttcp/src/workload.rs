@@ -26,20 +26,6 @@ pub fn verify_pattern(buf: &[u8], seed: u64, block_index: u64) -> bool {
     expect == buf
 }
 
-/// A fast order-independent checksum used by sinks that only need to prove
-/// they observed the bytes (not their order).
-pub fn fletcher64(buf: &[u8]) -> u64 {
-    let mut a: u64 = 0;
-    let mut b: u64 = 0;
-    for chunk in buf.chunks(4) {
-        let mut w = [0u8; 4];
-        w[..chunk.len()].copy_from_slice(chunk);
-        a = a.wrapping_add(u32::from_le_bytes(w) as u64);
-        b = b.wrapping_add(a);
-    }
-    (b << 32) | (a & 0xFFFF_FFFF)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,20 +57,9 @@ mod tests {
     }
 
     #[test]
-    fn checksum_sensitive_to_content_and_length() {
-        let a = fletcher64(b"hello world");
-        let b = fletcher64(b"hello worle");
-        let c = fletcher64(b"hello worl");
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, fletcher64(b"hello world"));
-    }
-
-    #[test]
     fn empty_buffers() {
         let mut empty: [u8; 0] = [];
         fill_pattern(&mut empty, 0, 0);
         assert!(verify_pattern(&empty, 0, 0));
-        assert_eq!(fletcher64(&empty), 0);
     }
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use zcorba::cdr::ZcOctetSeq;
-use zcorba::orb::{ConnTuning, ObjectAdapterExt, Orb, OrbResult, Servant, ServerRequest};
+use zcorba::orb::{ObjectAdapterExt, Orb, OrbResult, Servant, ServerRequest};
 use zcorba::trace::{span_timelines, SpanTimeline, Stage, Telemetry};
 use zcorba::transport::{FaultPlan, FaultSide, SimConfig, SimNetwork};
 
@@ -169,29 +169,25 @@ fn one_request_yields_a_complete_timeline_over_tcp() {
 fn degraded_zero_copy_path_still_produces_well_formed_spans() {
     let telemetry = Telemetry::new_shared();
     let net = SimNetwork::new(SimConfig::zero_copy());
-    // Small degrade window so the forced misses flip the sender quickly.
-    let tuning = ConnTuning {
-        degrade_window: 4,
-        degrade_threshold: 0.5,
-        probe_interval: 3,
-        ..ConnTuning::default()
-    };
     let server_orb = Orb::builder()
         .sim(net.clone())
-        .tuning(tuning)
         .telemetry(Arc::clone(&telemetry))
         .build();
     let client = Orb::builder()
         .sim(net.clone())
-        .tuning(tuning)
         .telemetry(Arc::clone(&telemetry))
         .build();
     // Every receive-side speculation misses: the sender degrades to the
-    // inline-marshal fallback mid-run. Spans must stay complete through
-    // the mode flip — the fallback still walks every stage.
+    // inline-marshal fallback mid-run, once a window of 8 samples has
+    // filled. Spans must stay complete through the mode flip — the
+    // fallback still walks every stage.
     net.inject_faults(FaultPlan::spec_miss(1.0).on(FaultSide::Server));
-    let (timelines, rtt_ns) = traced_calls(&client, &server_orb, &telemetry, 8, false);
-    assert!(timelines.len() >= 8, "one timeline per logical request");
+    let (timelines, rtt_ns) = traced_calls(&client, &server_orb, &telemetry, 16, false);
+    assert!(
+        telemetry.metrics().snapshot().degradations >= 1,
+        "fixture must actually flip the sender to inline marshaling"
+    );
+    assert!(timelines.len() >= 16, "one timeline per logical request");
     assert_complete_and_causal(fullest(&timelines), rtt_ns);
     for tl in &timelines {
         for stage in Stage::ALL {

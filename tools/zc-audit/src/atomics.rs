@@ -79,6 +79,18 @@ pub(crate) fn run(
     }
 
     let mut states: Vec<ModState> = ac.protocols.iter().map(|_| ModState::default()).collect();
+    // A finding at (file, line), unless an allow(atomics-protocol) waiver
+    // covers it.
+    let anchored = |out: &mut Vec<Violation>, (fi, line): (usize, u32), msg: String| {
+        if waiver_for(&waivers[fi], line, &[WaiverKind::AtomicsProtocol]).is_none() {
+            out.push(Violation {
+                file: files[fi].rel.clone(),
+                line,
+                rule: "atomics-protocol",
+                msg,
+            });
+        }
+    };
 
     for (fi, f) in files.iter().enumerate() {
         if f.in_test_tree || !path_matches_any(&f.rel, &ac.paths) {
@@ -95,21 +107,14 @@ pub(crate) fn run(
             for site in &item.atomics {
                 let Some(pi) = proto_idx else {
                     summary.undeclared_sites += 1;
-                    if waiver_for(&waivers[fi], site.line, &[WaiverKind::AtomicsProtocol]).is_none()
-                    {
-                        out.push(Violation {
-                            file: f.rel.clone(),
-                            line: site.line,
-                            rule: "atomics-protocol",
-                            msg: format!(
-                                "atomic `{}` site outside any declared [[atomics.protocol]] \
-                                 module; declare this file's protocol in zc-audit.toml or \
-                                 waive with allow(atomics-protocol) citing the covering \
-                                 loom model",
-                                site.method
-                            ),
-                        });
-                    }
+                    let msg = format!(
+                        "atomic `{}` site outside any declared [[atomics.protocol]] \
+                         module; declare this file's protocol in zc-audit.toml or \
+                         waive with allow(atomics-protocol) citing the covering \
+                         loom model",
+                        site.method
+                    );
+                    anchored(out, (fi, site.line), msg);
                     continue;
                 };
                 let proto = &ac.protocols[pi];
@@ -118,20 +123,12 @@ pub(crate) fn run(
                 track_module_state(proto, site, st, fi);
                 if let Some(problem) = site_problem(proto, item, site) {
                     st.site_problems += 1;
-                    if waiver_for(&waivers[fi], site.line, &[WaiverKind::AtomicsProtocol]).is_none()
-                    {
-                        out.push(Violation {
-                            file: f.rel.clone(),
-                            line: site.line,
-                            rule: "atomics-protocol",
-                            msg: format!(
-                                "protocol `{}` ({}): {}",
-                                proto.module,
-                                proto.kind.name(),
-                                problem
-                            ),
-                        });
-                    }
+                    let (module, kind) = (&proto.module, proto.kind.name());
+                    anchored(
+                        out,
+                        (fi, site.line),
+                        format!("protocol `{module}` ({kind}): {problem}"),
+                    );
                 }
             }
         }
@@ -149,17 +146,6 @@ pub(crate) fn run(
         if st.site_problems > 0 {
             continue;
         }
-        let anchored = |out: &mut Vec<Violation>, at: (usize, u32), msg: String| {
-            let (fi, line) = at;
-            if waiver_for(&waivers[fi], line, &[WaiverKind::AtomicsProtocol]).is_none() {
-                out.push(Violation {
-                    file: files[fi].rel.clone(),
-                    line,
-                    rule: "atomics-protocol",
-                    msg,
-                });
-            }
-        };
         match proto.kind {
             ProtocolKind::Seqlock => {
                 if let Some(at) = st.first_seq {

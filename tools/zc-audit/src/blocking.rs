@@ -4,25 +4,25 @@
 //! The reactor cutover moves the data-path functions (`GiopConn` frame pump,
 //! dispatch, deposit collection) onto non-blocking reactor shards. A shard
 //! must never block, so every blocking leaf reachable from those functions
-//! today is migration debt. This pass walks the same name-resolved call
-//! graph the lock-order pass uses, starting from the configured
+//! today is migration debt. This pass walks the shared name index breadth
+//! first (`graph.rs`), starting from the configured
 //! `[reactor] entrypoints`, and reports every reachable call to a
 //! configured blocking leaf (`Mutex::lock`, socket read/write/connect,
 //! `thread::sleep`, `JoinHandle::join`, channel `recv`).
 //!
 //! Findings are emitted under the `reactor-blocking` rule — **advisory**
 //! until the reactor cutover lands and `--deny-reactor` flips the gate. The
-//! point this PR is the measured starting debt, not a clean bill.
+//! point today is the measured debt, not a clean bill.
 
 use crate::config::Config;
+use crate::graph::{reach, NameIndex, Visit};
 use crate::locks::OPAQUE_CALLEES;
 use crate::parser::CallSite;
 use crate::rules::{waiver_for, Violation, Waiver, WaiverKind};
-use crate::FileAnalysis;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One blocking leaf reachable from a reactor entrypoint (JSON `reactor`
-/// section and the human report).
+/// section).
 #[derive(Debug, Clone)]
 pub struct ReactorFinding {
     pub file: String,
@@ -49,7 +49,7 @@ fn blocking_shape(c: &CallSite) -> bool {
 }
 
 pub(crate) fn run(
-    files: &[FileAnalysis],
+    index: &NameIndex,
     cfg: &Config,
     waivers: &[BTreeMap<u32, Waiver>],
     out: &mut Vec<Violation>,
@@ -58,94 +58,70 @@ pub(crate) fn run(
     if rc.entrypoints.is_empty() {
         return Vec::new();
     }
+    let files = index.files;
+    let is_leaf = |name: &str| rc.blocking.iter().any(|b| b == name);
+    // Every non-test workspace fn of a name (same over-approximation as the
+    // lock-order pass). A name is reached once: all its fns together.
+    let non_test = |name: &str| -> Vec<_> {
+        let fns = index.named(name).iter().copied();
+        fns.filter(|&(fi, ii)| !files[fi].in_test_tree && !index.item((fi, ii)).is_test)
+            .collect()
+    };
 
-    // Name-resolved graph: bare fn name → every non-test workspace fn of
-    // that name (same over-approximation as the lock-order pass).
-    let mut by_name: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-    for (fi, f) in files.iter().enumerate() {
-        if f.in_test_tree {
-            continue;
-        }
-        for (ii, item) in f.items.iter().enumerate() {
-            if item.is_test {
+    let seeds = rc.entrypoints.iter().flat_map(|ep| non_test(ep));
+    let visits = reach(seeds, |r| {
+        let calls = index.item(r).calls.iter().map(|c| c.callee.as_str());
+        // A blocking name is a leaf: reported below, never traversed into.
+        calls
+            .filter(|&c| !is_leaf(c) && !OPAQUE_CALLEES.contains(&c))
+            .flat_map(non_test)
+            .collect()
+    });
+
+    // Report every leaf call in reach order, with one example call chain
+    // (names) from the entrypoint along the first-parent links.
+    let by_fn: HashMap<_, &Visit> = visits.iter().map(|v| (v.at, v)).collect();
+    let mut findings: Vec<ReactorFinding> = Vec::new();
+    let mut seen_sites: HashSet<(usize, u32, &str)> = HashSet::new();
+    for v in &visits {
+        let fi = v.at.0;
+        for call in &index.item(v.at).calls {
+            let callee = call.callee.as_str();
+            if !is_leaf(callee)
+                || !blocking_shape(call)
+                || !seen_sites.insert((fi, call.line, callee))
+            {
                 continue;
             }
-            by_name
-                .entry(item.name.as_str())
-                .or_default()
-                .push((fi, ii));
-        }
-    }
-
-    // BFS from the entrypoints, recording one parent per discovered name so
-    // a concrete example chain can be reconstructed for each finding.
-    let mut parent: HashMap<String, String> = HashMap::new();
-    let mut root_ep: HashMap<String, String> = HashMap::new();
-    let mut queue: VecDeque<String> = VecDeque::new();
-    for ep in &rc.entrypoints {
-        if by_name.contains_key(ep.as_str()) && !root_ep.contains_key(ep) {
-            root_ep.insert(ep.clone(), ep.clone());
-            queue.push_back(ep.clone());
-        }
-    }
-
-    let mut findings: Vec<ReactorFinding> = Vec::new();
-    let mut seen_sites: HashSet<(usize, u32, String)> = HashSet::new();
-    while let Some(name) = queue.pop_front() {
-        let ep = root_ep[&name].clone();
-        let fns = by_name.get(name.as_str()).cloned().unwrap_or_default();
-        for (fi, ii) in fns {
-            let item = &files[fi].items[ii];
-            for call in &item.calls {
-                let callee = call.callee.as_str();
-                if rc.blocking.iter().any(|b| b == callee) {
-                    // A blocking name is a leaf: report (if it has the right
-                    // shape) and never traverse into it.
-                    if !blocking_shape(call)
-                        || !seen_sites.insert((fi, call.line, callee.to_string()))
-                    {
-                        continue;
-                    }
-                    let mut chain = vec![name.clone()];
-                    let mut cur = name.clone();
-                    while let Some(p) = parent.get(&cur) {
-                        chain.push(p.clone());
-                        cur = p.clone();
-                    }
-                    chain.reverse();
-                    if waiver_for(&waivers[fi], call.line, &[WaiverKind::ReactorBlocking]).is_some()
-                    {
-                        continue;
-                    }
-                    out.push(Violation {
-                        file: files[fi].rel.clone(),
-                        line: call.line,
-                        rule: "reactor-blocking",
-                        msg: format!(
-                            "blocking leaf `{callee}` reachable from reactor entrypoint \
-                             `{ep}` via {}; must go non-blocking (or move off-shard) \
-                             before the reactor cutover",
-                            chain.join(" -> ")
-                        ),
-                    });
-                    findings.push(ReactorFinding {
-                        file: files[fi].rel.clone(),
-                        line: call.line,
-                        leaf: callee.to_string(),
-                        entrypoint: ep.clone(),
-                        chain,
-                    });
-                    continue;
-                }
-                if OPAQUE_CALLEES.contains(&callee) || !by_name.contains_key(callee) {
-                    continue;
-                }
-                if !root_ep.contains_key(callee) {
-                    parent.insert(callee.to_string(), name.clone());
-                    root_ep.insert(callee.to_string(), ep.clone());
-                    queue.push_back(callee.to_string());
-                }
+            let mut chain = vec![index.item(v.at).name.clone()];
+            let mut cur = v;
+            while let Some(p) = cur.parent {
+                cur = by_fn[&p];
+                chain.push(index.item(p).name.clone());
             }
+            chain.reverse();
+            if waiver_for(&waivers[fi], call.line, &[WaiverKind::ReactorBlocking]).is_some() {
+                continue;
+            }
+            let ep = &index.item(v.seed).name;
+            out.push(Violation {
+                file: files[fi].rel.clone(),
+                line: call.line,
+                rule: "reactor-blocking",
+                msg: format!(
+                    "blocking leaf `{callee}` reachable from reactor entrypoint \
+                     `{ep}` via {}; must go non-blocking (or move off-shard) \
+                     before the reactor cutover",
+                    chain.join(" -> ")
+                ),
+            });
+            findings.push(ReactorFinding {
+                file: files[fi].rel.clone(),
+                line: call.line,
+                leaf: callee.to_string(),
+                entrypoint: ep.clone(),
+                chain,
+            });
         }
     }
 

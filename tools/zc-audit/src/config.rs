@@ -269,243 +269,178 @@ fn bad(msg: impl Into<String>) -> ConfigError {
     ConfigError(msg.into())
 }
 
-fn str_array(t: &Table, key: &str, ctx: &str) -> Result<Vec<String>, ConfigError> {
-    match t.get(key) {
-        Some(v) => v
-            .as_str_array()
-            .ok_or_else(|| bad(format!("{ctx}: `{key}` must be an array of strings"))),
-        None => Err(bad(format!("{ctx}: missing `{key}`"))),
-    }
+fn missing(ctx: &str, key: &str) -> ConfigError {
+    bad(format!("{ctx}: missing `{key}`"))
 }
 
 fn opt_str_array(t: &Table, key: &str, ctx: &str) -> Result<Vec<String>, ConfigError> {
-    match t.get(key) {
-        Some(v) => v
-            .as_str_array()
-            .ok_or_else(|| bad(format!("{ctx}: `{key}` must be an array of strings"))),
-        None => Ok(Vec::new()),
+    t.get(key).map_or(Ok(Vec::new()), |v| {
+        v.as_str_array()
+            .ok_or_else(|| bad(format!("{ctx}: `{key}` must be an array of strings")))
+    })
+}
+
+fn str_array(t: &Table, key: &str, ctx: &str) -> Result<Vec<String>, ConfigError> {
+    if t.contains_key(key) {
+        opt_str_array(t, key, ctx)
+    } else {
+        Err(missing(ctx, key))
     }
+}
+
+fn string(t: &Table, key: &str, ctx: &str) -> Result<String, ConfigError> {
+    let s = t.get(key).and_then(Value::as_str);
+    s.map(str::to_string).ok_or_else(|| missing(ctx, key))
+}
+
+fn idioms(t: &Table, ctx: &str) -> Result<Vec<Idiom>, ConfigError> {
+    str_array(t, "idioms", ctx)?
+        .iter()
+        .map(|s| Idiom::parse(s).ok_or_else(|| bad(format!("{ctx}: unknown idiom `{s}`"))))
+        .collect()
+}
+
+/// Read the `[name]` section as `read(table, "[name]")`; an absent section
+/// reads as `T::default()`.
+fn section<T: Default>(
+    root: &Table,
+    name: &str,
+    read: impl FnOnce(&Table, &str) -> Result<T, ConfigError>,
+) -> Result<T, ConfigError> {
+    let Some(v) = root.get(name) else {
+        return Ok(T::default());
+    };
+    let t = v
+        .as_table()
+        .ok_or_else(|| bad(format!("`{name}` must be a table")))?;
+    read(t, &format!("[{name}]"))
+}
+
+/// The `[[section.key]]` entries, each with its diagnostic context
+/// (`[[section.key]] #n`); `None` when there are none.
+fn entries<'a>(t: &'a Table, section: &str, key: &str) -> Option<Vec<(String, &'a Table)>> {
+    let list = t.get(key).and_then(Value::as_table_array)?;
+    let ctx = |i: usize| format!("[[{section}.{key}]] #{}", i + 1);
+    Some(
+        list.into_iter()
+            .enumerate()
+            .map(|(i, e)| (ctx(i), e))
+            .collect(),
+    )
 }
 
 impl Config {
     pub fn parse(src: &str) -> Result<Config, ConfigError> {
         let root = toml::parse(src)?;
+        let (exclude, copy_layers) = section(&root, "audit", |t, ctx| {
+            let exclude = opt_str_array(t, "exclude", ctx)?;
+            Ok(Some((exclude, str_array(t, "copy_layers", ctx)?)))
+        })?
+        .ok_or_else(|| bad("missing `[audit]` table with `copy_layers`"))?;
 
-        let exclude = match root.get("audit") {
-            Some(v) => {
-                let t = v.as_table().ok_or_else(|| bad("`audit` must be a table"))?;
-                opt_str_array(t, "exclude", "[audit]")?
-            }
-            None => Vec::new(),
-        };
-        let copy_layers = match root.get("audit") {
-            Some(Value::Table(t)) => str_array(t, "copy_layers", "[audit]")?,
-            _ => return Err(bad("missing `[audit]` table with `copy_layers`")),
-        };
-
-        let mut modules = Vec::new();
-        if let Some(cp) = root.get("copy_path") {
-            let cp = cp
-                .as_table()
-                .ok_or_else(|| bad("`copy_path` must be a table"))?;
-            let list = cp
-                .get("module")
-                .and_then(Value::as_table_array)
+        let modules = section(&root, "copy_path", |t, _| {
+            let list = entries(t, "copy_path", "module")
                 .ok_or_else(|| bad("`[[copy_path.module]]` entries required"))?;
-            for (i, m) in list.iter().enumerate() {
-                let ctx = format!("[[copy_path.module]] #{}", i + 1);
-                let name = m
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| bad(format!("{ctx}: missing `name`")))?
-                    .to_string();
-                let paths = str_array(m, "paths", &ctx)?;
-                let idioms = str_array(m, "idioms", &ctx)?
-                    .iter()
-                    .map(|s| {
-                        Idiom::parse(s).ok_or_else(|| bad(format!("{ctx}: unknown idiom `{s}`")))
+            list.iter()
+                .map(|(ctx, m)| {
+                    Ok(CopyPathModule {
+                        name: string(m, "name", ctx)?,
+                        paths: str_array(m, "paths", ctx)?,
+                        idioms: idioms(m, ctx)?,
                     })
-                    .collect::<Result<Vec<_>, _>>()?;
-                modules.push(CopyPathModule {
+                })
+                .collect()
+        })?;
+        let unsafe_audit = section(&root, "unsafe_audit", |t, ctx| {
+            Ok(UnsafeAudit {
+                paths: str_array(t, "paths", ctx)?,
+                deny_unsafe_op_roots: opt_str_array(t, "deny_unsafe_op_roots", ctx)?,
+            })
+        })?;
+        let meter = section(&root, "meter_coverage", |t, ctx| {
+            Ok(MeterCoverage {
+                paths: str_array(t, "paths", ctx)?,
+                markers: str_array(t, "markers", ctx)?,
+            })
+        })?;
+        let escape = section(&root, "zc_escape", |t, ctx| {
+            Ok(ZcEscape {
+                types: str_array(t, "types", ctx)?,
+                idioms: idioms(t, ctx)?,
+            })
+        })?;
+        let lock_order = section(&root, "lock_order", |t, ctx| {
+            Ok(LockOrder {
+                paths: str_array(t, "paths", ctx)?,
+                blocking: str_array(t, "blocking", ctx)?,
+            })
+        })?;
+        let taint = section(&root, "taint", |t, ctx| {
+            Ok(TaintConfig {
+                paths: str_array(t, "paths", ctx)?,
+                entrypoints: str_array(t, "entrypoints", ctx)?,
+                clamps: str_array(t, "clamps", ctx)?,
+                allocs: opt_str_array(t, "allocs", ctx)?,
+            })
+        })?;
+        let wire = section(&root, "wire_consts", |t, _| {
+            let mut wire = WireConsts::default();
+            for (ctx, f) in entries(t, "wire_consts", "family").unwrap_or_default() {
+                let name = string(f, "name", &ctx)?;
+                let prefix = string(f, "prefix", &ctx)?;
+                if !prefix.starts_with("0x") {
+                    return Err(bad(format!("{ctx}: `prefix` must be a 0x… hex literal")));
+                }
+                let defined_in = str_array(f, "defined_in", &ctx)?;
+                wire.families.push(WireFamily {
                     name,
-                    paths,
-                    idioms,
+                    prefix,
+                    defined_in,
                 });
             }
-        }
-
-        let unsafe_audit = match root.get("unsafe_audit") {
-            Some(v) => {
-                let t = v
-                    .as_table()
-                    .ok_or_else(|| bad("`unsafe_audit` must be a table"))?;
-                UnsafeAudit {
-                    paths: str_array(t, "paths", "[unsafe_audit]")?,
-                    deny_unsafe_op_roots: opt_str_array(
-                        t,
-                        "deny_unsafe_op_roots",
-                        "[unsafe_audit]",
-                    )?,
-                }
+            for (ctx, e) in entries(t, "wire_consts", "enum").unwrap_or_default() {
+                wire.enums.push(WireEnum {
+                    name: string(e, "name", &ctx)?,
+                    file: string(e, "file", &ctx)?,
+                    decoder: string(e, "decoder", &ctx)?,
+                });
             }
-            None => UnsafeAudit::default(),
-        };
-
-        let meter = match root.get("meter_coverage") {
-            Some(v) => {
-                let t = v
-                    .as_table()
-                    .ok_or_else(|| bad("`meter_coverage` must be a table"))?;
-                MeterCoverage {
-                    paths: str_array(t, "paths", "[meter_coverage]")?,
-                    markers: str_array(t, "markers", "[meter_coverage]")?,
+            Ok(wire)
+        })?;
+        let atomics = section(&root, "atomics", |t, ctx| {
+            let mut atomics = AtomicsConfig {
+                paths: str_array(t, "paths", ctx)?,
+                protocols: Vec::new(),
+            };
+            for (ctx, p) in entries(t, "atomics", "protocol").unwrap_or_default() {
+                let module = string(p, "module", &ctx)?;
+                let kind_str = string(p, "kind", &ctx)?;
+                let kind = ProtocolKind::parse(&kind_str).ok_or_else(|| {
+                    bad(format!(
+                        "{ctx}: unknown protocol kind `{kind_str}` (expected one of \
+                         refcount, seqlock, cas-roll, counter-relaxed, release-flag)"
+                    ))
+                })?;
+                let paths = str_array(p, "paths", &ctx)?;
+                let mut seq = opt_str_array(p, "seq", &ctx)?;
+                if seq.is_empty() {
+                    seq.push("seq".to_string());
                 }
+                atomics.protocols.push(AtomicProtocol {
+                    module,
+                    kind,
+                    paths,
+                    seq,
+                });
             }
-            None => MeterCoverage::default(),
-        };
-
-        let escape = match root.get("zc_escape") {
-            Some(v) => {
-                let t = v
-                    .as_table()
-                    .ok_or_else(|| bad("`zc_escape` must be a table"))?;
-                ZcEscape {
-                    types: str_array(t, "types", "[zc_escape]")?,
-                    idioms: str_array(t, "idioms", "[zc_escape]")?
-                        .iter()
-                        .map(|s| {
-                            Idiom::parse(s)
-                                .ok_or_else(|| bad(format!("[zc_escape]: unknown idiom `{s}`")))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                }
-            }
-            None => ZcEscape::default(),
-        };
-
-        let lock_order = match root.get("lock_order") {
-            Some(v) => {
-                let t = v
-                    .as_table()
-                    .ok_or_else(|| bad("`lock_order` must be a table"))?;
-                LockOrder {
-                    paths: str_array(t, "paths", "[lock_order]")?,
-                    blocking: str_array(t, "blocking", "[lock_order]")?,
-                }
-            }
-            None => LockOrder::default(),
-        };
-
-        let taint = match root.get("taint") {
-            Some(v) => {
-                let t = v.as_table().ok_or_else(|| bad("`taint` must be a table"))?;
-                TaintConfig {
-                    paths: str_array(t, "paths", "[taint]")?,
-                    entrypoints: str_array(t, "entrypoints", "[taint]")?,
-                    clamps: str_array(t, "clamps", "[taint]")?,
-                    allocs: opt_str_array(t, "allocs", "[taint]")?,
-                }
-            }
-            None => TaintConfig::default(),
-        };
-
-        let mut wire = WireConsts::default();
-        if let Some(w) = root.get("wire_consts") {
-            let w = w
-                .as_table()
-                .ok_or_else(|| bad("`wire_consts` must be a table"))?;
-            if let Some(list) = w.get("family").and_then(Value::as_table_array) {
-                for (i, f) in list.iter().enumerate() {
-                    let ctx = format!("[[wire_consts.family]] #{}", i + 1);
-                    let name = f
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| bad(format!("{ctx}: missing `name`")))?
-                        .to_string();
-                    let prefix = f
-                        .get("prefix")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| bad(format!("{ctx}: missing `prefix`")))?
-                        .to_string();
-                    if !prefix.starts_with("0x") {
-                        return Err(bad(format!("{ctx}: `prefix` must be a 0x… hex literal")));
-                    }
-                    wire.families.push(WireFamily {
-                        name,
-                        prefix,
-                        defined_in: str_array(f, "defined_in", &ctx)?,
-                    });
-                }
-            }
-            if let Some(list) = w.get("enum").and_then(Value::as_table_array) {
-                for (i, e) in list.iter().enumerate() {
-                    let ctx = format!("[[wire_consts.enum]] #{}", i + 1);
-                    let get = |key: &str| -> Result<String, ConfigError> {
-                        e.get(key)
-                            .and_then(Value::as_str)
-                            .map(str::to_string)
-                            .ok_or_else(|| bad(format!("{ctx}: missing `{key}`")))
-                    };
-                    wire.enums.push(WireEnum {
-                        name: get("name")?,
-                        file: get("file")?,
-                        decoder: get("decoder")?,
-                    });
-                }
-            }
-        }
-
-        let mut atomics = AtomicsConfig::default();
-        if let Some(v) = root.get("atomics") {
-            let t = v
-                .as_table()
-                .ok_or_else(|| bad("`atomics` must be a table"))?;
-            atomics.paths = str_array(t, "paths", "[atomics]")?;
-            if let Some(list) = t.get("protocol").and_then(Value::as_table_array) {
-                for (i, p) in list.iter().enumerate() {
-                    let ctx = format!("[[atomics.protocol]] #{}", i + 1);
-                    let module = p
-                        .get("module")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| bad(format!("{ctx}: missing `module`")))?
-                        .to_string();
-                    let kind_str = p
-                        .get("kind")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| bad(format!("{ctx}: missing `kind`")))?;
-                    let kind = ProtocolKind::parse(kind_str).ok_or_else(|| {
-                        bad(format!(
-                            "{ctx}: unknown protocol kind `{kind_str}` (expected one of \
-                             refcount, seqlock, cas-roll, counter-relaxed, release-flag)"
-                        ))
-                    })?;
-                    let paths = str_array(p, "paths", &ctx)?;
-                    let mut seq = opt_str_array(p, "seq", &ctx)?;
-                    if seq.is_empty() {
-                        seq.push("seq".to_string());
-                    }
-                    atomics.protocols.push(AtomicProtocol {
-                        module,
-                        kind,
-                        paths,
-                        seq,
-                    });
-                }
-            }
-        }
-
-        let reactor = match root.get("reactor") {
-            Some(v) => {
-                let t = v
-                    .as_table()
-                    .ok_or_else(|| bad("`reactor` must be a table"))?;
-                ReactorConfig {
-                    entrypoints: str_array(t, "entrypoints", "[reactor]")?,
-                    blocking: str_array(t, "blocking", "[reactor]")?,
-                }
-            }
-            None => ReactorConfig::default(),
-        };
+            Ok(atomics)
+        })?;
+        let reactor = section(&root, "reactor", |t, ctx| {
+            Ok(ReactorConfig {
+                entrypoints: str_array(t, "entrypoints", ctx)?,
+                blocking: str_array(t, "blocking", ctx)?,
+            })
+        })?;
 
         Ok(Config {
             exclude,
@@ -692,6 +627,28 @@ markers = ["meter", "CopyMeter", "record"]
         );
         let err = Config::parse(&doc).unwrap_err();
         assert!(err.to_string().contains("unknown protocol kind"));
+    }
+
+    #[test]
+    fn errors_name_the_section_and_key() {
+        let err = |doc: &str| Config::parse(doc).unwrap_err().to_string();
+        let cases = [
+            ("", "missing `[audit]` table with `copy_layers`"),
+            ("audit = 1", "`audit` must be a table"),
+            ("[audit]\nexclude = []", "[audit]: missing `copy_layers`"),
+            ("[audit]\ncopy_layers = 1", "[audit]: `copy_layers` must be an array of strings"),
+            ("[audit]\ncopy_layers = []\n[copy_path]\nx = 1", "`[[copy_path.module]]` entries required"),
+            ("[audit]\ncopy_layers = []\n[[copy_path.module]]\npaths = []", "[[copy_path.module]] #1: missing `name`"),
+            ("[audit]\ncopy_layers = []\n[taint]\npaths = []", "[taint]: missing `entrypoints`"),
+            ("[audit]\ncopy_layers = []\n[zc_escape]\ntypes = []\nidioms = [\"memmove\"]", "[zc_escape]: unknown idiom `memmove`"),
+            ("[audit]\ncopy_layers = []\n[[wire_consts.family]]\nname = \"f\"\nprefix = \"5A\"", "[[wire_consts.family]] #1: `prefix` must be a 0x… hex literal"),
+            ("[audit]\ncopy_layers = []\n[[wire_consts.enum]]\nname = \"E\"\nfile = \"f.rs\"", "[[wire_consts.enum]] #1: missing `decoder`"),
+            ("[audit]\ncopy_layers = []\n[atomics]\npaths = []\n[[atomics.protocol]]\nmodule = \"m\"", "[[atomics.protocol]] #1: missing `kind`"),
+            ("reactor = 1\n[audit]\ncopy_layers = []", "`reactor` must be a table"),
+        ];
+        for (doc, want) in cases {
+            assert_eq!(err(doc), format!("zc-audit.toml: {want}"), "{doc}");
+        }
     }
 
     #[test]

@@ -24,19 +24,17 @@
 //! values smuggled through struct fields or returned-then-copied, and
 //! callee resolution across trait objects, are not tracked.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::config::{path_matches_any, Config};
-use crate::lexer::TokKind;
+use crate::graph::{reach, FnRef, NameIndex};
+use crate::lexer::{Tok, TokKind};
 use crate::parser::FnItem;
 use crate::rules::{find_idiom_sites, waiver_for, Violation, Waiver, COPY_KINDS};
-use crate::FileAnalysis;
-
-/// Global function handle: (file index, item index).
-type FnRef = (usize, usize);
+use crate::taint::binding;
 
 pub(crate) fn run(
-    files: &[FileAnalysis],
+    index: &NameIndex,
     cfg: &Config,
     waivers: &[BTreeMap<u32, Waiver>],
     out: &mut Vec<Violation>,
@@ -45,23 +43,13 @@ pub(crate) fn run(
     if types.is_empty() {
         return;
     }
+    let files = index.files;
     let is_type = |name: &str| types.iter().any(|t| t == name);
     let dp_paths: Vec<String> = cfg
         .modules
         .iter()
         .flat_map(|m| m.paths.iter().cloned())
         .collect();
-
-    // Index every function by name.
-    let mut by_name: HashMap<&str, Vec<FnRef>> = HashMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (ii, item) in file.items.iter().enumerate() {
-            by_name
-                .entry(item.name.as_str())
-                .or_default()
-                .push((fi, ii));
-        }
-    }
 
     let zc_params = |f: &FnItem| -> HashSet<String> {
         f.params
@@ -76,99 +64,63 @@ pub(crate) fn run(
     let handles_zc =
         |f: &FnItem| -> bool { !zc_params(f).is_empty() || f.ret.iter().any(|t| is_type(t)) };
 
-    // Memoized tainted-identifier sets.
-    let mut tainted: HashMap<FnRef, HashSet<String>> = HashMap::new();
-    let mut taint_of = |r: FnRef, files: &[FileAnalysis]| -> HashSet<String> {
-        if let Some(t) = tainted.get(&r) {
-            return t.clone();
-        }
-        let f = &files[r.0].items[r.1];
-        let t = taint_locals(&files[r.0], f, zc_params(f));
-        tainted.insert(r, t.clone());
-        t
-    };
-
     // Seeds: zero-copy-signature functions inside declared modules.
-    let mut queue: VecDeque<FnRef> = VecDeque::new();
-    let mut origin: HashMap<FnRef, (String, u32)> = HashMap::new(); // seed name, distance
+    let mut seeds: Vec<FnRef> = Vec::new();
     for (fi, file) in files.iter().enumerate() {
-        if !path_matches_any(&file.rel, &dp_paths) {
+        if !path_matches_any(&file.rel, &dp_paths) || file.in_test_tree {
             continue;
         }
         for (ii, item) in file.items.iter().enumerate() {
-            if item.is_test || file.in_test_tree || !handles_zc(item) {
-                continue;
+            if !item.is_test && handles_zc(item) {
+                seeds.push((fi, ii));
             }
-            origin.insert((fi, ii), (item.name.clone(), 0));
-            queue.push_back((fi, ii));
         }
     }
 
-    // BFS along tainted call edges.
-    while let Some(r) = queue.pop_front() {
-        let (seed, dist) = origin[&r].clone();
-        let taint = taint_of(r, files);
-        let f = &files[r.0].items[r.1];
-        for call in &f.calls {
-            let flows = call.recv.as_deref().is_some_and(|rv| taint.contains(rv))
-                || call.args.iter().any(|a| taint.contains(a));
-            if !flows {
-                continue;
-            }
-            let Some(targets) = by_name.get(call.callee.as_str()) else {
-                continue;
-            };
-            for &g in targets {
-                if origin.contains_key(&g) {
-                    continue;
-                }
-                if !handles_zc(&files[g.0].items[g.1]) {
-                    continue;
-                }
-                origin.insert(g, (seed.clone(), dist + 1));
-                queue.push_back(g);
-            }
-        }
-    }
+    // Reach along tainted call edges, keeping each function's tainted set.
+    let mut tainted: HashMap<FnRef, HashSet<String>> = HashMap::new();
+    let visits = reach(seeds, |r| {
+        let f = index.item(r);
+        let taint = taint_locals(&files[r.0].scanned.toks, f, zc_params(f));
+        let targets = f
+            .calls
+            .iter()
+            .filter(|c| {
+                c.recv.as_deref().is_some_and(|rv| taint.contains(rv))
+                    || c.args.iter().any(|a| taint.contains(a))
+            })
+            .flat_map(|c| index.named(&c.callee))
+            .copied()
+            .filter(|&g| handles_zc(index.item(g)))
+            .collect();
+        tainted.insert(r, taint);
+        targets
+    });
 
     // Flag banned idioms on tainted values in reached functions outside the
     // declared modules (inside them, the per-file copy-path rule already
     // runs with per-module idiom lists).
-    for (&(fi, ii), (seed, dist)) in &origin {
-        let file = &files[fi];
-        if *dist == 0 || path_matches_any(&file.rel, &dp_paths) {
+    for v in &visits {
+        let file = &files[v.at.0];
+        let item = index.item(v.at);
+        if v.dist == 0 || path_matches_any(&file.rel, &dp_paths) {
             continue;
         }
-        let item = &file.items[ii];
         if item.is_test || file.in_test_tree {
             continue;
         }
-        let taint = taint_of((fi, ii), files);
-        let toks = &file.scanned.toks;
-        for site in find_idiom_sites(toks, &cfg.escape.idioms) {
-            if !item.contains(site.tok_idx) {
+        let taint = &tainted[&v.at];
+        for site in find_idiom_sites(&file.scanned.toks, &cfg.escape.idioms) {
+            // Only a call this function owns (not one in a nested fn, which
+            // is reported on its own if reached) can carry a tainted value.
+            let Some(call) = item.calls.iter().find(|c| c.tok_idx == site.tok_idx) else {
+                continue;
+            };
+            let recv_tainted = call.recv.as_ref().is_some_and(|r| taint.contains(r));
+            if !recv_tainted && !call.args.iter().any(|a| taint.contains(a)) {
                 continue;
             }
-            // The innermost function owning the site must be this one, not
-            // a nested fn (which is reported on its own if reached).
-            if file
-                .items
-                .iter()
-                .any(|o| o.contains(site.tok_idx) && item.contains(o.body.0))
-            {
-                continue;
-            }
-            let recv_tainted = site.tok_idx >= 2
-                && toks[site.tok_idx - 1].text == "."
-                && toks[site.tok_idx - 2].kind == TokKind::Ident
-                && taint.contains(&toks[site.tok_idx - 2].text);
-            let args_tainted = arg_idents(file, site.tok_idx)
-                .iter()
-                .any(|a| taint.contains(a));
-            if !recv_tainted && !args_tainted {
-                continue;
-            }
-            if waiver_for(&waivers[fi], site.line, COPY_KINDS).is_some() {
+            if waiver_for(&waivers[v.at.0], site.line, COPY_KINDS).is_some() {
                 continue;
             }
             out.push(Violation {
@@ -182,79 +134,31 @@ pub(crate) fn run(
                      cheap-clone, or control-plane)",
                     site.idiom.describe(),
                     item.name,
-                    seed,
-                    dist,
-                    if *dist == 1 { "" } else { "s" },
+                    index.item(v.seed).name,
+                    v.dist,
+                    if v.dist == 1 { "" } else { "s" },
                 ),
             });
         }
     }
 }
 
-/// Identifier texts inside the call's argument parens, if the site is
-/// followed by `(…)`.
-fn arg_idents(file: &FileAnalysis, tok_idx: usize) -> Vec<String> {
-    let toks = &file.scanned.toks;
-    if toks.get(tok_idx + 1).map(|t| t.text.as_str()) != Some("(") {
-        return Vec::new();
-    }
-    let mut depth = 0i32;
-    let mut args = Vec::new();
-    for t in &toks[tok_idx + 1..] {
-        match t.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {
-                if t.kind == TokKind::Ident {
-                    args.push(t.text.clone());
-                }
-            }
-        }
-    }
-    args
-}
-
 /// Forward-propagate taint from `seed` parameters through simple local
-/// bindings: `let x = …tainted…;` and `for x in …tainted… {`.
-fn taint_locals(file: &FileAnalysis, f: &FnItem, seed: HashSet<String>) -> HashSet<String> {
-    let toks = &file.scanned.toks;
+/// bindings: `let x = …tainted…;` and `for x in …tainted… {`. Unlike the
+/// wire-taint scan, taint once acquired is never cleared and an
+/// initializer runs through any `{` to its `;`, so the two scans stay
+/// apart.
+fn taint_locals(toks: &[Tok], f: &FnItem, seed: HashSet<String>) -> HashSet<String> {
     let mut taint = seed;
     let (open, close) = f.body;
     let mut i = open + 1;
     while i < close {
-        let (binder_stop, rhs_stop) = match toks[i].text.as_str() {
-            "let" => ("=", ";"),
-            "for" => ("in", "{"),
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
-        // Collect bound identifiers up to `=` / `in`.
-        let mut j = i + 1;
-        let mut binders = Vec::new();
-        while j < close && toks[j].text != binder_stop && toks[j].text != ";" {
-            if toks[j].kind == TokKind::Ident
-                && !matches!(
-                    toks[j].text.as_str(),
-                    "mut" | "ref" | "_" | "Some" | "Ok" | "Err"
-                )
-            {
-                binders.push(toks[j].text.clone());
-            }
-            j += 1;
-        }
-        if j >= close || toks[j].text != binder_stop {
-            i = j;
+        let Some((binders, eq, rhs_stop)) = binding(toks, i, close) else {
+            i += 1;
             continue;
-        }
+        };
         // Does the initializer mention a tainted identifier?
-        let mut k = j + 1;
+        let mut k = eq + 1;
         let mut depth = 0i32;
         let mut rhs_tainted = false;
         while k < close {
@@ -262,11 +166,7 @@ fn taint_locals(file: &FileAnalysis, f: &FnItem, seed: HashSet<String>) -> HashS
                 "(" | "[" => depth += 1,
                 ")" | "]" => depth -= 1,
                 t if t == rhs_stop && depth == 0 => break,
-                _ => {
-                    if toks[k].kind == TokKind::Ident && taint.contains(&toks[k].text) {
-                        rhs_tainted = true;
-                    }
-                }
+                t => rhs_tainted |= toks[k].kind == TokKind::Ident && taint.contains(t),
             }
             k += 1;
         }

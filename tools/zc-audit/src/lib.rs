@@ -14,6 +14,7 @@ mod atomics;
 mod blocking;
 pub mod config;
 mod escape;
+mod graph;
 pub mod lexer;
 mod locks;
 pub mod parser;
@@ -26,7 +27,7 @@ mod wire;
 pub use atomics::{AtomicsSummary, ProtocolStat};
 pub use blocking::ReactorFinding;
 pub use config::Config;
-pub use rules::{audit_file, Violation, WaiverKind};
+pub use rules::{Violation, WaiverKind};
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -44,6 +45,22 @@ pub struct FileAnalysis {
     pub test_spans: Vec<(usize, usize)>,
     /// Under a tests/benches/examples/fixtures directory.
     pub in_test_tree: bool,
+}
+
+impl FileAnalysis {
+    /// Scan and item-parse one source file; `rel` is its workspace-relative
+    /// path with `/` separators.
+    pub fn new(rel: String, src: &str) -> FileAnalysis {
+        let scanned = lexer::scan(src);
+        let test_spans = rules::cfg_test_mod_spans(&scanned.toks);
+        FileAnalysis {
+            items: parser::parse_items(&scanned.toks, &test_spans),
+            in_test_tree: rules::is_test_tree(&rel),
+            rel,
+            scanned,
+            test_spans,
+        }
+    }
 }
 
 /// Locate the workspace root: walk up from `start` until a directory
@@ -219,29 +236,24 @@ impl Report {
     }
 }
 
-/// Audit the whole workspace rooted at `root` with `cfg`: the per-file
-/// rules plus the inter-procedural passes (zc-escape, lock-order,
-/// wire-taint, wire-consts, atomics-protocol, reactor-readiness).
-/// Violations are sorted by file then line.
+/// Audit the workspace rooted at `root` with `cfg`: load every `.rs`
+/// file outside the excludes and [`audit`] them.
 pub fn audit_workspace_report(root: &Path, cfg: &Config) -> std::io::Result<Report> {
     let mut files = Vec::new();
     for rel in collect_rs_files(root, &cfg.exclude)? {
         let src = std::fs::read_to_string(root.join(&rel))?;
-        let scanned = lexer::scan(&src);
-        let test_spans = rules::cfg_test_mod_spans(&scanned.toks);
-        let items = parser::parse_items(&scanned.toks, &test_spans);
-        let in_test_tree = rules::is_test_tree(&rel);
-        files.push(FileAnalysis {
-            rel,
-            scanned,
-            items,
-            test_spans,
-            in_test_tree,
-        });
+        files.push(FileAnalysis::new(rel, &src));
     }
+    Ok(audit(&files, cfg))
+}
 
+/// Audit `files` with `cfg`: the per-file rules plus the inter-procedural
+/// passes (zc-escape, lock-order, wire-taint, wire-consts,
+/// atomics-protocol, reactor-readiness), then the one stale-waiver sweep.
+/// Violations are sorted by file then line.
+pub fn audit(files: &[FileAnalysis], cfg: &Config) -> Report {
     let mut out = Vec::new();
-    // Unlike the per-file entry point, collect waivers everywhere: the
+    // Collect waivers everywhere, not just where a per-file rule runs: the
     // inter-procedural passes accept waivers in files no per-file rule
     // covers (a lock-held waiver in the ORB, say).
     let waivers: Vec<BTreeMap<u32, rules::Waiver>> = files
@@ -250,14 +262,15 @@ pub fn audit_workspace_report(root: &Path, cfg: &Config) -> std::io::Result<Repo
         .collect();
 
     for (f, w) in files.iter().zip(&waivers) {
-        rules::run_rules(&f.rel, &f.scanned, cfg, w, &f.test_spans, &mut out);
+        rules::run_rules(f, cfg, w, &mut out);
     }
-    escape::run(&files, cfg, &waivers, &mut out);
-    locks::run(&files, cfg, &waivers, &mut out);
-    taint::run(&files, cfg, &waivers, &mut out);
-    wire::run(&files, cfg, &waivers, &mut out);
-    let atomics_summary = atomics::run(&files, cfg, &waivers, &mut out);
-    let reactor = blocking::run(&files, cfg, &waivers, &mut out);
+    let index = graph::NameIndex::new(files);
+    escape::run(&index, cfg, &waivers, &mut out);
+    locks::run(files, cfg, &waivers, &mut out);
+    taint::run(&index, cfg, &waivers, &mut out);
+    wire::run(files, cfg, &waivers, &mut out);
+    let atomics_summary = atomics::run(files, cfg, &waivers, &mut out);
+    let reactor = blocking::run(&index, cfg, &waivers, &mut out);
 
     // Stale sweep, deferred until every pass has had a chance to consume
     // its waivers. Reported under the rule the waiver kind belongs to.
@@ -285,20 +298,13 @@ pub fn audit_workspace_report(root: &Path, cfg: &Config) -> std::io::Result<Repo
     }
 
     out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    Ok(Report {
+    Report {
         violations: out,
         waivers: records,
         atomics: atomics_summary,
         reactor,
         reactor_entrypoints: cfg.reactor.entrypoints.clone(),
-    })
-}
-
-/// Audit the whole workspace rooted at `root` with `cfg`. Violations are
-/// sorted by file then line. Convenience wrapper over
-/// [`audit_workspace_report`].
-pub fn audit_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Violation>> {
-    Ok(audit_workspace_report(root, cfg)?.violations)
+    }
 }
 
 #[cfg(test)]

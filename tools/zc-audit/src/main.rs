@@ -2,8 +2,7 @@
 //! any are found.
 //!
 //! Usage: `cargo run -p zc-audit [-- [--json] [--deny-reactor]
-//! [--reactor-report] [--ratchet <baseline.json>]
-//! [--update-ratchet <baseline.json>] [<root>]]`
+//! [--ratchet <baseline.json>] [--update-ratchet <baseline.json>] [<root>]]`
 //!
 //! - `<root>` defaults to the nearest ancestor directory containing
 //!   `zc-audit.toml`.
@@ -11,15 +10,14 @@
 //!   the full waiver inventory with used/stale status, the atomics/reactor
 //!   pass summaries and the ratchet outcome) on stdout.
 //! - every finding fails the run (exit 1) except `reactor-blocking`, the
-//!   measured debt the reactor cutover retires: it is printed and exits 0 until
+//!   measured debt the reactor cutover retires: it is printed (with its call
+//!   chain from the entrypoint) and exits 0 until
 //!   `--deny-reactor` makes it fail like every other rule. The
 //!   `workspace_is_clean` test draws the same line.
 //! - `--ratchet <file>` compares the current per-kind waiver counts against
 //!   the committed baseline and fails (exit 1) if any kind grew; shrinkage
 //!   prints a hint to tighten the baseline. `--update-ratchet <file>`
 //!   rewrites the baseline from the current tree.
-//! - `--reactor-report` prints the blocking-reachability report (one line
-//!   per reachable blocking leaf with its call chain) after the findings.
 //!
 //! Relative ratchet paths resolve against the workspace root.
 
@@ -30,7 +28,6 @@ use zc_audit::ratchet;
 fn main() -> ExitCode {
     let mut json = false;
     let mut deny_reactor = false;
-    let mut reactor_report = false;
     let mut ratchet_path: Option<PathBuf> = None;
     let mut update_ratchet_path: Option<PathBuf> = None;
     let mut root_arg: Option<PathBuf> = None;
@@ -39,7 +36,6 @@ fn main() -> ExitCode {
         match arg.to_str() {
             Some("--json") => json = true,
             Some("--deny-reactor") => deny_reactor = true,
-            Some("--reactor-report") => reactor_report = true,
             Some(s @ ("--ratchet" | "--update-ratchet")) => {
                 let Some(path) = args.next() else {
                     eprintln!("zc-audit: {s} requires a baseline path");
@@ -134,23 +130,6 @@ fn main() -> ExitCode {
             println!("{v}");
         }
         println!("zc-audit: {} violation(s)", report.violations.len());
-    }
-
-    if reactor_report && !json {
-        println!(
-            "reactor-readiness: {} blocking leaf site(s) reachable from entrypoints [{}]",
-            report.reactor.len(),
-            report.reactor_entrypoints.join(", ")
-        );
-        for r in &report.reactor {
-            println!(
-                "  {}:{}: `{}` via {}",
-                r.file,
-                r.line,
-                r.leaf,
-                r.chain.join(" -> ")
-            );
-        }
     }
 
     let mut ratchet_failed = false;

@@ -2,8 +2,10 @@
 //!
 //! Built directly on the lexer's token stream: function items, impl blocks,
 //! call expressions and lock-guard bindings — deliberately *not* a full
-//! grammar. The passes that consume this (zc-escape, lock-order) are
-//! name-based over-approximations, so the parser only needs to recover:
+//! grammar. The passes that consume its [`FnItem`]s (zc-escape,
+//! lock-order, wire-taint, wire-consts, atomics-protocol,
+//! reactor-readiness, and meter-coverage for a site's enclosing function)
+//! are name-based over-approximations, so the parser only needs to recover:
 //!
 //! - every `fn` with a body: name, enclosing `impl` type, parameter names
 //!   with the identifiers appearing in their types, return-type identifiers;
@@ -116,10 +118,12 @@ impl FnItem {
     }
 }
 
-/// Identifiers that look like calls when followed by `(` but are keywords.
-const KEYWORDS: &[&str] = &[
+/// Keywords: identifiers that look like calls when followed by `(`, or
+/// like operands before `[`/`+`, but are neither.
+pub(crate) const KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "in", "loop", "match", "return", "break", "continue", "let",
     "move", "fn", "unsafe", "as", "where", "impl", "dyn", "ref", "mut", "pub", "use", "mod",
+    "self",
 ];
 
 /// Parse every `fn` item with a body out of `toks`. `test_spans` are the

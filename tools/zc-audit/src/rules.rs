@@ -22,7 +22,8 @@
 //! rule applies everywhere — test `unsafe` needs justification too.
 
 use crate::config::{path_matches_any, Config, CopyPathModule, Idiom};
-use crate::lexer::{brace_span, scan, skip_attr, tok_is, Scanned, Tok, TokKind};
+use crate::lexer::{brace_span, skip_attr, tok_is, Scanned, Tok, TokKind};
+use crate::FileAnalysis;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -84,53 +85,42 @@ pub enum WaiverKind {
     ReactorBlocking,
 }
 
+/// Each kind's waiver spelling and the rule its stale waivers are reported
+/// under, in declaration order.
+const KINDS: [(WaiverKind, &str, &str); 11] = [
+    (WaiverKind::Copy, "copy", "copy-path"),
+    (WaiverKind::CheapClone, "cheap-clone", "copy-path"),
+    (WaiverKind::ControlPlane, "control-plane", "copy-path"),
+    (WaiverKind::LockHeld, "lock-held", "lock-order"),
+    (WaiverKind::WireConst, "wire-const", "wire-consts"),
+    (WaiverKind::TaintPanic, "taint-panic", "taint-panic"),
+    (WaiverKind::TaintArith, "taint-arith", "taint-arith"),
+    (WaiverKind::TaintAlloc, "taint-alloc", "taint-alloc"),
+    (WaiverKind::TaintUnsafe, "taint-unsafe", "taint-unsafe"),
+    (
+        WaiverKind::AtomicsProtocol,
+        "atomics-protocol",
+        "atomics-protocol",
+    ),
+    (
+        WaiverKind::ReactorBlocking,
+        "reactor-blocking",
+        "reactor-blocking",
+    ),
+];
+
 impl WaiverKind {
     pub fn parse(s: &str) -> Option<WaiverKind> {
-        Some(match s {
-            "copy" => WaiverKind::Copy,
-            "cheap-clone" => WaiverKind::CheapClone,
-            "control-plane" => WaiverKind::ControlPlane,
-            "lock-held" => WaiverKind::LockHeld,
-            "wire-const" => WaiverKind::WireConst,
-            "taint-panic" => WaiverKind::TaintPanic,
-            "taint-arith" => WaiverKind::TaintArith,
-            "taint-alloc" => WaiverKind::TaintAlloc,
-            "taint-unsafe" => WaiverKind::TaintUnsafe,
-            "atomics-protocol" => WaiverKind::AtomicsProtocol,
-            "reactor-blocking" => WaiverKind::ReactorBlocking,
-            _ => return None,
-        })
+        KINDS.iter().find(|k| k.1 == s).map(|k| k.0)
     }
 
     pub fn name(self) -> &'static str {
-        match self {
-            WaiverKind::Copy => "copy",
-            WaiverKind::CheapClone => "cheap-clone",
-            WaiverKind::ControlPlane => "control-plane",
-            WaiverKind::LockHeld => "lock-held",
-            WaiverKind::WireConst => "wire-const",
-            WaiverKind::TaintPanic => "taint-panic",
-            WaiverKind::TaintArith => "taint-arith",
-            WaiverKind::TaintAlloc => "taint-alloc",
-            WaiverKind::TaintUnsafe => "taint-unsafe",
-            WaiverKind::AtomicsProtocol => "atomics-protocol",
-            WaiverKind::ReactorBlocking => "reactor-blocking",
-        }
+        KINDS[self as usize].1
     }
 
     /// The rule a stale waiver of this kind is reported under.
     pub(crate) fn stale_rule(self) -> &'static str {
-        match self {
-            WaiverKind::Copy | WaiverKind::CheapClone | WaiverKind::ControlPlane => "copy-path",
-            WaiverKind::LockHeld => "lock-order",
-            WaiverKind::WireConst => "wire-consts",
-            WaiverKind::TaintPanic => "taint-panic",
-            WaiverKind::TaintArith => "taint-arith",
-            WaiverKind::TaintAlloc => "taint-alloc",
-            WaiverKind::TaintUnsafe => "taint-unsafe",
-            WaiverKind::AtomicsProtocol => "atomics-protocol",
-            WaiverKind::ReactorBlocking => "reactor-blocking",
-        }
+        KINDS[self as usize].2
     }
 
     /// Is this one of the wire-taint waiver kinds (whose reasons must cite
@@ -169,62 +159,21 @@ pub(crate) fn is_test_tree(rel: &str) -> bool {
         .any(|seg| seg == "tests" || seg == "benches" || seg == "examples" || seg == "fixtures")
 }
 
-/// Audit one file with the per-file rules. `rel` is the workspace-relative
-/// path with `/` separators. The inter-procedural passes need the whole
-/// workspace and run only through [`crate::audit_workspace_report`].
-pub fn audit_file(rel: &str, src: &str, cfg: &Config) -> Vec<Violation> {
-    let scanned = scan(src);
-    let mut out = Vec::new();
-
-    let test_spans = cfg_test_mod_spans(&scanned.toks);
-    let modules_apply = cfg.modules.iter().any(|m| path_matches_any(rel, &m.paths));
-    let meter_applies = path_matches_any(rel, &cfg.meter.paths);
-
-    // Waivers only exist (and are only validated) where copy rules run;
-    // elsewhere, prose that happens to mention the syntax is just prose.
-    let waivers = if modules_apply || meter_applies {
-        collect_waivers(rel, &scanned, cfg, &mut out)
-    } else {
-        BTreeMap::new()
-    };
-
-    run_rules(rel, &scanned, cfg, &waivers, &test_spans, &mut out);
-
-    // Stale waivers: a waiver that no flagged site consumed is dead weight
-    // and hides future regressions. Only meaningful where rules ran.
-    if modules_apply || meter_applies {
-        for w in waivers.values() {
-            if !w.used.get() {
-                out.push(Violation {
-                    file: rel.to_string(),
-                    line: w.line,
-                    rule: "copy-path",
-                    msg: "stale waiver: no audited copy idiom on this or the next line".into(),
-                });
-            }
-        }
-    }
-
-    out.sort_by_key(|v| v.line);
-    out
-}
-
 /// Run the per-file rules (copy-path, unsafe-audit, meter-coverage) on one
-/// scanned file. Waiver collection and stale-waiver sweeping are the
-/// caller's job — the workspace runner defers the sweep until the
-/// inter-procedural passes have had their chance to consume waivers.
+/// scanned file. Waiver collection and stale-waiver sweeping are
+/// [`crate::audit`]'s job — it defers the sweep until the inter-procedural
+/// passes have had their chance to consume waivers.
 pub(crate) fn run_rules(
-    rel: &str,
-    scanned: &Scanned,
+    file: &FileAnalysis,
     cfg: &Config,
     waivers: &BTreeMap<u32, Waiver>,
-    test_spans: &[(usize, usize)],
     out: &mut Vec<Violation>,
 ) {
-    let in_test_tree = is_test_tree(rel);
+    let (rel, scanned) = (file.rel.as_str(), &file.scanned);
     let in_test_code = |tok_idx: usize| {
-        in_test_tree
-            || test_spans
+        file.in_test_tree
+            || file
+                .test_spans
                 .iter()
                 .any(|&(a, b)| tok_idx >= a && tok_idx <= b)
     };
@@ -267,7 +216,7 @@ pub(crate) fn run_rules(
     }
 
     if path_matches_any(rel, &cfg.meter.paths) {
-        meter_rule(rel, &scanned.toks, cfg, waivers, &in_test_code, out);
+        meter_rule(file, cfg, waivers, &in_test_code, out);
     }
 }
 
@@ -568,30 +517,28 @@ fn unsafe_rule(rel: &str, toks: &[Tok], safety_lines: &[u32], out: &mut Vec<Viol
 }
 
 fn meter_rule(
-    rel: &str,
-    toks: &[Tok],
+    file: &FileAnalysis,
     cfg: &Config,
     waivers: &BTreeMap<u32, Waiver>,
     in_test_code: &dyn Fn(usize) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    let sites: Vec<Site> = find_idiom_sites(toks, &[Idiom::CopyFromSlice, Idiom::PtrCopy]);
-    if sites.is_empty() {
-        return;
-    }
-    let fns = fn_body_spans(toks);
-    for site in sites {
+    let toks = &file.scanned.toks;
+    for site in find_idiom_sites(toks, &[Idiom::CopyFromSlice, Idiom::PtrCopy]) {
         if in_test_code(site.tok_idx) {
             continue;
         }
-        let Some((name, open, close)) = fns
+        // The tightest fn body around the site; none in a macro arm or a
+        // const initializer.
+        let Some(f) = file
+            .items
             .iter()
-            .find(|&&(_, open, close)| site.tok_idx > open && site.tok_idx < close)
-            .map(|(n, o, c)| (n.clone(), *o, *c))
+            .filter(|f| f.contains(site.tok_idx))
+            .min_by_key(|f| f.body.1 - f.body.0)
         else {
-            continue; // not inside a function body (macro arm, const init)
+            continue;
         };
-        let metered = toks[open..=close]
+        let metered = toks[f.body.0..=f.body.1]
             .iter()
             .any(|t| t.kind == TokKind::Ident && cfg.meter.markers.iter().any(|m| m == &t.text));
         if metered {
@@ -604,46 +551,28 @@ fn meter_rule(
             continue; // waiver names the layer under which callers meter it
         }
         out.push(Violation {
-            file: rel.to_string(),
+            file: file.rel.clone(),
             line: site.line,
             rule: "meter-coverage",
             msg: format!(
-                "{} in `fn {name}` which never touches the copy meter \
+                "{} in `fn {}` which never touches the copy meter \
                  ({}); meter it or add an allow(copy) waiver naming the layer",
                 site.idiom.describe(),
+                f.name,
                 cfg.meter.markers.join("/"),
             ),
         });
     }
 }
 
-/// (name, body_open, body_close) token spans for every `fn` with a body.
-/// Innermost functions appear first so closures/nested fns match before
-/// their enclosing function.
-fn fn_body_spans(toks: &[Tok]) -> Vec<(String, usize, usize)> {
-    let mut spans = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Ident && t.text == "fn" {
-            let Some(name_tok) = toks.get(i + 1) else {
-                continue;
-            };
-            if name_tok.kind != TokKind::Ident {
-                continue;
-            }
-            if let Some((open, close)) = brace_span(toks, i) {
-                spans.push((name_tok.text.clone(), open, close));
-            }
-        }
-    }
-    // Sort by span length so the tightest enclosing fn wins lookups.
-    spans.sort_by_key(|&(_, open, close)| close - open);
-    spans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Config;
+
+    fn audit_one(rel: &str, src: &str, cfg: &Config) -> Vec<Violation> {
+        crate::audit(&[FileAnalysis::new(rel.to_string(), src)], cfg).violations
+    }
 
     fn test_cfg() -> Config {
         Config::parse(
@@ -669,8 +598,16 @@ markers = ["meter", "CopyMeter", "record"]
     }
 
     #[test]
+    fn waiver_kind_table_is_in_declaration_order() {
+        for (i, (kind, name, _)) in KINDS.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{name}");
+            assert_eq!(WaiverKind::parse(name), Some(*kind));
+        }
+    }
+
+    #[test]
     fn flags_unwaivered_copy() {
-        let v = audit_file(
+        let v = audit_one(
             "src/demo.rs",
             "fn f(a: &[u8]) -> Vec<u8> { a.to_vec() }",
             &test_cfg(),
@@ -685,7 +622,7 @@ markers = ["meter", "CopyMeter", "record"]
         let src = "fn f(a: &[u8], b: &mut [u8]) {\n\
                    // zc-audit: allow(copy) — staged into send ring, metered as SocketSend\n\
                    b.copy_from_slice(a);\n}\n";
-        let v = audit_file("src/demo.rs", src, &test_cfg());
+        let v = audit_one("src/demo.rs", src, &test_cfg());
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -694,7 +631,7 @@ markers = ["meter", "CopyMeter", "record"]
         let src = "fn f(a: &[u8], b: &mut [u8]) {\n\
                    // zc-audit: allow(copy) — we really need this\n\
                    b.copy_from_slice(a);\n}\n";
-        let v = audit_file("src/demo.rs", src, &test_cfg());
+        let v = audit_one("src/demo.rs", src, &test_cfg());
         assert_eq!(v.len(), 2, "{v:?}"); // malformed waiver + unwaivered site
         assert!(v[0].msg.contains("CopyLayer"));
     }
@@ -705,15 +642,15 @@ markers = ["meter", "CopyMeter", "record"]
                    let _x = Arc::clone(a);\n\
                    // zc-audit: allow(cheap-clone) — Handle is a refcounted view\n\
                    let _y = h.clone();\n}\n";
-        let v = audit_file("src/demo.rs", src, &test_cfg());
+        let v = audit_one("src/demo.rs", src, &test_cfg());
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn test_mod_and_test_tree_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n fn f(a: &[u8]) { let _ = a.to_vec(); }\n}\n";
-        assert!(audit_file("src/demo.rs", src, &test_cfg()).is_empty());
-        let v = audit_file(
+        assert!(audit_one("src/demo.rs", src, &test_cfg()).is_empty());
+        let v = audit_one(
             "src/tests/demo.rs",
             "fn g(a: &[u8]) { a.to_vec(); }",
             &test_cfg(),
@@ -724,7 +661,7 @@ markers = ["meter", "CopyMeter", "record"]
     #[test]
     fn stale_waiver_flagged() {
         let src = "// zc-audit: allow(cheap-clone) — nothing here\nfn f() {}\n";
-        let v = audit_file("src/demo.rs", src, &test_cfg());
+        let v = audit_one("src/demo.rs", src, &test_cfg());
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].msg.contains("stale waiver"));
     }
@@ -733,7 +670,7 @@ markers = ["meter", "CopyMeter", "record"]
     fn unsafe_without_safety_flagged() {
         let src = "#![deny(unsafe_op_in_unsafe_fn)]\n\
                    fn f(p: *mut u8) { unsafe { p.write(0) } }\n";
-        let v = audit_file("src/unsafe_demo.rs", src, &test_cfg());
+        let v = audit_one("src/unsafe_demo.rs", src, &test_cfg());
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "unsafe-audit");
         assert_eq!(v[0].line, 2);
@@ -745,13 +682,13 @@ markers = ["meter", "CopyMeter", "record"]
                    fn f(p: *mut u8) {\n\
                    // SAFETY: p is valid for writes by contract.\n\
                    unsafe { p.write(0) }\n}\n";
-        let v = audit_file("src/unsafe_demo.rs", src, &test_cfg());
+        let v = audit_one("src/unsafe_demo.rs", src, &test_cfg());
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn missing_deny_attr_flagged() {
-        let v = audit_file("src/unsafe_demo.rs", "fn f() {}\n", &test_cfg());
+        let v = audit_one("src/unsafe_demo.rs", "fn f() {}\n", &test_cfg());
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].msg.contains("unsafe_op_in_unsafe_fn"));
     }
@@ -763,7 +700,7 @@ markers = ["meter", "CopyMeter", "record"]
                        meter.record(src.len());\n\
                        dst.copy_from_slice(src);\n\
                    }\n";
-        let v = audit_file("src/meter_demo.rs", src, &test_cfg());
+        let v = audit_one("src/meter_demo.rs", src, &test_cfg());
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "meter-coverage");
         assert_eq!(v[0].line, 1);
@@ -775,7 +712,7 @@ markers = ["meter", "CopyMeter", "record"]
         let src = "fn raw(dst: &mut [u8], src: &[u8]) {\n\
                    // zc-audit: allow(copy) — callers meter this as Demarshal\n\
                    dst.copy_from_slice(src);\n}\n";
-        let v = audit_file("src/meter_demo.rs", src, &test_cfg());
+        let v = audit_one("src/meter_demo.rs", src, &test_cfg());
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -796,7 +733,7 @@ idioms = ["format", "vec_from", "ptr_copy"]
                    let _s = format!(\"{}\", a.len());\n\
                    let _v = Vec::from(a);\n\
                    unsafe { ptr::copy_nonoverlapping(a.as_ptr(), a.as_ptr() as *mut u8, 0) };\n}\n";
-        let v = audit_file("src/demo.rs", src, &cfg);
+        let v = audit_one("src/demo.rs", src, &cfg);
         assert_eq!(v.len(), 3, "{v:?}");
     }
 }

@@ -49,16 +49,15 @@
 //! deliberately not flagged (length-guarded constant indexing is idiomatic
 //! in header parsing).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::config::{path_matches_any, Config};
-use crate::lexer::TokKind;
+use crate::graph::{reach, FnRef, NameIndex};
+use crate::lexer::{Tok, TokKind};
 use crate::locks::OPAQUE_CALLEES;
+use crate::parser::KEYWORDS;
 use crate::rules::{waiver_for, Violation, Waiver, WaiverKind};
 use crate::FileAnalysis;
-
-/// Global function handle: (file index, item index).
-type FnRef = (usize, usize);
 
 /// One flagged sink inside an analyzed function.
 struct Sink {
@@ -76,7 +75,7 @@ struct TaintedCall {
 }
 
 pub(crate) fn run(
-    files: &[FileAnalysis],
+    index: &NameIndex,
     cfg: &Config,
     waivers: &[BTreeMap<u32, Waiver>],
     out: &mut Vec<Violation>,
@@ -85,108 +84,114 @@ pub(crate) fn run(
     if tc.paths.is_empty() {
         return;
     }
-
-    // Index every function by name.
-    let mut by_name: HashMap<&str, Vec<FnRef>> = HashMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (ii, item) in file.items.iter().enumerate() {
-            by_name
-                .entry(item.name.as_str())
-                .or_default()
-                .push((fi, ii));
-        }
-    }
+    let files = index.files;
 
     // Seeds: configured entrypoints inside the taint paths.
-    let mut queue: VecDeque<FnRef> = VecDeque::new();
-    let mut origin: HashMap<FnRef, (String, u32)> = HashMap::new(); // seed name, distance
+    let mut seeds: Vec<FnRef> = Vec::new();
     for (fi, file) in files.iter().enumerate() {
         if !path_matches_any(&file.rel, &tc.paths) || file.in_test_tree {
             continue;
         }
         for (ii, item) in file.items.iter().enumerate() {
-            if item.is_test || !tc.entrypoints.iter().any(|e| e == &item.name) {
-                continue;
+            if !item.is_test && tc.entrypoints.iter().any(|e| e == &item.name) {
+                seeds.push((fi, ii));
             }
-            origin.insert((fi, ii), (item.name.clone(), 0));
-            queue.push_back((fi, ii));
         }
     }
 
-    // BFS along tainted call edges, analyzing each function once with all
+    // Reach along tainted call edges, analyzing each function once with all
     // parameters tainted (the over-approximate seed for reached callees).
-    while let Some(r) = queue.pop_front() {
-        let (seed, dist) = origin[&r].clone();
-        let (fi, ii) = r;
-        let file = &files[fi];
-        let item = &file.items[ii];
-        let audited = path_matches_any(&file.rel, &tc.paths) && !file.in_test_tree && !item.is_test;
-        let (sinks, calls) = analyze_fn(file, ii, tc);
-
-        if audited {
-            for s in &sinks {
-                if waiver_for(&waivers[fi], s.line, &[s.kind]).is_some() {
-                    continue;
-                }
-                let rule = match s.kind {
-                    WaiverKind::TaintPanic => "taint-panic",
-                    WaiverKind::TaintArith => "taint-arith",
-                    WaiverKind::TaintAlloc => "taint-alloc",
-                    _ => "taint-unsafe",
-                };
-                let remedy = match s.kind {
-                    WaiverKind::TaintPanic => "return an error instead, or rebind through a clamp",
-                    WaiverKind::TaintArith => "use checked_/saturating_ arithmetic",
-                    WaiverKind::TaintAlloc => {
-                        "clamp the size (bounded_capacity / a configured clamp) first"
-                    }
-                    _ => "cite the clamp in the SAFETY: comment",
-                };
-                out.push(Violation {
-                    file: file.rel.clone(),
-                    line: s.line,
-                    rule,
-                    msg: format!(
-                        "{} on a wire-tainted value in `fn {}`, reachable from \
-                         untrusted entrypoint `fn {}` ({} call{} away); {} or waive \
-                         with allow({}) citing a clamp",
-                        s.what,
-                        item.name,
-                        seed,
-                        dist,
-                        if dist == 1 { "" } else { "s" },
-                        remedy,
-                        rule,
-                    ),
-                });
-            }
-        }
-
+    let mut sinks: HashMap<FnRef, Vec<Sink>> = HashMap::new();
+    let visits = reach(seeds, |(fi, ii)| {
+        let item = index.item((fi, ii));
+        let (found, calls) = analyze_fn(&files[fi], ii, tc);
+        sinks.insert((fi, ii), found);
+        let mut targets = Vec::new();
         for c in &calls {
             let opaque = OPAQUE_CALLEES.contains(&c.callee.as_str());
             if opaque && !c.via_self {
                 continue;
             }
-            let Some(targets) = by_name.get(c.callee.as_str()) else {
-                continue;
-            };
-            for &g in targets {
-                if origin.contains_key(&g) {
-                    continue;
-                }
-                let gt = &files[g.0].items[g.1];
-                if gt.is_test || files[g.0].in_test_tree {
-                    continue;
-                }
+            targets.extend(index.named(&c.callee).iter().filter(|&&(gf, gi)| {
+                let gt = index.item((gf, gi));
                 // An opaque name only resolves as a same-impl method.
-                if opaque && !(g.0 == fi && gt.qual == item.qual) {
-                    continue;
-                }
-                origin.insert(g, (seed.clone(), dist + 1));
-                queue.push_back(g);
+                !gt.is_test
+                    && !files[gf].in_test_tree
+                    && (!opaque || (gf == fi && gt.qual == item.qual))
+            }));
+        }
+        targets
+    });
+
+    for v in &visits {
+        let file = &files[v.at.0];
+        let item = index.item(v.at);
+        if !path_matches_any(&file.rel, &tc.paths) || file.in_test_tree || item.is_test {
+            continue;
+        }
+        for s in &sinks[&v.at] {
+            if waiver_for(&waivers[v.at.0], s.line, &[s.kind]).is_some() {
+                continue;
             }
+            // Each sink class reports under its waiver kind's name.
+            let rule = s.kind.name();
+            let remedy = match s.kind {
+                WaiverKind::TaintPanic => "return an error instead, or rebind through a clamp",
+                WaiverKind::TaintArith => "use checked_/saturating_ arithmetic",
+                WaiverKind::TaintAlloc => {
+                    "clamp the size (bounded_capacity / a configured clamp) first"
+                }
+                _ => "cite the clamp in the SAFETY: comment",
+            };
+            out.push(Violation {
+                file: file.rel.clone(),
+                line: s.line,
+                rule,
+                msg: format!(
+                    "{} on a wire-tainted value in `fn {}`, reachable from \
+                     untrusted entrypoint `fn {}` ({} call{} away); {} or waive \
+                     with allow({}) citing a clamp",
+                    s.what,
+                    item.name,
+                    index.item(v.seed).name,
+                    v.dist,
+                    if v.dist == 1 { "" } else { "s" },
+                    remedy,
+                    rule,
+                ),
+            });
         }
     }
+}
+
+/// The `let`/`for` binding starting at `i`: the identifiers its pattern
+/// binds, the index of its `=`/`in`, and the token that ends its
+/// initializer (`;`/`{`). `None` when `i` starts no binding or no `=`/`in`
+/// follows the pattern.
+pub(crate) fn binding(
+    toks: &[Tok],
+    i: usize,
+    close: usize,
+) -> Option<(Vec<String>, usize, &'static str)> {
+    let (binder_stop, rhs_stop) = match toks[i].text.as_str() {
+        "let" => ("=", ";"),
+        "for" => ("in", "{"),
+        _ => return None,
+    };
+    let mut j = i + 1;
+    let mut binders = Vec::new();
+    while j < close && toks[j].text != binder_stop && toks[j].text != ";" {
+        if toks[j].kind == TokKind::Ident
+            && !matches!(
+                toks[j].text.as_str(),
+                "mut" | "ref" | "_" | "Some" | "Ok" | "Err"
+            )
+        {
+            binders.push(toks[j].text.clone());
+        }
+        j += 1;
+    }
+    (j < close && toks[j].text == binder_stop).then_some((binders, j, rhs_stop))
 }
 
 /// Analyze one function body with every parameter tainted: a single forward
@@ -242,71 +247,43 @@ fn analyze_fn(
         let t = &toks[i];
 
         // --- taint propagation -------------------------------------------
-        match t.text.as_str() {
-            "let" | "for" => {
-                let (binder_stop, rhs_stop) = if t.text == "let" {
-                    ("=", ";")
-                } else {
-                    ("in", "{")
-                };
-                let mut j = i + 1;
-                let mut binders = Vec::new();
-                while j < close && toks[j].text != binder_stop && toks[j].text != ";" {
-                    if toks[j].kind == TokKind::Ident
-                        && !matches!(
-                            toks[j].text.as_str(),
-                            "mut" | "ref" | "_" | "Some" | "Ok" | "Err"
-                        )
-                    {
-                        binders.push(toks[j].text.clone());
+        if let Some((binders, eq, rhs_stop)) = binding(toks, i, close) {
+            // Scan the initializer for taint and sanitizers. A `{` at depth
+            // 0 also ends it (`if let … = x { … }`).
+            let mut k = eq + 1;
+            let mut depth = 0i32;
+            let mut rhs_tainted = false;
+            let mut rhs_clamped = false;
+            while k < close {
+                match toks[k].text.as_str() {
+                    "(" | "[" => depth += 1,
+                    ")" | "]" => depth -= 1,
+                    "{" if depth == 0 => break,
+                    s if s == rhs_stop && depth == 0 => break,
+                    s if toks[k].kind == TokKind::Ident => {
+                        rhs_tainted |= taint.contains(s);
+                        rhs_clamped |= is_clamp(s);
                     }
-                    j += 1;
+                    _ => {}
                 }
-                if j < close && toks[j].text == binder_stop {
-                    // Scan the initializer for taint and sanitizers. A `{`
-                    // at depth 0 also ends it (`if let … = x { … }`).
-                    let mut k = j + 1;
-                    let mut depth = 0i32;
-                    let mut rhs_tainted = false;
-                    let mut rhs_clamped = false;
-                    while k < close {
-                        match toks[k].text.as_str() {
-                            "(" | "[" => depth += 1,
-                            ")" | "]" => depth -= 1,
-                            "{" if depth == 0 => break,
-                            s if s == rhs_stop && depth == 0 => break,
-                            _ => {
-                                if toks[k].kind == TokKind::Ident {
-                                    if taint.contains(&toks[k].text) {
-                                        rhs_tainted = true;
-                                    }
-                                    if is_clamp(&toks[k].text) {
-                                        rhs_clamped = true;
-                                    }
-                                }
-                            }
-                        }
-                        k += 1;
-                    }
-                    if rhs_tainted && !rhs_clamped {
-                        taint.extend(binders);
-                    } else {
-                        // A rebind through a sanitizer (or from clean data)
-                        // clears any earlier taint on these names.
-                        for b in &binders {
-                            taint.remove(b);
-                        }
-                    }
+                k += 1;
+            }
+            if rhs_tainted && !rhs_clamped {
+                taint.extend(binders);
+            } else {
+                // A rebind through a sanitizer (or from clean data) clears
+                // any earlier taint on these names.
+                for b in &binders {
+                    taint.remove(b);
                 }
             }
-            _ => {}
         }
 
         // A call whose receiver chain or arguments are tainted writes taint
         // into its `&mut ident` arguments: `self.stream.read_exact(&mut
         // header)` is how socket bytes land in a local buffer.
         if t.kind == TokKind::Ident
-            && !kw(&t.text)
+            && !KEYWORDS.contains(&t.text.as_str())
             && toks.get(i + 1).is_some_and(|n| n.text == "(")
             && !(i > 0 && toks[i - 1].text == "fn")
         {
@@ -348,7 +325,8 @@ fn analyze_fn(
             // mentions a tainted identifier.
             (TokKind::Punct, "[") => {
                 let indexable_recv = i > 0
-                    && (toks[i - 1].kind == TokKind::Ident && !kw(&toks[i - 1].text)
+                    && (toks[i - 1].kind == TokKind::Ident
+                        && !KEYWORDS.contains(&toks[i - 1].text.as_str())
                         || toks[i - 1].text == ")"
                         || toks[i - 1].text == "]");
                 if indexable_recv {
@@ -543,7 +521,7 @@ fn analyze_fn(
             && toks.get(k + 1).is_some_and(|n| n.text == "!")
             && !in_child(k)
         {
-            let (idents, _) = paren_or_bracket_idents(toks, k + 2, close);
+            let (idents, _) = bracket_idents(toks, k + 2, close);
             if idents.iter().any(|s| taint.contains(s)) {
                 sinks.push(Sink {
                     line: toks[k].line,
@@ -563,7 +541,7 @@ fn analyze_fn(
 /// (`as *mut T`), unary deref, and reference-ish positions by requiring an
 /// operand-shaped token on the left.
 fn binary_arith_sink(
-    toks: &[crate::lexer::Tok],
+    toks: &[Tok],
     i: usize,
     close: usize,
     taint: &HashSet<String>,
@@ -574,7 +552,8 @@ fn binary_arith_sink(
         return None;
     }
     let prev = &toks[i - 1];
-    let operand_left = matches!(prev.kind, TokKind::Ident | TokKind::Number) && !kw(&prev.text)
+    let operand_left = matches!(prev.kind, TokKind::Ident | TokKind::Number)
+        && !KEYWORDS.contains(&prev.text.as_str())
         || prev.text == ")"
         || prev.text == "]";
     if !operand_left || prev.text == "as" {
@@ -604,11 +583,7 @@ fn binary_arith_sink(
 
 /// Identifier texts inside the bracket group opening at `open` (`[`), plus
 /// the ident-count position of the first depth-0 `;` (for `vec![x; n]`).
-fn bracket_idents(
-    toks: &[crate::lexer::Tok],
-    open: usize,
-    close: usize,
-) -> (Vec<String>, Option<usize>) {
+fn bracket_idents(toks: &[Tok], open: usize, close: usize) -> (Vec<String>, Option<usize>) {
     let mut depth = 0i32;
     let mut idents = Vec::new();
     let mut semi = None;
@@ -634,24 +609,10 @@ fn bracket_idents(
     (idents, semi)
 }
 
-/// Identifier texts inside the paren or bracket group opening at `open`.
-fn paren_or_bracket_idents(
-    toks: &[crate::lexer::Tok],
-    open: usize,
-    close: usize,
-) -> (Vec<String>, Option<usize>) {
-    bracket_idents(toks, open, close)
-}
-
 /// Does the statement containing the token at `at` mention a tainted
 /// identifier to its left? Scans back to the nearest statement boundary
 /// (`;`, `{`, `}`), clipped to the body open brace.
-fn statement_tainted(
-    toks: &[crate::lexer::Tok],
-    at: usize,
-    body_open: usize,
-    taint: &HashSet<String>,
-) -> bool {
+fn statement_tainted(toks: &[Tok], at: usize, body_open: usize, taint: &HashSet<String>) -> bool {
     let mut i = at;
     while i > body_open + 1 {
         i -= 1;
@@ -669,39 +630,10 @@ fn statement_tainted(
 
 /// The first identifier of the receiver chain of the call at `tok_idx`
 /// (`self.inner.take(..)` → `self`), if it is a method call.
-fn receiver_root(toks: &[crate::lexer::Tok], tok_idx: usize) -> Option<&str> {
+fn receiver_root(toks: &[Tok], tok_idx: usize) -> Option<&str> {
     let mut i = tok_idx;
     while i >= 2 && toks[i - 1].text == "." && toks[i - 2].kind == TokKind::Ident {
         i -= 2;
     }
     (i != tok_idx).then(|| toks[i].text.as_str())
-}
-
-fn kw(s: &str) -> bool {
-    matches!(
-        s,
-        "if" | "else"
-            | "while"
-            | "for"
-            | "in"
-            | "loop"
-            | "match"
-            | "return"
-            | "break"
-            | "continue"
-            | "let"
-            | "move"
-            | "fn"
-            | "unsafe"
-            | "as"
-            | "where"
-            | "impl"
-            | "dyn"
-            | "ref"
-            | "mut"
-            | "pub"
-            | "use"
-            | "mod"
-            | "self"
-    )
 }

@@ -88,30 +88,30 @@ pub(crate) fn run(
         }
     }
 
+    let mut flag = |file: &str, line: u32, msg: String| {
+        out.push(Violation {
+            file: file.to_string(),
+            line,
+            rule: "wire-consts",
+            msg,
+        })
+    };
     for en in &cfg.wire.enums {
         let Some(file) = files.iter().find(|f| f.rel == en.file) else {
-            out.push(Violation {
-                file: en.file.clone(),
-                line: 1,
-                rule: "wire-consts",
-                msg: format!(
-                    "configured wire enum `{}`: file `{}` not found in workspace",
-                    en.name, en.file
-                ),
-            });
+            let msg = format!(
+                "configured wire enum `{}`: file `{}` not found in workspace",
+                en.name, en.file
+            );
+            flag(&en.file, 1, msg);
             continue;
         };
         let toks = &file.scanned.toks;
         let Some(variants) = enum_variants(toks, &en.name) else {
-            out.push(Violation {
-                file: file.rel.clone(),
-                line: 1,
-                rule: "wire-consts",
-                msg: format!(
-                    "configured wire enum `{}` not found in `{}`",
-                    en.name, en.file
-                ),
-            });
+            let msg = format!(
+                "configured wire enum `{}` not found in `{}`",
+                en.name, en.file
+            );
+            flag(&file.rel, 1, msg);
             continue;
         };
         // Prefer the decoder in the enum's own impl block: several types in
@@ -122,15 +122,11 @@ pub(crate) fn run(
             .find(|f| f.name == en.decoder && f.qual.as_deref() == Some(en.name.as_str()))
             .or_else(|| file.items.iter().find(|f| f.name == en.decoder));
         let Some(decoder) = decoder else {
-            out.push(Violation {
-                file: file.rel.clone(),
-                line: 1,
-                rule: "wire-consts",
-                msg: format!(
-                    "configured decoder `fn {}` for wire enum `{}` not found in `{}`",
-                    en.decoder, en.name, en.file
-                ),
-            });
+            let msg = format!(
+                "configured decoder `fn {}` for wire enum `{}` not found in `{}`",
+                en.decoder, en.name, en.file
+            );
+            flag(&file.rel, 1, msg);
             continue;
         };
         let arms = decoder_arm_values(toks, decoder.body);
@@ -138,29 +134,21 @@ pub(crate) fn run(
         for (name, val, line) in &variants {
             let Some(val) = val else { continue };
             if !arms.iter().any(|(v, _)| v == val) {
-                out.push(Violation {
-                    file: file.rel.clone(),
-                    line: *line,
-                    rule: "wire-consts",
-                    msg: format!(
-                        "wire enum `{}` variant `{name}` (= {val}) has no matching \
-                         decode arm in `fn {}`",
-                        en.name, en.decoder
-                    ),
-                });
+                let msg = format!(
+                    "wire enum `{}` variant `{name}` (= {val}) has no matching \
+                     decode arm in `fn {}`",
+                    en.name, en.decoder
+                );
+                flag(&file.rel, *line, msg);
             }
         }
         for (val, line) in &arms {
             if !variants.iter().any(|(_, v, _)| v.as_ref() == Some(val)) {
-                out.push(Violation {
-                    file: file.rel.clone(),
-                    line: *line,
-                    rule: "wire-consts",
-                    msg: format!(
-                        "`fn {}` decodes {val}, which no `{}` variant encodes",
-                        en.decoder, en.name
-                    ),
-                });
+                let msg = format!(
+                    "`fn {}` decodes {val}, which no `{}` variant encodes",
+                    en.decoder, en.name
+                );
+                flag(&file.rel, *line, msg);
             }
         }
     }

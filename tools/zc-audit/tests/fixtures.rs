@@ -16,7 +16,9 @@ fn fixture_dir(name: &str) -> PathBuf {
 fn audit(name: &str) -> Vec<(u32, String)> {
     let dir = fixture_dir(name);
     let cfg = zc_audit::Config::load(&dir.join("zc-audit.toml")).expect("fixture config");
-    let violations = zc_audit::audit_workspace(&dir, &cfg).expect("fixture audit");
+    let violations = zc_audit::audit_workspace_report(&dir, &cfg)
+        .expect("fixture audit")
+        .violations;
     for v in &violations {
         assert_eq!(v.file, "src.rs", "unexpected file in {name}: {v}");
     }

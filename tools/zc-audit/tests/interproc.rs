@@ -18,7 +18,9 @@ fn fixture_dir(name: &str) -> PathBuf {
 fn audit(name: &str) -> Vec<(String, u32, String)> {
     let dir = fixture_dir(name);
     let cfg = zc_audit::Config::load(&dir.join("zc-audit.toml")).expect("fixture config");
-    let violations = zc_audit::audit_workspace(&dir, &cfg).expect("fixture audit");
+    let violations = zc_audit::audit_workspace_report(&dir, &cfg)
+        .expect("fixture audit")
+        .violations;
     violations
         .iter()
         .map(|v| (v.file.clone(), v.line, v.rule.to_string()))
@@ -55,7 +57,9 @@ fn lock_cycle_fixture_reports_the_cycle_once() {
 
     let dir = fixture_dir("lock_cycle_bad");
     let cfg = zc_audit::Config::load(&dir.join("zc-audit.toml")).unwrap();
-    let v = zc_audit::audit_workspace(&dir, &cfg).unwrap();
+    let v = zc_audit::audit_workspace_report(&dir, &cfg)
+        .unwrap()
+        .violations;
     assert!(
         v[0].msg.contains("cycle") && v[0].msg.contains("alpha") && v[0].msg.contains("beta"),
         "cycle message must name both locks: {}",
@@ -200,7 +204,9 @@ fn atomics_fixture_reports_protocol_violations() {
 
     let dir = fixture_dir("atomics_bad");
     let cfg = zc_audit::Config::load(&dir.join("zc-audit.toml")).unwrap();
-    let v = zc_audit::audit_workspace(&dir, &cfg).unwrap();
+    let v = zc_audit::audit_workspace_report(&dir, &cfg)
+        .unwrap()
+        .violations;
     assert!(
         v[0].msg.contains("needless `SeqCst`"),
         "counter message: {}",
@@ -252,7 +258,9 @@ fn blocking_fixture_reports_reachable_leaf_only() {
 
     let dir = fixture_dir("blocking_bad");
     let cfg = zc_audit::Config::load(&dir.join("zc-audit.toml")).unwrap();
-    let v = zc_audit::audit_workspace(&dir, &cfg).unwrap();
+    let v = zc_audit::audit_workspace_report(&dir, &cfg)
+        .unwrap()
+        .violations;
     assert!(
         v[0].msg.contains("pump -> step -> finish"),
         "the two-hop chain must be spelled out: {}",
@@ -271,14 +279,11 @@ fn reactor_findings_are_debt_unless_denied() {
     let (code, stdout) = run_binary("blocking_bad", &[]);
     assert_eq!(code, 0, "reactor-blocking alone exits 0: {stdout}");
     assert!(stdout.contains("--deny-reactor enforces"), "{stdout}");
-
-    let (code, stdout) = run_binary("blocking_bad", &["--reactor-report"]);
-    assert_eq!(code, 0);
-    assert!(
-        stdout.contains("reactor-readiness: 1 blocking leaf site(s)"),
-        "{stdout}"
-    );
+    // Every run prints each finding with its chain; the old report flag
+    // that repeated them is gone.
     assert!(stdout.contains("pump -> step -> finish"), "{stdout}");
+    let (code, _) = run_binary("blocking_bad", &["--reactor-report"]);
+    assert_eq!(code, 2, "an unknown flag is a usage error");
 
     let (code, _) = run_binary("blocking_bad", &["--deny-reactor"]);
     assert_eq!(code, 1, "--deny-reactor upgrades to a hard failure");
