@@ -37,29 +37,9 @@ use std::time::{Duration, Instant};
 use zc_bench::cli::{self, Flag, Kind};
 use zc_giop::Ior;
 use zc_orb::{AdmissionConfig, ObjectAdapterExt, Orb, OrbError, OrbResult, Servant, ServerRequest};
+use zc_ttcp::Sink;
 
-const BULK_REPO_ID: &str = "IDL:zcorba/bench/BulkSink:1.0";
 const PONG_REPO_ID: &str = "IDL:zcorba/bench/Pong:1.0";
-
-/// Accepts zero-copy octet blocks and acknowledges their length — the
-/// minimal bulk-data servant, so wire bytes and deposit traffic dominate.
-struct BulkSink;
-
-impl Servant for BulkSink {
-    fn repo_id(&self) -> &'static str {
-        BULK_REPO_ID
-    }
-
-    fn dispatch(&self, op: &str, req: &mut ServerRequest<'_>) -> OrbResult<()> {
-        match op {
-            "push" => {
-                let data: zc_cdr::ZcOctetSeq = req.arg()?;
-                req.result(&(data.len() as u32))
-            }
-            other => req.bad_operation(other),
-        }
-    }
-}
 
 /// The journey demo's replica servant: a trivial idempotent `ping` plus a
 /// `nap` stall used to poison a connection to a killed primary.
@@ -185,7 +165,12 @@ fn main() {
         builder = builder.trace_spool(zc_trace::SpoolConfig::new(dir));
     }
     let server_orb = builder.build();
-    server_orb.adapter().register("bulk", Arc::new(BulkSink));
+    // The bed's sink, unverified: its `push_zc` acknowledges a block's
+    // length and does nothing else, so wire bytes and deposit traffic
+    // dominate.
+    server_orb
+        .adapter()
+        .register("bulk", Arc::new(Sink::default()));
     let server = server_orb.serve(port).expect("bind demo server");
     let (host, port) = (server.host().to_string(), server.port());
     println!("zcorba demo server listening on {host}:{port}");
@@ -193,7 +178,7 @@ fn main() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let shed_seen = Arc::new(AtomicU64::new(0));
-    let ior = server.ior_for("bulk", BULK_REPO_ID).expect("bulk ior");
+    let ior = server.ior_for("bulk", Sink::REPO_ID).expect("bulk ior");
     let mut workers = Vec::new();
     for i in 0..load_threads {
         let stop = Arc::clone(&stop);
@@ -217,9 +202,11 @@ fn main() {
                     };
                     let payload = zc_cdr::ZcOctetSeq::with_length(block_kib << 10);
                     while !stop.load(Ordering::Relaxed) {
+                        // Block index 0 every time: the sink does not verify.
                         let sent = obj
-                            .request("push")
-                            .arg(&payload)
+                            .request("push_zc")
+                            .arg(&0u64)
+                            .and_then(|r| r.arg(&payload))
                             .expect("marshal")
                             .invoke()
                             .and_then(|r| r.result::<u32>());

@@ -12,6 +12,9 @@ pub enum Kind {
     Text(&'static str),
     /// One whole number no larger than the bound.
     Num(u64),
+    /// One whole number from 1 up to the bound: a count that must not be
+    /// zero.
+    Count(u64),
 }
 
 /// A declared flag: its spelling and what it takes.
@@ -42,10 +45,16 @@ impl Args {
                     _ => return Err(format!("{name} needs a value")),
                 }
             }
-            if let Kind::Num(max) = kind {
-                if !value.parse::<u64>().is_ok_and(|n| n <= max) {
+            if let Kind::Num(max) | Kind::Count(max) = kind {
+                let count = matches!(kind, Kind::Count(_));
+                let least = u64::from(count);
+                if !value
+                    .parse::<u64>()
+                    .is_ok_and(|n| (least..=max).contains(&n))
+                {
+                    let floor = if count { "≥ 1 and " } else { "" };
                     return Err(format!(
-                        "{name} wants a whole number ≤ {max}, got {value:?}"
+                        "{name} wants a whole number {floor}≤ {max}, got {value:?}"
                     ));
                 }
             }
@@ -65,7 +74,7 @@ impl Args {
         self.text(name).is_some()
     }
 
-    /// The value given for a [`Kind::Num`] flag.
+    /// The value given for a [`Kind::Num`] or [`Kind::Count`] flag.
     pub fn num(&self, name: &str) -> Option<u64> {
         self.text(name)
             .map(|v| v.parse().expect("range-checked by Args::parse"))
@@ -85,7 +94,7 @@ pub fn usage_exit(tool: &str, flags: &[Flag], fault: &str) -> ! {
         usage += &match kind {
             Kind::Switch => format!(" [{name}]"),
             Kind::Text(what) => format!(" [{name} {what}]"),
-            Kind::Num(_) => format!(" [{name} N]"),
+            Kind::Num(_) | Kind::Count(_) => format!(" [{name} N]"),
         };
     }
     eprintln!("{usage}");

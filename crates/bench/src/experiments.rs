@@ -5,20 +5,18 @@
 //! the [`Reporter`]; none of them knows whether text or JSON comes out.
 
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
-use zc_buffers::{CopyLayer, CopyMeter, ZcBytes};
-use zc_cdr::ZcOctetSeq;
+use zc_buffers::{CopyLayer, ZcBytes};
 use zc_mpeg::{EncoderConfig, FarmParams, PayloadMode, TranscodeFarm, VideoFormat};
-use zc_orb::{ObjectAdapterExt, Orb, OrbBuilder, OrbResult, Servant, ServerRequest};
+use zc_orb::OrbBuilder;
 use zc_simnet::{
     cpu_utilization as modeled_cpu, predict, run_sweep, LinkSpec, MachineSpec, OrbMode, Scenario,
     SocketMode, FIGURE_CONFIGS,
 };
-use zc_trace::Stage;
-use zc_transport::{SimConfig, SimNetwork};
-use zc_ttcp::{run_latency, run_modeled, Series, TtcpTransport, TtcpVersion};
+use zc_trace::{Stage, Telemetry};
+use zc_transport::SimConfig;
+use zc_ttcp::{run_latency, run_modeled, OrbPair, Series, Sink, Stack, TtcpTransport, TtcpVersion};
 
 use crate::cli::{Args, Flag, Kind, JSON};
 use crate::overload::{
@@ -116,7 +114,7 @@ pub const EXPERIMENTS: [Experiment; 10] = [
     Experiment {
         name: "latency",
         anchor: "supplementary: round-trip percentiles per TTCP version",
-        flags: &[JSON, ("--rounds", Kind::Num(1 << 24))],
+        flags: &[JSON, ("--rounds", Kind::Count(1 << 24))],
         run: |a, r| latency(a.num("--rounds").unwrap_or(200) as usize, r),
     },
     Experiment {
@@ -441,59 +439,31 @@ pub fn cpu_utilization(rep: &mut Reporter) {
 
 // A1–A4: the design arguments of DESIGN.md on this host's operational stack.
 
-struct Echo;
-
-impl Servant for Echo {
-    fn repo_id(&self) -> &'static str {
-        "IDL:zcorba/Echo:1.0"
-    }
-    fn dispatch(&self, op: &str, req: &mut ServerRequest<'_>) -> OrbResult<()> {
-        match op {
-            "echo" => {
-                let d: ZcOctetSeq = req.arg()?;
-                req.result(&d)
-            }
-            other => req.bad_operation(other),
-        }
-    }
-}
-
-/// Echo `payload` out and back `rounds` times through an ORB pair built by
-/// `build` over a simulated network configured by `cfg`, and report goodput
-/// beside what the copy meter saw.
+/// Echo `payload` out and back `rounds` times (after one untimed echo)
+/// through a zero-copy bed over the simulated network `cfg`, both ORBs
+/// built through `tweak`, and report goodput beside what the copy meter saw.
 fn ablation(
     label: &str,
     cfg: SimConfig,
-    build: fn(OrbBuilder) -> OrbBuilder,
+    tweak: fn(OrbBuilder) -> OrbBuilder,
     payload: &ZcBytes,
     rounds: usize,
     rep: &mut Reporter,
 ) {
-    let net = SimNetwork::new(cfg);
-    let meter = CopyMeter::new_shared();
-    let server_orb = build(Orb::builder().sim(net.clone()).meter(Arc::clone(&meter))).build();
-    server_orb.adapter().register("echo", Arc::new(Echo));
-    let server = server_orb.serve(0).expect("serve on the simulated net");
-    let client = build(Orb::builder().sim(net).meter(Arc::clone(&meter))).build();
-    let ior = server.ior_for("echo", "IDL:zcorba/Echo:1.0");
-    let obj = client
-        .resolve(&ior.expect("registered above"))
-        .expect("resolve");
-    let echo = |data: ZcOctetSeq| -> ZcOctetSeq {
-        let reply = obj.request("echo").arg(&data).expect("marshal").invoke();
-        reply.expect("echo").result().expect("demarshal")
-    };
-
-    echo(ZcOctetSeq::with_length(0)); // warm-up
-    let before = meter.snapshot();
+    let pair = OrbPair::bring_up(
+        Stack::Sim(cfg),
+        true,
+        Telemetry::disabled(),
+        tweak,
+        Sink::default(),
+    );
+    let echo = || pair.echo_block(payload);
+    echo();
+    let before = pair.meter.snapshot();
     let start = Instant::now();
-    for _ in 0..rounds {
-        let back = echo(ZcOctetSeq::from_zc(payload.clone()));
-        assert_eq!(back.len(), payload.len());
-    }
+    (0..rounds).for_each(|_| echo());
     let wall = start.elapsed();
-    let delta = meter.snapshot().since(&before);
-    server.shutdown();
+    let delta = pair.meter.snapshot().since(&before);
     // each round moves the payload out and back
     let payload_bytes = (2 * rounds * payload.len()) as f64;
     let mbit = payload_bytes * 8.0 / wall.as_secs_f64() / 1e6;
@@ -580,7 +550,7 @@ pub fn latency(rounds: usize, rep: &mut Reporter) {
             TtcpVersion::CorbaStd,
             TtcpVersion::CorbaZc,
         ] {
-            let s = run_latency(version, msg_bytes, rounds, rounds / 10 + 1);
+            let s = run_latency(version, msg_bytes, rounds);
             rep.record(
                 &format!("  {:<26} {s}", version.label()),
                 &[

@@ -20,7 +20,14 @@ pub mod overload;
 pub mod report;
 pub mod top;
 
-use zc_ttcp::{run_measured, MeasuredOutcome, TtcpParams, TtcpVersion};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use zc_cdr::ZcOctetSeq;
+use zc_orb::{OrbError, RetryPolicy};
+use zc_trace::Telemetry;
+use zc_transport::{FaultPlan, FaultSide, SimConfig};
+use zc_ttcp::{run_measured, MeasuredOutcome, OrbPair, Sink, Stack, TtcpParams, TtcpVersion};
 
 /// Block sizes for the measured sweep (a subset of the paper's range keeps
 /// the runtime reasonable; `--full` asks for all sizes).
@@ -76,81 +83,43 @@ pub struct FaultSweepPoint {
     pub goodput_mbit_s: f64,
 }
 
-struct ByteSum;
-
-impl zc_orb::Servant for ByteSum {
-    fn repo_id(&self) -> &'static str {
-        "IDL:zcorba/bench/ByteSum:1.0"
-    }
-    fn dispatch(&self, op: &str, req: &mut zc_orb::ServerRequest<'_>) -> zc_orb::OrbResult<()> {
-        match op {
-            "sum" => {
-                let data: zc_cdr::ZcOctetSeq = req.arg()?;
-                let sum: u64 = data.iter().map(|&b| b as u64).sum();
-                req.result(&sum)
-            }
-            other => req.bad_operation(other),
-        }
-    }
-}
-
-/// Run one fault-sweep point: a fresh simulated network with per-frame
-/// drop probability `drop_prob` on both sides, a zero-copy server, and a
-/// client whose retry policy has fast backoffs and no circuit breaker (the
+/// Run one fault-sweep point on the bed: a fresh simulated zero-copy
+/// network with per-frame drop probability `drop_prob` on both sides, and
+/// ORBs whose retry policy has fast backoffs and no circuit breaker (the
 /// sweep measures recovery throughput, not fail-fast behaviour).
 pub fn fault_sweep_point(drop_prob: f64, calls: u32, block_bytes: usize) -> FaultSweepPoint {
-    use std::sync::Arc;
-    use zc_orb::ObjectAdapterExt;
-
-    let net = zc_transport::SimNetwork::new(zc_transport::SimConfig::zero_copy());
-    let telemetry = zc_trace::Telemetry::with_capacity(1024);
-    let server_orb = zc_orb::Orb::builder().sim(net.clone()).build();
-    server_orb.adapter().register("bytesum", Arc::new(ByteSum));
-    let server = server_orb.serve(0).expect("serve");
-    let retry = zc_orb::RetryPolicy {
-        max_attempts: 6,
-        base_backoff: std::time::Duration::from_micros(100),
-        max_backoff: std::time::Duration::from_millis(2),
-        breaker_threshold: u32::MAX,
-        ..zc_orb::RetryPolicy::default()
-    };
-    let client = zc_orb::Orb::builder()
-        .sim(net.clone())
-        .retry(retry)
-        .telemetry(Arc::clone(&telemetry))
-        .build();
-    let obj = client
-        .resolve(
-            &server
-                .ior_for("bytesum", "IDL:zcorba/bench/ByteSum:1.0")
-                .expect("ior"),
-        )
-        .expect("resolve");
-
-    let payload = zc_cdr::ZcOctetSeq::with_length(block_bytes);
+    let telemetry = Telemetry::with_capacity(1024);
+    let pair = OrbPair::bring_up(
+        Stack::Sim(SimConfig::zero_copy()),
+        true,
+        Arc::clone(&telemetry),
+        |b| {
+            b.retry(RetryPolicy {
+                max_attempts: 6,
+                base_backoff: Duration::from_micros(100),
+                max_backoff: Duration::from_millis(2),
+                breaker_threshold: u32::MAX,
+                ..RetryPolicy::default()
+            })
+        },
+        Sink::default(),
+    );
+    let net = pair.net.as_ref().expect("a simulated pair");
+    let payload = ZcOctetSeq::with_length(block_bytes);
     let expected: u64 = payload.iter().map(|&b| b as u64).sum();
+    let call = || {
+        let req = pair.obj.request("sum").idempotent().arg(&payload);
+        let reply = req.expect("marshal").invoke()?;
+        let sum: u64 = reply.result().expect("result");
+        assert_eq!(sum, expected, "payload corrupted in flight");
+        Ok::<(), OrbError>(())
+    };
 
-    net.inject_faults(zc_transport::FaultPlan::drop(drop_prob).on(zc_transport::FaultSide::Both));
-
-    let mut ok = 0u32;
-    let mut failed = 0u32;
-    let start = std::time::Instant::now();
-    for _ in 0..calls {
-        let outcome = obj
-            .request("sum")
-            .idempotent()
-            .arg(&payload)
-            .expect("marshal")
-            .invoke();
-        match outcome {
-            Ok(reply) => {
-                let sum: u64 = reply.result().expect("result");
-                assert_eq!(sum, expected, "payload corrupted in flight");
-                ok += 1;
-            }
-            Err(_) => failed += 1,
-        }
-    }
+    call().expect("the warm-up call, before any fault");
+    net.inject_faults(FaultPlan::drop(drop_prob).on(FaultSide::Both));
+    let start = Instant::now();
+    let ok = (0..calls).filter(|_| call().is_ok()).count() as u32;
+    let failed = calls - ok;
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
     net.clear_faults();
 

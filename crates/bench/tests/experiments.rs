@@ -85,6 +85,7 @@ fn unknown_experiments_and_flags_are_usage_errors() {
         &["cpu_utilization", "--full"],
         &["latency", "--rounds", "abc"],
         &["latency", "--rounds"],
+        &["latency", "--rounds", "0"],
         &["overload_curve", "--seed", "q"],
         &["overload_curve", "--out", "--json"],
     ] {
@@ -185,6 +186,34 @@ fn json_output_of_every_experiment_parses() {
         assert!(text.lines().count() >= 3, "{}: {text}", row.name);
         assert!(zc_json::parse(&text).is_err(), "{}: {text}", row.name);
     }
+}
+
+#[test]
+fn ablations_reintroduce_the_copies_the_full_design_removes() {
+    let json = capture(true, |rep| exp::ablations(64 << 10, 8, rep));
+    let rows: Vec<zc_json::Value> = json.lines().map(|l| zc_json::parse(l).expect(l)).collect();
+    // (copies per byte, fallback bytes) of the row whose label starts so.
+    let row = |prefix: &str| {
+        let labelled = |r: &&zc_json::Value| {
+            let label = r.get("ablation").and_then(|v| v.as_str());
+            label.is_some_and(|l| l.starts_with(prefix))
+        };
+        let row = rows.iter().find(labelled).expect(prefix);
+        let number = |key| row.get(key).and_then(|v| v.as_f64()).expect(key);
+        (
+            number("overhead_copy_factor"),
+            number("deposit_fallback_bytes"),
+        )
+    };
+    // Copies per payload byte at 64 KiB: the full design copies only its
+    // control messages (0.0046 when measured); each ablation brings per-byte
+    // copying back (A1 4.005, A2 0.505, A4 4.004 when measured).
+    assert!(row("full design").0 < 0.05, "{json}");
+    assert!(row("A1:").0 >= 4.0, "{json}");
+    assert!(row("A2:").0 >= 0.5, "{json}");
+    assert!(row("A4:").0 >= 4.0, "{json}");
+    // Half the speculative receives miss and fall back to a copy.
+    assert!(row("A3: speculation success p = 0.50").1 > 0.0, "{json}");
 }
 
 /// The modeled half of a figure: everything before the host table.

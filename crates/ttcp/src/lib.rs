@@ -18,19 +18,21 @@
 //! * [`run_modeled`] — evaluates the same configuration on the calibrated
 //!   2003 testbed model (`zc-simnet`) and reports paper-scale Mbit/s.
 //!
-//! The figure harnesses in `zc-bench` print both side by side.
+//! The figure harnesses in `zc-bench` print both side by side. Every
+//! host-measured loop, here and in `zc-bench`, runs on the one [`bed`].
 
-pub mod latency;
+pub mod bed;
 pub mod report;
 pub mod runner;
 pub mod workload;
 
-pub use latency::{run_latency, LatencyStats};
+pub use bed::{run_latency, LatencyStats, OrbPair, Sink, Stack};
 pub use report::{format_series_table, Series};
 pub use runner::{run_measured, run_modeled, MeasuredOutcome, TtcpParams, TtcpTransport};
 pub use workload::{fill_pattern, verify_pattern};
 
 use zc_simnet::{OrbMode, SocketMode};
+use zc_transport::SimConfig;
 
 /// The four TTCP versions of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +94,22 @@ impl TtcpVersion {
     /// Whether the ORB is involved at all.
     pub fn uses_orb(self) -> bool {
         !matches!(self, TtcpVersion::RawTcp | TtcpVersion::ZcTcp)
+    }
+
+    /// Whether the ORB offers the zero-copy deposit path.
+    pub fn zc_orb(self) -> bool {
+        self.to_modes().1 == OrbMode::ZeroCopyOrb
+    }
+
+    /// The stack this version runs on over `transport`: the simulated stack
+    /// in the version's socket mode, or loopback TCP, whose socket mode is
+    /// the host kernel's.
+    pub fn stack(self, transport: TtcpTransport) -> Stack {
+        match (transport, self.to_modes().0) {
+            (TtcpTransport::Tcp, _) => Stack::Tcp,
+            (TtcpTransport::Sim, SocketMode::Copying) => Stack::Sim(SimConfig::copying()),
+            (TtcpTransport::Sim, SocketMode::ZeroCopy) => Stack::Sim(SimConfig::zero_copy()),
+        }
     }
 }
 
