@@ -15,7 +15,11 @@
 ///   bounds logic and a byte store.
 /// * `recv_frame_us` / `send_frame_us` — per-Ethernet-frame protocol and
 ///   interrupt work. On the receive side this includes the interrupt path,
-///   which is why the P-II cannot saturate GbE even with zero copies.
+///   which is why the P-II cannot saturate GbE even with zero copies. This
+///   is the paper's NIC and driver, which handled every frame: the
+///   in-process simulated stack (`zc-transport`'s `sim`) hands its NIC a
+///   window as one descriptor, as segmentation offload does, and its
+///   per-frame bookkeeping is not what these two parameters model.
 /// * `syscall_us` / `zc_syscall_us` — cost of a socket call; the zero-copy
 ///   API's page-flipping call is considerably cheaper per byte moved
 ///   ("a big improvement in the overhead of the read() and write() system

@@ -15,11 +15,16 @@
 //! taken out. So the stack is a table, one row per ([`StackMode`], [`Lane`])
 //! pair (`Plan::for_lane`), walked by one sender (`SimConn::transmit`):
 //!
-//! | row | sender copies | frames | hand-offs | receiver |
-//! |---|---|---|---|---|
-//! | copying, either lane | [`CopyLayer::SocketSend`], [`CopyLayer::KernelFrag`] | MTU | `WINDOW_FRAMES` a time | [`CopyLayer::KernelDefrag`] into a one-window socket buffer, [`CopyLayer::SocketRecv`] out of it |
-//! | zero-copy control | [`CopyLayer::SocketSend`] | one | one | [`CopyLayer::SocketRecv`] |
-//! | zero-copy data | none: frames reference the caller's pages | `PAGE_SIZE` | one | speculation; [`CopyLayer::DepositFallback`] on a miss |
+//! | row | sender copies | frames | hand-offs | descriptors per hand-off | receiver |
+//! |---|---|---|---|---|---|
+//! | copying, either lane | [`CopyLayer::SocketSend`], [`CopyLayer::KernelFrag`] | MTU | `WINDOW_FRAMES` a time | one: the window | [`CopyLayer::KernelDefrag`] into a one-window socket buffer, [`CopyLayer::SocketRecv`] out of it |
+//! | zero-copy control | [`CopyLayer::SocketSend`] | one | one | one | [`CopyLayer::SocketRecv`] |
+//! | zero-copy data | none: frames reference the caller's pages | `PAGE_SIZE` | one | one: the block | speculation; [`CopyLayer::DepositFallback`] on a miss |
+//!
+//! A window crosses as one [`Frame`] descriptor, as with segmentation
+//! offload: one queue element, while copies run and counters count per wire
+//! frame (a header each). While a per-frame fault is armed ([`FaultPlan`]),
+//! a window goes out one descriptor per wire frame.
 //!
 //! The copying row is four full traversals of the payload, exactly the
 //! per-byte overhead the paper attacks — and no fifth: every buffer is a
@@ -230,6 +235,16 @@ impl FaultPlan {
             FaultSide::Client => is_client,
             FaultSide::Server => !is_client,
         }
+    }
+
+    /// Whether a fault that addresses single frames is armed for this end.
+    fn arms_frame_faults(&self, is_client: bool) -> bool {
+        self.applies_to(is_client)
+            && (self.cut_after_frames.is_some()
+                || self.corrupt_frame.is_some()
+                || self.truncate_frame.is_some()
+                || self.delay_frame.is_some()
+                || self.drop_prob > 0.0)
     }
 }
 
@@ -566,13 +581,13 @@ fn hand_over(from: &mut VecDeque<Frame>, to: &mut VecDeque<Frame>) {
 }
 
 /// One direction of the simulated wire: the receive ring of the peer's
-/// NIC, one frame queue per lane. The sender pushes a batch of frames —
-/// a window of a copied block, all the page frames of a zero-copy one, the
-/// single frame of a small control message — under one lock and with at
-/// most one wake-up; the receiver takes everything that has arrived for
-/// the lane it wants in one swap. A batch is a *delivery* unit only:
-/// faults, frame indices, stamps and counters stay per frame, and a block
-/// may span any number of batches.
+/// NIC, one frame queue per lane. The sender pushes a batch of frame
+/// descriptors — the one of a copied block's window, of a whole zero-copy
+/// block, of a small control message — under one lock and with at most
+/// one wake-up; the receiver takes everything that has arrived for the
+/// lane it wants in one swap. A batch is a *delivery* unit only: faults,
+/// frame indices and counters stay per wire frame, and a block may span
+/// any number of batches.
 ///
 /// Nothing is allocated per batch: a lane's frames sit in three queues —
 /// the sender's staging queue, the ring's and the receiver's inbox — that
@@ -700,21 +715,26 @@ struct Outgoing {
 /// and how much of it has come off the wire so far.
 struct Incoming {
     lane: Lane,
+    /// The lane's row; its unit says how many wire frames a descriptor is.
+    plan: Plan,
     deadline: Option<Instant>,
     block_id: u64,
     total: usize,
     got: usize,
+    /// Wire frames claimed so far.
     frames: usize,
+    /// Descriptors claimed so far: the block's share of the inbox.
+    queued: usize,
     /// Put-on-wire stamp of the first fragment (`0`: untraced sender).
     sent_ns: u64,
 }
 
 impl Incoming {
     fn is_whole(&self) -> bool {
-        self.frames > 0 && self.got >= self.total
+        self.queued > 0 && self.got >= self.total
     }
 
-    /// Count `f` in as the block's next fragment; a frame that cannot
+    /// Count `f` in as the block's next fragments; a frame that cannot
     /// belong to it is a protocol error, named.
     fn claim(&mut self, f: &Frame) -> TResult<()> {
         let block_id = self.block_id;
@@ -725,7 +745,7 @@ impl Incoming {
             }
             .into());
         }
-        if self.frames > 0 && f.payload.is_empty() {
+        if self.queued > 0 && f.payload.is_empty() {
             // Progress guarantee: a peer streaming empty continuation
             // fragments must not pin the receiver in its loop forever.
             return Err(WireViolation::EmptyContinuation { block: block_id }.into());
@@ -739,7 +759,8 @@ impl Incoming {
             }
             .into());
         }
-        self.frames += 1;
+        self.frames = self.frames.saturating_add(f.wire_frames(self.plan.unit));
+        self.queued += 1;
         Ok(())
     }
 }
@@ -754,6 +775,8 @@ struct Reassembly {
     /// `None` on a row without a defragmentation copy.
     socket_buf: Option<PooledBuf>,
     user_buf: PooledBuf,
+    /// The row's fragment unit: a descriptor lands one fragment at a time.
+    unit: usize,
     /// Bytes `..read` of the block are in `user_buf`, `read..in_order` in
     /// `socket_buf`.
     read: usize,
@@ -764,9 +787,9 @@ struct Reassembly {
 }
 
 impl Reassembly {
-    fn new(pool: &PagePool, total: usize, defrag_window: Option<usize>) -> Reassembly {
-        let socket_buf = defrag_window.map(|window| {
-            let room = window.min(total).max(1);
+    fn new(pool: &PagePool, total: usize, plan: Plan) -> Reassembly {
+        let socket_buf = plan.frag_copy.then(|| {
+            let room = plan.window.min(total).max(1);
             let mut buf = pool.acquire(room);
             buf.set_len(room);
             buf
@@ -776,16 +799,17 @@ impl Reassembly {
         Reassembly {
             socket_buf,
             user_buf,
+            unit: plan.unit.max(1),
             read: 0,
             in_order: 0,
             early: Vec::new(),
         }
     }
 
-    /// Land `frame`'s fragment if it is the next in order — and then any
-    /// early one it makes room for — or queue it. `copy` is the row's
-    /// landing copy: defragmentation into the socket buffer, or straight
-    /// into the user buffer.
+    /// Land `frame`'s fragments, one by one, if they are the next in order
+    /// — and then any early frame they make room for — or queue it. `copy`
+    /// is the row's landing copy: defragmentation into the socket buffer,
+    /// or straight into the user buffer.
     fn land_fragment(
         &mut self,
         frame: Frame,
@@ -808,10 +832,12 @@ impl Reassembly {
                 Some(socket_buf) => (socket_buf.as_mut_slice(), self.read),
                 None => (self.user_buf.as_mut_slice(), 0),
             };
-            // A fragment larger than the whole socket buffer has no place
-            // in it.
+            // A frame larger than the whole socket buffer has no place in it.
             let room = checked_span((span.start - at) as u64, len, dst.len())?;
-            copy(&mut dst[room], f.payload.as_slice());
+            let frags = f.payload.as_slice().chunks(self.unit);
+            for (to, from) in dst[room].chunks_mut(self.unit).zip(frags) {
+                copy(to, from);
+            }
             self.in_order = span.end;
             if self.socket_buf.is_none() {
                 self.read = span.end;
@@ -967,10 +993,10 @@ impl SimConn {
     /// Send one block down its lane's row of the stack table, a window at
     /// a time: `write()` copies the window's bytes into a socket buffer —
     /// on the row without that copy, the window is the block's own pages —
-    /// then the driver copies each fragment behind its header, or the frame
-    /// references its share of the window, and the window's frames go on
-    /// the wire before the next window is touched: the peer takes window
-    /// *n* off the wire while this end copies window *n + 1*.
+    /// then the driver copies each fragment behind its header, and the
+    /// window goes on the wire, one descriptor for all its frames, before
+    /// the next window is touched: the peer takes window *n* off the wire
+    /// while this end copies window *n + 1*.
     fn transmit(&mut self, out: Outbound<'_>) -> TResult<()> {
         let (lane, head, rest) = match out {
             Outbound::Control(parts) => (Lane::Control, &[][..], parts),
@@ -984,6 +1010,9 @@ impl SimConn {
             head,
             rest: rest.iter(),
         };
+        // A descriptor per window, or per wire frame while one can be hit.
+        let per_frame = self.active_plan.arms_frame_faults(self.is_client);
+        let step = if per_frame { plan.unit } else { plan.window };
         // An empty block is one empty frame.
         for at in (0..total.max(1)).step_by(plan.window) {
             let len = (total - at).min(plan.window);
@@ -1001,8 +1030,8 @@ impl SimConn {
             } else {
                 window
             };
-            for frag in (0..len.max(1)).step_by(plan.unit) {
-                let payload = window.slice(frag..len.min(frag + plan.unit));
+            for frag in (0..len.max(1)).step_by(step) {
+                let payload = window.slice(frag..len.min(frag.saturating_add(step)));
                 self.stage_frame(block, at + frag, payload)?;
             }
             self.put_on_wire()?;
@@ -1028,8 +1057,8 @@ impl SimConn {
         slab.freeze()
     }
 
-    /// Run one fragment of `block` through the live fault plan and stage
-    /// its frame for the next hand-off.
+    /// Run one descriptor of `block` through the live fault plan (a wire
+    /// frame, when the plan can fire) and stage it for the next hand-off.
     fn stage_frame(&mut self, block: Outgoing, offset: usize, payload: ZcBytes) -> TResult<()> {
         let mut frame = Frame {
             lane: block.lane,
@@ -1077,9 +1106,12 @@ impl SimConn {
     /// Hand the staged frames to the peer: one lock, at most one wake-up.
     fn put_on_wire(&mut self) -> TResult<()> {
         let (mut frames, mut wire_bytes) = (0, 0);
-        for f in self.staged.control.iter().chain(&self.staged.data) {
-            frames += 1;
-            wire_bytes += f.wire_bytes() as u64;
+        for lane in [Lane::Control, Lane::Data] {
+            let unit = Plan::for_lane(&self.cfg, lane).unit;
+            for f in self.staged.of(lane).iter() {
+                frames += f.wire_frames(unit) as u64;
+                wire_bytes += f.wire_bytes(unit) as u64;
+            }
         }
         if frames == 0 {
             // The only frame is being held back by `delay_frame`.
@@ -1112,10 +1144,11 @@ impl SimConn {
     /// Take what has arrived on `lane` off the wire, waiting for it if
     /// nothing has. Wire bytes are accounted as they leave the wire.
     fn fetch(&mut self, lane: Lane, deadline: Option<Instant>) -> TResult<()> {
+        let unit = Plan::for_lane(&self.cfg, lane).unit;
         let inbox = self.inbox.of(lane);
         let had = inbox.len();
         self.wires.rx.drain_into(lane, inbox, deadline)?;
-        let wire_bytes: u64 = inbox.range(had..).map(|f| f.wire_bytes() as u64).sum();
+        let wire_bytes: u64 = inbox.range(had..).map(|f| f.wire_bytes(unit) as u64).sum();
         self.stats.add(TransportField::WireBytesRecv, wire_bytes);
         Ok(())
     }
@@ -1130,11 +1163,13 @@ impl SimConn {
             if let Some(first) = self.inbox.of(lane).front() {
                 return Ok(Incoming {
                     lane,
+                    plan: Plan::for_lane(&self.cfg, lane),
                     deadline,
                     block_id: first.block_id,
                     total: checked_block_len(first.total_len, first.block_id)?,
                     got: 0,
                     frames: 0,
+                    queued: 0,
                     sent_ns: first.sent_ns,
                 });
             }
@@ -1144,9 +1179,8 @@ impl SimConn {
 
     /// Take `block` off the wire the way its row receives it.
     fn take_block(&mut self, block: &mut Incoming) -> TResult<ZcBytes> {
-        let plan = Plan::for_lane(&self.cfg, block.lane);
-        let whole = if plan.socket_copy {
-            self.recv_streaming(block, plan.frag_copy.then_some(plan.window))?
+        let whole = if block.plan.socket_copy {
+            self.recv_streaming(block)?
         } else {
             self.recv_in_place(block)?
         };
@@ -1156,19 +1190,15 @@ impl SimConn {
     }
 
     /// The streaming receive, trailing the sender: fragments land as they
-    /// come off the wire — defragmented into a socket buffer of
-    /// `defrag_window` bytes and `read()` out of it whenever it fills or
-    /// the wire runs dry, or, without a defragmentation copy, read straight
-    /// out of the frame.
-    fn recv_streaming(
-        &mut self,
-        block: &mut Incoming,
-        defrag_window: Option<usize>,
-    ) -> TResult<ZcBytes> {
-        let mut asm = Reassembly::new(&self.ctx.pool, block.total, defrag_window);
-        let layer = match defrag_window {
-            Some(_) => CopyLayer::KernelDefrag,
-            None => CopyLayer::SocketRecv,
+    /// come off the wire — defragmented into a one-window socket buffer and
+    /// `read()` out of it whenever it fills or the wire runs dry, or,
+    /// without a defragmentation copy, read straight out of the frame.
+    fn recv_streaming(&mut self, block: &mut Incoming) -> TResult<ZcBytes> {
+        let mut asm = Reassembly::new(&self.ctx.pool, block.total, block.plan);
+        let layer = if block.plan.frag_copy {
+            CopyLayer::KernelDefrag
+        } else {
+            CopyLayer::SocketRecv
         };
         loop {
             let (inbox, meter) = (self.inbox.of(block.lane), &self.ctx.meter);
@@ -1195,7 +1225,7 @@ impl SimConn {
     /// page-aligned buffer ([`CopyLayer::DepositFallback`]).
     fn recv_in_place(&mut self, block: &mut Incoming) -> TResult<ZcBytes> {
         loop {
-            for f in self.inbox.of(block.lane).range(block.frames..) {
+            for f in self.inbox.of(block.lane).range(block.queued..) {
                 if block.is_whole() {
                     break;
                 }
@@ -1210,7 +1240,7 @@ impl SimConn {
         if block.total > 0 {
             let holds = self.speculation_holds();
             let inbox = self.inbox.of(block.lane);
-            let mut pages = inbox.range(..block.frames).map(|f| &f.payload).peekable();
+            let mut pages = inbox.range(..block.queued).map(|f| &f.payload).peekable();
             // A block that does not start on a page boundary cannot land in
             // place: the speculative-defragmentation hardware places payload
             // at page granularity (paper [10]; ablation A2 exercises exactly
@@ -1225,15 +1255,15 @@ impl SimConn {
             self.stats
                 .speculated(joined.is_some(), self.trace_conn, total);
             if let Some(joined) = joined {
-                inbox.drain(..block.frames);
+                inbox.drain(..block.queued);
                 return Ok(joined);
             }
         }
         let (inbox, meter) = (self.inbox.of(block.lane), &self.ctx.meter);
-        let mut asm = Reassembly::new(&self.ctx.pool, block.total, None);
+        let mut asm = Reassembly::new(&self.ctx.pool, block.total, block.plan);
         meter.copy_run(CopyLayer::DepositFallback, |copy| {
             inbox
-                .drain(..block.frames)
+                .drain(..block.queued)
                 .try_for_each(|f| asm.land_fragment(f, copy, meter))
         })?;
         asm.into_block(block)
@@ -1281,8 +1311,9 @@ impl Connection for SimConn {
             .into());
         }
         let data = self.take_block(&mut block)?;
-        // Fragments per block, and the data-path flight time from the
-        // block's put-on-wire stamp (both ends share the trace clock).
+        // Wire frames per block, however few descriptors carried them, and
+        // the data-path flight time from the block's put-on-wire stamp
+        // (both ends share the trace clock).
         self.ctx
             .telemetry
             .note_data_block(block.frames as u64, block.sent_ns);
@@ -1819,6 +1850,69 @@ mod tests {
         assert_eq!(s.recv_control().unwrap(), &b"after"[..]);
     }
 
+    /// A live connection takes each block's granularity from the plan it
+    /// sees at that send: one descriptor for the block, one per frame while
+    /// a per-frame fault is armed, and one again once the plan is cleared.
+    /// A descriptor holds a view of the sender's pages, so the block's
+    /// refcount counts the descriptors on the wire.
+    #[test]
+    fn fault_plan_switches_descriptor_granularity_on_a_live_connection() {
+        let cfg = SimConfig::zero_copy();
+        let (net, mut c, mut s, _ctx) = faulty_pair(cfg);
+        let (block, pattern, unit) = patterned_block(cfg, 5);
+        let n = pattern.len();
+        let spec = |st: ConnStats| (st.spec_hits, st.spec_misses);
+
+        c.send_data(&block).unwrap();
+        assert_eq!(block.ref_count(), 2, "one descriptor for the block");
+        assert!(s.recv_data(n).unwrap().ptr_eq(&block));
+        assert_eq!(spec(s.stats()), (1, 0));
+
+        net.inject_faults(FaultPlan {
+            corrupt_frame: Some(2),
+            ..FaultPlan::default()
+        });
+        c.send_data(&block).unwrap();
+        // Five frames, the damaged third one detached from the pages.
+        assert_eq!(block.ref_count(), 5);
+        let got = s.recv_data(n).unwrap();
+        let third = 2 * unit..3 * unit;
+        assert_ne!(got[third.clone()], pattern[third.clone()]);
+        assert_eq!(got[..third.start], pattern[..third.start]);
+        assert_eq!(got[third.end..], pattern[third.end..]);
+        assert_eq!(block.as_slice(), &pattern[..], "sender pages intact");
+        assert_eq!(spec(s.stats()), (1, 1));
+        assert_eq!(net.faults_tripped(), 1);
+
+        net.clear_faults();
+        c.send_data(&block).unwrap();
+        assert_eq!(block.ref_count(), 2, "one descriptor again");
+        assert!(s.recv_data(n).unwrap().ptr_eq(&block));
+        assert_eq!(spec(s.stats()), (2, 1));
+        assert_eq!(c.stats().frames_sent, 15);
+        assert_eq!(s.stats().wire_bytes_recv, c.stats().wire_bytes_sent);
+    }
+
+    /// `drop_prob` draws once per wire frame, so with a fixed seed the
+    /// connection dies at the frame it died at when every wire frame was a
+    /// queue element of its own (20 and 109, measured then).
+    #[test]
+    fn fault_drop_prob_kills_at_the_same_frame() {
+        for (cfg, dies_at) in [(SimConfig::copying(), 20), (SimConfig::zero_copy(), 109)] {
+            let (net, mut c, _s, _ctx) = faulty_pair(cfg);
+            net.inject_faults(FaultPlan::drop(0.01));
+            let (block, _, unit) = patterned_block(cfg, 16);
+            let sent = (0..1000)
+                .take_while(|_| c.send_data(&block).is_ok())
+                .count();
+            assert!(sent < 1000, "{cfg:?}: the connection never died");
+            let st = c.stats();
+            assert_eq!(st.frames_sent, dies_at, "{cfg:?}");
+            let frame_bytes = (unit + crate::frame::FRAME_HEADER_BYTES) as u64;
+            assert_eq!(st.wire_bytes_sent, dies_at * frame_bytes, "{cfg:?}");
+        }
+    }
+
     #[test]
     fn recv_timeout_fires_while_the_other_lane_has_a_block_queued() {
         for cfg in [SimConfig::copying(), SimConfig::zero_copy()] {
@@ -1843,6 +1937,11 @@ mod tests {
 
     /// A connection end whose incoming wire the test feeds by hand.
     fn fed_by_hand(cfg: SimConfig) -> (SimConn, Arc<Wire>) {
+        fed_by_hand_on(cfg, TransportCtx::new())
+    }
+
+    /// [`fed_by_hand`], with `ctx` installed.
+    fn fed_by_hand_on(cfg: SimConfig, ctx: TransportCtx) -> (SimConn, Arc<Wire>) {
         let wire = Arc::<Wire>::default();
         let conn = Half {
             peer: "sim:test#fed".to_string(),
@@ -1855,7 +1954,7 @@ mod tests {
             is_client: false,
             faults: Arc::default(),
         }
-        .attach(TransportCtx::new());
+        .attach(ctx);
         (conn, wire)
     }
 
@@ -1966,7 +2065,8 @@ mod tests {
     /// Every row of the stack table, at sizes either side of its units:
     /// each copy layer meters exactly what the row declares — the block
     /// once at each of its layers, nothing anywhere else — and the block
-    /// crosses in the frames its unit cuts it into, each carrying a header.
+    /// crosses in the frames its unit cuts it into, each carrying a header,
+    /// carried by one descriptor per window.
     #[test]
     fn every_row_meters_its_declared_copies_frames_and_wire_bytes() {
         use CopyLayer::{DepositFallback, KernelDefrag, KernelFrag, SocketRecv, SocketSend};
@@ -2014,21 +2114,43 @@ mod tests {
                 window,
             };
             assert_eq!(Plan::for_lane(&cfg, lane), declared, "{cfg:?} {lane:?}");
-            for len in [0, 1, MTU_PAYLOAD + 1, WINDOW_FRAMES * MTU_PAYLOAD + 1] {
+            for len in [
+                0,
+                1,
+                MTU_PAYLOAD + 1,
+                WINDOW_FRAMES * MTU_PAYLOAD + 1,
+                1 << 20,
+            ] {
                 let what = format!("{cfg:?} {lane:?} len {len}");
-                let (mut c, mut s, ctx) = pair(cfg);
+                let ctx = TransportCtx::with_telemetry(
+                    CopyMeter::new_shared(),
+                    zc_trace::Telemetry::new_shared(),
+                );
+                // The test carries the descriptors from one end's wire to
+                // the other's, so it sees what each hand-off put on it.
+                let (mut c, _) = fed_by_hand_on(cfg, ctx.clone());
+                let (mut s, wire) = fed_by_hand_on(cfg, ctx.clone());
                 let pattern: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
                 let before = ctx.meter.snapshot();
-                let got = match lane {
-                    Lane::Control => {
-                        c.send_control(&pattern).unwrap();
-                        s.recv_control().unwrap()
-                    }
+                match lane {
+                    Lane::Control => c.send_control(&pattern).unwrap(),
                     Lane::Data => {
                         let block = ZcBytes::from_aligned(AlignedBuf::from_slice(&pattern));
                         c.send_data(&block).unwrap();
-                        s.recv_data(len).unwrap()
                     }
+                }
+                let mut on_wire = Lanes::default();
+                c.wires.tx.drain_into(lane, on_wire.of(lane), None).unwrap();
+                let descriptors: Vec<_> = on_wire.of(lane).iter().map(|f| f.offset).collect();
+                let windows: Vec<_> = (0..len.max(1))
+                    .step_by(window)
+                    .map(|at| at as u64)
+                    .collect();
+                assert_eq!(descriptors, windows, "{what}: one descriptor per window");
+                wire.push_batch(&mut on_wire).unwrap();
+                let got = match lane {
+                    Lane::Control => s.recv_control().unwrap(),
+                    Lane::Data => s.recv_data(len).unwrap(),
                 };
                 assert!(got.as_slice() == &pattern[..], "{what}");
                 let copied = ctx.meter.snapshot().since(&before);
@@ -2045,6 +2167,15 @@ mod tests {
                     "{what}"
                 );
                 assert_eq!(received.wire_bytes_recv, sent.wire_bytes_sent, "{what}");
+                // The receiver counts the block's wire frames, not its
+                // descriptors: 256 for a 1 MiB zero-copy block.
+                let per_block = ctx.telemetry.metrics().snapshot().frames_per_block;
+                let data_blocks = u64::from(lane == Lane::Data);
+                assert_eq!(
+                    (per_block.count, per_block.sum),
+                    (data_blocks, data_blocks * frames),
+                    "{what}"
+                );
                 // An empty block has nothing to speculate on.
                 let speculated = u64::from(!declared.socket_copy && len > 0);
                 let missed = u64::from(layers.contains(&DepositFallback));

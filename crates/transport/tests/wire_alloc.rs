@@ -90,3 +90,54 @@ fn a_thousand_blocks_make_no_allocator_call_on_either_stack() {
         );
     }
 }
+
+/// The pull direction: the accepting end sends the blocks, as a servant's
+/// reply does, on its own thread, and the dialing end takes them.
+#[test]
+fn a_thousand_pulled_blocks_make_no_allocator_call_on_either_stack() {
+    for cfg in [SimConfig::copying(), SimConfig::zero_copy()] {
+        let net = SimNetwork::new(cfg);
+        let listener = net.listen(0, TransportCtx::new()).unwrap();
+        let mut client = net
+            .connect(listener.endpoint().1, TransportCtx::new())
+            .unwrap();
+        let mut server = listener.accept().unwrap();
+        let (release, released) = mpsc::channel();
+
+        let sender = std::thread::spawn(move || {
+            let (announce, block) = (announcement(), ZcBytes::zeroed(MIB));
+            for _ in 0..HELD_ROUNDS {
+                announce_and_send(server.as_mut(), &announce, &block);
+                announce_and_send(server.as_mut(), &announce, &block);
+                release.send(()).unwrap();
+                assert_eq!(server.recv_control().unwrap(), &b"ack"[..]);
+                assert_eq!(server.recv_control().unwrap(), &b"ack"[..]);
+            }
+            let before = allocations();
+            for _ in 0..BLOCKS {
+                announce_and_send(server.as_mut(), &announce, &block);
+                assert_eq!(server.recv_control().unwrap(), &b"ack"[..]);
+            }
+            allocations() - before
+        });
+
+        let announce = announcement();
+        for _ in 0..HELD_ROUNDS {
+            released.recv().unwrap();
+            receive_and_ack(client.as_mut(), &announce);
+            receive_and_ack(client.as_mut(), &announce);
+        }
+        let before = allocations();
+        for _ in 0..BLOCKS {
+            receive_and_ack(client.as_mut(), &announce);
+        }
+        let receiver_allocs = allocations() - before;
+        let sender_allocs = sender.join().unwrap();
+        assert_eq!(
+            (sender_allocs, receiver_allocs),
+            (0, 0),
+            "{:?}: (sender, receiver) allocator calls over {BLOCKS} pulled blocks",
+            cfg.mode
+        );
+    }
+}
