@@ -23,11 +23,82 @@
 //!   payload bytes copied between the application and the wire.
 //!
 //! The crate is intentionally free of any networking or CORBA knowledge; it
-//! is the lowest substrate of the workspace.
+//! is the lowest substrate of the workspace, which is why it also exports
+//! [`byte_enum!`], the one declaration form of every wire and report enum
+//! above it.
 
 // This crate owns every raw allocation on the data path; an `unsafe` block
 // inside an `unsafe fn` must still spell out its own proof obligation.
 #![deny(unsafe_op_in_unsafe_fn)]
+
+/// Declares a `u8`-tagged enum one row per variant — `Variant = wire byte,
+/// "report name"` — and derives its `COUNT`, `ALL` (in row order), `name`
+/// and `from_u8` from the rows, so a decoder (`from_u8(b).ok_or(..)`) can
+/// never drift from the discriminants it inverts. A row may go on
+/// `=> value`, an expression of the type named after the enum
+/// (`enum Stage => (TraceLayer, bool)`), which the private `row()` returns,
+/// for accessors of per-variant facts.
+#[macro_export]
+macro_rules! byte_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident => $row_ty:ty {
+            $($(#[$doc:meta])* $v:ident = $byte:literal, $name:literal => $row:expr;)*
+        }
+    ) => {
+        $crate::byte_enum! {
+            $(#[$meta])*
+            pub enum $ty {
+                $($(#[$doc])* $v = $byte, $name;)*
+            }
+        }
+
+        impl $ty {
+            /// The variant's declaration row.
+            const fn row(self) -> $row_ty {
+                match self {
+                    $($ty::$v => $row,)*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $($(#[$doc:meta])* $v:ident = $byte:literal, $name:literal;)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum $ty {
+            $($(#[$doc])* $v = $byte,)*
+        }
+
+        impl $ty {
+            /// Number of variants.
+            pub const COUNT: usize = [$($byte,)*].len();
+
+            /// Every variant, in declaration order.
+            pub const ALL: [$ty; $ty::COUNT] = [$($ty::$v,)*];
+
+            /// Short name used in reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$v => $name,)*
+                }
+            }
+
+            /// Inverse of `self as u8`.
+            pub fn from_u8(v: u8) -> ::core::option::Option<$ty> {
+                match v {
+                    $($byte => ::core::option::Option::Some($ty::$v),)*
+                    _ => ::core::option::Option::None,
+                }
+            }
+        }
+    };
+}
 
 pub mod aligned;
 pub mod meter;

@@ -16,64 +16,41 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The layers of the data path at which a byte can be touched.
-///
-/// They mirror Figure 1 of the paper (application / middleware / OS
-/// communication service / driver) plus the marshaling step that is specific
-/// to the ORB presentation layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum CopyLayer {
-    /// The application producing or consuming payload (e.g. TTCP filling its
-    /// source buffer). Not part of the middleware overhead but metered so
-    /// experiments can separate "necessary first touch" from overhead.
-    AppFill = 0,
-    /// ORB marshaling: stub-side copy of parameters into the GIOP request
-    /// buffer (the `memcpy` loop in MICO's `TCSeqOctet::marshal`).
-    Marshal = 1,
-    /// ORB demarshaling: server-side copy out of the received GIOP buffer.
-    Demarshal = 2,
-    /// `write()` across the user/kernel boundary into the socket page pool.
-    SocketSend = 3,
-    /// `read()` out of the kernel into user space.
-    SocketRecv = 4,
-    /// Driver-side fragmentation of large blocks into MTU frames
-    /// (header insertion forces a copy on commodity GbE, per §1.1).
-    KernelFrag = 5,
-    /// Receive-side defragmentation / reassembly copy.
-    KernelDefrag = 6,
-    /// Copies performed when the speculative zero-copy receive path *misses*
-    /// and falls back to the conventional path (probabilistic, per [10]).
-    DepositFallback = 7,
+crate::byte_enum! {
+    /// The layers of the data path at which a byte can be touched, in
+    /// data-path order; `layer as usize` indexes the meter's cells.
+    ///
+    /// They mirror Figure 1 of the paper (application / middleware / OS
+    /// communication service / driver) plus the marshaling step that is
+    /// specific to the ORB presentation layer.
+    pub enum CopyLayer {
+        /// The application producing or consuming payload (e.g. TTCP filling
+        /// its source buffer). Not part of the middleware overhead but
+        /// metered so experiments can separate "necessary first touch" from
+        /// overhead.
+        AppFill = 0, "app-fill";
+        /// ORB marshaling: stub-side copy of parameters into the GIOP request
+        /// buffer (the `memcpy` loop in MICO's `TCSeqOctet::marshal`).
+        Marshal = 1, "marshal";
+        /// ORB demarshaling: server-side copy out of the received GIOP buffer.
+        Demarshal = 2, "demarshal";
+        /// `write()` across the user/kernel boundary into the socket page pool.
+        SocketSend = 3, "socket-send";
+        /// `read()` out of the kernel into user space.
+        SocketRecv = 4, "socket-recv";
+        /// Driver-side fragmentation of large blocks into MTU frames
+        /// (header insertion forces a copy on commodity GbE, per §1.1).
+        KernelFrag = 5, "kernel-frag";
+        /// Receive-side defragmentation / reassembly copy.
+        KernelDefrag = 6, "kernel-defrag";
+        /// Copies performed when the speculative zero-copy receive path
+        /// *misses* and falls back to the conventional path (probabilistic,
+        /// per [10]).
+        DepositFallback = 7, "deposit-fallback";
+    }
 }
 
 impl CopyLayer {
-    /// All layers, in data-path order.
-    pub const ALL: [CopyLayer; 8] = [
-        CopyLayer::AppFill,
-        CopyLayer::Marshal,
-        CopyLayer::Demarshal,
-        CopyLayer::SocketSend,
-        CopyLayer::SocketRecv,
-        CopyLayer::KernelFrag,
-        CopyLayer::KernelDefrag,
-        CopyLayer::DepositFallback,
-    ];
-
-    /// Human-readable name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CopyLayer::AppFill => "app-fill",
-            CopyLayer::Marshal => "marshal",
-            CopyLayer::Demarshal => "demarshal",
-            CopyLayer::SocketSend => "socket-send",
-            CopyLayer::SocketRecv => "socket-recv",
-            CopyLayer::KernelFrag => "kernel-frag",
-            CopyLayer::KernelDefrag => "kernel-defrag",
-            CopyLayer::DepositFallback => "deposit-fallback",
-        }
-    }
-
     /// Layers that constitute *middleware + OS overhead* (everything except
     /// the application's own first touch of its data).
     pub fn overhead_layers() -> impl Iterator<Item = CopyLayer> {
@@ -82,8 +59,6 @@ impl CopyLayer {
             .filter(|l| !matches!(l, CopyLayer::AppFill))
     }
 }
-
-const NUM_LAYERS: usize = 8;
 
 #[derive(Default)]
 struct LayerCell {
@@ -99,7 +74,7 @@ struct LayerCell {
 /// synchronization.
 #[derive(Default)]
 pub struct CopyMeter {
-    layers: [LayerCell; NUM_LAYERS],
+    layers: [LayerCell; CopyLayer::COUNT],
 }
 
 impl CopyMeter {
@@ -201,8 +176,8 @@ impl fmt::Debug for CopyMeter {
 /// the copies attributable to a region of interest.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CopySnapshot {
-    bytes: [u64; NUM_LAYERS],
-    events: [u64; NUM_LAYERS],
+    bytes: [u64; CopyLayer::COUNT],
+    events: [u64; CopyLayer::COUNT],
 }
 
 impl CopySnapshot {
@@ -219,7 +194,7 @@ impl CopySnapshot {
     /// Counter-wise difference `self - earlier` (saturating).
     pub fn since(&self, earlier: &CopySnapshot) -> CopySnapshot {
         let mut d = CopySnapshot::default();
-        for i in 0..NUM_LAYERS {
+        for i in 0..CopyLayer::COUNT {
             d.bytes[i] = self.bytes[i].saturating_sub(earlier.bytes[i]);
             d.events[i] = self.events[i].saturating_sub(earlier.events[i]);
         }

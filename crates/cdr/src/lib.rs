@@ -4,9 +4,10 @@
 //! natural size relative to the start of the message body, multi-byte values
 //! follow the byte order announced in the message flags, strings carry an
 //! explicit length and a terminating NUL, and sequences carry an element
-//! count. This crate implements a faithful encoder/decoder pair plus the
-//! type-identifier machinery (MICO's "TID") that the paper's optimization
-//! keys off.
+//! count. This crate implements a faithful encoder/decoder pair and the
+//! [`CdrMarshal`] trait, whose static dispatch per parameter type stands in
+//! for the run-time type identifier (MICO's "TID") the paper's optimization
+//! keys off: `ZcOctetSeq` is the `MICO_TID_ZC_OCTET` analogue.
 //!
 //! Two sequence-of-octet types exist side by side, exactly as in the paper
 //! (§4.3, where `ZC_Octet` is introduced "to compare an optimized stream
@@ -29,7 +30,6 @@ pub mod decode;
 pub mod encode;
 pub mod endian;
 pub mod octet;
-pub mod typeid;
 pub mod types;
 pub mod wire;
 
@@ -37,7 +37,6 @@ pub use decode::CdrDecoder;
 pub use encode::CdrEncoder;
 pub use endian::ByteOrder;
 pub use octet::{OctetSeq, ZcOctetSeq};
-pub use typeid::TypeId;
 pub use types::CdrMarshal;
 
 /// Errors raised while encoding or decoding CDR data.
@@ -67,8 +66,6 @@ pub enum CdrError {
         /// Length of the block actually deposited.
         deposited: usize,
     },
-    /// An unknown or unexpected type identifier was encountered.
-    BadTypeId(u32),
     /// Enum discriminant out of range.
     BadEnumValue(u32),
 }
@@ -90,7 +87,6 @@ impl std::fmt::Display for CdrError {
                 f,
                 "deposit length mismatch: descriptor says {announced}, block has {deposited}"
             ),
-            CdrError::BadTypeId(t) => write!(f, "unexpected type id {t:#x}"),
             CdrError::BadEnumValue(v) => write!(f, "enum discriminant {v} out of range"),
         }
     }

@@ -13,7 +13,6 @@ use zc_buffers::{CopyLayer, CopyMeter, ZcBytes};
 
 use crate::decode::CdrDecoder;
 use crate::encode::CdrEncoder;
-use crate::typeid::TypeId;
 use crate::types::CdrMarshal;
 use crate::{CdrError, CdrResult, MAX_CDR_LENGTH};
 
@@ -54,9 +53,6 @@ impl Deref for OctetSeq {
 }
 
 impl CdrMarshal for OctetSeq {
-    fn type_id() -> TypeId {
-        TypeId::OctetSeq
-    }
     fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()> {
         if self.0.len() as u64 > MAX_CDR_LENGTH {
             return Err(CdrError::LengthOverflow(self.0.len() as u64));
@@ -161,10 +157,6 @@ impl From<ZcBytes> for ZcOctetSeq {
 }
 
 impl CdrMarshal for ZcOctetSeq {
-    fn type_id() -> TypeId {
-        TypeId::ZcOctetSeq
-    }
-
     fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()> {
         if self.len() as u64 > MAX_CDR_LENGTH {
             return Err(CdrError::LengthOverflow(self.len() as u64));

@@ -1,11 +1,12 @@
 //! The [`CdrMarshal`] trait and its implementations for primitive and
 //! composite types. This is the Rust analogue of MICO's per-type marshaling
 //! classes (`TCLong`, `TCString`, `TCSeqOctet`, …): a statically dispatched
-//! marshal/demarshal pair selected by the parameter's type.
+//! marshal/demarshal pair selected by the parameter's type. The compiler's
+//! choice of impl does the job of MICO's run-time TID lookup (§4.1), so no
+//! type-id value exists here.
 
 use crate::decode::CdrDecoder;
 use crate::encode::CdrEncoder;
-use crate::typeid::TypeId;
 use crate::{CdrError, CdrResult, MAX_CDR_LENGTH};
 
 /// A value that can be marshaled to and demarshaled from CDR.
@@ -14,9 +15,6 @@ use crate::{CdrError, CdrResult, MAX_CDR_LENGTH};
 /// for every operation parameter; the ORB calls them through
 /// request/reply builders.
 pub trait CdrMarshal: Sized {
-    /// The type identifier used for dispatch and diagnostics.
-    fn type_id() -> TypeId;
-
     /// Encode `self` onto the stream.
     fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()>;
 
@@ -25,11 +23,8 @@ pub trait CdrMarshal: Sized {
 }
 
 macro_rules! prim_impl {
-    ($t:ty, $tid:expr, $write:ident, $read:ident) => {
+    ($t:ty, $write:ident, $read:ident) => {
         impl CdrMarshal for $t {
-            fn type_id() -> TypeId {
-                $tid
-            }
             fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()> {
                 enc.$write(*self);
                 Ok(())
@@ -41,21 +36,18 @@ macro_rules! prim_impl {
     };
 }
 
-prim_impl!(u8, TypeId::Octet, write_octet, read_octet);
-prim_impl!(bool, TypeId::Boolean, write_bool, read_bool);
-prim_impl!(i16, TypeId::Short, write_i16, read_i16);
-prim_impl!(u16, TypeId::UShort, write_u16, read_u16);
-prim_impl!(i32, TypeId::Long, write_i32, read_i32);
-prim_impl!(u32, TypeId::ULong, write_u32, read_u32);
-prim_impl!(i64, TypeId::LongLong, write_i64, read_i64);
-prim_impl!(u64, TypeId::ULongLong, write_u64, read_u64);
-prim_impl!(f32, TypeId::Float, write_f32, read_f32);
-prim_impl!(f64, TypeId::Double, write_f64, read_f64);
+prim_impl!(u8, write_octet, read_octet);
+prim_impl!(bool, write_bool, read_bool);
+prim_impl!(i16, write_i16, read_i16);
+prim_impl!(u16, write_u16, read_u16);
+prim_impl!(i32, write_i32, read_i32);
+prim_impl!(u32, write_u32, read_u32);
+prim_impl!(i64, write_i64, read_i64);
+prim_impl!(u64, write_u64, read_u64);
+prim_impl!(f32, write_f32, read_f32);
+prim_impl!(f64, write_f64, read_f64);
 
 impl CdrMarshal for String {
-    fn type_id() -> TypeId {
-        TypeId::String
-    }
     fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()> {
         enc.write_string(self);
         Ok(())
@@ -67,9 +59,6 @@ impl CdrMarshal for String {
 
 /// `void` — operations without a result marshal the unit type.
 impl CdrMarshal for () {
-    fn type_id() -> TypeId {
-        TypeId::Void
-    }
     fn marshal(&self, _enc: &mut CdrEncoder) -> CdrResult<()> {
         Ok(())
     }
@@ -85,9 +74,6 @@ impl CdrMarshal for () {
 /// why `sequence<octet>` has its own fast types ([`crate::OctetSeq`] /
 /// [`crate::ZcOctetSeq`]) rather than going through `Vec<u8>` here.
 impl<T: CdrMarshal> CdrMarshal for Vec<T> {
-    fn type_id() -> TypeId {
-        TypeId::Sequence
-    }
     fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()> {
         if self.len() as u64 > MAX_CDR_LENGTH {
             return Err(CdrError::LengthOverflow(self.len() as u64));
@@ -122,9 +108,6 @@ impl<T: CdrMarshal> CdrMarshal for Vec<T> {
 /// Fixed-size IDL arrays (`T name[N]`): elements back to back with **no**
 /// length prefix — the length is part of the type, per CDR.
 impl<T: CdrMarshal, const N: usize> CdrMarshal for [T; N] {
-    fn type_id() -> TypeId {
-        TypeId::Sequence
-    }
     fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()> {
         for item in self {
             item.marshal(enc)?;
@@ -219,9 +202,6 @@ mod tests {
     }
 
     impl CdrMarshal for FrameHeader {
-        fn type_id() -> TypeId {
-            TypeId::Struct
-        }
         fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()> {
             self.stream_id.marshal(enc)?;
             self.pts.marshal(enc)?;

@@ -1,14 +1,14 @@
 //! Single source of truth for the zcorba wire-constant family.
 //!
 //! Every protocol literal derived from the ASCII "ZC" tag lives here (or is
-//! derived from here): the CDR `TypeId::ZcOctetSeq` discriminant, the GIOP
-//! service-context ids, and exception minor codes. The `wire-consts` audit
+//! derived from here): the GIOP service-context ids and exception minor
+//! codes. The `wire-consts` audit
 //! pass (`tools/zc-audit`) enforces that the `0x5A43` prefix is never
 //! re-spelled as a literal outside this module, so encode and decode sides
 //! cannot drift apart.
 
-/// The 16-bit zcorba tag: ASCII `"ZC"` big-endian. Doubles as the CDR
-/// `TypeId::ZcOctetSeq` discriminant and the high half of every vendor id.
+/// The 16-bit zcorba tag: ASCII `"ZC"` big-endian, the high half of every
+/// vendor id.
 pub const ZC_TAG: u32 = 0x5A43;
 
 /// A 32-bit id in the zcorba vendor space: `ZC_TAG` in the high half, `n`

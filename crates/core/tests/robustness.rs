@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use zc_buffers::{CopyLayer, CopyMeter};
-use zc_cdr::{CdrDecoder, CdrEncoder, CdrMarshal, CdrResult, TypeId, ZcOctetSeq};
+use zc_cdr::{CdrDecoder, CdrEncoder, CdrMarshal, CdrResult, ZcOctetSeq};
 use zc_giop::Handshake;
 use zc_orb::{ObjectAdapterExt, Orb, OrbResult, Servant, ServerRequest};
 use zc_transport::{SimConfig, SimNetwork, TransportCtx};
@@ -22,9 +22,6 @@ struct TaggedFrame {
 }
 
 impl CdrMarshal for TaggedFrame {
-    fn type_id() -> TypeId {
-        TypeId::Struct
-    }
     fn marshal(&self, enc: &mut CdrEncoder) -> CdrResult<()> {
         self.stream_id.marshal(enc)?;
         self.pts.marshal(enc)?;

@@ -73,42 +73,26 @@ impl GiopFlags {
     }
 }
 
-/// GIOP message types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum MessageType {
-    /// Client → server method invocation.
-    Request = 0,
-    /// Server → client result.
-    Reply = 1,
-    /// Client cancels an outstanding request.
-    CancelRequest = 2,
-    /// Client asks where an object lives.
-    LocateRequest = 3,
-    /// Server answers a LocateRequest.
-    LocateReply = 4,
-    /// Orderly connection shutdown.
-    CloseConnection = 5,
-    /// Protocol error notification.
-    MessageError = 6,
-    /// Continuation of a fragmented message.
-    Fragment = 7,
-}
-
-impl MessageType {
-    /// Decode from the wire octet.
-    pub fn from_octet(b: u8) -> GiopResult<MessageType> {
-        Ok(match b {
-            0 => MessageType::Request,
-            1 => MessageType::Reply,
-            2 => MessageType::CancelRequest,
-            3 => MessageType::LocateRequest,
-            4 => MessageType::LocateReply,
-            5 => MessageType::CloseConnection,
-            6 => MessageType::MessageError,
-            7 => MessageType::Fragment,
-            other => return Err(GiopError::BadMessageType(other)),
-        })
+zc_buffers::byte_enum! {
+    /// GIOP message types: the header's `msg_type` octet, named as in the
+    /// GIOP specification.
+    pub enum MessageType {
+        /// Client → server method invocation.
+        Request = 0, "Request";
+        /// Server → client result.
+        Reply = 1, "Reply";
+        /// Client cancels an outstanding request.
+        CancelRequest = 2, "CancelRequest";
+        /// Client asks where an object lives.
+        LocateRequest = 3, "LocateRequest";
+        /// Server answers a LocateRequest.
+        LocateReply = 4, "LocateReply";
+        /// Orderly connection shutdown.
+        CloseConnection = 5, "CloseConnection";
+        /// Protocol error notification.
+        MessageError = 6, "MessageError";
+        /// Continuation of a fragmented message.
+        Fragment = 7, "Fragment";
     }
 }
 
@@ -176,7 +160,7 @@ impl GiopHeader {
         }
         .validate()?;
         let flags = GiopFlags::from_octet(bytes[6]);
-        let msg_type = MessageType::from_octet(bytes[7])?;
+        let msg_type = MessageType::from_u8(bytes[7]).ok_or(GiopError::BadMessageType(bytes[7]))?;
         let msg_size = endian::read_u32(flags.order, &bytes[8..12]);
         if msg_size as u64 > MAX_GIOP_MESSAGE {
             return Err(GiopError::MessageTooLarge(msg_size as u64));
@@ -258,8 +242,11 @@ pub fn fragment_frames(
 }
 
 /// Reassemble frames produced by [`fragment_frames`] back into
-/// `(msg_type, body)`. Returns an error when a continuation is not a
-/// `Fragment` or the final frame still announces more fragments.
+/// `(msg_type, body)`. A malformed train is named as the connection names
+/// the same frame: `ShortFrame` for a frame shorter than a header,
+/// `Unexpected` for a continuation that is not a `Fragment`, `SizeMismatch`
+/// for a body that is not the size its header announces; a final frame
+/// still announcing more fragments is `BadHandshake`.
 pub fn reassemble(frames: &[Vec<u8>]) -> GiopResult<(MessageType, Vec<u8>)> {
     // Bounded upfront reservation: the body grows incrementally toward the
     // running total, which is itself capped at MAX_GIOP_MESSAGE below, so a
@@ -272,28 +259,31 @@ pub fn reassemble(frames: &[Vec<u8>]) -> GiopResult<(MessageType, Vec<u8>)> {
     let mut total: u64 = 0;
     let last = frames.len().saturating_sub(1);
     for (i, f) in frames.iter().enumerate() {
-        if f.len() < GIOP_HEADER_LEN {
-            return Err(GiopError::BadMagic([0; 4]));
-        }
-        let Ok(hdr_bytes) = <[u8; GIOP_HEADER_LEN]>::try_from(&f[..GIOP_HEADER_LEN]) else {
-            // Length checked above; an error return keeps hostile input
-            // away from any panic.
-            return Err(GiopError::BadMagic([0; 4]));
+        let Some((hdr_bytes, frag)) = f.split_first_chunk::<GIOP_HEADER_LEN>() else {
+            return Err(GiopError::ShortFrame(f.len()));
         };
-        let hdr = GiopHeader::decode(&hdr_bytes)?;
+        let hdr = GiopHeader::decode(hdr_bytes)?;
         // `decode` has validated msg_size <= MAX_GIOP_MESSAGE; the rebind
         // through the clamp makes that bound local and explicit.
         let frag_len = (hdr.msg_size as u64).min(MAX_GIOP_MESSAGE) as usize;
         match (i, hdr.msg_type) {
             (0, t) => msg_type = Some(t),
             (_, MessageType::Fragment) => {}
-            (_, t) => return Err(GiopError::BadMessageType(t as u8)),
+            (_, got) => {
+                return Err(GiopError::Unexpected {
+                    got,
+                    awaiting: MessageType::Fragment,
+                })
+            }
         }
         if (i == last) == hdr.flags.more_fragments {
             return Err(GiopError::BadHandshake); // inconsistent fragment bits
         }
-        if f.len() != GIOP_HEADER_LEN + frag_len {
-            return Err(GiopError::MessageTooLarge(frag_len as u64));
+        if frag.len() != frag_len {
+            return Err(GiopError::SizeMismatch {
+                announced: hdr.msg_size,
+                got: frag.len(),
+            });
         }
         // Per-fragment sizes are individually capped, but their *sum* must
         // be too: otherwise a long fragment train OOMs the receiver one
@@ -303,7 +293,7 @@ pub fn reassemble(frames: &[Vec<u8>]) -> GiopResult<(MessageType, Vec<u8>)> {
             return Err(GiopError::MessageTooLarge(total));
         }
         // zc-audit: allow(copy) — software reassembly concatenates fragment bodies; this models the KernelDefrag layer
-        body.extend_from_slice(&f[GIOP_HEADER_LEN..]);
+        body.extend_from_slice(frag);
     }
     Ok((msg_type.ok_or(GiopError::BadHandshake)?, body))
 }
@@ -342,15 +332,34 @@ mod tests {
         assert_eq!(GiopHeader::decode(&bytes), Err(GiopError::BadVersion(1, 9)));
     }
 
+    /// The GIOP `MsgType` values, pinned through the encoder and the
+    /// decoder: every other octet is `BadMessageType`.
     #[test]
-    fn bad_type_rejected() {
-        let h = GiopHeader::new(GiopVersion::V1_0, ByteOrder::Big, MessageType::Reply, 0);
-        let mut bytes = h.encode();
-        bytes[7] = 42;
-        assert_eq!(
-            GiopHeader::decode(&bytes),
-            Err(GiopError::BadMessageType(42))
-        );
+    fn message_type_octets_are_the_spec_values() {
+        use MessageType::*;
+        let spec = [
+            Request,
+            Reply,
+            CancelRequest,
+            LocateRequest,
+            LocateReply,
+            CloseConnection,
+            MessageError,
+            Fragment,
+        ];
+        let mut bytes = GiopHeader::new(GiopVersion::V1_0, ByteOrder::Big, Reply, 0).encode();
+        for b in 0..=u8::MAX {
+            bytes[7] = b;
+            let got = GiopHeader::decode(&bytes).map(|h| h.msg_type);
+            match spec.get(b as usize) {
+                Some(&t) => {
+                    assert_eq!(got, Ok(t), "{b}");
+                    let h = GiopHeader::new(GiopVersion::V1_0, ByteOrder::Big, t, 0);
+                    assert_eq!(h.encode()[7], b, "{t:?}");
+                }
+                None => assert_eq!(got, Err(GiopError::BadMessageType(b))),
+            }
+        }
     }
 
     #[test]
@@ -467,6 +476,46 @@ mod tests {
         );
         frames.pop(); // lose the final fragment
         assert!(reassemble(&frames).is_err());
+    }
+
+    /// Each malformed train is named as `GiopConn` names the same frame.
+    #[test]
+    fn malformed_fragment_trains_name_their_fault() {
+        let frames = fragment_frames(
+            GiopVersion::V1_2,
+            ByteOrder::Little,
+            MessageType::Request,
+            &[7; 3000],
+            1024,
+        );
+        assert_eq!(frames.len(), 3);
+
+        let mut short = frames.clone();
+        short[1].truncate(GIOP_HEADER_LEN - 1);
+        assert_eq!(
+            reassemble(&short),
+            Err(GiopError::ShortFrame(GIOP_HEADER_LEN - 1))
+        );
+
+        let mut not_fragment = frames.clone();
+        not_fragment[1][7] = MessageType::Reply as u8;
+        assert_eq!(
+            reassemble(&not_fragment),
+            Err(GiopError::Unexpected {
+                got: MessageType::Reply,
+                awaiting: MessageType::Fragment,
+            })
+        );
+
+        let mut cut = frames;
+        cut[2].pop();
+        assert_eq!(
+            reassemble(&cut),
+            Err(GiopError::SizeMismatch {
+                announced: 952,
+                got: 951,
+            })
+        );
     }
 
     #[test]

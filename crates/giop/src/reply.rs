@@ -4,30 +4,18 @@ use zc_cdr::{CdrDecoder, CdrEncoder, CdrError, CdrResult};
 
 use crate::context::{write_context_list, ContextWriter, ServiceContext, ZcContexts};
 
-/// Reply status codes (CORBA `ReplyStatusType`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u32)]
-pub enum ReplyStatus {
-    /// Normal completion; result follows.
-    NoException = 0,
-    /// A declared (IDL `raises`) exception follows.
-    UserException = 1,
-    /// A CORBA system exception follows.
-    SystemException = 2,
-    /// The object lives elsewhere; an IOR follows.
-    LocationForward = 3,
-}
-
-impl ReplyStatus {
-    /// Decode from the wire value.
-    pub fn from_u32(v: u32) -> CdrResult<ReplyStatus> {
-        Ok(match v {
-            0 => ReplyStatus::NoException,
-            1 => ReplyStatus::UserException,
-            2 => ReplyStatus::SystemException,
-            3 => ReplyStatus::LocationForward,
-            other => return Err(CdrError::BadEnumValue(other)),
-        })
+zc_buffers::byte_enum! {
+    /// Reply status codes (CORBA `ReplyStatusType`). The wire value is a
+    /// CDR `unsigned long`; [`ReplyView::parse`] rejects every other value.
+    pub enum ReplyStatus {
+        /// Normal completion; result follows.
+        NoException = 0, "NO_EXCEPTION";
+        /// A declared (IDL `raises`) exception follows.
+        UserException = 1, "USER_EXCEPTION";
+        /// A CORBA system exception follows.
+        SystemException = 2, "SYSTEM_EXCEPTION";
+        /// The object lives elsewhere; an IOR follows.
+        LocationForward = 3, "LOCATION_FORWARD";
     }
 }
 
@@ -60,10 +48,14 @@ impl<'a> ReplyView<'a> {
     /// Read the header at the start of a Reply message body; `dec` is left
     /// at the first byte after it.
     pub fn parse(dec: &mut CdrDecoder<'a>) -> CdrResult<ReplyView<'a>> {
+        let contexts = ZcContexts::parse(dec)?;
+        let request_id = dec.read_u32()?;
+        let v = dec.read_u32()?;
+        let status = u8::try_from(v).ok().and_then(ReplyStatus::from_u8);
         Ok(ReplyView {
-            contexts: ZcContexts::parse(dec)?,
-            request_id: dec.read_u32()?,
-            status: ReplyStatus::from_u32(dec.read_u32()?)?,
+            contexts,
+            request_id,
+            status: status.ok_or(CdrError::BadEnumValue(v))?,
         })
     }
 
@@ -233,12 +225,7 @@ mod tests {
 
     #[test]
     fn reply_header_roundtrip() {
-        for status in [
-            ReplyStatus::NoException,
-            ReplyStatus::UserException,
-            ReplyStatus::SystemException,
-            ReplyStatus::LocationForward,
-        ] {
+        for status in ReplyStatus::ALL {
             let h = ReplyHeader {
                 service_contexts: vec![],
                 request_id: 9,
@@ -252,15 +239,29 @@ mod tests {
         }
     }
 
+    /// The CORBA `ReplyStatusType` values, pinned through the decoder: a
+    /// status is a u32 on the wire, so 256 must not wrap to `NoException`.
     #[test]
-    fn bad_status_rejected() {
-        let mut enc = CdrEncoder::new(ByteOrder::Big);
-        enc.write_u32(0); // empty contexts
-        enc.write_u32(1); // request id
-        enc.write_u32(17); // invalid status
-        let bytes = enc.finish_stream();
-        let mut dec = CdrDecoder::new(&bytes, ByteOrder::Big);
-        assert!(ReplyHeader::demarshal(&mut dec).is_err());
+    fn reply_status_wire_values_are_the_spec_values() {
+        use ReplyStatus::*;
+        let spec = [NoException, UserException, SystemException, LocationForward];
+        for v in 0..=256u32 {
+            let mut enc = CdrEncoder::new(ByteOrder::Big);
+            write_reply_header(&mut enc, 1, NoException, |_| {});
+            let mut bytes = enc.finish_stream();
+            let at = bytes.len() - 4;
+            bytes[at..].copy_from_slice(&v.to_be_bytes());
+            let got = ReplyView::parse(&mut CdrDecoder::new(&bytes, ByteOrder::Big));
+            match spec.get(v as usize) {
+                Some(&status) => {
+                    assert_eq!(got.map(|view| view.status), Ok(status), "{v}");
+                    let mut enc = CdrEncoder::new(ByteOrder::Big);
+                    write_reply_header(&mut enc, 1, status, |_| {});
+                    assert_eq!(enc.finish_stream()[at..], v.to_be_bytes(), "{status:?}");
+                }
+                None => assert_eq!(got.map(|view| view.status), Err(CdrError::BadEnumValue(v))),
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ proptest! {
         let h = GiopHeader::new(
             GiopVersion::V1_2,
             order,
-            MessageType::from_octet(mt).unwrap(),
+            MessageType::from_u8(mt).unwrap(),
             size,
         );
         prop_assert_eq!(GiopHeader::decode(&h.encode()).unwrap(), h);
@@ -66,11 +66,11 @@ proptest! {
     }
 
     #[test]
-    fn prop_reply_header_roundtrip(id: u32, status in 0u32..4, order in orders()) {
+    fn prop_reply_header_roundtrip(id: u32, status in 0u8..4, order in orders()) {
         let h = ReplyHeader {
             service_contexts: vec![],
             request_id: id,
-            status: ReplyStatus::from_u32(status).unwrap(),
+            status: ReplyStatus::from_u8(status).unwrap(),
         };
         let mut enc = CdrEncoder::new(order);
         h.marshal(&mut enc).unwrap();
@@ -556,11 +556,11 @@ proptest! {
     #[test]
     fn prop_reply_view_reads_back_what_was_written(
         id: u32,
-        status in 0u32..4,
+        status in 0u8..4,
         list in proptest::collection::vec(ctx(), 0..8),
         order in orders(),
     ) {
-        let status = ReplyStatus::from_u32(status).unwrap();
+        let status = ReplyStatus::from_u8(status).unwrap();
         let mut enc = CdrEncoder::new(order);
         write_reply_header(&mut enc, id, status, |w| list.iter().for_each(|c| c.write(w)));
         let bytes = enc.finish_stream();

@@ -7,72 +7,7 @@
 //! (operation names, peers) stays out of the event; the `trace_id` is the
 //! join key back to richer request state.
 
-/// Declares a `u8`-tagged enum one row per variant — `Variant = wire byte,
-/// "report name"` — and derives its `COUNT`, `ALL` (in row order), `name`
-/// and `from_u8` from the rows. A row may go on `=> value`, an expression
-/// of the type named after the enum (`enum Stage => (TraceLayer, bool)`),
-/// which the private `row()` returns, for accessors of per-variant facts.
-macro_rules! byte_enum {
-    (
-        $(#[$meta:meta])*
-        pub enum $ty:ident => $row_ty:ty {
-            $($(#[$doc:meta])* $v:ident = $byte:literal, $name:literal => $row:expr;)*
-        }
-    ) => {
-        byte_enum! {
-            $(#[$meta])*
-            pub enum $ty {
-                $($(#[$doc])* $v = $byte, $name;)*
-            }
-        }
-
-        impl $ty {
-            /// The variant's declaration row.
-            const fn row(self) -> $row_ty {
-                match self {
-                    $($ty::$v => $row,)*
-                }
-            }
-        }
-    };
-    (
-        $(#[$meta:meta])*
-        pub enum $ty:ident {
-            $($(#[$doc:meta])* $v:ident = $byte:literal, $name:literal;)*
-        }
-    ) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        #[repr(u8)]
-        pub enum $ty {
-            $($(#[$doc])* $v = $byte,)*
-        }
-
-        impl $ty {
-            /// Number of variants.
-            pub const COUNT: usize = [$($byte,)*].len();
-
-            /// Every variant, in declaration order.
-            pub const ALL: [$ty; $ty::COUNT] = [$($ty::$v,)*];
-
-            /// Short name used in reports.
-            pub fn name(self) -> &'static str {
-                match self {
-                    $($ty::$v => $name,)*
-                }
-            }
-
-            /// Inverse of `self as u8`.
-            pub fn from_u8(v: u8) -> Option<$ty> {
-                match v {
-                    $($byte => Some($ty::$v),)*
-                    _ => None,
-                }
-            }
-        }
-    };
-}
-pub(crate) use byte_enum;
+use zc_buffers::byte_enum;
 
 byte_enum! {
     /// The layer of the stack an event was recorded at. Mirrors the path of

@@ -20,7 +20,8 @@
 //! allocation, no locks, and a disabled span is inert after one boolean
 //! test. Rendering (tables, the §5.2 breakdown) lives in `zc-bench`.
 
-use crate::event::{byte_enum, TraceEvent, TraceLayer};
+use crate::event::{TraceEvent, TraceLayer};
+use zc_buffers::byte_enum;
 use TraceLayer::{Giop, Orb, Transport};
 
 // Which endpoint records a stage.

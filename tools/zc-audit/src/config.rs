@@ -90,16 +90,6 @@ pub struct MeterCoverage {
     pub markers: Vec<String>,
 }
 
-/// zc-escape pass configuration (disabled when `types` is empty).
-#[derive(Debug, Clone, Default)]
-pub struct ZcEscape {
-    /// Zero-copy type names whose values are tracked across call edges
-    /// (e.g. `ZcBytes`, `AlignedBuf`, `PooledBuf`).
-    pub types: Vec<String>,
-    /// Idioms banned when applied to a tracked value in a reachable callee.
-    pub idioms: Vec<Idiom>,
-}
-
 /// lock-order pass configuration (disabled when `paths` is empty).
 #[derive(Debug, Clone, Default)]
 pub struct LockOrder {
@@ -203,7 +193,7 @@ pub struct ReactorConfig {
 }
 
 /// One wire-constant family: a hex literal prefix with a single defining
-/// module (disabled when no families and no enums are configured).
+/// module (the wire-consts pass is disabled when none is configured).
 #[derive(Debug, Clone)]
 pub struct WireFamily {
     pub name: String,
@@ -211,23 +201,6 @@ pub struct WireFamily {
     /// digits outside `defined_in` is flagged.
     pub prefix: String,
     pub defined_in: Vec<String>,
-}
-
-/// One wire enum whose discriminants must stay in bijection with its
-/// decoder's match arms.
-#[derive(Debug, Clone)]
-pub struct WireEnum {
-    pub name: String,
-    pub file: String,
-    /// Name of the decoding function in the same file (e.g. `from_octet`).
-    pub decoder: String,
-}
-
-/// wire-consts pass configuration.
-#[derive(Debug, Clone, Default)]
-pub struct WireConsts {
-    pub families: Vec<WireFamily>,
-    pub enums: Vec<WireEnum>,
 }
 
 /// Full auditor configuration.
@@ -240,10 +213,9 @@ pub struct Config {
     pub modules: Vec<CopyPathModule>,
     pub unsafe_audit: UnsafeAudit,
     pub meter: MeterCoverage,
-    pub escape: ZcEscape,
     pub lock_order: LockOrder,
     pub taint: TaintConfig,
-    pub wire: WireConsts,
+    pub wire_families: Vec<WireFamily>,
     pub atomics: AtomicsConfig,
     pub reactor: ReactorConfig,
 }
@@ -273,14 +245,14 @@ fn missing(ctx: &str, key: &str) -> ConfigError {
     bad(format!("{ctx}: missing `{key}`"))
 }
 
-fn opt_str_array(t: &Table, key: &str, ctx: &str) -> Result<Vec<String>, ConfigError> {
-    t.get(key).map_or(Ok(Vec::new()), |v| {
+fn opt_str_array(t: &mut Table, key: &str, ctx: &str) -> Result<Vec<String>, ConfigError> {
+    t.remove(key).map_or(Ok(Vec::new()), |v| {
         v.as_str_array()
             .ok_or_else(|| bad(format!("{ctx}: `{key}` must be an array of strings")))
     })
 }
 
-fn str_array(t: &Table, key: &str, ctx: &str) -> Result<Vec<String>, ConfigError> {
+fn str_array(t: &mut Table, key: &str, ctx: &str) -> Result<Vec<String>, ConfigError> {
     if t.contains_key(key) {
         opt_str_array(t, key, ctx)
     } else {
@@ -288,94 +260,112 @@ fn str_array(t: &Table, key: &str, ctx: &str) -> Result<Vec<String>, ConfigError
     }
 }
 
-fn string(t: &Table, key: &str, ctx: &str) -> Result<String, ConfigError> {
-    let s = t.get(key).and_then(Value::as_str);
-    s.map(str::to_string).ok_or_else(|| missing(ctx, key))
+fn string(t: &mut Table, key: &str, ctx: &str) -> Result<String, ConfigError> {
+    match t.remove(key) {
+        Some(Value::Str(s)) => Ok(s),
+        _ => Err(missing(ctx, key)),
+    }
 }
 
-fn idioms(t: &Table, ctx: &str) -> Result<Vec<Idiom>, ConfigError> {
+fn idioms(t: &mut Table, ctx: &str) -> Result<Vec<Idiom>, ConfigError> {
     str_array(t, "idioms", ctx)?
         .iter()
         .map(|s| Idiom::parse(s).ok_or_else(|| bad(format!("{ctx}: unknown idiom `{s}`"))))
         .collect()
 }
 
-/// Read the `[name]` section as `read(table, "[name]")`; an absent section
-/// reads as `T::default()`.
-fn section<T: Default>(
-    root: &Table,
-    name: &str,
-    read: impl FnOnce(&Table, &str) -> Result<T, ConfigError>,
-) -> Result<T, ConfigError> {
-    let Some(v) = root.get(name) else {
-        return Ok(T::default());
-    };
-    let t = v
-        .as_table()
-        .ok_or_else(|| bad(format!("`{name}` must be a table")))?;
-    read(t, &format!("[{name}]"))
+/// Every reader takes the keys it knows out of its table, so a key left
+/// over is misspelled or retired: an error, where skipping it would turn
+/// its pass off without a word.
+fn leftover(t: &Table, ctx: &str) -> Result<(), ConfigError> {
+    match t.keys().next() {
+        None => Ok(()),
+        Some(k) if ctx.is_empty() => Err(bad(format!("unknown table `[{k}]`"))),
+        Some(k) => Err(bad(format!("{ctx}: unknown key `{k}`"))),
+    }
 }
 
-/// The `[[section.key]]` entries, each with its diagnostic context
-/// (`[[section.key]] #n`); `None` when there are none.
-fn entries<'a>(t: &'a Table, section: &str, key: &str) -> Option<Vec<(String, &'a Table)>> {
-    let list = t.get(key).and_then(Value::as_table_array)?;
-    let ctx = |i: usize| format!("[[{section}.{key}]] #{}", i + 1);
-    Some(
-        list.into_iter()
-            .enumerate()
-            .map(|(i, e)| (ctx(i), e))
-            .collect(),
-    )
+/// Take the `[name]` section out of `root` and read it as
+/// `read(table, "[name]")`; an absent section reads as `T::default()`.
+fn section<T: Default>(
+    root: &mut Table,
+    name: &str,
+    read: impl FnOnce(&mut Table, &str) -> Result<T, ConfigError>,
+) -> Result<T, ConfigError> {
+    let Some(v) = root.remove(name) else {
+        return Ok(T::default());
+    };
+    let Value::Table(mut t) = v else {
+        return Err(bad(format!("`{name}` must be a table")));
+    };
+    let ctx = format!("[{name}]");
+    let out = read(&mut t, &ctx)?;
+    leftover(&t, &ctx)?;
+    Ok(out)
+}
+
+/// Take the `[[section.key]]` entries out of `t` and read each as
+/// `read(entry, "[[section.key]] #n")`; none when the key is absent.
+fn entries<T>(
+    t: &mut Table,
+    section: &str,
+    key: &str,
+    mut read: impl FnMut(&mut Table, &str) -> Result<T, ConfigError>,
+) -> Result<Vec<T>, ConfigError> {
+    let list = t
+        .remove(key)
+        .map_or(Some(Vec::new()), Value::into_table_array);
+    let list = list.ok_or_else(|| bad(format!("`{section}.{key}` must be an array of tables")))?;
+    let mut out = Vec::new();
+    for (i, mut e) in list.into_iter().enumerate() {
+        let ctx = format!("[[{section}.{key}]] #{}", i + 1);
+        out.push(read(&mut e, &ctx)?);
+        leftover(&e, &ctx)?;
+    }
+    Ok(out)
 }
 
 impl Config {
     pub fn parse(src: &str) -> Result<Config, ConfigError> {
-        let root = toml::parse(src)?;
-        let (exclude, copy_layers) = section(&root, "audit", |t, ctx| {
+        let mut root = toml::parse(src)?;
+        let (exclude, copy_layers) = section(&mut root, "audit", |t, ctx| {
             let exclude = opt_str_array(t, "exclude", ctx)?;
             Ok(Some((exclude, str_array(t, "copy_layers", ctx)?)))
         })?
         .ok_or_else(|| bad("missing `[audit]` table with `copy_layers`"))?;
 
-        let modules = section(&root, "copy_path", |t, _| {
-            let list = entries(t, "copy_path", "module")
-                .ok_or_else(|| bad("`[[copy_path.module]]` entries required"))?;
-            list.iter()
-                .map(|(ctx, m)| {
-                    Ok(CopyPathModule {
-                        name: string(m, "name", ctx)?,
-                        paths: str_array(m, "paths", ctx)?,
-                        idioms: idioms(m, ctx)?,
-                    })
+        let modules = section(&mut root, "copy_path", |t, _| {
+            let modules = entries(t, "copy_path", "module", |m, ctx| {
+                Ok(CopyPathModule {
+                    name: string(m, "name", ctx)?,
+                    paths: str_array(m, "paths", ctx)?,
+                    idioms: idioms(m, ctx)?,
                 })
-                .collect()
+            })?;
+            if modules.is_empty() {
+                return Err(bad("`[[copy_path.module]]` entries required"));
+            }
+            Ok(modules)
         })?;
-        let unsafe_audit = section(&root, "unsafe_audit", |t, ctx| {
+        let unsafe_audit = section(&mut root, "unsafe_audit", |t, ctx| {
             Ok(UnsafeAudit {
                 paths: str_array(t, "paths", ctx)?,
                 deny_unsafe_op_roots: opt_str_array(t, "deny_unsafe_op_roots", ctx)?,
             })
         })?;
-        let meter = section(&root, "meter_coverage", |t, ctx| {
+        let meter = section(&mut root, "meter_coverage", |t, ctx| {
             Ok(MeterCoverage {
                 paths: str_array(t, "paths", ctx)?,
                 markers: str_array(t, "markers", ctx)?,
             })
         })?;
-        let escape = section(&root, "zc_escape", |t, ctx| {
-            Ok(ZcEscape {
-                types: str_array(t, "types", ctx)?,
-                idioms: idioms(t, ctx)?,
-            })
-        })?;
-        let lock_order = section(&root, "lock_order", |t, ctx| {
+        let lock_order = section(&mut root, "lock_order", |t, ctx| {
             Ok(LockOrder {
                 paths: str_array(t, "paths", ctx)?,
                 blocking: str_array(t, "blocking", ctx)?,
             })
         })?;
-        let taint = section(&root, "taint", |t, ctx| {
+        let taint = section(&mut root, "taint", |t, ctx| {
             Ok(TaintConfig {
                 paths: str_array(t, "paths", ctx)?,
                 entrypoints: str_array(t, "entrypoints", ctx)?,
@@ -383,64 +373,52 @@ impl Config {
                 allocs: opt_str_array(t, "allocs", ctx)?,
             })
         })?;
-        let wire = section(&root, "wire_consts", |t, _| {
-            let mut wire = WireConsts::default();
-            for (ctx, f) in entries(t, "wire_consts", "family").unwrap_or_default() {
-                let name = string(f, "name", &ctx)?;
-                let prefix = string(f, "prefix", &ctx)?;
+        let wire_families = section(&mut root, "wire_consts", |t, _| {
+            entries(t, "wire_consts", "family", |f, ctx| {
+                let name = string(f, "name", ctx)?;
+                let prefix = string(f, "prefix", ctx)?;
                 if !prefix.starts_with("0x") {
                     return Err(bad(format!("{ctx}: `prefix` must be a 0x… hex literal")));
                 }
-                let defined_in = str_array(f, "defined_in", &ctx)?;
-                wire.families.push(WireFamily {
+                Ok(WireFamily {
                     name,
                     prefix,
-                    defined_in,
-                });
-            }
-            for (ctx, e) in entries(t, "wire_consts", "enum").unwrap_or_default() {
-                wire.enums.push(WireEnum {
-                    name: string(e, "name", &ctx)?,
-                    file: string(e, "file", &ctx)?,
-                    decoder: string(e, "decoder", &ctx)?,
-                });
-            }
-            Ok(wire)
+                    defined_in: str_array(f, "defined_in", ctx)?,
+                })
+            })
         })?;
-        let atomics = section(&root, "atomics", |t, ctx| {
-            let mut atomics = AtomicsConfig {
-                paths: str_array(t, "paths", ctx)?,
-                protocols: Vec::new(),
-            };
-            for (ctx, p) in entries(t, "atomics", "protocol").unwrap_or_default() {
-                let module = string(p, "module", &ctx)?;
-                let kind_str = string(p, "kind", &ctx)?;
+        let atomics = section(&mut root, "atomics", |t, ctx| {
+            let paths = str_array(t, "paths", ctx)?;
+            let protocols = entries(t, "atomics", "protocol", |p, ctx| {
+                let module = string(p, "module", ctx)?;
+                let kind_str = string(p, "kind", ctx)?;
                 let kind = ProtocolKind::parse(&kind_str).ok_or_else(|| {
                     bad(format!(
                         "{ctx}: unknown protocol kind `{kind_str}` (expected one of \
                          refcount, seqlock, cas-roll, counter-relaxed, release-flag)"
                     ))
                 })?;
-                let paths = str_array(p, "paths", &ctx)?;
-                let mut seq = opt_str_array(p, "seq", &ctx)?;
+                let paths = str_array(p, "paths", ctx)?;
+                let mut seq = opt_str_array(p, "seq", ctx)?;
                 if seq.is_empty() {
                     seq.push("seq".to_string());
                 }
-                atomics.protocols.push(AtomicProtocol {
+                Ok(AtomicProtocol {
                     module,
                     kind,
                     paths,
                     seq,
-                });
-            }
-            Ok(atomics)
+                })
+            })?;
+            Ok(AtomicsConfig { paths, protocols })
         })?;
-        let reactor = section(&root, "reactor", |t, ctx| {
+        let reactor = section(&mut root, "reactor", |t, ctx| {
             Ok(ReactorConfig {
                 entrypoints: str_array(t, "entrypoints", ctx)?,
                 blocking: str_array(t, "blocking", ctx)?,
             })
         })?;
+        leftover(&root, "")?;
 
         Ok(Config {
             exclude,
@@ -448,10 +426,9 @@ impl Config {
             modules,
             unsafe_audit,
             meter,
-            escape,
             lock_order,
             taint,
-            wire,
+            wire_families,
             atomics,
             reactor,
         })
@@ -518,10 +495,6 @@ markers = ["meter", "CopyMeter", "record"]
     fn parses_interproc_sections() {
         let doc = format!(
             "{SAMPLE}\n\
-             [zc_escape]\n\
-             types = [\"ZcBytes\", \"AlignedBuf\"]\n\
-             idioms = [\"to_vec\", \"clone\"]\n\
-             \n\
              [lock_order]\n\
              paths = [\"crates/\"]\n\
              blocking = [\"send_data\", \"connect\"]\n\
@@ -529,31 +502,21 @@ markers = ["meter", "CopyMeter", "record"]
              [[wire_consts.family]]\n\
              name = \"zc-tag\"\n\
              prefix = \"0x5A43\"\n\
-             defined_in = [\"crates/cdr/src/wire.rs\"]\n\
-             \n\
-             [[wire_consts.enum]]\n\
-             name = \"MessageType\"\n\
-             file = \"crates/giop/src/msg.rs\"\n\
-             decoder = \"from_octet\"\n"
+             defined_in = [\"crates/cdr/src/wire.rs\"]\n"
         );
         let c = Config::parse(&doc).unwrap();
-        assert_eq!(c.escape.types, vec!["ZcBytes", "AlignedBuf"]);
-        assert_eq!(c.escape.idioms.len(), 2);
         assert_eq!(c.lock_order.paths, vec!["crates/"]);
         assert_eq!(c.lock_order.blocking.len(), 2);
-        assert_eq!(c.wire.families.len(), 1);
-        assert_eq!(c.wire.families[0].prefix, "0x5A43");
-        assert_eq!(c.wire.enums.len(), 1);
-        assert_eq!(c.wire.enums[0].decoder, "from_octet");
+        assert_eq!(c.wire_families.len(), 1);
+        assert_eq!(c.wire_families[0].prefix, "0x5A43");
     }
 
     #[test]
     fn interproc_sections_default_off() {
         let c = Config::parse(SAMPLE).unwrap();
-        assert!(c.escape.types.is_empty());
         assert!(c.lock_order.paths.is_empty());
         assert!(c.taint.paths.is_empty());
-        assert!(c.wire.families.is_empty() && c.wire.enums.is_empty());
+        assert!(c.wire_families.is_empty());
     }
 
     #[test]
@@ -640,11 +603,18 @@ markers = ["meter", "CopyMeter", "record"]
             ("[audit]\ncopy_layers = []\n[copy_path]\nx = 1", "`[[copy_path.module]]` entries required"),
             ("[audit]\ncopy_layers = []\n[[copy_path.module]]\npaths = []", "[[copy_path.module]] #1: missing `name`"),
             ("[audit]\ncopy_layers = []\n[taint]\npaths = []", "[taint]: missing `entrypoints`"),
-            ("[audit]\ncopy_layers = []\n[zc_escape]\ntypes = []\nidioms = [\"memmove\"]", "[zc_escape]: unknown idiom `memmove`"),
+            ("[audit]\ncopy_layers = []\n[[copy_path.module]]\nname = \"m\"\npaths = []\nidioms = [\"memmove\"]", "[[copy_path.module]] #1: unknown idiom `memmove`"),
             ("[audit]\ncopy_layers = []\n[[wire_consts.family]]\nname = \"f\"\nprefix = \"5A\"", "[[wire_consts.family]] #1: `prefix` must be a 0x… hex literal"),
-            ("[audit]\ncopy_layers = []\n[[wire_consts.enum]]\nname = \"E\"\nfile = \"f.rs\"", "[[wire_consts.enum]] #1: missing `decoder`"),
             ("[audit]\ncopy_layers = []\n[atomics]\npaths = []\n[[atomics.protocol]]\nmodule = \"m\"", "[[atomics.protocol]] #1: missing `kind`"),
             ("reactor = 1\n[audit]\ncopy_layers = []", "`reactor` must be a table"),
+            // A misspelled or retired section or key is an error, not a
+            // pass silently switched off.
+            ("[audit]\ncopy_layers = []\n[tiant]\npaths = []", "unknown table `[tiant]`"),
+            ("[audit]\ncopy_layers = []\n[zc_escape]\ntypes = []", "unknown table `[zc_escape]`"),
+            ("[audit]\ncopy_layers = []\n[[wire_consts.enum]]\nname = \"E\"", "[wire_consts]: unknown key `enum`"),
+            ("[audit]\ncopy_layers = []\ncopy_layer = []", "[audit]: unknown key `copy_layer`"),
+            ("[audit]\ncopy_layers = []\n[taint]\npaths = []\nentrypoint = []\nentrypoints = []\nclamps = []", "[taint]: unknown key `entrypoint`"),
+            ("[audit]\ncopy_layers = []\n[[copy_path.module]]\nname = \"m\"\npaths = []\nidioms = []\nidiom = []", "[[copy_path.module]] #1: unknown key `idiom`"),
         ];
         for (doc, want) in cases {
             assert_eq!(err(doc), format!("zc-audit.toml: {want}"), "{doc}");

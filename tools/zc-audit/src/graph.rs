@@ -3,10 +3,9 @@
 //!
 //! Calls resolve by bare name (no type inference): `x.dispatch(..)` links
 //! to every workspace `fn dispatch`. Each pass decides which namesakes an
-//! edge really reaches (zc-escape: zero-copy signatures; wire-taint:
-//! non-test fns, std-prelude names only within the same impl;
-//! reactor-readiness: every non-test fn of the name at once); the reach
-//! records how each function was first arrived at.
+//! edge really reaches (wire-taint: non-test fns, std-prelude names only
+//! within the same impl; reactor-readiness: every non-test fn of the name
+//! at once); the reach records how each function was first arrived at.
 
 use std::collections::{HashMap, HashSet};
 

@@ -203,7 +203,7 @@ pub(crate) fn tok_is(toks: &[Tok], i: usize, text: &str) -> bool {
 }
 
 /// Past-the-end index of a balanced `(…)`/`{…}`/`[…]` group at `i`.
-pub(crate) fn skip_group(toks: &[Tok], i: usize) -> usize {
+fn skip_group(toks: &[Tok], i: usize) -> usize {
     let (openc, closec) = match toks[i].text.as_str() {
         "(" => ("(", ")"),
         "{" => ("{", "}"),

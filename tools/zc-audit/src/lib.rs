@@ -13,7 +13,6 @@
 mod atomics;
 mod blocking;
 pub mod config;
-mod escape;
 mod graph;
 pub mod lexer;
 mod locks;
@@ -248,8 +247,8 @@ pub fn audit_workspace_report(root: &Path, cfg: &Config) -> std::io::Result<Repo
 }
 
 /// Audit `files` with `cfg`: the per-file rules plus the inter-procedural
-/// passes (zc-escape, lock-order, wire-taint, wire-consts,
-/// atomics-protocol, reactor-readiness), then the one stale-waiver sweep.
+/// passes (lock-order, wire-taint, wire-consts, atomics-protocol,
+/// reactor-readiness), then the one stale-waiver sweep.
 /// Violations are sorted by file then line.
 pub fn audit(files: &[FileAnalysis], cfg: &Config) -> Report {
     let mut out = Vec::new();
@@ -265,7 +264,6 @@ pub fn audit(files: &[FileAnalysis], cfg: &Config) -> Report {
         rules::run_rules(f, cfg, w, &mut out);
     }
     let index = graph::NameIndex::new(files);
-    escape::run(&index, cfg, &waivers, &mut out);
     locks::run(files, cfg, &waivers, &mut out);
     taint::run(&index, cfg, &waivers, &mut out);
     wire::run(files, cfg, &waivers, &mut out);

@@ -2,13 +2,12 @@
 //!
 //! Built directly on the lexer's token stream: function items, impl blocks,
 //! call expressions and lock-guard bindings — deliberately *not* a full
-//! grammar. The passes that consume its [`FnItem`]s (zc-escape,
-//! lock-order, wire-taint, wire-consts, atomics-protocol,
-//! reactor-readiness, and meter-coverage for a site's enclosing function)
-//! are name-based over-approximations, so the parser only needs to recover:
+//! grammar. The passes that consume its [`FnItem`]s (lock-order,
+//! wire-taint, atomics-protocol, reactor-readiness, and meter-coverage for
+//! a site's enclosing function) are name-based over-approximations, so the
+//! parser only needs to recover:
 //!
-//! - every `fn` with a body: name, enclosing `impl` type, parameter names
-//!   with the identifiers appearing in their types, return-type identifiers;
+//! - every `fn` with a body: name, enclosing `impl` type, parameter names;
 //! - every call expression inside that body: callee name, method receiver
 //!   (the identifier left of the final `.`), and the identifiers appearing
 //!   in the argument list;
@@ -27,15 +26,6 @@
 //! deadlock auditor; waivers absorb the false positives they cause.
 
 use crate::lexer::{brace_span, tok_is, Tok, TokKind};
-
-/// One declared parameter. Tuple patterns produce one `Param` per bound
-/// identifier, each carrying the identifiers of the whole type.
-#[derive(Debug, Clone)]
-pub struct Param {
-    pub name: String,
-    /// Identifier tokens appearing in the type (e.g. `["Vec", "ZcBytes"]`).
-    pub ty: Vec<String>,
-}
 
 /// One call expression inside a function body.
 #[derive(Debug, Clone)]
@@ -101,9 +91,9 @@ pub struct FnItem {
     pub line: u32,
     /// Token indices of the body's `{` and `}`.
     pub body: (usize, usize),
-    pub params: Vec<Param>,
-    /// Identifier tokens appearing in the return type.
-    pub ret: Vec<String>,
+    /// Parameter names (`self` for a receiver); a tuple pattern
+    /// contributes every identifier it binds.
+    pub params: Vec<String>,
     pub calls: Vec<CallSite>,
     pub locks: Vec<LockSite>,
     pub atomics: Vec<AtomicSite>,
@@ -190,19 +180,6 @@ fn parse_fn_header(
         return None;
     }
     let (params, params_close) = parse_params(toks, j)?;
-
-    let mut ret = Vec::new();
-    let mut k = params_close + 1;
-    if tok_is(toks, k, "-") && tok_is(toks, k + 1, ">") {
-        k += 2;
-        while k < toks.len() && !matches!(toks[k].text.as_str(), "{" | ";" | "where") {
-            if toks[k].kind == TokKind::Ident {
-                ret.push(toks[k].text.clone());
-            }
-            k += 1;
-        }
-    }
-
     let body = brace_span(toks, params_close)?;
     // Innermost enclosing impl wins (nested impls are vanishingly rare, but
     // the tightest span is the right answer if they occur).
@@ -219,7 +196,6 @@ fn parse_fn_header(
         line: name_tok.line,
         body,
         params,
-        ret,
         calls: Vec::new(),
         locks: Vec::new(),
         atomics: Vec::new(),
@@ -280,7 +256,7 @@ fn impl_spans(toks: &[Tok]) -> Vec<(String, usize, usize)> {
 
 /// Parse the parameter list starting at `open` (`(`). Returns the params
 /// and the index of the matching `)`.
-fn parse_params(toks: &[Tok], open: usize) -> Option<(Vec<Param>, usize)> {
+fn parse_params(toks: &[Tok], open: usize) -> Option<(Vec<String>, usize)> {
     let mut paren = 0i32;
     let mut angle = 0i32;
     let mut bracket = 0i32;
@@ -324,9 +300,9 @@ fn parse_params(toks: &[Tok], open: usize) -> Option<(Vec<Param>, usize)> {
     Some((params, close))
 }
 
-/// Split one parameter chunk (`pattern: Type` or a `self` receiver) into
-/// `Param`s.
-fn params_from_chunk(toks: &[Tok], a: usize, b: usize) -> Vec<Param> {
+/// The names one parameter chunk (`pattern: Type` or a `self` receiver)
+/// binds.
+fn params_from_chunk(toks: &[Tok], a: usize, b: usize) -> Vec<String> {
     // Find the pattern/type `:` at top nesting depth; `::` is a path.
     let mut colon = None;
     let mut paren = 0i32;
@@ -355,35 +331,16 @@ fn params_from_chunk(toks: &[Tok], a: usize, b: usize) -> Vec<Param> {
         None => {
             // Receiver shorthand: `self`, `&self`, `&mut self`, `mut self`.
             if toks[a..b].iter().any(|t| t.text == "self") {
-                vec![Param {
-                    name: "self".into(),
-                    ty: Vec::new(),
-                }]
+                vec!["self".into()]
             } else {
                 Vec::new()
             }
         }
-        Some(ci) => {
-            let ty: Vec<String> = toks[ci + 1..b]
-                .iter()
-                .filter(|t| t.kind == TokKind::Ident)
-                .map(|t| t.text.clone())
-                .collect();
-            let names: Vec<String> = toks[a..ci]
-                .iter()
-                .filter(|t| {
-                    t.kind == TokKind::Ident && !matches!(t.text.as_str(), "mut" | "ref" | "_")
-                })
-                .map(|t| t.text.clone())
-                .collect();
-            names
-                .into_iter()
-                .map(|name| Param {
-                    name,
-                    ty: ty.clone(),
-                })
-                .collect()
-        }
+        Some(ci) => toks[a..ci]
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident && !matches!(t.text.as_str(), "mut" | "ref" | "_"))
+            .map(|t| t.text.clone())
+            .collect(),
     }
 }
 
@@ -632,16 +589,14 @@ mod tests {
     }
 
     #[test]
-    fn fn_params_and_ret() {
+    fn fn_params_and_calls() {
         let items =
             parse("fn send(buf: &ZcBytes, n: usize) -> Result<Vec<u8>, Error> { helper(buf); }");
         assert_eq!(items.len(), 1);
         let f = &items[0];
         assert_eq!(f.name, "send");
         assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[0].name, "buf");
-        assert!(f.params[0].ty.contains(&"ZcBytes".to_string()));
-        assert!(f.ret.contains(&"Vec".to_string()));
+        assert_eq!(f.params[0], "buf");
         assert_eq!(f.calls.len(), 1);
         assert_eq!(f.calls[0].callee, "helper");
         assert_eq!(f.calls[0].args, vec!["buf"]);
@@ -656,8 +611,7 @@ mod tests {
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].qual.as_deref(), Some("Conn"));
         assert_eq!(items[1].qual.as_deref(), Some("Walker"));
-        assert_eq!(items[1].params[0].name, "self");
-        assert_eq!(items[1].params[1].name, "b");
+        assert_eq!(items[1].params, vec!["self", "b"]);
         let call = &items[1].calls[0];
         assert_eq!(call.callee, "go");
         assert_eq!(call.recv.as_deref(), Some("self"));
@@ -670,7 +624,7 @@ mod tests {
         );
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].params.len(), 2);
-        assert_eq!(items[0].params[1].name, "data");
+        assert_eq!(items[0].params[1], "data");
     }
 
     #[test]
@@ -794,8 +748,6 @@ mod tests {
     #[test]
     fn tuple_pattern_params() {
         let items = parse("fn f((a, b): (ZcBytes, usize)) { use_both(a, b); }");
-        let names: Vec<&str> = items[0].params.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b"]);
-        assert!(items[0].params[0].ty.contains(&"ZcBytes".to_string()));
+        assert_eq!(items[0].params, vec!["a", "b"]);
     }
 }

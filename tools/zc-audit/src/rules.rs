@@ -136,8 +136,7 @@ impl WaiverKind {
     }
 }
 
-/// The copy-flavored kinds accepted by copy-path, meter-coverage and
-/// zc-escape sites.
+/// The copy-flavored kinds accepted by copy-path and meter-coverage sites.
 pub(crate) const COPY_KINDS: &[WaiverKind] = &[
     WaiverKind::Copy,
     WaiverKind::CheapClone,

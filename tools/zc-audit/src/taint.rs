@@ -168,11 +168,7 @@ pub(crate) fn run(
 /// binds, the index of its `=`/`in`, and the token that ends its
 /// initializer (`;`/`{`). `None` when `i` starts no binding or no `=`/`in`
 /// follows the pattern.
-pub(crate) fn binding(
-    toks: &[Tok],
-    i: usize,
-    close: usize,
-) -> Option<(Vec<String>, usize, &'static str)> {
+fn binding(toks: &[Tok], i: usize, close: usize) -> Option<(Vec<String>, usize, &'static str)> {
     let (binder_stop, rhs_stop) = match toks[i].text.as_str() {
         "let" => ("=", ";"),
         "for" => ("in", "{"),
@@ -205,7 +201,7 @@ fn analyze_fn(
     let item = &file.items[ii];
     let toks = &file.scanned.toks;
     let (open, close) = item.body;
-    let mut taint: HashSet<String> = item.params.iter().map(|p| p.name.clone()).collect();
+    let mut taint: HashSet<String> = item.params.iter().cloned().collect();
     let mut sinks = Vec::new();
     let mut calls = Vec::new();
 

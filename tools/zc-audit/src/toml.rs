@@ -286,9 +286,16 @@ impl Value {
         }
     }
 
-    pub fn as_table_array(&self) -> Option<Vec<&Table>> {
+    /// The tables of an array of tables, or `None` if any item is not one.
+    pub fn into_table_array(self) -> Option<Vec<Table>> {
         match self {
-            Value::Array(items) => items.iter().map(Value::as_table).collect(),
+            Value::Array(items) => items
+                .into_iter()
+                .map(|v| match v {
+                    Value::Table(t) => Some(t),
+                    _ => None,
+                })
+                .collect(),
             _ => None,
         }
     }
@@ -324,7 +331,8 @@ idioms = ["extend_from_slice"]
         );
         assert_eq!(ua["require_deny"], Value::Bool(true));
         let modules = root["copy_path"].as_table().unwrap()["module"]
-            .as_table_array()
+            .clone()
+            .into_table_array()
             .unwrap();
         assert_eq!(modules.len(), 2);
         assert_eq!(modules[0]["name"].as_str(), Some("zbytes"));

@@ -1,18 +1,1 @@
 pub const ZC_TAG: u32 = 0x5A43;
-
-pub enum Msg {
-    Ping = 0,
-    Pong = 1,
-    Data = 2,
-}
-
-impl Msg {
-    pub fn from_u8(b: u8) -> Option<Msg> {
-        match b {
-            0 => Some(Msg::Ping),
-            1 => Some(Msg::Pong),
-            9 => Some(Msg::Ping),
-            _ => None,
-        }
-    }
-}
