@@ -26,8 +26,8 @@
 //! in-process *journey demo*: a two-replica object group is booted on the
 //! same shared telemetry, the primary is killed mid-stream, and an
 //! idempotent caller fails over — so the spooled segments always contain
-//! at least one multi-attempt journey for `zc-flame` to reconstruct. The
-//! CI trace-spool smoke job drives exactly this.
+//! at least one multi-attempt journey for `zc-top --spool DIR` to
+//! reconstruct. The CI trace-spool smoke job drives exactly this.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

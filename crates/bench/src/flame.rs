@@ -1,5 +1,5 @@
-//! `zc-flame` — offline journey reconstruction and critical-path analysis
-//! over durable trace-spool segments.
+//! `zc-top --spool` — offline journey reconstruction and critical-path
+//! analysis over durable trace-spool segments.
 //!
 //! The flight recorder answers "what just happened"; the spool answers
 //! "what happened to that run" after the process is gone. This module is
@@ -114,9 +114,9 @@ pub struct LoadStats {
 
 /// Load every segment of a spool directory, oldest first, tolerating torn
 /// tails and skipping unreadable files (they are counted, not fatal — an
-/// operator pointing zc-flame at a live or damaged spool still gets the
-/// valid prefix). Errors only when the directory holds no readable
-/// segment at all.
+/// operator pointing `zc-top --spool` at a live or damaged spool still
+/// gets the valid prefix). Errors only when the directory holds no
+/// readable segment at all.
 pub fn load_spool_dir(dir: &Path) -> Result<(Vec<TraceEvent>, LoadStats), SpoolError> {
     let mut events = Vec::new();
     let mut stats = LoadStats::default();

@@ -1,7 +1,8 @@
 //! The experiment runner behind `zc-bench <experiment>`, and the library
-//! halves of the three operator tools (`zc-top`, `zc_flame`,
-//! `demo_server`). [`experiments`] holds the table of experiments, [`cli`]
-//! the one argument parser, [`report`] the one reporter.
+//! halves of the two operator tools: `zc-top` (live [`top`], recorded
+//! [`flame`]) and `demo_server`. [`experiments`] holds the table of
+//! experiments, [`cli`] the one argument parser, [`report`] the one
+//! reporter.
 //!
 //! The figure experiments print two views:
 //!

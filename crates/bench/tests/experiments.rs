@@ -14,6 +14,7 @@ use zc_simnet::MachineSpec;
 use zc_ttcp::TtcpTransport;
 
 const ZC_BENCH: &str = env!("CARGO_BIN_EXE_zc-bench");
+const ZC_TOP: &str = env!("CARGO_BIN_EXE_zc-top");
 
 /// What `body` reports, as text or as JSON.
 fn capture(json: bool, body: impl FnOnce(&mut Reporter)) -> String {
@@ -94,11 +95,13 @@ fn unknown_experiments_and_flags_are_usage_errors() {
         assert!(stderr.contains("usage: zc-bench"), "{stderr}");
     }
     for (exe, args) in [
-        (env!("CARGO_BIN_EXE_demo_server"), ["--port", "99999"]),
-        (env!("CARGO_BIN_EXE_zc-top"), ["--frames", "x"]),
-        (env!("CARGO_BIN_EXE_zc_flame"), ["--top", "many"]),
+        (env!("CARGO_BIN_EXE_demo_server"), &["--port", "99999"][..]),
+        (ZC_TOP, &["--frames", "x"]),
+        (ZC_TOP, &["--spool", "d", "--top", "many"]),
+        (ZC_TOP, &["--connect", "127.0.0.1:1", "--spool", "d"]),
+        (ZC_TOP, &[]),
     ] {
-        let (code, stderr) = exit_of(exe, &args);
+        let (code, stderr) = exit_of(exe, args);
         assert_eq!(code, Some(2), "{exe} {args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
     }
@@ -307,4 +310,19 @@ fn closed_pipes_end_quietly_and_other_write_errors_do_not() {
     let out = child.wait_with_output().expect("wait");
     assert!(out.status.success(), "{:?}", out.status);
     assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+}
+
+#[test]
+fn zc_top_ends_quietly_on_a_closed_pipe() {
+    // `zc-top --keys | true`: the reader is gone before the first write.
+    let (reader, writer) = io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(ZC_TOP)
+        .arg("--keys")
+        .stdout(writer)
+        .output()
+        .expect("run zc-top");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

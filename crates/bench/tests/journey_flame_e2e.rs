@@ -1,19 +1,23 @@
 //! End-to-end journey reconstruction: kill a primary mid-stream, spool the
-//! shared flight recorder to disk, and prove `zc-flame` reconstructs the
-//! whole causal chain offline — the initial attempt linked to the failover
-//! attempt under one journey id, with correct cause tags and a critical
-//! path bounded by the measured wall clock. Run on both the simulated and
-//! the real TCP transport.
+//! shared flight recorder to disk, and prove `zc-top --spool`'s analysis
+//! reconstructs the whole causal chain offline — the initial attempt
+//! linked to the failover attempt under one journey id, with correct cause
+//! tags and a critical path bounded by the measured wall clock. Run on both
+//! the simulated and the real TCP transport; the built `zc-top --spool`
+//! prints exactly the analysis' renderings.
 
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use zc_bench::flame::{analyze_spool_dir, Journey};
+use zc_bench::flame::{analyze_spool_dir, render_json, render_text, Journey};
 use zc_giop::Ior;
 use zc_orb::{ObjectAdapterExt, Orb, OrbResult, Servant, ServerRequest};
-use zc_trace::{JourneyCause, SpoolConfig, Telemetry};
+use zc_trace::{
+    pack_attempt, pack_stage, EventKind, JourneyCause, SpoolConfig, SpoolWriter, Stage, Telemetry,
+};
 use zc_transport::{FaultPlan, SimConfig, SimNetwork};
 
 const REPO_ID: &str = "IDL:zcorba/bench/JourneyReplica:1.0";
@@ -212,5 +216,52 @@ fn killed_primary_journey_reconstructs_from_spool_tcp() {
     let analysis = analyze_spool_dir(&dir).unwrap();
     assert_eq!(analysis.stats.unreadable_segments, 0);
     assert_failover_journey(&analysis.journeys, wall_clock);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zc_top_spool_prints_the_analysis_renderings() {
+    // The scenario's shape without the servers: a journey that failed over
+    // from its initial attempt, plus an untouched one-attempt journey.
+    let telemetry = Telemetry::with_capacity(64);
+    let attempt = |trace, cause, ordinal, journey| {
+        let payload = pack_attempt(cause, ordinal, journey);
+        telemetry.emit(EventKind::Attempt, 1, trace, payload);
+    };
+    let stage =
+        |trace, stage, ns| telemetry.emit(EventKind::Stage, 1, trace, pack_stage(stage, ns));
+    attempt(101, JourneyCause::Initial, 0, 9);
+    stage(101, Stage::ClientMarshal, 1_500);
+    stage(101, Stage::Wire, 40_000);
+    attempt(102, JourneyCause::Failover, 1, 9);
+    stage(102, Stage::ClientMarshal, 1_200);
+    stage(102, Stage::ServerDispatch, 9_000);
+    attempt(201, JourneyCause::Initial, 0, 10);
+    stage(201, Stage::Wire, 5_000);
+    let dir = temp_spool_dir("zc-top");
+    let spool = SpoolWriter::spawn(Arc::clone(&telemetry), SpoolConfig::new(&dir));
+    spool.expect("spawn spool writer").shutdown(); // final drain
+
+    let analysis = analyze_spool_dir(&dir).unwrap();
+    assert_eq!(analysis.journeys.len(), 2);
+    let spool_dir = dir.to_str().expect("UTF-8 temp path");
+    for (flags, expected) in [
+        (&[][..], render_text(&analysis, 10)),
+        (&["--json"], render_json(&analysis, 10)),
+        (&["--top", "1"], render_text(&analysis, 1)),
+        (&["--json", "--top", "1"], render_json(&analysis, 1)),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_zc-top"))
+            .args(["--spool", spool_dir])
+            .args(flags)
+            .output()
+            .expect("run zc-top");
+        assert!(out.status.success(), "{flags:?}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expected + "\n",
+            "{flags:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

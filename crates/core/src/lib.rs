@@ -68,7 +68,7 @@ pub use adapter::{ObjectAdapter, ObjectAdapterExt, Servant, ServerRequest};
 pub use admission::{AdmissionConfig, AdmissionControl, AdmissionTicket, ShedReason};
 pub use collective::{partition_into, ParGroup};
 pub use conn::{ConnTuning, GiopConn};
-pub use introspect::{TelemetryClient, TelemetryServant, MAX_TIMELINES};
+pub use introspect::{TelemetryClient, TelemetryServant};
 pub use naming::{install_name_service, NamingClient, NamingContextServant};
 pub use orb::{Orb, OrbBuilder, OrbConfig, ServerHandle};
 pub use proxy::{ObjectRef, Reply, StaticRequest};

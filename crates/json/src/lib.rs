@@ -1,8 +1,8 @@
 //! `zc-json` — the workspace's one JSON codec.
 //!
 //! The build is air-gapped (no serde), and every document the workspace
-//! emits or reads — telemetry JSON lines, bench reports, the `zc-top` and
-//! `zc-flame` summaries, the `zc-audit` report and its ratchet baseline —
+//! emits or reads — telemetry JSON lines, bench reports, the `zc-top` live
+//! and `--spool` summaries, the `zc-audit` report and its ratchet baseline —
 //! is small and flat. Three pieces cover all of them:
 //!
 //! * [`escape`] — the only string-escaping routine;

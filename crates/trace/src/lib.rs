@@ -27,7 +27,6 @@
 //! this crate is the ledger.
 
 mod event;
-mod export;
 mod metrics;
 mod recorder;
 mod report;
@@ -39,7 +38,6 @@ mod windows;
 pub use event::{
     pack_attempt, unpack_attempt, EventKind, JourneyCause, TraceEvent, TraceLayer, JOURNEY_ID_MASK,
 };
-pub use export::prometheus_text;
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, StageHistograms,
     StageSnapshots, TransportCounters, TransportField, TransportTotals, HISTOGRAM_BUCKETS,

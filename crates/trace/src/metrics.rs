@@ -179,15 +179,6 @@ impl HistogramSnapshot {
         }
         self.max
     }
-
-    /// Iterate `(bucket_upper_bound, count)` over non-empty buckets.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (bucket_bound(i), c))
-    }
 }
 
 /// One histogram per request-span [`Stage`]. Same recording discipline as
@@ -383,9 +374,9 @@ impl TransportTotals {
 }
 
 /// Declares the registry exactly once. Each line is a field name plus its
-/// help text, in rendered order; the [`MetricsRegistry`] cells, the
-/// [`MetricsSnapshot`] copy and the `(name, help, value)` lists the text /
-/// JSON-lines / Prometheus renderers walk all derive from it. Which event
+/// doc text, in rendered order; the [`MetricsRegistry`] cells, the
+/// [`MetricsSnapshot`] copy and the `(name, value)` lists the text-table
+/// and JSON-lines renderers walk all derive from it. Which event
 /// moves which cell is the `event_kinds!` table's business (`event.rs`), so
 /// adding a counter or histogram is this one line plus its entry there.
 macro_rules! registry {
@@ -426,17 +417,15 @@ macro_rules! registry {
         }
 
         impl MetricsSnapshot {
-            /// `(name, help, value)` of every counter, in declaration order.
-            pub fn counters(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
-                [$((stringify!($c), $chelp, self.$c),)*].into_iter()
+            /// `(name, value)` of every counter, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($c), self.$c),)*].into_iter()
             }
 
-            /// `(name, help, snapshot)` of every named histogram, in
-            /// declaration order (the per-stage family is `stage_ns`).
-            pub fn histograms(
-                &self,
-            ) -> impl Iterator<Item = (&'static str, &'static str, &HistogramSnapshot)> {
-                [$((stringify!($h), $hhelp, &self.$h),)*].into_iter()
+            /// `(name, snapshot)` of every named histogram, in declaration
+            /// order (the per-stage family is `stage_ns`).
+            pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &HistogramSnapshot)> {
+                [$((stringify!($h), &self.$h),)*].into_iter()
             }
         }
     };
@@ -498,13 +487,12 @@ mod tests {
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 1 << 20);
         assert_eq!(s.sum, 10 + 1000 + (1 << 20));
-        // zero bucket, [1,1], [2,3], [4,7], [512,1023]? no: 1000 is in
-        // [512,1023]... bucket bound 1023; 2^20 in [2^19, 2^20).
-        let buckets: Vec<(u64, u64)> = s.nonzero_buckets().collect();
-        assert_eq!(buckets[0], (0, 1));
-        assert_eq!(buckets[1], (1, 1));
-        assert_eq!(buckets[2], (3, 2));
-        assert_eq!(buckets[3], (7, 1));
+        // zero bucket, [1,1], [2,3], [4,7]; 1000 in [512,1023]; 2^20 in
+        // [2^20, 2^21).
+        assert_eq!(s.buckets[..4], [1, 1, 2, 1]);
+        assert_eq!((s.buckets[10], bucket_bound(10)), (1, 1023));
+        assert_eq!(s.buckets[21], 1);
+        assert_eq!(s.buckets.iter().sum::<u64>(), 7);
     }
 
     #[test]

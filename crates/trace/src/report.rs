@@ -92,12 +92,12 @@ impl OrbTelemetry {
             self.pool_recycle_rate()
         );
         let _ = writeln!(out, "-- metrics --");
-        for (name, _, v) in self.metrics.counters() {
+        for (name, v) in self.metrics.counters() {
             if v != 0 {
                 let _ = writeln!(out, "{name:<20}{v:>14}");
             }
         }
-        for (name, _, h) in self.metrics.histograms() {
+        for (name, h) in self.metrics.histograms() {
             histogram_row(&mut out, name, h);
         }
         if self.metrics.stage_ns.total_count() != 0 {
@@ -111,10 +111,10 @@ impl OrbTelemetry {
             "-- load ({}ms window) --",
             self.load.window_ns / 1_000_000
         );
-        for (_, label, _, v) in self.load.rates() {
+        for (_, label, v) in self.load.rates() {
             let _ = writeln!(out, "{label:<20}{v:>14.1}");
         }
-        for (name, _, _, g) in self.load.gauges() {
+        for (name, g) in self.load.gauges() {
             let _ = writeln!(
                 out,
                 "{name:<20}{:>14} current {:>10} peak",
@@ -162,12 +162,12 @@ impl OrbTelemetry {
                     format_args!("{:.6}", self.pool_recycle_rate()),
                 );
         });
-        for (name, _, v) in self.metrics.counters() {
+        for (name, v) in self.metrics.counters() {
             section(&mut out, "counter", |w| {
                 w.field_str("name", name).field("value", v);
             });
         }
-        for (name, _, h) in self.metrics.histograms() {
+        for (name, h) in self.metrics.histograms() {
             section(&mut out, "histogram", |w| histogram_fields(w, name, h));
         }
         for (stage, h) in self.metrics.stage_ns.iter() {
@@ -177,11 +177,11 @@ impl OrbTelemetry {
         }
         section(&mut out, "load", |w| {
             w.field("window_ns", self.load.window_ns);
-            for (name, _, _, v) in self.load.rates() {
+            for (name, _, v) in self.load.rates() {
                 w.field(name, format_args!("{v:.3}"));
             }
             w.field("req_rx_total", self.load.req_rx_total);
-            for (name, _, _, g) in self.load.gauges() {
+            for (name, g) in self.load.gauges() {
                 w.field(name, g.current)
                     .field(&format!("{name}_peak"), g.peak);
             }

@@ -33,8 +33,8 @@
 //! truncation durable by cutting the file back to its valid prefix.
 //!
 //! Segment files are **untrusted input** to the reader (an operator may
-//! point `zc-flame` at any path): every length is clamped before it sizes
-//! an allocation, every offset is checked, and malformed events are
+//! point `zc-top --spool` at any path): every length is clamped before it
+//! sizes an allocation, every offset is checked, and malformed events are
 //! skipped, never panicked on. The reader is registered as a wire-taint
 //! entrypoint in `zc-audit.toml`.
 

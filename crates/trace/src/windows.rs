@@ -211,13 +211,13 @@ pub struct GaugeSnapshot {
 }
 
 /// Declares the windowed load signals exactly once. A rate line is
-/// `window field => snapshot field, "text-table label": "help"`; a gauge
-/// line is `field => "exported family": "help"`. [`LoadWindows`], its
-/// [`LoadSnapshot`] and the lists the renderers walk derive from it.
+/// `window field => snapshot field, "text-table label": "doc"`; a gauge
+/// line is `field: "doc"`. [`LoadWindows`], its [`LoadSnapshot`] and the
+/// lists the renderers walk derive from it.
 macro_rules! load_signals {
     (
         rates { $($r:ident => $rate:ident, $label:literal: $rhelp:literal,)* }
-        gauges { $($(#[$gnote:meta])* $g:ident => $family:literal: $ghelp:literal,)* }
+        gauges { $($(#[$gnote:meta])* $g:ident: $ghelp:literal,)* }
     ) => {
         /// The ORB-wide bundle of windowed load signals.
         ///
@@ -270,20 +270,15 @@ macro_rules! load_signals {
         }
 
         impl LoadSnapshot {
-            /// `(name, text-table label, help, events per second)` of every
-            /// rate, in declaration order.
-            pub fn rates(
-                &self,
-            ) -> impl Iterator<Item = (&'static str, &'static str, &'static str, f64)> {
-                [$((stringify!($rate), $label, $rhelp, self.$rate),)*].into_iter()
+            /// `(name, text-table label, events per second)` of every rate,
+            /// in declaration order.
+            pub fn rates(&self) -> impl Iterator<Item = (&'static str, &'static str, f64)> {
+                [$((stringify!($rate), $label, self.$rate),)*].into_iter()
             }
 
-            /// `(name, exported family, help, snapshot)` of every gauge, in
-            /// declaration order.
-            pub fn gauges(
-                &self,
-            ) -> impl Iterator<Item = (&'static str, &'static str, &'static str, GaugeSnapshot)> {
-                [$((stringify!($g), $family, $ghelp, self.$g),)*].into_iter()
+            /// `(name, snapshot)` of every gauge, in declaration order.
+            pub fn gauges(&self) -> impl Iterator<Item = (&'static str, GaugeSnapshot)> {
+                [$((stringify!($g), self.$g),)*].into_iter()
             }
         }
     };
@@ -307,21 +302,15 @@ load_signals! {
             "Client-side profile failovers per second.",
     }
     gauges {
-        inflight => "inflight_requests":
-            "Requests currently being dispatched.",
-        conns => "open_connections":
-            "Open GIOP connections.",
-        degraded_conns => "degraded_connections":
-            "Connections currently degraded to inline marshalling.",
-        breakers_open => "breakers_open":
-            "Endpoint circuit breakers currently open.",
+        inflight: "Requests currently being dispatched.",
+        conns: "Open GIOP connections.",
+        degraded_conns: "Connections currently degraded to inline marshalling.",
+        breakers_open: "Endpoint circuit breakers currently open.",
         /// Sampled as each continuation fragment lands; current is not
         /// tracked.
-        reassembly_bytes => "reassembly_bytes":
-            "In-progress fragment-reassembly bytes (watermark).",
+        reassembly_bytes: "In-progress fragment-reassembly bytes (watermark).",
         /// Sampled at snapshot time.
-        pool_retained => "pool_retained_watermark_bytes":
-            "Pool retained bytes (sampled watermark).",
+        pool_retained: "Pool retained bytes (sampled watermark).",
     }
 }
 

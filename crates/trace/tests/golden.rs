@@ -1,16 +1,17 @@
-//! Golden-format test: the three renderings of one fixed synthetic
+//! Golden-format test: the two renderings of one fixed synthetic
 //! [`OrbTelemetry`] — every counter, histogram, stage, rate and gauge
-//! non-zero — are pinned byte for byte. Operators scrape these formats
-//! and `zc-top` parses the JSON lines, so a refactor of the renderers (or
-//! of how the registry is declared) must leave them identical.
+//! non-zero — are pinned byte for byte. `_ZcTelemetry::snapshot_json`
+//! serves the JSON lines and `zc-top` parses them; `zc-bench` reports
+//! print both. A refactor of the renderers (or of how the registry is
+//! declared) must leave them identical.
 //!
 //! After a *deliberate* format change, copy the files the failing test
 //! wrote under `$CARGO_TARGET_TMPDIR` over `tests/golden/`.
 
 use zc_buffers::{CopyLayer, CopyMeter, PoolStats};
 use zc_trace::{
-    prometheus_text, GaugeSnapshot, Histogram, LoadSnapshot, MetricsSnapshot, OrbTelemetry, Stage,
-    StageHistograms, TransportCounters, TransportField,
+    GaugeSnapshot, Histogram, LoadSnapshot, MetricsSnapshot, OrbTelemetry, Stage, StageHistograms,
+    TransportCounters, TransportField,
 };
 
 fn synthetic() -> OrbTelemetry {
@@ -130,14 +131,5 @@ fn json_lines_match_golden() {
         "snapshot.jsonl",
         include_str!("golden/snapshot.jsonl"),
         &synthetic().json_lines(),
-    );
-}
-
-#[test]
-fn prometheus_text_matches_golden() {
-    check(
-        "snapshot.prom",
-        include_str!("golden/snapshot.prom"),
-        &prometheus_text(&synthetic()),
     );
 }

@@ -28,10 +28,10 @@ static GLOBAL: zc_test_alloc::CountingAlloc = zc_test_alloc::CountingAlloc;
 fn cells(tele: &Telemetry) -> BTreeMap<String, i64> {
     let mut out = BTreeMap::new();
     let metrics = tele.metrics().snapshot();
-    for (name, _, v) in metrics.counters() {
+    for (name, v) in metrics.counters() {
         out.insert(format!("counter.{name}"), v as i64);
     }
-    for (name, _, h) in metrics.histograms() {
+    for (name, h) in metrics.histograms() {
         out.insert(format!("hist.{name}"), h.count as i64);
     }
     out.insert(
@@ -41,7 +41,7 @@ fn cells(tele: &Telemetry) -> BTreeMap<String, i64> {
     for (name, total) in tele.windows().totals() {
         out.insert(format!("rate.{name}"), total as i64);
     }
-    for (name, _, _, g) in tele.windows().snapshot(zc_trace::now_ns()).gauges() {
+    for (name, g) in tele.windows().snapshot(zc_trace::now_ns()).gauges() {
         out.insert(format!("gauge.{name}"), g.current as i64);
     }
     let transport = tele.transport();
@@ -285,8 +285,8 @@ fn disabled_load_notes_allocate_nothing_and_move_no_window() {
     // zero, watermarks included.
     assert!(cells(&tele).values().all(|&v| v == 0), "{:?}", cells(&tele));
     let load = tele.windows().snapshot(zc_trace::now_ns());
-    assert!(load.gauges().all(|(_, _, _, g)| g.peak == 0));
-    assert!(load.rates().all(|(_, _, _, per_s)| per_s == 0.0));
+    assert!(load.gauges().all(|(_, g)| g.peak == 0));
+    assert!(load.rates().all(|(_, _, per_s)| per_s == 0.0));
 }
 
 #[test]
