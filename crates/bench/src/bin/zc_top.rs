@@ -3,7 +3,7 @@
 //!
 //! * **Live** (`--connect`): polls the server's reserved `_ZcTelemetry`
 //!   object over plain GIOP and renders goodput, windowed load rates,
-//!   copy-meter deltas, stage p99s, breaker/degrade gauges and pool/queue
+//!   copy-meter deltas, stage p99s, breaker gauges and pool/queue
 //!   watermarks as a refreshing frame.
 //! * **Recorded** (`--spool`): reads every `spool-*.zcs` segment under the
 //!   directory (oldest first, torn tails tolerated — the segments are

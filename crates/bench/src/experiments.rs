@@ -509,7 +509,7 @@ pub fn ablations(block: usize, rounds: usize, rep: &mut Reporter) {
     // A2: speculative defragmentation can never land a misaligned block,
     // so the driver falls back to copying.
     run("A2: page alignment violated", zc(), |b| b, &misaligned);
-    // A3: the probabilistic fallback of [10] degrades gracefully.
+    // A3: each miss costs the one fallback copy of [10]: copies grow as 1 − p.
     for p in [1.0, 0.9, 0.75, 0.5] {
         let label = format!("A3: speculation success p = {p:.2}");
         run(

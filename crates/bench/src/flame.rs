@@ -64,16 +64,14 @@ pub struct Journey {
 
 impl Journey {
     /// Whether the whole causal chain survived into the spool window:
-    /// ordinals are contiguous from 0 and the first attempt is a journey
-    /// opener (`initial` or `degrade-probe`), not a recovery.
+    /// ordinals are contiguous from 0 and the first attempt is the
+    /// `initial` one, not a recovery.
     pub fn is_complete(&self) -> bool {
         self.attempts
             .iter()
             .enumerate()
             .all(|(i, a)| a.ordinal == i as u32)
-            && self.attempts.first().is_some_and(|a| {
-                matches!(a.cause, JourneyCause::Initial | JourneyCause::DegradeProbe)
-            })
+            && self.attempts.first().map(|a| a.cause) == Some(JourneyCause::Initial)
     }
 
     /// Whether the journey recovered across attempts: complete, and at

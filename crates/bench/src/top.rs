@@ -196,9 +196,7 @@ pub fn render_frame(s: &TopSample, d: Option<&TopDelta>, endpoint: &str) -> Stri
     );
     let _ = writeln!(
         out,
-        "health    degraded {:>3.0} (peak {:>3.0})   breakers {:>3.0} (peak {:>3.0})   retries {:>6.0} total",
-        s.num("load.degraded_conns"),
-        s.num("load.degraded_conns_peak"),
+        "health    breakers {:>3.0} (peak {:>3.0})   retries {:>6.0} total",
         s.num("load.breakers_open"),
         s.num("load.breakers_open_peak"),
         s.num("counter.retries"),
@@ -222,12 +220,10 @@ pub fn render_frame(s: &TopSample, d: Option<&TopDelta>, endpoint: &str) -> Stri
     );
     let _ = writeln!(
         out,
-        "counters  rx {:>9.0}   ok {:>9.0}   exc {:>6.0}   degr {:>4.0}   upgr {:>4.0}   brk {:>4.0}",
+        "counters  rx {:>9.0}   ok {:>9.0}   exc {:>6.0}   brk {:>4.0}",
         s.num("counter.requests_received"),
         s.num("counter.replies_ok"),
         s.num("counter.replies_exception"),
-        s.num("counter.degradations"),
-        s.num("counter.upgrades"),
         s.num("counter.breaker_opens"),
     );
     let p99s = s.stage_p99s();
@@ -271,7 +267,7 @@ pub enum Source {
 /// `zc-top --keys` prints its first column for scripts (CI asserts the
 /// emitted key set against that with one jq query), and the tests read the
 /// same rows, so a key cannot be emitted under another field's value.
-pub const SUMMARY: [(&str, Source); 40] = [
+pub const SUMMARY: [(&str, Source); 36] = [
     ("schema", Source::Schema),
     ("endpoint", Source::Endpoint),
     ("enabled", Source::Enabled),
@@ -287,8 +283,6 @@ pub const SUMMARY: [(&str, Source); 40] = [
     ("inflight_peak", Sample("load.inflight_peak")),
     ("conns", Sample("load.conns")),
     ("conns_peak", Sample("load.conns_peak")),
-    ("degraded_conns", Sample("load.degraded_conns")),
-    ("degraded_conns_peak", Sample("load.degraded_conns_peak")),
     ("breakers_open", Sample("load.breakers_open")),
     ("breakers_open_peak", Sample("load.breakers_open_peak")),
     (
@@ -309,8 +303,6 @@ pub const SUMMARY: [(&str, Source); 40] = [
     ("shed_per_s", Sample("load.shed_per_s")),
     ("brownout_per_s", Sample("load.brownout_per_s")),
     ("failover_per_s", Sample("load.failover_per_s")),
-    ("degradations_total", Sample("counter.degradations")),
-    ("upgrades_total", Sample("counter.upgrades")),
     ("spec_hit_rate", Sample("transport.spec_hit_rate")),
     ("events_recorded", Sample("recorder.recorded")),
     ("events_dropped", Sample("recorder.dropped")),

@@ -10,7 +10,9 @@
 //!   Request/Reply (the control transfer) and shipped on the transport's
 //!   data path (the data transfer). The receiver reads the manifest first,
 //!   then pulls each announced block — on a zero-copy transport the block
-//!   lands without a single payload copy.
+//!   lands without a single payload copy. A block whose speculative
+//!   placement misses costs the transport's one fallback copy
+//!   (`DepositFallback`); the connection stays in ZC mode.
 //! * **plain mode** — everything marshals inline; the wire is ordinary
 //!   IIOP, interoperable with any CORBA peer.
 //!
@@ -39,8 +41,7 @@ use zc_cdr::{ByteOrder, CdrDecoder, CdrEncoder};
 use zc_giop::{
     fragment_plan, write_reply_header, write_request_header, GiopError, GiopHeader, GiopVersion,
     Handshake, ManifestView, MessageType, Negotiated, ReplyStatus, ReplyView, RequestView,
-    SystemException, TraceContext, ZcHealthContext, GIOP_HEADER_LEN, MAX_GIOP_MESSAGE,
-    MAX_MANIFEST_BLOCKS,
+    SystemException, TraceContext, GIOP_HEADER_LEN, MAX_GIOP_MESSAGE, MAX_MANIFEST_BLOCKS,
 };
 use zc_trace::{pack_attempt, pack_stage, EventKind, JourneyCause, Stage};
 use zc_transport::{Connection, TransportCtx, TransportError};
@@ -52,16 +53,6 @@ use zc_transport::{Connection, TransportCtx, TransportError};
 pub const FRAGMENT_THRESHOLD: usize = 4 << 20;
 
 use crate::{OrbError, OrbResult};
-
-/// Peer-reported speculation samples to accumulate before judging the
-/// connection's zero-copy health (one tumbling window).
-const DEGRADE_WINDOW: u64 = 8;
-/// Miss rate within a window at or above which the send path degrades
-/// from zero-copy descriptors to inline marshaling.
-const DEGRADE_THRESHOLD: f64 = 0.5;
-/// While degraded, every Nth outgoing message is a zero-copy *probe*; a
-/// probe whose deposits land cleanly re-upgrades the connection.
-const PROBE_INTERVAL: u64 = 16;
 
 /// Tuning switches for a connection (ablations A1/A4; defaults are the
 /// paper's full design).
@@ -84,37 +75,6 @@ impl Default for ConnTuning {
             separate_data: true,
         }
     }
-}
-
-/// Per-connection ZC→copy degradation state, driven by the peer's
-/// [`ZcHealthContext`] reports (its cumulative receive-side speculation
-/// counters). The *deposit sender* owns this machine: only the receiver
-/// knows whether speculative deposits actually land in place, so the
-/// sender degrades on the receiver's say-so.
-///
-/// States: **healthy** (descriptors + deposits) → when the windowed miss
-/// rate crosses [`DEGRADE_THRESHOLD`]: **degraded** (inline marshaling —
-/// slower but immune to speculation) → every [`PROBE_INTERVAL`] messages one
-/// zero-copy **probe**; a probe answered with hits and no misses returns
-/// the connection to healthy.
-#[derive(Debug, Default)]
-struct DegradeState {
-    /// Peer's cumulative counters at the last report (for deltas).
-    peer_hits: u64,
-    peer_misses: u64,
-    /// Current tumbling window.
-    window_hits: u64,
-    window_misses: u64,
-    /// Whether the send path is currently degraded to inline marshaling.
-    degraded: bool,
-    /// Messages sent since the last probe while degraded.
-    msgs_since_probe: u64,
-    /// Probes sent while degraded (payload of the Upgrade event).
-    probes: u64,
-    /// Whether the most recent `zc_send_active` decision was a degraded
-    /// connection's zero-copy probe (consumed by [`GiopConn::take_last_probe`]
-    /// to tag the attempt's journey cause).
-    last_was_probe: bool,
 }
 
 /// A Request message as it arrived: what an [`IncomingRequest`] is a view
@@ -189,8 +149,6 @@ pub struct GiopConn {
     /// Consumed by `send_request_raw`, which stamps it into the `ZC_TRACE`
     /// context and records the attempt event.
     pending_journey: Option<(u64, u32, u8)>,
-    /// Zero-copy send-path health (graceful degradation).
-    degrade: DegradeState,
     /// The marshal buffer of the last message sent, lent to the next
     /// [`GiopConn::body_encoder`] so a steady stream of messages marshals
     /// into the same allocation.
@@ -252,7 +210,6 @@ impl GiopConn {
             conn_id,
             last_trace_id: 0,
             pending_journey: None,
-            degrade: DegradeState::default(),
             spare_body: Vec::new(),
             spare_head: Vec::new(),
         })
@@ -263,103 +220,10 @@ impl GiopConn {
         self.negotiated
     }
 
-    /// Whether `ZcOctetSeq` *can* take the deposit path on this connection
-    /// (negotiation + tuning; ignores transient degradation).
+    /// Whether `ZcOctetSeq` takes the deposit path on this connection
+    /// (negotiation + tuning, fixed for the connection's lifetime).
     pub fn zc_active(&self) -> bool {
         self.negotiated.zero_copy && self.tuning.deposit_enabled
-    }
-
-    /// Whether the send path is currently degraded to inline marshaling.
-    pub fn is_degraded(&self) -> bool {
-        self.degrade.degraded
-    }
-
-    /// Decide the zero-copy flag for the *next* outgoing message. Healthy
-    /// connections always use descriptors; degraded ones marshal inline,
-    /// except for the periodic probe that tests whether the peer's
-    /// speculation has recovered.
-    fn zc_send_active(&mut self) -> bool {
-        self.degrade.last_was_probe = false;
-        if !self.zc_active() {
-            return false;
-        }
-        if !self.degrade.degraded {
-            return true;
-        }
-        self.degrade.msgs_since_probe += 1;
-        if self.degrade.msgs_since_probe >= PROBE_INTERVAL {
-            self.degrade.msgs_since_probe = 0;
-            self.degrade.probes += 1;
-            self.degrade.last_was_probe = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the most recent [`GiopConn::body_encoder`] call scheduled a
-    /// degraded connection's zero-copy probe. Consumed (reset on read): the
-    /// proxy tags that attempt's journey cause as `degrade-probe`.
-    pub fn take_last_probe(&mut self) -> bool {
-        std::mem::take(&mut self.degrade.last_was_probe)
-    }
-
-    /// Our receive-side speculation counters, piggybacked for the peer's
-    /// degradation decision (only meaningful on zero-copy connections).
-    fn zc_health(&self) -> Option<ZcHealthContext> {
-        self.negotiated.zero_copy.then(|| {
-            let st = self.conn.stats();
-            ZcHealthContext {
-                spec_hits: st.spec_hits,
-                spec_misses: st.spec_misses,
-            }
-        })
-    }
-
-    /// Digest a peer health report: compute the delta since the last one
-    /// and drive the degrade/probe/upgrade state machine.
-    fn note_peer_health(&mut self, h: ZcHealthContext) {
-        if !self.zc_active() {
-            return;
-        }
-        let dh = h.spec_hits.saturating_sub(self.degrade.peer_hits);
-        let dm = h.spec_misses.saturating_sub(self.degrade.peer_misses);
-        self.degrade.peer_hits = h.spec_hits;
-        self.degrade.peer_misses = h.spec_misses;
-        if dh == 0 && dm == 0 {
-            // Nothing speculated since the last report (e.g. we are
-            // degraded and sent no deposits): no new evidence.
-            return;
-        }
-        if self.degrade.degraded {
-            if dm == 0 {
-                // A probe's deposits landed cleanly: re-upgrade.
-                self.degrade.degraded = false;
-                self.degrade.window_hits = 0;
-                self.degrade.window_misses = 0;
-                self.emit(EventKind::Upgrade, self.last_trace_id, self.degrade.probes);
-                self.degrade.probes = 0;
-            }
-            return;
-        }
-        self.degrade.window_hits += dh;
-        self.degrade.window_misses += dm;
-        let total = self.degrade.window_hits + self.degrade.window_misses;
-        if total >= DEGRADE_WINDOW {
-            let miss_rate = self.degrade.window_misses as f64 / total as f64;
-            if miss_rate >= DEGRADE_THRESHOLD {
-                self.degrade.degraded = true;
-                self.degrade.msgs_since_probe = 0;
-                self.degrade.probes = 0;
-                self.emit(
-                    EventKind::Degrade,
-                    self.last_trace_id,
-                    self.degrade.window_misses,
-                );
-            }
-            self.degrade.window_hits = 0;
-            self.degrade.window_misses = 0;
-        }
     }
 
     /// Byte order of all GIOP messages on this connection.
@@ -414,14 +278,12 @@ impl GiopConn {
     }
 
     /// An argument/result encoder configured for this connection (meter,
-    /// byte order, ZC mode). Takes `&mut self` because the degradation
-    /// state machine decides per message whether this encoder uses
-    /// descriptors or marshals inline (and counts probe scheduling).
+    /// byte order, ZC mode). Takes `&mut self` because it borrows the
+    /// connection's spare marshal buffer.
     pub fn body_encoder(&mut self) -> CdrEncoder {
-        let zc = self.zc_send_active();
         CdrEncoder::new(self.wire_order())
             .with_meter(std::sync::Arc::clone(&self.ctx.meter))
-            .with_zc(zc)
+            .with_zc(self.zc_active())
             .with_buffer(std::mem::take(&mut self.spare_body))
     }
 
@@ -757,9 +619,6 @@ impl GiopConn {
             attempt,
             cause,
         };
-        // Piggyback our receive-side speculation counters so the peer's
-        // deposit sender can degrade/upgrade its zero-copy path.
-        let health = self.zc_health();
         let mut enc = self.head_encoder();
         write_request_header(
             &mut enc,
@@ -772,9 +631,6 @@ impl GiopConn {
                     w.manifest(deposits.iter().map(|b| b.len() as u64));
                 }
                 w.trace(&trace);
-                if let Some(health) = &health {
-                    w.health(health);
-                }
             },
         );
         let dep_bytes: u64 = deposits.iter().map(|b| b.len() as u64).sum();
@@ -834,15 +690,11 @@ impl GiopConn {
             .into());
         }
         let manifest = header.contexts.manifest;
-        if let Some(health) = header.contexts.health {
-            self.note_peer_health(health);
-        }
         match header.status {
             ReplyStatus::NoException => {
                 // The zc flag is self-describing per message: every
                 // descriptor pushes a deposit (even length 0), so a
-                // manifest is present iff descriptors were used. This is
-                // what lets a degraded peer marshal inline unilaterally.
+                // manifest is present iff descriptors were used.
                 let zc = manifest.is_some();
                 let (deposits, results_offset) =
                     self.collect_deposits(manifest, &body, after_header, order)?;
@@ -984,9 +836,6 @@ impl GiopConn {
         let tctx = header.contexts.trace.unwrap_or_default();
         let trace_id = tctx.trace_id;
         self.last_trace_id = trace_id;
-        if let Some(health) = header.contexts.health {
-            self.note_peer_health(health);
-        }
         // Self-describing per message: manifest present iff the sender
         // used descriptors (see `recv_reply`).
         let zc = manifest.is_some();
@@ -1050,7 +899,6 @@ impl GiopConn {
     /// Server: send a successful reply whose body is `results_enc`.
     pub fn send_reply_ok(&mut self, request_id: u32, results_enc: CdrEncoder) -> OrbResult<()> {
         let (results, deposits) = results_enc.finish();
-        let health = self.zc_health();
         // Echo the request's trace id with our send stamp so the client can
         // derive the reply-wire stage (symmetric to `send_request_raw`).
         let trace = TraceContext {
@@ -1064,9 +912,6 @@ impl GiopConn {
             if !deposits.is_empty() {
                 w.manifest(deposits.iter().map(|b| b.len() as u64));
             }
-            if let Some(health) = &health {
-                w.health(health);
-            }
             w.trace(&trace);
         });
         let dep_bytes: u64 = deposits.iter().map(|b| b.len() as u64).sum();
@@ -1076,28 +921,18 @@ impl GiopConn {
         Ok(())
     }
 
-    /// A reply header of `status` carrying `health`, padded for the
-    /// exception body that follows it in the same stream.
-    fn exception_reply(
-        &mut self,
-        request_id: u32,
-        status: ReplyStatus,
-        health: Option<ZcHealthContext>,
-    ) -> CdrEncoder {
+    /// A reply header of `status`, padded for the exception body that
+    /// follows it in the same stream.
+    fn exception_reply(&mut self, request_id: u32, status: ReplyStatus) -> CdrEncoder {
         let mut enc = self.head_encoder();
-        write_reply_header(&mut enc, request_id, status, |w| {
-            if let Some(health) = &health {
-                w.health(health);
-            }
-        });
+        write_reply_header(&mut enc, request_id, status, |_| {});
         enc.align(8);
         enc
     }
 
     /// Server: send a system-exception reply.
     pub fn send_reply_exception(&mut self, request_id: u32, ex: &SystemException) -> OrbResult<()> {
-        let health = self.zc_health();
-        let mut enc = self.exception_reply(request_id, ReplyStatus::SystemException, health);
+        let mut enc = self.exception_reply(request_id, ReplyStatus::SystemException);
         ex.marshal(&mut enc)?;
         self.send_message(MessageType::Reply, enc, &[], &[])?;
         self.emit(EventKind::Error, self.last_trace_id, ex.minor as u64);
@@ -1110,7 +945,7 @@ impl GiopConn {
         request_id: u32,
         data: &crate::UserExceptionData,
     ) -> OrbResult<()> {
-        let mut enc = self.exception_reply(request_id, ReplyStatus::UserException, None);
+        let mut enc = self.exception_reply(request_id, ReplyStatus::UserException);
         enc.write_string(&data.repo_id);
         // Members stay in the servant's encoding order; ship that order as
         // a flag so heterogeneous clients decode correctly.
@@ -1171,9 +1006,8 @@ impl GiopConn {
 
 impl Drop for GiopConn {
     fn drop(&mut self) {
-        // Balance the open-connections gauge (raised in client()/server());
-        // a connection that dies while degraded also leaves that gauge.
-        self.ctx.telemetry.note_conn_closed(self.degrade.degraded);
+        // Balance the open-connections gauge (raised in client()/server()).
+        self.ctx.telemetry.note_conn_closed();
     }
 }
 

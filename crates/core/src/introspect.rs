@@ -12,8 +12,8 @@
 //!   bounded by the fixed registry sizes.
 //! * **Inline-path only.** Every reply is a `String` (or `u32`), which
 //!   marshals on the conventional CDR path. Introspection therefore keeps
-//!   working when the connection has degraded ZC→copy, when the peer is
-//!   foreign, or when the deposit path itself is what an operator is
+//!   working when the peer is foreign, when the connection negotiated the
+//!   copying path, or when the deposit path itself is what an operator is
 //!   debugging.
 //! * **Idempotent.** Both operations are pure reads; the client wrapper
 //!   marks them `.idempotent()` so the retry machinery may re-poll after

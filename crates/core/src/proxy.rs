@@ -205,10 +205,6 @@ impl ObjectRef {
         let mut conn = self.conn.lock();
         let span = conn.telemetry().request_span();
         let enc = conn.body_encoder();
-        // body_encoder just decided whether this message is a degraded
-        // connection's zero-copy probe; that decision tags the journey's
-        // first attempt (`degrade-probe` instead of `initial`).
-        let probe = conn.take_last_probe();
         drop(conn);
         StaticRequest {
             target: self,
@@ -216,7 +212,6 @@ impl ObjectRef {
             enc,
             err: None,
             idempotent: false,
-            probe,
             span,
         }
     }
@@ -254,9 +249,6 @@ pub struct StaticRequest<'a> {
     enc: CdrEncoder,
     err: Option<OrbError>,
     idempotent: bool,
-    /// Whether the encoder was scheduled as a degraded connection's
-    /// zero-copy probe (tags the journey's first attempt).
-    probe: bool,
     /// Per-request stage clocks; accumulates marshal time across `arg`
     /// calls and commits once the trace id exists (after the send).
     span: zc_trace::RequestSpan,
@@ -304,7 +296,6 @@ impl<'a> StaticRequest<'a> {
             enc,
             err,
             idempotent,
-            probe,
             mut span,
         } = self;
         if let Some(e) = err {
@@ -315,11 +306,7 @@ impl<'a> StaticRequest<'a> {
         // one relaxed fetch_add — no clock, no allocation — so the
         // disabled-telemetry data path stays zero-overhead.
         let journey_id = zc_trace::next_journey_id();
-        let mut cause = if probe {
-            zc_trace::JourneyCause::DegradeProbe
-        } else {
-            zc_trace::JourneyCause::Initial
-        };
+        let mut cause = zc_trace::JourneyCause::Initial;
         // Marshal exactly once: retries resend the same finished bytes and
         // the same blocks — no double marshaling cost, no divergence.
         let finish_t0 = span.begin();
@@ -546,7 +533,6 @@ impl<'a> StaticRequest<'a> {
             enc,
             err,
             idempotent: _,
-            probe: _,
             span: _,
         } = self;
         if let Some(e) = err {

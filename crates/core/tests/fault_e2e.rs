@@ -1,13 +1,10 @@
 //! End-to-end recovery under injected faults: the self-healing client
-//! (reconnect + at-most-once retry), the circuit breaker, and the
-//! per-connection zero-copy → copy graceful degradation.
+//! (reconnect + at-most-once retry) and the circuit breaker.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use zc_buffers::CopyLayer;
-use zc_cdr::ZcOctetSeq;
 use zc_giop::SystemExceptionKind;
 use zc_orb::{
     ObjectAdapterExt, Orb, OrbError, OrbResult, RetryPolicy, Servant, ServerHandle, ServerRequest,
@@ -20,7 +17,6 @@ use zc_transport::{FaultPlan, FaultSide, SimConfig, SimNetwork};
 struct Counter {
     bumps: AtomicU32,
     gets: AtomicU32,
-    echoes: AtomicU32,
     naps: AtomicU32,
 }
 
@@ -29,7 +25,6 @@ impl Counter {
         Arc::new(Counter {
             bumps: AtomicU32::new(0),
             gets: AtomicU32::new(0),
-            echoes: AtomicU32::new(0),
             naps: AtomicU32::new(0),
         })
     }
@@ -50,14 +45,6 @@ impl Servant for Counter {
             "get" => {
                 self.gets.fetch_add(1, Ordering::SeqCst);
                 req.result(&self.bumps.load(Ordering::SeqCst))
-            }
-            // ZC payload echo: returns a checksum so the test can verify
-            // the deposited bytes arrived intact on every path.
-            "sum" => {
-                self.echoes.fetch_add(1, Ordering::SeqCst);
-                let data: ZcOctetSeq = req.arg()?;
-                let sum: u64 = data.iter().map(|&b| b as u64).sum();
-                req.result(&sum)
             }
             // Sleeps `ms` then answers — the timeout guinea pig.
             "nap" => {
@@ -83,14 +70,9 @@ struct Fixture {
 fn fixture_with(retry: RetryPolicy) -> Fixture {
     let net = SimNetwork::new(SimConfig::zero_copy());
     let telemetry = Telemetry::with_capacity(4096);
-    // One meter for both ends, as the experiments wire it: copy accounting
-    // must see the receiver's DepositFallback as well as the sender's
-    // Marshal bytes.
-    let meter = zc_buffers::CopyMeter::new_shared();
     let counter = Counter::new();
     let server_orb = Orb::builder()
         .sim(net.clone())
-        .meter(Arc::clone(&meter))
         .telemetry(Arc::clone(&telemetry))
         .build();
     server_orb
@@ -100,7 +82,6 @@ fn fixture_with(retry: RetryPolicy) -> Fixture {
     let client = Orb::builder()
         .sim(net.clone())
         .retry(retry)
-        .meter(meter)
         .telemetry(Arc::clone(&telemetry))
         .build();
     Fixture {
@@ -212,80 +193,6 @@ fn reply_loss_on_non_idempotent_op_surfaces_comm_failure_maybe() {
         2,
         "dispatched once for the failed call — never duplicated"
     );
-}
-
-#[test]
-fn zero_copy_degrades_to_copy_and_recovers() {
-    // The connection judges its health over windows of 8 peer-reported
-    // speculation samples and, once degraded, probes every 16th message.
-    let f = fixture();
-    let obj = resolve(&f);
-    let payload: Vec<u8> = (0..48 * 1024).map(|i| (i % 251) as u8).collect();
-    let expect: u64 = payload.iter().map(|&b| b as u64).sum();
-    let seq = ZcOctetSeq::copy_from_slice(&payload, &f.client.meter());
-    let call = |tag: &str| {
-        let got: u64 = obj
-            .request("sum")
-            .arg(&seq)
-            .unwrap()
-            .invoke()
-            .unwrap_or_else(|e| panic!("{tag}: {e}"))
-            .result()
-            .unwrap();
-        assert_eq!(got, expect, "{tag}: payload corrupted");
-    };
-
-    // Healthy zero-copy phase.
-    call("healthy");
-    assert!(obj.is_zero_copy());
-
-    // Force every receive-side speculation on the server to miss: the
-    // server's health reports push the client's deposit sender into
-    // degraded (inline-marshal) mode. Payloads stay intact throughout —
-    // a speculation miss costs a metered DepositFallback copy, never data.
-    f.net
-        .inject_faults(FaultPlan::spec_miss(1.0).on(FaultSide::Server));
-    for i in 0..16 {
-        call(&format!("degrading #{i}"));
-    }
-    let m = f.telemetry.metrics().snapshot();
-    assert!(
-        m.degradations >= 1,
-        "expected a degradation, metrics: {m:?}"
-    );
-    let meter = f.client.meter().snapshot();
-    assert!(
-        meter.bytes(CopyLayer::DepositFallback) > 0,
-        "forced misses must be accounted as DepositFallback copies"
-    );
-    let fallback_before = meter.bytes(CopyLayer::DepositFallback);
-    let marshal_before = f.client.meter().snapshot().bytes(CopyLayer::Marshal);
-
-    // While degraded, payload travels inline (Marshal copies rise), and
-    // only every 16th message speculates again.
-    for i in 0..4 {
-        call(&format!("degraded #{i}"));
-    }
-    let marshal_after = f.client.meter().snapshot().bytes(CopyLayer::Marshal);
-    assert!(
-        marshal_after > marshal_before,
-        "degraded sends must marshal the payload inline"
-    );
-
-    // Heal the network: the next probe's deposits land cleanly and the
-    // connection upgrades back to zero-copy.
-    f.net.clear_faults();
-    for i in 0..32 {
-        call(&format!("recovering #{i}"));
-    }
-    let m = f.telemetry.metrics().snapshot();
-    assert!(m.upgrades >= 1, "expected an upgrade, metrics: {m:?}");
-    let _ = fallback_before;
-
-    // All recovery counters are visible in the rendered telemetry table.
-    let table = f.client.telemetry_snapshot().text_table();
-    assert!(table.contains("degradations"), "table:\n{table}");
-    assert!(table.contains("upgrades"), "table:\n{table}");
 }
 
 #[test]

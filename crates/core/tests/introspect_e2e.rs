@@ -108,13 +108,7 @@ fn saturate_and_poll(
 
         // Watermark consistency: every gauge's peak ≥ its current value,
         // in the very same snapshot.
-        for gauge in [
-            "inflight",
-            "conns",
-            "degraded_conns",
-            "breakers_open",
-            "pool_retained",
-        ] {
+        for gauge in ["inflight", "conns", "breakers_open", "pool_retained"] {
             let cur = json_num(&snap, gauge);
             let peak = json_num(&snap, &format!("{gauge}_peak"));
             assert!(peak >= cur, "{gauge}: peak {peak} < current {cur}");

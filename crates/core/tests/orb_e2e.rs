@@ -424,6 +424,82 @@ fn exception_replies_decode_behind_service_contexts() {
     server.join().unwrap();
 }
 
+/// A zero-copy Request and its Reply carry exactly the deposit manifest and
+/// the trace context, in that order. A hand-rolled relay sits between a real
+/// client and a real server, forwards one exchange, and lists the service
+/// contexts of each message as it passes.
+#[test]
+fn zero_copy_messages_carry_only_the_manifest_and_trace_contexts() {
+    use zc_cdr::CdrDecoder;
+    use zc_giop::{
+        GiopHeader, ReplyView, RequestView, ZcContexts, GIOP_HEADER_LEN, SVC_CTX_DEPOSIT,
+        SVC_CTX_TRACE,
+    };
+    use zc_transport::{Acceptor, Connection, TransportCtx};
+
+    /// Forward one GIOP message and the blocks its manifest announces;
+    /// return the ids of its service contexts.
+    fn forward(
+        from: &mut dyn Connection,
+        to: &mut dyn Connection,
+        contexts: for<'a> fn(&mut CdrDecoder<'a>) -> ZcContexts<'a>,
+    ) -> Vec<u32> {
+        let raw = from.recv_control().unwrap();
+        let hdr = GiopHeader::decode(raw.first_chunk().unwrap()).unwrap();
+        let mut dec = CdrDecoder::new(&raw[GIOP_HEADER_LEN..], hdr.flags.order);
+        let contexts = contexts(&mut dec);
+        to.send_control(&raw).unwrap();
+        for len in contexts.manifest.iter().flat_map(|m| m.block_lengths()) {
+            let block = from.recv_data(len as usize).unwrap();
+            to.send_data(&block).unwrap();
+        }
+        contexts.iter().map(|(id, _)| id).collect()
+    }
+
+    let net = SimNetwork::new(SimConfig::zero_copy());
+    let server_orb = Orb::builder().sim(net.clone()).build();
+    server_orb
+        .adapter()
+        .register("transfer", Arc::new(Transfer));
+    let server = server_orb.serve(0).unwrap();
+    let upstream = server.port();
+    let listener = net.listen(0, TransportCtx::new()).unwrap();
+    let port = listener.endpoint().1;
+    let relay_net = net.clone();
+    let relay = std::thread::spawn(move || {
+        let mut client = listener.accept().unwrap();
+        let mut server = relay_net.connect(upstream, TransportCtx::new()).unwrap();
+        // The handshakes, client first.
+        let hello = client.recv_control().unwrap();
+        server.send_control(&hello).unwrap();
+        let answer = server.recv_control().unwrap();
+        client.send_control(&answer).unwrap();
+        let request = forward(&mut *client, &mut *server, |d| {
+            RequestView::parse(d).unwrap().contexts
+        });
+        let reply = forward(&mut *server, &mut *client, |d| {
+            ReplyView::parse(d).unwrap().contexts
+        });
+        (request, reply)
+    });
+
+    let client = Orb::builder().sim(net).build();
+    let ior = zc_giop::Ior::new_iiop("IDL:zcorba/Transfer:1.0", "sim", port, b"transfer");
+    let obj = client.resolve(&ior).unwrap();
+    assert!(obj.is_zero_copy());
+    let pattern = patterned(20_000);
+    let payload = ZcOctetSeq::copy_from_slice(&pattern, &client.meter());
+    let reply = obj.request("echo").arg(&payload).unwrap().invoke().unwrap();
+    assert_eq!(&reply.result::<ZcOctetSeq>().unwrap()[..], &pattern[..]);
+    let (request, reply) = relay.join().unwrap();
+    assert_eq!(
+        request,
+        [SVC_CTX_DEPOSIT, SVC_CTX_TRACE],
+        "request contexts"
+    );
+    assert_eq!(reply, [SVC_CTX_DEPOSIT, SVC_CTX_TRACE], "reply contexts");
+}
+
 #[test]
 fn locate_request_roundtrip() {
     let f = Fixture::sim(SimConfig::zero_copy(), true, true);
@@ -676,6 +752,9 @@ fn speculation_miss_transfers_stay_correct() {
         f.meter.bytes(CopyLayer::DepositFallback) > 0,
         "with p=0.3 some speculation misses must have occurred"
     );
+    // A miss costs the one fallback copy and nothing else: the connection
+    // keeps sending descriptors, so no payload byte is ever marshaled inline.
+    assert_eq!(f.meter.bytes(CopyLayer::Marshal), 0);
 }
 
 #[test]

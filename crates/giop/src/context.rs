@@ -4,7 +4,7 @@
 //! in place* — [`write_context_list`] hands out a [`ContextWriter`] that
 //! puts each one, encapsulation and all, straight into the header's
 //! encoder — and *read in place*: [`ZcContexts::parse`] walks the list
-//! once, bounded, keeps the three zcorba contexts as `Copy` values (the
+//! once, bounded, keeps the two zcorba contexts it acts on as `Copy` values (the
 //! manifest as a window of the message) and skips everything else. Neither
 //! direction allocates. The owned forms ([`ServiceContext`],
 //! [`DepositManifest`]) are what tests and tools build and compare; they
@@ -25,12 +25,12 @@ pub const SVC_CTX_NEGOTIATE: u32 = zc_vendor_id(2);
 /// trace id so client and server flight-recorder spans can be correlated.
 pub const SVC_CTX_TRACE: u32 = zc_vendor_id(3);
 
-/// Service-context id for the zcorba zero-copy health report: each endpoint
-/// piggybacks its cumulative receive-side speculation statistics so the
-/// peer can decide to degrade its send path from zero-copy to copying.
+/// Service-context id for the legacy zcorba zero-copy health report (an
+/// endpoint's cumulative receive-side speculation counters). The ORB no
+/// longer sends this context; receivers skip it like any unknown one.
 pub const SVC_CTX_ZC_HEALTH: u32 = zc_vendor_id(4);
 
-/// Most service contexts one message may carry. zcorba sends at most three
+/// Most service contexts one message may carry. zcorba sends at most two
 /// and real ORBs a handful; a larger count is a hostile field.
 pub const MAX_SERVICE_CONTEXTS: u32 = 64;
 
@@ -152,7 +152,7 @@ impl ContextWriter<'_> {
         });
     }
 
-    /// A zero-copy health report.
+    /// A legacy zero-copy health report (the ORB no longer sends one).
     pub fn health(&mut self, h: &ZcHealthContext) {
         self.entry(SVC_CTX_ZC_HEALTH, |e| {
             e.write_u64(h.spec_hits);
@@ -181,7 +181,7 @@ fn encapsulated(data: &[u8]) -> CdrResult<CdrDecoder<'_>> {
 /// The service contexts of one message, read in place.
 ///
 /// One bounded pass over the list ([`ZcContexts::parse`]) pulls out the
-/// three contexts zcorba acts on; any other context is stepped over and
+/// two contexts zcorba acts on; any other context is stepped over and
 /// never stored, per the standard rule that receivers skip what they do not
 /// understand. Where an id repeats, the first well-formed entry counts.
 #[derive(Debug, Clone, Copy)]
@@ -191,8 +191,6 @@ pub struct ZcContexts<'a> {
     /// The trace context. A malformed one reads as absent: tracing is
     /// advisory and must never fail a message.
     pub trace: Option<TraceContext>,
-    /// The peer's health report; malformed reads as absent, like `trace`.
-    pub health: Option<ZcHealthContext>,
     /// The message up to the end of the list, where in it the list's
     /// `count` entries start, and its byte order: what
     /// [`ZcContexts::iter`] walks again.
@@ -213,7 +211,7 @@ impl<'a> ZcContexts<'a> {
             return Err(CdrError::LengthOverflow(count as u64));
         }
         let entries_at = dec.position();
-        let (mut manifest, mut trace, mut health) = (None, None, None);
+        let (mut manifest, mut trace) = (None, None);
         for _ in 0..count {
             let (id, data) = next_context(dec)?;
             match id {
@@ -221,14 +219,12 @@ impl<'a> ZcContexts<'a> {
                     manifest = Some(ManifestView::parse(data)?)
                 }
                 SVC_CTX_TRACE if trace.is_none() => trace = TraceContext::parse(data).ok(),
-                SVC_CTX_ZC_HEALTH if health.is_none() => health = ZcHealthContext::parse(data).ok(),
                 _ => {}
             }
         }
         Ok(ZcContexts {
             manifest,
             trace,
-            health,
             head: dec.consumed(),
             entries_at,
             count,
@@ -372,7 +368,7 @@ pub struct TraceContext {
     /// 1-based attempt ordinal within the journey (`0` when unknown).
     pub attempt: u32,
     /// Cause tag of this attempt (`zc_trace::JourneyCause` discriminant:
-    /// initial/retry/failover/shed-rotate/degrade-probe). Carried as a raw
+    /// initial/retry/failover/shed-rotate). Carried as a raw
     /// byte so a decoder never rejects a cause minted by a newer peer.
     pub cause: u8,
 }
@@ -416,13 +412,11 @@ impl TraceContext {
     }
 }
 
-/// The zero-copy health context: one endpoint's cumulative receive-side
-/// speculation counters, piggybacked on Requests and Replies. The *sender*
-/// of deposits reads the peer's report to learn whether its speculative
-/// deposits actually land in place — the feedback signal behind per-
-/// connection ZC→copy graceful degradation. Same encapsulation convention
-/// as the other zcorba contexts (byte-order flag octet first); unknown to
-/// foreign peers, who skip it per standard service-context rules.
+/// The legacy zero-copy health context: one endpoint's cumulative
+/// receive-side speculation counters. The ORB no longer sends it, and
+/// [`ZcContexts::parse`] skips it like any unknown context; the owned form
+/// stays for peers and tools that still build one. Same encapsulation
+/// convention as the other zcorba contexts (byte-order flag octet first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ZcHealthContext {
     /// Receive speculations that held, since connection start.

@@ -485,7 +485,8 @@ fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, allocations() - before)
 }
 
-/// What the one-pass scan must have kept of `list`: the first of each kind.
+/// What the one-pass scan must have kept of `list`: the first manifest and
+/// the first trace context. A health entry is skipped like a foreign one.
 fn check_kept(kept: &zc_giop::ZcContexts<'_>, list: &[Ctx]) -> Result<(), TestCaseError> {
     let manifest = list.iter().find_map(|c| match c {
         Ctx::Manifest(l) => Some(l.clone()),
@@ -493,10 +494,6 @@ fn check_kept(kept: &zc_giop::ZcContexts<'_>, list: &[Ctx]) -> Result<(), TestCa
     });
     let trace = list.iter().find_map(|c| match c {
         Ctx::Trace(t) => Some(*t),
-        _ => None,
-    });
-    let health = list.iter().find_map(|c| match c {
-        Ctx::Health(h) => Some(*h),
         _ => None,
     });
     prop_assert_eq!(
@@ -508,7 +505,6 @@ fn check_kept(kept: &zc_giop::ZcContexts<'_>, list: &[Ctx]) -> Result<(), TestCa
         manifest.map(|l| l.iter().fold(0, |a: u64, &b| a.saturating_add(b)))
     );
     prop_assert_eq!(kept.trace, trace);
-    prop_assert_eq!(kept.health, health);
     Ok(())
 }
 

@@ -135,11 +135,7 @@ event_kinds! {
     Reconnect = 12, "reconnect", Orb => [count reconnects];
     /// An endpoint circuit breaker opened (payload: consecutive failures).
     BreakerOpen = 13, "breaker-open", Orb => [count breaker_opens, raise breakers_open];
-    /// A connection degraded from zero-copy to the copying path
-    /// (payload: recent speculation misses).
-    Degrade = 14, "degrade", Giop => [count degradations, raise degraded_conns];
-    /// A degraded connection re-upgraded to zero-copy (payload: probes run).
-    Upgrade = 15, "upgrade", Giop => [count upgrades, lower degraded_conns];
+    // 14 and 15 are retired (ZC→copy degrade / re-upgrade): never reuse them.
     /// One request-span stage completed (payload: stage discriminant in the
     /// top byte, duration in ns in the low 56 bits — see
     /// [`crate::pack_stage`]).
@@ -170,9 +166,8 @@ event_kinds! {
 
 byte_enum! {
     /// Why an attempt of a logical request journey exists. The first
-    /// attempt is `Initial` (or `DegradeProbe` when the degraded send path
-    /// scheduled a zero-copy probe for it); every later attempt carries the
-    /// recovery path that produced it.
+    /// attempt is `Initial`; every later attempt carries the recovery path
+    /// that produced it.
     pub enum JourneyCause {
         /// The first attempt of the journey.
         Initial = 0, "initial";
@@ -184,9 +179,7 @@ byte_enum! {
         /// The active replica shed the request (`TRANSIENT`) and the
         /// reference rotated to the next live replica.
         ShedRotate = 3, "shed-rotate";
-        /// The attempt was a degraded connection's periodic zero-copy
-        /// probe.
-        DegradeProbe = 4, "degrade-probe";
+        // 4 is retired (a degraded connection's zero-copy probe): never reuse it.
     }
 }
 
@@ -292,6 +285,16 @@ mod tests {
         );
         // An unknown cause byte is rejected, not misread.
         assert_eq!(unpack_attempt(0xFF << 56), None);
+    }
+
+    /// Segments a parent build wrote may still hold the retired bytes: they
+    /// must read as unknown, never as some later kind or cause.
+    #[test]
+    fn retired_bytes_stay_unknown() {
+        assert_eq!(EventKind::from_u8(14), None);
+        assert_eq!(EventKind::from_u8(15), None);
+        assert_eq!(JourneyCause::from_u8(4), None);
+        assert_eq!(unpack_attempt(4 << 56 | 9), None);
     }
 
     #[test]

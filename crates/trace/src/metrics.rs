@@ -441,8 +441,6 @@ registry! {
         retries: "Invocation attempts re-sent after a transport failure.",
         reconnects: "Dead connections transparently replaced.",
         breaker_opens: "Circuit breakers opened.",
-        degradations: "ZC-to-copy degradations.",
-        upgrades: "Copy-to-ZC re-upgrades.",
         sheds: "Requests shed by admission control.",
         /// A subset of `sheds`.
         brownout_sheds: "Bulk requests shed by brownout-mode admission.",

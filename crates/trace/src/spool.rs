@@ -576,6 +576,36 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A segment written before the degrade/upgrade kinds were retired holds
+    /// Giop-layer events with kind bytes 14 and 15. The reader skips exactly
+    /// those two and keeps every other event intact.
+    #[test]
+    fn retired_kind_bytes_are_skipped_and_the_rest_survive() {
+        let dir = temp_spool_dir("retired");
+        fs::create_dir_all(&dir).unwrap();
+        let path = segment_path(&dir, 0);
+        let kept = [ev(1, 10), ev(2, 20), ev(3, 30)];
+        let mut payload = Vec::new();
+        encode_event(&kept[0], &mut payload);
+        for (retired, survivor) in [(14u16, &kept[1]), (15, &kept[2])] {
+            encode_event(&ev(9, 8), &mut payload);
+            // The meta word sits just before the 8-byte payload.
+            let meta = payload.len() - 10;
+            let word = (TraceLayer::Giop as u16) << 8 | retired;
+            payload[meta..meta + 2].copy_from_slice(&word.to_le_bytes());
+            encode_event(survivor, &mut payload);
+        }
+        let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&crc32(&payload).to_le_bytes());
+        record.extend_from_slice(&payload);
+        open_segment(&dir, 0).unwrap().write_all(&record).unwrap();
+        let read = read_spool_segment(&path).unwrap();
+        assert!(!read.truncated);
+        assert_eq!(read.skipped_events, 2);
+        assert_eq!(read.events, kept);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn corrupt_crc_ends_the_scan() {
         let dir = temp_spool_dir("crc");

@@ -195,18 +195,13 @@ impl Telemetry {
         self.windows.conns.add(1);
     }
 
-    /// A GIOP connection closed. One that dies `degraded` never re-upgrades
-    /// (no [`EventKind::Upgrade`] will lower the gauge its
-    /// [`EventKind::Degrade`] raised), so it leaves that gauge here.
+    /// A GIOP connection closed.
     #[inline]
-    pub fn note_conn_closed(&self, degraded: bool) {
+    pub fn note_conn_closed(&self) {
         if !self.enabled {
             return;
         }
         self.windows.conns.sub(1);
-        if degraded {
-            self.windows.degraded_conns.sub(1);
-        }
     }
 
     /// Fold an in-progress fragment-reassembly size into its watermark.

@@ -304,7 +304,6 @@ load_signals! {
     gauges {
         inflight: "Requests currently being dispatched.",
         conns: "Open GIOP connections.",
-        degraded_conns: "Connections currently degraded to inline marshalling.",
         breakers_open: "Endpoint circuit breakers currently open.",
         /// Sampled as each continuation fragment lands; current is not
         /// tracked.

@@ -86,8 +86,6 @@ const DECLARED: &[Declared] = {
         (Retry, None, Orb, &[("counter.retries", 1), ("rate.retries", 1)]),
         (Reconnect, None, Orb, &[("counter.reconnects", 1)]),
         (BreakerOpen, None, Orb, &[("counter.breaker_opens", 1), ("gauge.breakers_open", 1)]),
-        (Degrade, None, Giop, &[("counter.degradations", 1), ("gauge.degraded_conns", 1)]),
-        (Upgrade, Some(Degrade), Giop, &[("counter.upgrades", 1), ("gauge.degraded_conns", -1)]),
         // Filed under the stage's own layer: `Stage::Wire` is a transport leg.
         (Stage, None, Transport, &[("hist.stage_ns", 1)]),
         (Shed, None, Orb, &[("counter.sheds", 1), ("rate.shed", 1)]),
@@ -271,7 +269,7 @@ fn disabled_load_notes_allocate_nothing_and_move_no_window() {
         tele.note_dispatch_begin();
         tele.note_dispatch_end();
         tele.note_conn_open();
-        tele.note_conn_closed(true);
+        tele.note_conn_closed();
         tele.note_reassembly_bytes(4096);
         tele.note_data_block(3, 1);
         tele.note_wire_tx(4096);
@@ -319,16 +317,14 @@ fn enabled_load_notes_do_not_allocate() {
 }
 
 #[test]
-fn a_connection_that_dies_degraded_leaves_both_gauges() {
+fn connections_open_and_close_in_balance() {
     let tele = Telemetry::with_capacity(64);
     tele.note_conn_open();
     tele.note_conn_open();
-    tele.emit(EventKind::Degrade, 1, 0, 8);
-    tele.note_conn_closed(false);
-    assert_eq!(cells(&tele)["gauge.degraded_conns"], 1);
-    tele.note_conn_closed(true);
-    let now = cells(&tele);
-    assert_eq!((now["gauge.conns"], now["gauge.degraded_conns"]), (0, 0));
+    tele.note_conn_closed();
+    assert_eq!(cells(&tele)["gauge.conns"], 1);
+    tele.note_conn_closed();
+    assert_eq!(cells(&tele)["gauge.conns"], 0);
 }
 
 #[test]

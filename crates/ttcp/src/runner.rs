@@ -211,14 +211,14 @@ mod tests {
             (Sim, ZcTcp, 0.0),
             (Sim, CorbaStd, 6.012207),
             (Sim, CorbaStdOverZcTcp, 4.006104),
-            (Sim, CorbaZcOverTcp, 4.017822),
-            (Sim, CorbaZc, 0.008911),
+            (Sim, CorbaZcOverTcp, 4.013428),
+            (Sim, CorbaZc, 0.006714),
             (Tcp, RawTcp, 2.0),
             (Tcp, ZcTcp, 2.0),
             (Tcp, CorbaStd, 4.006104),
             (Tcp, CorbaStdOverZcTcp, 4.006104),
-            (Tcp, CorbaZcOverTcp, 2.008911),
-            (Tcp, CorbaZc, 2.008911),
+            (Tcp, CorbaZcOverTcp, 2.006714),
+            (Tcp, CorbaZc, 2.006714),
         ];
         assert_eq!(table.len(), 2 * TtcpVersion::ALL.len());
         for (transport, version, copy_factor) in table {

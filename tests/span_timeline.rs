@@ -2,15 +2,16 @@
 //! complete causal timeline — every data-path stage from client marshal to
 //! client reply-demarshal — joined across both endpoints on the `ZC_TRACE`
 //! trace id, with provable happens-before edges and a critical-path sum
-//! bounded by the observed round trip. The degrade and retry paths from the
-//! fault model must keep producing well-formed spans.
+//! bounded by the observed round trip. The speculation-miss and retry paths
+//! from the fault model must keep producing well-formed spans.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use zcorba::buffers::CopyLayer;
 use zcorba::cdr::ZcOctetSeq;
 use zcorba::orb::{ObjectAdapterExt, Orb, OrbResult, Servant, ServerRequest};
-use zcorba::trace::{span_timelines, SpanTimeline, Stage, Telemetry};
+use zcorba::trace::{span_timelines, SpanTimeline, Stage, Telemetry, TransportField};
 use zcorba::transport::{FaultPlan, FaultSide, SimConfig, SimNetwork};
 
 struct Echo;
@@ -166,7 +167,7 @@ fn one_request_yields_a_complete_timeline_over_tcp() {
 }
 
 #[test]
-fn degraded_zero_copy_path_still_produces_well_formed_spans() {
+fn speculation_miss_path_still_produces_well_formed_spans() {
     let telemetry = Telemetry::new_shared();
     let net = SimNetwork::new(SimConfig::zero_copy());
     let server_orb = Orb::builder()
@@ -177,15 +178,22 @@ fn degraded_zero_copy_path_still_produces_well_formed_spans() {
         .sim(net.clone())
         .telemetry(Arc::clone(&telemetry))
         .build();
-    // Every receive-side speculation misses: the sender degrades to the
-    // inline-marshal fallback mid-run, once a window of 8 samples has
-    // filled. Spans must stay complete through the mode flip — the
-    // fallback still walks every stage.
+    // Every receive-side speculation on the server misses: each request's
+    // block lands through the transport's fallback copy. Spans must stay
+    // complete on that path — the fallback still walks every stage.
     net.inject_faults(FaultPlan::spec_miss(1.0).on(FaultSide::Server));
     let (timelines, rtt_ns) = traced_calls(&client, &server_orb, &telemetry, 16, false);
     assert!(
-        telemetry.metrics().snapshot().degradations >= 1,
-        "fixture must actually flip the sender to inline marshaling"
+        telemetry.transport().get(TransportField::SpecMisses) >= 16,
+        "fixture must actually miss every request's speculation"
+    );
+    assert!(
+        server_orb
+            .meter()
+            .snapshot()
+            .bytes(CopyLayer::DepositFallback)
+            > 0,
+        "misses must land through the DepositFallback copy"
     );
     assert!(timelines.len() >= 16, "one timeline per logical request");
     assert_complete_and_causal(fullest(&timelines), rtt_ns);
@@ -193,7 +201,7 @@ fn degraded_zero_copy_path_still_produces_well_formed_spans() {
         for stage in Stage::ALL {
             assert!(
                 tl.get(stage).is_some(),
-                "degraded request {:#x} lost stage `{}`",
+                "missed request {:#x} lost stage `{}`",
                 tl.trace_id,
                 stage.name()
             );
