@@ -541,7 +541,7 @@ impl GiopConn {
         self.poisoned
     }
 
-    fn check_poisoned(&self) -> OrbResult<()> {
+    pub(crate) fn check_poisoned(&self) -> OrbResult<()> {
         if self.poisoned {
             Err(OrbError::Protocol(
                 "connection poisoned by an earlier reply timeout; resolve a fresh one".into(),
@@ -972,6 +972,8 @@ impl GiopConn {
     /// alone; a request to a here-but-unregistered key still raises
     /// `OBJECT_NOT_EXIST` at invocation time.
     pub fn locate(&mut self, object_key: &[u8]) -> OrbResult<bool> {
+        // A poisoned stream may still deliver a timed-out request's reply.
+        self.check_poisoned()?;
         let request_id = self.alloc_request_id();
         let mut enc = CdrEncoder::new(self.wire_order());
         enc.write_u32(request_id);

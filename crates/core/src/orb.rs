@@ -109,7 +109,7 @@ impl Orb {
     }
 
     /// The ORB's telemetry, borrowed (no refcount traffic).
-    fn tele(&self) -> &Telemetry {
+    pub(crate) fn tele(&self) -> &Telemetry {
         &self.inner.ctx.telemetry
     }
 
@@ -313,15 +313,11 @@ impl Orb {
                 }
             }
         }
-        match bound {
-            Some((idx, conn)) => Ok(ObjectRef::new(ior.clone(), conn)?.with_recovery(
-                self.clone(),
-                targets,
-                idx,
-                cached,
-            )),
-            None => Err(last_err.expect("group_targets guarantees at least one profile")),
-        }
+        let Some((idx, conn)) = bound else {
+            return Err(last_err.expect("group_targets guarantees at least one profile"));
+        };
+        let (orb, ior) = (self.clone(), ior.clone());
+        Ok(ObjectRef::bound(orb, ior, targets, idx, conn, cached))
     }
 
     /// Resolve an `IOR:…` string.

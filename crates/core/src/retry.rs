@@ -1,17 +1,16 @@
-//! Client-side recovery: retry policy, backoff, and the per-endpoint
-//! circuit breaker.
+//! Client-side recovery: the at-most-once recovery table, retry policy,
+//! backoff, and the per-endpoint circuit breaker.
 //!
-//! CORBA invocations carry **at-most-once** semantics, so the retry rules
-//! are strict:
-//!
-//! * a request whose *send* failed was provably never dispatched — any
-//!   operation may be retried on a replacement connection;
-//! * a request that was sent but whose *reply* never came back may or may
-//!   not have executed — only operations the caller marked
-//!   [`idempotent`](crate::StaticRequest::idempotent) retry; everything
-//!   else surfaces `COMM_FAILURE` with `completed = MAYBE`;
-//! * a *timed-out* request never retries: the connection is poisoned (a
-//!   stale reply may still arrive) and quarantined from the cache.
+//! CORBA invocations carry **at-most-once** semantics, so what may happen
+//! after a failed attempt depends on what reached the server. The proxy
+//! classifies each failed attempt once, as a `Failure`; `decide` is the
+//! whole rule book, mapping the failure and whether the operation is
+//! [`idempotent`](crate::StaticRequest::idempotent) to what the endpoint's
+//! breaker learns, the next step and the error the caller sees when no
+//! step is taken. In short: nothing sent (an open breaker, a poisoned
+//! connection, a `Closed` send) moves any operation; a lost reply retries
+//! only idempotent ones, else `COMM_FAILURE` with `completed = MAYBE`; a
+//! timed-out request never retries; a shed rotates to the next replica.
 //!
 //! The circuit breaker guards against retry storms: after
 //! `breaker_threshold` consecutive failures to one endpoint, calls fail
@@ -23,6 +22,117 @@ use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+
+use zc_giop::{GiopError, SystemException, SystemExceptionKind};
+use zc_trace::JourneyCause;
+use SystemExceptionKind::{CommFailure, Marshal};
+
+use crate::OrbError;
+
+/// How one invocation attempt failed, classified once by the proxy under
+/// the connection guard. Variants carry the error the attempt produced.
+#[derive(Debug)]
+pub(crate) enum Failure {
+    /// The active profile's breaker is open: nothing was sent.
+    BreakerOpen(OrbError),
+    /// An earlier reply timeout poisoned the connection: nothing was sent.
+    Poisoned(OrbError),
+    /// A replacement connection cannot carry the marshaled bytes (another
+    /// byte order, or deposits without zero copy): nothing was sent.
+    Renegotiated,
+    /// The send failed with `Closed`: nothing reached a dispatcher.
+    SendClosed(OrbError),
+    /// The send failed any other way.
+    SendFailed(OrbError),
+    /// The reply timed out: the request may be running right now.
+    TimedOut(OrbError),
+    /// The server shed the request before dispatch.
+    Shed(OrbError),
+    /// The server answered with a system or user exception.
+    Answered(OrbError),
+    /// The connection was lost after the send: the request may have run.
+    Lost(OrbError),
+}
+
+/// What the active profile's circuit breaker learns from a failed attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Note {
+    Nothing,
+    Success,
+    Failure,
+    /// A failure, and the poisoned connection leaves the ORB's cache.
+    Quarantine,
+}
+
+/// The proxy's next move after a failed attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// None: the caller sees the error.
+    Surface,
+    /// Move to the next live profile; the next attempt carries this cause.
+    Rotate(JourneyCause),
+    /// Back off, then re-dial the active profile (cause `Retry`), or rotate
+    /// (cause `Failover`) when that dial is refused.
+    Recover,
+}
+
+/// One row of the recovery table.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Decision {
+    pub(crate) note: Note,
+    pub(crate) step: Step,
+    /// What the caller sees when the step is `Surface`, or fails.
+    pub(crate) error: OrbError,
+}
+
+/// The client's recovery table: what follows a failed attempt, given
+/// whether the operation is idempotent and whether the attempt budget
+/// ([`RetryPolicy::max_attempts`]) has attempts left.
+pub(crate) fn decide(failure: Failure, idempotent: bool, attempts_left: bool) -> Decision {
+    // An open breaker rotates within the attempt it stopped; every other
+    // step begins a new attempt, which the budget must still allow.
+    let in_attempt = matches!(failure, Failure::BreakerOpen(_));
+    let (note, step, error) = match failure {
+        Failure::BreakerOpen(e) => (Note::Nothing, Step::Rotate(JourneyCause::Failover), e),
+        Failure::Poisoned(e) | Failure::SendClosed(e) => (Note::Nothing, Step::Recover, e),
+        Failure::Renegotiated => (Note::Nothing, Step::Surface, maybe(CommFailure, 3)),
+        Failure::SendFailed(e) => (Note::Nothing, Step::Surface, e),
+        // The request may be executing: never retried, even if idempotent.
+        Failure::TimedOut(e) => (Note::Quarantine, Step::Surface, e),
+        Failure::Shed(e) => (Note::Failure, Step::Rotate(JourneyCause::ShedRotate), e),
+        Failure::Answered(e) => (Note::Success, Step::Surface, e),
+        // At-most-once: only caller-declared idempotent operations may run
+        // twice. An oversized reply is a marshaling failure, not a
+        // communication one.
+        Failure::Lost(e) => {
+            let error = match e {
+                OrbError::Giop(GiopError::MessageTooLarge(_)) => maybe(Marshal, 2),
+                _ => maybe(CommFailure, 1),
+            };
+            if idempotent {
+                (Note::Nothing, Step::Recover, error)
+            } else {
+                (Note::Failure, Step::Surface, error)
+            }
+        }
+    };
+    let step = if attempts_left || in_attempt {
+        step
+    } else {
+        Step::Surface
+    };
+    Decision { note, step, error }
+}
+
+/// A system exception with completion status MAYBE: the request may or may
+/// not have executed — the CORBA answer when at-most-once forbids a retry.
+fn maybe(kind: SystemExceptionKind, minor: u32) -> OrbError {
+    OrbError::System(SystemException {
+        kind,
+        minor,
+        completed: 2,
+    })
+}
 
 /// Fraction of a backoff randomized away. Jitter is derived from a hash of
 /// the endpoint and attempt number, so retry schedules are deterministic
@@ -70,11 +180,6 @@ impl RetryPolicy {
             breaker_threshold: u32::MAX,
             ..RetryPolicy::default()
         }
-    }
-
-    /// Whether any retry is possible under this policy.
-    pub fn retries_enabled(&self) -> bool {
-        self.max_attempts > 1
     }
 
     /// Backoff before retry number `attempt` (1-based: the delay between
@@ -284,7 +389,69 @@ mod tests {
     #[test]
     fn none_policy_disables_retry() {
         let p = RetryPolicy::none();
-        assert!(!p.retries_enabled());
         assert_eq!(p.max_attempts, 1);
+    }
+
+    /// Every `(Failure, idempotent, attempts left)` combination, checked
+    /// against the table in docs/fault-model.md. The renegotiation and
+    /// oversized-reply rows have no end-to-end fixture: they are pinned
+    /// here only.
+    #[test]
+    fn recovery_table_row_by_row() {
+        use zc_transport::TransportError;
+        use JourneyCause::{Failover, ShedRotate};
+        use Note::{Failure as Failed, Nothing, Quarantine, Success};
+        use Step::{Recover, Rotate, Surface};
+        let system = |kind, minor, completed| {
+            OrbError::System(SystemException {
+                kind,
+                minor,
+                completed,
+            })
+        };
+        let transient = || system(SystemExceptionKind::Transient, 1, 1);
+        let poisoned = || OrbError::Protocol("connection poisoned".into());
+        let closed = || OrbError::Transport(TransportError::Closed);
+        let timeout = || OrbError::Transport(TransportError::Timeout);
+        let shed = || OrbError::System(crate::ShedReason::QueueFull.exception());
+        let bad_op = || system(SystemExceptionKind::BadOperation, 0, 1);
+        let comm = |minor| system(CommFailure, minor, 2);
+        let too_large = || OrbError::Giop(GiopError::MessageTooLarge(1 << 30));
+        let marshal = || system(Marshal, 2, 2);
+        for idempotent in [false, true] {
+            for left in [false, true] {
+                let recover = if left { Recover } else { Surface };
+                let lost_note = if idempotent { Nothing } else { Failed };
+                let lost_step = if idempotent { recover } else { Surface };
+                let rows: [(Failure, Note, Step, OrbError); 11] = [
+                    (
+                        Failure::BreakerOpen(transient()),
+                        Nothing,
+                        Rotate(Failover),
+                        transient(),
+                    ),
+                    (Failure::Poisoned(poisoned()), Nothing, recover, poisoned()),
+                    (Failure::Renegotiated, Nothing, Surface, comm(3)),
+                    (Failure::SendClosed(closed()), Nothing, recover, closed()),
+                    (Failure::SendFailed(timeout()), Nothing, Surface, timeout()),
+                    (Failure::TimedOut(timeout()), Quarantine, Surface, timeout()),
+                    (
+                        Failure::Shed(shed()),
+                        Failed,
+                        if left { Rotate(ShedRotate) } else { Surface },
+                        shed(),
+                    ),
+                    (Failure::Answered(bad_op()), Success, Surface, bad_op()),
+                    (Failure::Answered(shed()), Success, Surface, shed()),
+                    (Failure::Lost(closed()), lost_note, lost_step, comm(1)),
+                    (Failure::Lost(too_large()), lost_note, lost_step, marshal()),
+                ];
+                for (failure, note, step, error) in rows {
+                    let row = format!("{failure:?}, idempotent {idempotent}, attempts left {left}");
+                    let want = Decision { note, step, error };
+                    assert_eq!(decide(failure, idempotent, left), want, "{row}");
+                }
+            }
+        }
     }
 }

@@ -109,6 +109,26 @@ fn stalled_servant_times_out_and_poisons_the_connection() {
 }
 
 #[test]
+fn locate_refuses_a_poisoned_connection() {
+    let (_s, server, client) = fixture();
+    let ior = server.ior_for("sleepy", "IDL:to/Sleepy:1.0").unwrap();
+    let obj = client.resolve_private(&ior).unwrap();
+    let err = obj
+        .request("nap")
+        .arg(&200u32)
+        .unwrap()
+        .invoke_timeout(Duration::from_millis(20))
+        .unwrap_err();
+    assert_eq!(err, OrbError::Transport(TransportError::Timeout));
+    // The stale nap reply is still on its way: a LocateRequest on this
+    // stream would read it in place of its LocateReply.
+    match obj.locate() {
+        Err(OrbError::Protocol(msg)) => assert!(msg.contains("poisoned"), "{msg}"),
+        other => panic!("locate on a poisoned connection must refuse, got {other:?}"),
+    }
+}
+
+#[test]
 fn timeout_over_real_tcp() {
     let server_orb = Orb::builder().tcp().build();
     server_orb.adapter().register("sleepy", Arc::new(Sleepy));

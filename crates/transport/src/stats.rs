@@ -46,8 +46,9 @@ impl StatsCell {
 
     /// One zero-copy receive speculation over a `bytes`-long block on
     /// connection `conn_id` held (`hit`) or fell back to the copy. Counted
-    /// here for the peer's health report; the ORB-wide total moves with the
-    /// event telemetry books.
+    /// here for `Connection::stats`, the per-connection view a client reads
+    /// through `ObjectRef::transport_stats`; the ORB-wide total moves with
+    /// the event telemetry books.
     pub(crate) fn speculated(&self, hit: bool, conn_id: u64, bytes: u64) {
         let (field, kind) = if hit {
             (TransportField::SpecHits, EventKind::SpecHit)
