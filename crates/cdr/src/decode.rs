@@ -7,6 +7,42 @@ use zc_buffers::{CopyLayer, CopyMeter, ZcBytes};
 use crate::endian::{self, ByteOrder};
 use crate::{CdrError, CdrResult, MAX_CDR_LENGTH};
 
+/// The blocks one received message deposited, in descriptor-index order,
+/// each taken at most once. The first block is held inline, so a message
+/// with one block costs no heap; the rest spill to one vector.
+#[derive(Debug, Default)]
+pub struct DepositList {
+    /// Block 0's slot, once there is a block 0.
+    first: Option<Option<ZcBytes>>,
+    rest: Vec<Option<ZcBytes>>,
+}
+
+impl DepositList {
+    /// An empty list with room for `count` blocks: heap only past the first.
+    pub fn for_blocks(count: usize) -> DepositList {
+        DepositList {
+            first: None,
+            rest: Vec::with_capacity(count.saturating_sub(1)),
+        }
+    }
+
+    /// Append the next block.
+    pub fn add_block(&mut self, block: ZcBytes) {
+        match self.first {
+            None => self.first = Some(Some(block)),
+            Some(_) => self.rest.push(Some(block)),
+        }
+    }
+
+    /// The slot of block `index`: `None` past the end, empty once taken.
+    fn slot_mut(&mut self, index: usize) -> Option<&mut Option<ZcBytes>> {
+        match index.checked_sub(1) {
+            None => self.first.as_mut(),
+            Some(i) => self.rest.get_mut(i),
+        }
+    }
+}
+
 /// Decodes values from a CDR stream.
 ///
 /// Mirrors [`crate::CdrEncoder`]: alignment is relative to the start of the
@@ -22,7 +58,7 @@ pub struct CdrDecoder<'a> {
     order: ByteOrder,
     meter: Option<Arc<CopyMeter>>,
     /// Out-of-band blocks, taken by index exactly once each.
-    deposits: Vec<Option<ZcBytes>>,
+    deposits: DepositList,
     zc_enabled: bool,
 }
 
@@ -34,7 +70,7 @@ impl<'a> CdrDecoder<'a> {
             pos: 0,
             order,
             meter: None,
-            deposits: Vec::new(),
+            deposits: DepositList::default(),
             zc_enabled: false,
         }
     }
@@ -48,24 +84,24 @@ impl<'a> CdrDecoder<'a> {
 
     /// Provide the deposited blocks for this message and enable the
     /// zero-copy demarshal path.
-    pub fn with_deposits(mut self, blocks: Vec<ZcBytes>) -> CdrDecoder<'a> {
-        self.deposits = blocks.into_iter().map(Some).collect();
+    pub fn with_deposits(self, blocks: Vec<ZcBytes>) -> CdrDecoder<'a> {
+        let mut list = DepositList::for_blocks(blocks.len());
+        blocks.into_iter().for_each(|b| list.add_block(b));
+        self.with_deposit_list(list)
+    }
+
+    /// [`CdrDecoder::with_deposits`] from a [`DepositList`] — as received,
+    /// or partly taken when demarshaling resumes across several decoders
+    /// over the same message (multi-result replies).
+    pub fn with_deposit_list(mut self, list: DepositList) -> CdrDecoder<'a> {
+        self.deposits = list;
         self.zc_enabled = true;
         self
     }
 
-    /// Like [`CdrDecoder::with_deposits`] but accepting partially consumed
-    /// slots — used when demarshaling resumes across several decoder
-    /// instances over the same message (multi-result replies).
-    pub fn with_deposit_slots(mut self, slots: Vec<Option<ZcBytes>>) -> CdrDecoder<'a> {
-        self.deposits = slots;
-        self.zc_enabled = true;
-        self
-    }
-
-    /// Surrender the deposit slots (consumed entries stay `None`, so
-    /// descriptor indices remain stable for a follow-up decoder).
-    pub fn into_deposit_slots(self) -> Vec<Option<ZcBytes>> {
+    /// Surrender the deposit list (taken blocks stay taken, so descriptor
+    /// indices remain stable for a follow-up decoder).
+    pub fn into_deposit_list(self) -> DepositList {
         self.deposits
     }
 
@@ -274,7 +310,7 @@ impl<'a> CdrDecoder<'a> {
     pub fn take_deposit(&mut self, index: u32, announced_len: usize) -> CdrResult<ZcBytes> {
         let slot = self
             .deposits
-            .get_mut(index as usize)
+            .slot_mut(index as usize)
             .ok_or(CdrError::BadDepositIndex(index))?;
         match slot.take() {
             Some(block) if block.len() == announced_len => Ok(block),
@@ -429,6 +465,39 @@ mod tests {
         // second take fails
         assert_eq!(d.take_deposit(0, 100), Err(CdrError::BadDepositIndex(0)));
         assert_eq!(d.take_deposit(5, 1), Err(CdrError::BadDepositIndex(5)));
+    }
+
+    #[test]
+    fn deposit_list_holds_the_first_block_inline_and_spills_from_the_second() {
+        let mut list = DepositList::for_blocks(1);
+        list.add_block(ZcBytes::zeroed(1));
+        assert!(list.first.is_some());
+        assert_eq!(list.rest.capacity(), 0, "one block costs no heap");
+        let mut list = DepositList::default();
+        list.add_block(ZcBytes::zeroed(1));
+        list.add_block(ZcBytes::zeroed(2));
+        assert_eq!(list.rest.len(), 1, "the second block spills");
+        assert_eq!(DepositList::for_blocks(3).rest.capacity(), 2);
+    }
+
+    #[test]
+    fn deposit_indices_stay_stable_across_resumed_decoders() {
+        let mut list = DepositList::for_blocks(3);
+        for len in [10, 20, 30] {
+            list.add_block(ZcBytes::zeroed(len));
+        }
+        let mut d = CdrDecoder::new(&[], ByteOrder::Little).with_deposit_list(list);
+        assert_eq!(d.take_deposit(1, 20).unwrap().len(), 20);
+        let list = d.into_deposit_list();
+        let mut d = CdrDecoder::new(&[], ByteOrder::Little).with_deposit_list(list);
+        assert_eq!(d.take_deposit(1, 20), Err(CdrError::BadDepositIndex(1)));
+        assert_eq!(d.take_deposit(2, 30).unwrap().len(), 30);
+        assert_eq!(d.take_deposit(0, 10).unwrap().len(), 10);
+        assert_eq!(d.take_deposit(0, 10), Err(CdrError::BadDepositIndex(0)));
+        assert_eq!(d.take_deposit(3, 1), Err(CdrError::BadDepositIndex(3)));
+        let mut empty =
+            CdrDecoder::new(&[], ByteOrder::Little).with_deposit_list(DepositList::default());
+        assert_eq!(empty.take_deposit(0, 0), Err(CdrError::BadDepositIndex(0)));
     }
 
     #[test]

@@ -66,6 +66,13 @@ impl CdrEncoder {
         self
     }
 
+    /// Likewise collect deposits into `list`'s storage (cleared first).
+    pub fn with_deposit_room(mut self, mut list: Vec<ZcBytes>) -> CdrEncoder {
+        list.clear();
+        self.deposits = list;
+        self
+    }
+
     /// Enable the direct-deposit path for zero-copy sequence types.
     pub fn with_zc(mut self, enabled: bool) -> CdrEncoder {
         self.zc_enabled = enabled;

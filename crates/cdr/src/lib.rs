@@ -33,7 +33,7 @@ pub mod octet;
 pub mod types;
 pub mod wire;
 
-pub use decode::CdrDecoder;
+pub use decode::{CdrDecoder, DepositList};
 pub use encode::CdrEncoder;
 pub use endian::ByteOrder;
 pub use octet::{OctetSeq, ZcOctetSeq};

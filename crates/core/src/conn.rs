@@ -35,9 +35,11 @@
 //! the connection's spare header buffer, and read in place as a
 //! [`RequestView`]/[`ReplyView`] of the received body: the key, the
 //! operation name and the manifest's block lengths stay where they arrived.
+//! Deposits leave in the spare list and arrive in a [`DepositList`], whose
+//! first block is inline: a one-block message calls no allocator.
 
 use zc_buffers::ZcBytes;
-use zc_cdr::{ByteOrder, CdrDecoder, CdrEncoder};
+use zc_cdr::{ByteOrder, CdrDecoder, CdrEncoder, DepositList};
 use zc_giop::{
     fragment_plan, write_reply_header, write_request_header, GiopError, GiopHeader, GiopVersion,
     Handshake, ManifestView, MessageType, Negotiated, ReplyStatus, ReplyView, RequestView,
@@ -100,7 +102,7 @@ pub struct IncomingRequest<'m> {
     /// Offset of the first argument within `body`.
     pub args_offset: usize,
     /// Deposited blocks, in descriptor-index order.
-    pub deposits: Vec<ZcBytes>,
+    pub deposits: DepositList,
     /// Byte order of the body.
     pub order: ByteOrder,
     /// Whether descriptors (not inline bytes) encode ZC sequences.
@@ -119,7 +121,7 @@ pub struct IncomingReply {
     /// Offset of the first result value within `body`.
     pub results_offset: usize,
     /// Deposited blocks, in descriptor-index order.
-    pub deposits: Vec<ZcBytes>,
+    pub deposits: DepositList,
     /// Byte order of the body.
     pub order: ByteOrder,
     /// Whether descriptors encode ZC sequences.
@@ -155,6 +157,8 @@ pub struct GiopConn {
     spare_body: Vec<u8>,
     /// Likewise the request/reply header buffer of the last message sent.
     spare_head: Vec<u8>,
+    /// Likewise the (emptied) deposit list of the last message sent.
+    spare_deposits: Vec<ZcBytes>,
 }
 
 impl GiopConn {
@@ -212,6 +216,7 @@ impl GiopConn {
             pending_journey: None,
             spare_body: Vec::new(),
             spare_head: Vec::new(),
+            spare_deposits: Vec::new(),
         })
     }
 
@@ -279,19 +284,21 @@ impl GiopConn {
 
     /// An argument/result encoder configured for this connection (meter,
     /// byte order, ZC mode). Takes `&mut self` because it borrows the
-    /// connection's spare marshal buffer.
+    /// connection's spare marshal buffer and deposit list.
     pub fn body_encoder(&mut self) -> CdrEncoder {
         CdrEncoder::new(self.wire_order())
             .with_meter(std::sync::Arc::clone(&self.ctx.meter))
             .with_zc(self.zc_active())
             .with_buffer(std::mem::take(&mut self.spare_body))
+            .with_deposit_room(std::mem::take(&mut self.spare_deposits))
     }
 
-    /// Hand back the marshal buffer of a message that is on the wire, for
-    /// the next [`GiopConn::body_encoder`] to reuse (the connection keeps
-    /// the roomier of this one and the spare it holds).
-    pub fn recycle_body(&mut self, body: Vec<u8>) {
+    /// Hand back the marshal buffer and deposit list of a message that is
+    /// on the wire, for the next [`GiopConn::body_encoder`] to reuse (the
+    /// connection keeps the roomier of each and the spare it holds).
+    pub fn recycle_body(&mut self, body: Vec<u8>, deposits: Vec<ZcBytes>) {
         keep_roomier(&mut self.spare_body, body);
+        keep_roomier(&mut self.spare_deposits, deposits);
     }
 
     /// A request/reply header encoder that borrows the spare header buffer;
@@ -492,15 +499,16 @@ impl GiopConn {
         body: &[u8],
         after_header: usize,
         order: ByteOrder,
-    ) -> OrbResult<(Vec<ZcBytes>, usize)> {
+    ) -> OrbResult<(DepositList, usize)> {
         let Some(manifest) = manifest else {
             // No deposits: arguments start at the first 8-aligned offset.
-            return Ok((Vec::new(), align_up(after_header, 8)));
+            return Ok((DepositList::default(), align_up(after_header, 8)));
         };
+        // `ManifestView::parse` held the count under MAX_MANIFEST_BLOCKS.
+        let mut blocks = DepositList::for_blocks(manifest.block_count());
         if self.tuning.separate_data {
-            let mut blocks = Vec::with_capacity(manifest.block_count());
             for len in manifest.block_lengths() {
-                blocks.push(self.conn.recv_data(len as usize)?);
+                blocks.add_block(self.conn.recv_data(len as usize)?);
                 self.ctx.telemetry.note_wire_rx(len);
                 self.emit(EventKind::DepositReceived, self.last_trace_id, len);
             }
@@ -511,7 +519,6 @@ impl GiopConn {
             let mut dec =
                 CdrDecoder::new(body, order).with_meter(std::sync::Arc::clone(&self.ctx.meter));
             dec.skip(after_header)?;
-            let mut blocks = Vec::with_capacity(manifest.block_count());
             for len in manifest.block_lengths() {
                 dec.align(8)?;
                 let announced = dec.read_u32()? as u64;
@@ -528,7 +535,7 @@ impl GiopConn {
                 self.ctx
                     .meter
                     .copy(zc_buffers::CopyLayer::Demarshal, buf.as_mut_slice(), bytes);
-                blocks.push(buf.freeze());
+                blocks.add_block(buf.freeze());
             }
             dec.align(8)?;
             Ok((blocks, dec.position()))
@@ -583,7 +590,7 @@ impl GiopConn {
         let (args, deposits) = args_enc.finish();
         let id =
             self.send_request_raw(object_key, operation, response_expected, &args, &deposits)?;
-        self.recycle_body(args);
+        self.recycle_body(args, deposits);
         Ok(id)
     }
 
@@ -723,7 +730,7 @@ impl GiopConn {
                 self.emit(
                     EventKind::ReplyReceived,
                     self.last_trace_id,
-                    deposits.iter().map(|b| b.len() as u64).sum(),
+                    manifest.map_or(0, |m| m.total_bytes()),
                 );
                 Ok(IncomingReply {
                     body,
@@ -877,11 +884,7 @@ impl GiopConn {
                 zc_trace::now_ns().saturating_sub(arrival_ns),
             );
         }
-        self.emit(
-            EventKind::RequestReceived,
-            trace_id,
-            deposits.iter().map(|b| b.len() as u64).sum(),
-        );
+        self.emit(EventKind::RequestReceived, trace_id, announced);
         Ok(Some((
             IncomingRequest {
                 header,
@@ -916,7 +919,7 @@ impl GiopConn {
         });
         let dep_bytes: u64 = deposits.iter().map(|b| b.len() as u64).sum();
         self.send_message(MessageType::Reply, enc, &results, &deposits)?;
-        self.recycle_body(results);
+        self.recycle_body(results, deposits);
         self.emit(EventKind::ReplySent, self.last_trace_id, dep_bytes);
         Ok(())
     }
@@ -1018,11 +1021,12 @@ fn unexpected(got: MessageType, awaiting: MessageType) -> OrbError {
     GiopError::Unexpected { got, awaiting }.into()
 }
 
-/// Keep `returned` as the connection's `spare` buffer if it is the roomier
-/// of the two — and not above [`FRAGMENT_THRESHOLD`]: one oversized message
-/// must not pin its buffer for the connection's lifetime.
-fn keep_roomier(spare: &mut Vec<u8>, returned: Vec<u8>) {
-    if (spare.capacity()..=FRAGMENT_THRESHOLD).contains(&returned.capacity()) {
+/// Keep `returned`, emptied, as the connection's `spare` if it is the
+/// roomier of the two — and not above [`FRAGMENT_THRESHOLD`] bytes: one
+/// oversized message must not pin its buffer for the connection's lifetime.
+fn keep_roomier<T>(spare: &mut Vec<T>, mut returned: Vec<T>) {
+    returned.clear();
+    if (spare.capacity()..=FRAGMENT_THRESHOLD / size_of::<T>()).contains(&returned.capacity()) {
         *spare = returned;
     }
 }

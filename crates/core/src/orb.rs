@@ -432,7 +432,7 @@ impl Orb {
             // the deposited blocks when the connection is in ZC mode.
             let mut dec = CdrDecoder::new(incoming.body, incoming.order).with_meter(self.meter());
             if incoming.zc {
-                dec = dec.with_deposits(incoming.deposits);
+                dec = dec.with_deposit_list(incoming.deposits);
             }
             let mut served_span = zc_trace::RequestSpan::disabled();
             let dispatch_outcome = dec

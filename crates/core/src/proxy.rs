@@ -19,7 +19,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use zc_buffers::ZcBytes;
-use zc_cdr::{ByteOrder, CdrDecoder, CdrEncoder, CdrMarshal};
+use zc_cdr::{ByteOrder, CdrDecoder, CdrEncoder, CdrMarshal, DepositList};
 use zc_giop::Ior;
 use zc_trace::{EventKind, JourneyCause};
 use zc_transport::TransportError;
@@ -194,9 +194,12 @@ impl ObjectRef {
                     let (conn_id, trace_id) = (conn.trace_conn_id(), conn.last_trace_id());
                     tele.emit(EventKind::Invoke, conn_id, trace_id, elapsed);
                 }
-                // The request is answered: its marshal buffer serves the
-                // connection's next message.
-                conn.recycle_body(std::mem::take(&mut call.args));
+                // The request is answered: its marshal buffer and deposit
+                // list serve the connection's next message.
+                conn.recycle_body(
+                    std::mem::take(&mut call.args),
+                    std::mem::take(&mut call.deposits),
+                );
                 let meter = conn.meter();
                 return Ok(Reply { incoming, meter });
             }
@@ -484,7 +487,7 @@ impl Reply {
         ReplyResults {
             body,
             offset: results_offset,
-            slots: deposits.into_iter().map(Some).collect(),
+            deposits,
             order,
             zc,
             meter: self.meter,
@@ -496,7 +499,7 @@ impl Reply {
 pub struct ReplyResults {
     body: ZcBytes,
     offset: usize,
-    slots: Vec<Option<ZcBytes>>,
+    deposits: DepositList,
     order: zc_cdr::ByteOrder,
     zc: bool,
     meter: Arc<zc_buffers::CopyMeter>,
@@ -508,17 +511,16 @@ impl ReplyResults {
     /// iterator.)
     #[allow(clippy::should_implement_trait)]
     pub fn next<T: CdrMarshal>(&mut self) -> OrbResult<T> {
-        // Rebuild a decoder positioned at the current offset; deposit slots
-        // persist across calls so descriptor indices stay stable.
-        let slots = std::mem::take(&mut self.slots);
+        // Rebuild a decoder positioned at the current offset; the deposit
+        // list persists across calls so descriptor indices stay stable.
         let mut dec = CdrDecoder::new(&self.body, self.order).with_meter(Arc::clone(&self.meter));
         if self.zc {
-            dec = dec.with_deposit_slots(slots);
+            dec = dec.with_deposit_list(std::mem::take(&mut self.deposits));
         }
         dec.skip(self.offset).map_err(OrbError::from)?;
         let v = T::demarshal(&mut dec)?;
         self.offset = dec.position();
-        self.slots = dec.into_deposit_slots();
+        self.deposits = dec.into_deposit_list();
         Ok(v)
     }
 }

@@ -86,6 +86,9 @@ pub enum WireViolation {
     FrameTooLarge { announced: u64, cap: u64 },
     /// A TCP frame on a lane that does not exist.
     UnknownLane(u8),
+    /// Parking one more TCP frame while the receiver waits on the other
+    /// lane would pin `parked` bytes, above the `cap`.
+    LaneBacklog { parked: u64, cap: u64 },
 }
 
 impl std::fmt::Display for WireViolation {
@@ -136,6 +139,10 @@ impl std::fmt::Display for WireViolation {
                 "frame announces {announced} bytes, above the {cap} byte cap"
             ),
             WireViolation::UnknownLane(tag) => write!(f, "unknown lane tag {tag}"),
+            WireViolation::LaneBacklog { parked, cap } => write!(
+                f,
+                "parked frames of one lane would pin {parked} bytes, above the {cap} byte cap"
+            ),
         }
     }
 }

@@ -51,6 +51,8 @@ pub struct TcpConn {
     peer: String,
     pending_control: std::collections::VecDeque<ZcBytes>,
     pending_data: std::collections::VecDeque<ZcBytes>,
+    /// Bytes the parked frames of both lanes pin, each at least a page.
+    parked_bytes: u64,
     stats: Arc<StatsCell>,
     trace_conn: u64,
 }
@@ -69,6 +71,7 @@ impl TcpConn {
             peer,
             pending_control: Default::default(),
             pending_data: Default::default(),
+            parked_bytes: 0,
             stats,
             trace_conn: zc_trace::next_conn_id(),
         })
@@ -128,20 +131,30 @@ impl TcpConn {
     }
 
     /// Read frames until one on `want` appears, parking others as the
-    /// pooled views they were read into.
+    /// pooled views they were read into. An ORB peer never needs a backlog
+    /// (deposits follow their announcement), so the parked frames may pin
+    /// at most [`MAX_TCP_FRAME`] bytes.
     fn next_on_lane(&mut self, want: u8) -> TResult<ZcBytes> {
+        let pinned = |frame: &ZcBytes| frame.len().max(zc_buffers::PAGE_SIZE) as u64;
         loop {
             let parked = match want {
                 LANE_CONTROL => self.pending_control.pop_front(),
                 _ => self.pending_data.pop_front(),
             };
             if let Some(z) = parked {
+                self.parked_bytes = self.parked_bytes.saturating_sub(pinned(&z));
                 return Ok(z);
             }
             let (lane, payload) = self.read_frame()?;
             if lane == want {
                 return Ok(payload);
             }
+            let parked = self.parked_bytes.saturating_add(pinned(&payload));
+            if parked > MAX_TCP_FRAME {
+                let cap = MAX_TCP_FRAME;
+                return Err(WireViolation::LaneBacklog { parked, cap }.into());
+            }
+            self.parked_bytes = parked;
             match lane {
                 LANE_CONTROL => self.pending_control.push_back(payload),
                 LANE_DATA => self.pending_data.push_back(payload),
@@ -345,6 +358,38 @@ mod tests {
         c.send_control(b"ctrl").unwrap();
         assert_eq!(s.recv_control().unwrap(), &b"ctrl"[..]);
         assert_eq!(s.recv_data(5000).unwrap().len(), 5000);
+    }
+
+    #[test]
+    fn a_lane_parks_at_most_one_frame_cap_while_the_other_is_awaited() {
+        let listener = TcpTransportListener::bind(0, TransportCtx::new()).unwrap();
+        let port = listener.endpoint().1;
+        // A hostile peer streams data frames at a receiver awaiting control.
+        let peer = std::thread::spawn(move || {
+            let mut raw = TcpStream::connect(("127.0.0.1", port)).unwrap();
+            let block = vec![7u8; 1 << 20];
+            let mut header = [LANE_DATA; 9];
+            header[1..].copy_from_slice(&(block.len() as u64).to_le_bytes());
+            for _ in 0..65 {
+                // The receiver may hang up before the last frame is out.
+                if raw
+                    .write_all(&header)
+                    .and_then(|()| raw.write_all(&block))
+                    .is_err()
+                {
+                    break;
+                }
+            }
+        });
+        let mut conn = listener.accept().unwrap();
+        let err = conn.recv_control().unwrap_err();
+        let backlog = WireViolation::LaneBacklog {
+            parked: 65 << 20,
+            cap: MAX_TCP_FRAME,
+        };
+        assert_eq!(err, TransportError::Protocol(backlog));
+        drop(conn);
+        peer.join().unwrap();
     }
 
     #[test]
